@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InsufficientOrderError, LeviDegenerateError
-from .hypersurface import HypersurfaceModel
-from .matrices import MinorFamily, jacobian_minor_family
+from .errors import InsufficientOrderError
+from .hypersurface import HypersurfaceModel, minors, per_model
 from .pde import PdeSystem, derive_associated_system
 from .scalars import GaussianRational
 from .series import TruncatedSeries
@@ -155,33 +154,15 @@ def hachtroudi_tensor(system: PdeSystem) -> FlatnessTensor:
     )
 
 
-def minors(model: HypersurfaceModel) -> MinorFamily:
-    """Levi determinant of the model and all of its Cramer minors.
-
-    Row convention: first row dtheta/d(tbar), then one row of mixed
-    second derivatives per z_k; columns ordered (z1b..znb, wb).
-    """
-    n = model.n
-    x_names = [f"z{k}" for k in range(1, n + 1)]
-    a_names = [f"z{k}b" for k in range(1, n + 1)] + ["wb"]
-    family = jacobian_minor_family(model.theta, x_names, a_names)
-    if not family.delta.constant_term():
-        raise LeviDegenerateError("Levi determinant vanishes at the origin")
-    return family
-
-
+@per_model
 def main_theorem_tensor(model: HypersurfaceModel) -> FlatnessTensor:
     """The direct fourth-order flatness tensor of a defining series.
 
-    Each raw entry is
-
-        sum_{mu,nu} D^mu_[l1] D^nu_[l2] { delta * theta_{z_a z_b tbar_mu tbar_nu}
-            - sum_tau D^tau_[tbar_mu tbar_nu] * theta_{z_a z_b tbar_tau} }
-
-    with D the unit and second-derivative column-replacement minors of
-    the Levi determinant; the trace adjustment is then applied.  This is
-    the denominator-cleared transport of the second-derivative test, so
-    the model is pseudospherical iff every component vanishes.
+    Each raw entry is the Cramer transfer (``MinorFamily.transfer``) of
+    theta_{z_a z_b} through the Levi minors; the trace adjustment is then
+    applied.  This is the second-derivative test transported to the
+    (z, zb, wb) chart and cleared of its delta^3 denominator, so the model
+    is pseudospherical iff every component vanishes.
     """
     n = model.n
     if model.order < 4:
@@ -189,58 +170,15 @@ def main_theorem_tensor(model: HypersurfaceModel) -> FlatnessTensor:
             f"theta order {model.order} < 4: certified order would be negative"
         )
     family = minors(model)
-    delta = family.delta
     theta = model.theta
-    tbar = [f"z{k}b" for k in range(1, n + 1)] + ["wb"]
-
-    second = {}
-    for a in range(1, n + 1):
-        for b in range(a, n + 1):
-            second[(a, b)] = theta.partial(f"z{a}").partial(f"z{b}")
-
-    third = {}
-    fourth = {}
-    for (a, b), zz in second.items():
-        for tau in range(1, n + 2):
-            third[(a, b, tau)] = zz.partial(tbar[tau - 1])
-        for mu in range(1, n + 2):
-            for nu in range(mu, n + 2):
-                fourth[(a, b, mu, nu)] = third[(a, b, mu)].partial(tbar[nu - 1])
-
-    brace_cache = {}
-
-    def brace(a, b, mu, nu):
-        key = (a, b, min(mu, nu), max(mu, nu))
-        value = brace_cache.get(key)
-        if value is not None:
-            return value
-        a_, b_, mu_, nu_ = key
-        value = delta * fourth[(a_, b_, mu_, nu_)]
-        for tau in range(1, n + 2):
-            t3 = third[(a_, b_, tau)]
-            if t3.is_zero():
-                continue
-            value = value - family.second(mu_, nu_, tau) * t3
-        brace_cache[key] = value
-        return value
-
-    def raw(a, b, l1, l2):
-        acc = None
-        for mu in range(1, n + 2):
-            unit_mu = family.unit(mu, l1)
-            if unit_mu.is_zero():
-                continue
-            for nu in range(1, n + 2):
-                unit_nu = family.unit(nu, l2)
-                if unit_nu.is_zero():
-                    continue
-                term = unit_mu * unit_nu * brace(a, b, mu, nu)
-                acc = term if acc is None else acc + term
-        if acc is None:
-            acc = TruncatedSeries.zero(theta.context, model.order - 4)
-        return acc
-
-    components = _assemble_trace_adjusted(n, raw)
+    transfers = {
+        (a, b): family.transfer(theta.partial(f"z{a}").partial(f"z{b}"))
+        for a in range(1, n + 1)
+        for b in range(a, n + 1)
+    }
+    components = _assemble_trace_adjusted(
+        n, lambda a, b, l1, l2: transfers[(a, b)](l1, l2)
+    )
     return FlatnessTensor(
         n=n, certified_order=model.order - 4, components=components
     )

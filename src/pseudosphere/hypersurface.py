@@ -10,7 +10,8 @@ are rejected rather than repaired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -23,8 +24,8 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .implicit import solve_formal_system, solve_implicit
-from .matrices import SeriesMatrix, scalar_determinant
-from .scalars import GaussianRational, ONE, ZERO, gaussian
+from .matrices import MinorFamily, SeriesMatrix, jacobian_minor_family, scalar_determinant
+from .scalars import GaussianRational, ONE, ZERO, brief_str, gaussian
 from .series import TruncatedSeries, VariableContext
 
 
@@ -58,15 +59,33 @@ def map_context(n: int) -> VariableContext:
 
 @dataclass(frozen=True)
 class HypersurfaceModel:
-    """A validated defining function theta with its dimension and order."""
+    """A validated defining function theta with its dimension and order.
+
+    Objects derived from theta by the ``per_model`` functions are kept in
+    the model's memo, so each is computed once for the model's lifetime.
+    """
 
     n: int
     order: int
     theta: TruncatedSeries
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def context(self) -> VariableContext:
         return self.theta.context
+
+
+def per_model(fn):
+    """Decorate a function of one model so that it runs once per model."""
+
+    @functools.wraps(fn)
+    def memoized(model):
+        memo = model._memo
+        if fn not in memo:
+            memo[fn] = fn(model)
+        return memo[fn]
+
+    return memoized
 
 
 @dataclass(frozen=True)
@@ -122,7 +141,7 @@ def make_model(n: int, theta: TruncatedSeries, order: int | None = None) -> Hype
     if not report.ok:
         raise RealityError(
             f"reality identity {report.identity} fails at monomial "
-            f"{report.monomial} (discrepancy {report.discrepancy})",
+            f"{report.monomial} (discrepancy {brief_str(report.discrepancy)})",
             identity=report.identity,
             monomial=report.monomial,
         )
@@ -230,16 +249,30 @@ def from_graph(phi: TruncatedSeries, n: int, order: int | None = None) -> Hypers
     return make_model(n, theta, order)
 
 
+@per_model
+def _levi_family(model: HypersurfaceModel) -> MinorFamily:
+    n = model.n
+    x_names = [f"z{k}" for k in range(1, n + 1)]
+    a_names = [f"z{k}b" for k in range(1, n + 1)] + ["wb"]
+    return jacobian_minor_family(model.theta, x_names, a_names)
+
+
 def levi_matrix(model: HypersurfaceModel) -> SeriesMatrix:
     """Rows: dtheta/d(tbar_mu); then one row d2theta/dz_k d(tbar_mu) per k."""
-    theta = model.theta
-    tbar = [f"z{k}b" for k in range(1, model.n + 1)] + ["wb"]
-    first = [theta.partial(a) for a in tbar]
-    rows = [first]
-    for k in range(1, model.n + 1):
-        row = [theta.partial(f"z{k}").partial(a) for a in tbar]
-        rows.append(row)
-    return SeriesMatrix(rows)
+    return _levi_family(model).matrix
+
+
+def minors(model: HypersurfaceModel) -> MinorFamily:
+    """Levi determinant of the model and all of its Cramer minors.
+
+    Row convention: first row dtheta/d(tbar), then one row of mixed
+    second derivatives per z_k; columns ordered (z1b..znb, wb).  Raises
+    LeviDegenerateError when the determinant vanishes at the origin.
+    """
+    family = _levi_family(model)
+    if not family.delta.constant_term():
+        raise LeviDegenerateError("Levi determinant vanishes at the origin")
+    return family
 
 
 def hermitian_signature(matrix) -> tuple:
@@ -297,10 +330,7 @@ def levi(model: HypersurfaceModel) -> LeviData:
     Raises LeviDegenerateError when the determinant vanishes at 0 (the
     signature is undefined there).
     """
-    delta = levi_matrix(model).determinant()
-    delta0 = delta.constant_term()
-    if not delta0:
-        raise LeviDegenerateError("Levi determinant vanishes at the origin")
+    delta = minors(model).delta
     n = model.n
     ctx = model.context
     hermitian = []
@@ -313,7 +343,7 @@ def levi(model: HypersurfaceModel) -> LeviData:
             row.append(model.theta.coefficient(exps))
         hermitian.append(row)
     signature = hermitian_signature(hermitian)
-    return LeviData(delta=delta, delta_at_origin=delta0, signature=signature)
+    return LeviData(delta=delta, delta_at_origin=delta.constant_term(), signature=signature)
 
 
 def apply_biholomorphism(model: HypersurfaceModel, zmaps, wmap) -> HypersurfaceModel:

@@ -1,16 +1,19 @@
-"""Matrices of truncated series: exact determinants and Cramer minors.
+"""Matrices of truncated series: exact determinants, cofactors, Cramer minors.
 
-Determinants of small matrices (the usual case: side n+1 with n the CR
-dimension) go through a memoized Laplace expansion.  Larger matrices try
-Bareiss elimination, whose exact divisions require unit pivots here; if
-a pivot fails to be a unit the expansion path takes over.
+Every determinant is a Laplace expansion along the first column, memoized
+over (row set, column set) pairs.  One such expansion of a square matrix
+yields its determinant and all of its cofactors at once, and every Cramer
+column-replacement minor is a cofactor, or a column times a cofactor
+column, so no replaced matrix is ever expanded on its own.  The matrices
+here have side n+1 for CR dimension n, small enough that the expansion
+beats fraction-free elimination and needs no unit pivots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ContextMismatchError, NonUnitError, SingularJacobianError
+from .errors import ContextMismatchError, SingularJacobianError
 from .scalars import GaussianRational, ONE, ZERO
 from .series import TruncatedSeries
 
@@ -49,65 +52,49 @@ class SeriesMatrix:
         )
 
     def determinant(self) -> TruncatedSeries:
+        full = tuple(range(self.rows))
+        return self._laplace()(full, full)
+
+    def cofactors(self):
+        """``(det, table)`` from one shared expansion, where ``table[(r, c)]``
+        is the cofactor (-1)^(r+c) det(M without row r and column c), 0-based;
+        the adjugate of M is the transpose of the table.
+        """
+        full = tuple(range(self.rows))
+        minor = self._laplace()
+        table = {}
+        for r in full:
+            for c in full:
+                sub = minor(full[:r] + full[r + 1 :], full[:c] + full[c + 1 :])
+                table[(r, c)] = -sub if (r + c) % 2 else sub
+        return minor(full, full), table
+
+    def _laplace(self):
+        """minor(rows, cols): the determinant of the submatrix on those index
+        tuples, expanded along its first column and memoized per pair."""
         if self.rows != self.cols:
             raise ValueError(f"determinant of a {self.rows}x{self.cols} matrix")
-        if self.rows >= 5:
-            try:
-                return self._det_bareiss()
-            except NonUnitError:
-                pass
-        return self._det_expansion()
-
-    def _det_expansion(self) -> TruncatedSeries:
-        order = self.order
-        one = TruncatedSeries.constant(self.context, order, ONE)
+        one = TruncatedSeries.constant(self.context, self.order, ONE)
+        zero = TruncatedSeries.zero(self.context, self.order)
         memo = {}
 
-        def go(rows, col):
+        def minor(rows, cols):
             if not rows:
                 return one
-            key = (rows, col)
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
-            acc = None
-            for pos, r in enumerate(rows):
-                entry = self.entries[r][col]
-                if not entry.terms:
-                    continue
-                sub = go(rows[:pos] + rows[pos + 1 :], col + 1)
-                term = entry * sub
-                if pos % 2:
-                    term = -term
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = TruncatedSeries.zero(self.context, order)
-            memo[key] = acc
-            return acc
+            key = (rows, cols)
+            value = memo.get(key)
+            if value is None:
+                value = zero
+                for pos, r in enumerate(rows):
+                    entry = self.entries[r][cols[0]]
+                    if not entry.terms:
+                        continue
+                    term = entry * minor(rows[:pos] + rows[pos + 1 :], cols[1:])
+                    value = value - term if pos % 2 else value + term
+                memo[key] = value
+            return value
 
-        return go(tuple(range(self.rows)), 0)
-
-    def _det_bareiss(self) -> TruncatedSeries:
-        n = self.rows
-        m = [[e.truncate(self.order) for e in row] for row in self.entries]
-        sign = 1
-        prev_inv = TruncatedSeries.constant(self.context, self.order, ONE)
-        for k in range(n - 1):
-            pivot_row = next(
-                (r for r in range(k, n) if m[r][k].constant_term()), None
-            )
-            if pivot_row is None:
-                raise NonUnitError("no unit pivot available for Bareiss elimination")
-            if pivot_row != k:
-                m[k], m[pivot_row] = m[pivot_row], m[k]
-                sign = -sign
-            pivot = m[k][k]
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) * prev_inv
-            prev_inv = pivot.invert_unit()
-        det = m[n - 1][n - 1]
-        return det if sign > 0 else -det
+        return minor
 
 
 def plucker_check(ground: SeriesMatrix, d_column, e_column, j1: int, j2: int) -> bool:
@@ -187,22 +174,29 @@ def scalar_determinant(rows) -> GaussianRational:
 
 @dataclass(frozen=True)
 class MinorFamily:
-    """The determinant of the fundamental matrix and its Cramer minors.
+    """The fundamental matrix, its determinant delta and its Cramer minors.
 
     The matrix has first row (dQ/da_1 .. dQ/da_{n+1}) and then one row
     (d^2Q/dx_k da_1 .. d^2Q/dx_k da_{n+1}) per base variable x_k, where
-    the a_mu range over the n+1 parameter variables.
+    the a_mu are the n+1 ``parameters``.  Both kinds of minor are read off
+    the matrix's cofactor table C (0-based, see ``SeriesMatrix.cofactors``):
 
     * ``unit_minors[(mu, l)]`` replaces the mu-th column by the unit
-      column with 1 in position 1+l (1-based; the x_l derivative row).
+      column with 1 in position 1+l (1-based; the x_l derivative row),
+      which is the cofactor C[l, mu-1].
     * ``second_minors[(mu, nu, tau)]`` replaces the tau-th column by the
-      column of a_mu a_nu second derivatives; stored for mu <= nu.
+      column col of a_mu a_nu derivatives of (Q, Q_x1 .. Q_xn), which is
+      sum_r col[r] * C[r, tau-1]; stored for mu <= nu.
+      The sum runs over every row, zero entries included, so that its
+      guaranteed order is the minimum over the whole column.
     """
 
     delta: TruncatedSeries
     unit_minors: dict
     second_minors: dict
     size: int
+    matrix: SeriesMatrix
+    parameters: tuple
 
     def unit(self, mu: int, l: int) -> TruncatedSeries:
         return self.unit_minors[(mu, l)]
@@ -212,10 +206,56 @@ class MinorFamily:
             mu, nu = nu, mu
         return self.second_minors[(mu, nu, tau)]
 
+    def transfer(self, t: TruncatedSeries):
+        """The Cramer jet transfer of t, cleared of denominators.
 
-def jacobian_minor_family(q: TruncatedSeries, x_names, a_names,
-                          with_second=True) -> MinorFamily:
-    """Build the fundamental determinant and its minors for a series q.
+        Returns the function
+
+            (l1, l2) -> sum_{mu,nu} D^mu_[l1] D^nu_[l2]
+                            { delta * t_{mu nu} - sum_tau D^tau_[mu nu] * t_tau }
+
+        with subscripts on t its derivatives in the parameters, D^mu_[l]
+        the unit minors and D^tau_[mu nu] the second minors.  Divided by
+        delta^3 this is d^2 G / d(y_{x^l1}) d(y_{x^l2}) for the G(x, y, y_x)
+        equal to t under y = Q, y_x = Q_x, written back in (x, a).  The
+        brace is computed once per (mu, nu) and shared by all (l1, l2).
+        A zero factor is skipped: it is exactly zero through its own order,
+        which is at least the brace's, so the guaranteed order stays sound.
+        """
+        first = [t.partial(a) for a in self.parameters]
+        braces = {}
+
+        def brace(mu, nu):
+            key = (min(mu, nu), max(mu, nu))
+            value = braces.get(key)
+            if value is None:
+                mu, nu = key
+                value = self.delta * first[mu - 1].partial(self.parameters[nu - 1])
+                for tau in range(1, self.size + 1):
+                    if not first[tau - 1].is_zero():
+                        value = value - self.second(mu, nu, tau) * first[tau - 1]
+                braces[key] = value
+            return value
+
+        def transfer(l1, l2):
+            acc = None
+            for mu in range(1, self.size + 1):
+                unit_mu = self.unit(mu, l1)
+                if unit_mu.is_zero():
+                    continue
+                for nu in range(1, self.size + 1):
+                    unit_nu = self.unit(nu, l2)
+                    if unit_nu.is_zero():
+                        continue
+                    term = unit_mu * unit_nu * brace(mu, nu)
+                    acc = term if acc is None else acc + term
+            return acc
+
+        return transfer
+
+
+def jacobian_minor_family(q: TruncatedSeries, x_names, a_names) -> MinorFamily:
+    """Build the fundamental matrix of a series q with all of its minors.
 
     ``x_names`` are the n base variables, ``a_names`` the n+1 parameters
     (last one playing the role of the transversal constant).
@@ -224,39 +264,29 @@ def jacobian_minor_family(q: TruncatedSeries, x_names, a_names,
     size = len(a_names)
     if size != n + 1:
         raise ValueError(f"expected {n + 1} parameter names, got {size}")
-    ctx = q.context
 
-    first_a = {a: q.partial(a) for a in a_names}
-    rows = [[first_a[a] for a in a_names]]
+    rows = [[q.partial(a) for a in a_names]]
     for x in x_names:
         qx = q.partial(x)
         rows.append([qx.partial(a) for a in a_names])
     matrix = SeriesMatrix(rows)
-    delta = matrix.determinant()
+    delta, cofactor = matrix.cofactors()
 
-    order = matrix.order
-    s_one = TruncatedSeries.constant(ctx, order, ONE)
-    s_zero = TruncatedSeries.zero(ctx, order)
-
-    unit_minors = {}
-    for mu in range(1, size + 1):
-        for l in range(1, n + 1):
-            column = [s_one if r == l else s_zero for r in range(size)]
-            unit_minors[(mu, l)] = matrix.with_column(mu - 1, column).determinant()
-
+    unit_minors = {
+        (mu, l): cofactor[(l, mu - 1)]
+        for mu in range(1, size + 1)
+        for l in range(1, n + 1)
+    }
     second_minors = {}
-    if with_second:
-        for mu in range(1, size + 1):
-            for nu in range(mu, size + 1):
-                col = [first_a[a_names[mu - 1]].partial(a_names[nu - 1])]
-                for x in x_names:
-                    col.append(
-                        first_a[a_names[mu - 1]].partial(x).partial(a_names[nu - 1])
-                    )
-                for tau in range(1, size + 1):
-                    second_minors[(mu, nu, tau)] = matrix.with_column(
-                        tau - 1, col
-                    ).determinant()
+    for mu in range(1, size + 1):
+        for nu in range(mu, size + 1):
+            col = [row[mu - 1].partial(a_names[nu - 1]) for row in rows]
+            for tau in range(1, size + 1):
+                acc = col[0] * cofactor[(0, tau - 1)]
+                for r in range(1, size):
+                    acc = acc + col[r] * cofactor[(r, tau - 1)]
+                second_minors[(mu, nu, tau)] = acc
 
     return MinorFamily(delta=delta, unit_minors=unit_minors,
-                       second_minors=second_minors, size=size)
+                       second_minors=second_minors, size=size,
+                       matrix=matrix, parameters=tuple(a_names))

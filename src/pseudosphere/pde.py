@@ -18,7 +18,7 @@ from .errors import (
     RankConditionError,
     SingularJacobianError,
 )
-from .hypersurface import HypersurfaceModel, levi_matrix
+from .hypersurface import HypersurfaceModel, minors, per_model
 from .implicit import solve_implicit
 from .matrices import MinorFamily, jacobian_minor_family
 from .scalars import ONE, gaussian
@@ -150,6 +150,7 @@ class FundamentalSolution:
         return self.q.order
 
 
+@per_model
 def derive_associated_system(model: HypersurfaceModel) -> PdeSystem:
     """The second-order system attached to a Levi-nondegenerate model.
 
@@ -160,9 +161,7 @@ def derive_associated_system(model: HypersurfaceModel) -> PdeSystem:
     """
     n = model.n
     theta = model.theta
-    delta0_matrix = levi_matrix(model)
-    if not delta0_matrix.determinant().constant_term():
-        raise LeviDegenerateError("Levi determinant vanishes at the origin")
+    minors(model)  # raises LeviDegenerateError when delta(0) = 0
 
     system = [theta] + [theta.partial(f"z{k}") for k in range(1, n + 1)]
     unknowns = [f"z{k}b" for k in range(1, n + 1)] + ["wb"]
@@ -275,13 +274,8 @@ def jet_transfer_second(sol: FundamentalSolution, t: TruncatedSeries,
 
     For T(x, a, b) corresponding to G(x, y, y_x) under y = Q, y_x = Q_x,
     computes d^2 G / d(y_{x^l1}) d(y_{x^l2}) expressed back in (x, a, b):
-
-        (1/box^3) * sum_{mu,nu} box^mu_[unit 1+l1] * box^nu_[unit 1+l2]
-            * { box * d^2 T/da^mu da^nu
-                - sum_tau box^tau_[a^mu a^nu] * dT/da^tau }
-
-    where box is the fundamental determinant of Q and the bracketed
-    superscripts are its Cramer column replacements.
+    the Cramer transfer (``MinorFamily.transfer``) of T through the minors
+    of the fundamental determinant box of Q, divided by box^3.
     """
     n = sol.n
     if not (1 <= l1 <= n and 1 <= l2 <= n):
@@ -293,28 +287,5 @@ def jet_transfer_second(sol: FundamentalSolution, t: TruncatedSeries,
     box = minors.delta
     if not box.constant_term():
         raise RankConditionError("fundamental determinant vanishes at the origin")
-
-    a_names = [f"a{k}" for k in range(1, n + 1)] + ["b"]
-    t_first = {mu: t.partial(a_names[mu - 1]) for mu in range(1, n + 2)}
-    acc = None
-    for mu in range(1, n + 2):
-        unit_mu = minors.unit(mu, l1)
-        if unit_mu.is_zero():
-            continue
-        for nu in range(1, n + 2):
-            unit_nu = minors.unit(nu, l2)
-            if unit_nu.is_zero():
-                continue
-            brace = box * t_first[mu].partial(a_names[nu - 1])
-            for tau in range(1, n + 2):
-                if t_first[tau].is_zero():
-                    continue
-                brace = brace - minors.second(mu, nu, tau) * t_first[tau]
-            term = unit_mu * unit_nu * brace
-            acc = term if acc is None else acc + term
-    if acc is None:
-        # t does not depend on the parameters at all
-        return TruncatedSeries.zero(sol.q.context, max(min(t.order - 2, sol.q.order - 3), 0))
     inv_box = box.invert_unit()
-    cubed = inv_box * inv_box * inv_box
-    return acc * cubed
+    return minors.transfer(t)(l1, l2) * (inv_box * inv_box * inv_box)

@@ -136,6 +136,21 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
+# Printing an integer of more than a few thousand digits is slow, and past
+# the interpreter's digit limit (4300 by default) it raises ValueError.
+MESSAGE_BITS = 4096
+
+
+def brief_str(value: GaussianRational) -> str:
+    """``str(value)`` for messages, or only its size when a numerator or
+    denominator has more than MESSAGE_BITS bits."""
+    bits = max(x.bit_length() for part in (value.re, value.im)
+               for x in (part.numerator, part.denominator))
+    if bits <= MESSAGE_BITS:
+        return str(value)
+    return f"<number with a {bits}-bit part>"
+
+
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from pseudosphere.cli import (
+    ALL_CHECKS,
     JobSpec,
     main,
     parse_input_file,
@@ -75,6 +76,32 @@ def test_run_is_deterministic_modulo_timings():
     assert a == b
 
 
+@pytest.mark.parametrize("kind, text", [
+    ("theta", QUARTIC),
+    ("graph", "x1^2 + y1^2 + x2^2 + y2^2 + v*x1^2"),
+])
+def test_run_all_checks_builds_each_levi_object_once(monkeypatch, kind, text):
+    import pseudosphere.hypersurface as hypersurface
+    import pseudosphere.pde as pde
+
+    calls = {"minors": 0, "implicit": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(hypersurface, "jacobian_minor_family",
+                        counted("minors", hypersurface.jacobian_minor_family))
+    monkeypatch.setattr(pde, "solve_implicit", counted("implicit", pde.solve_implicit))
+    job = JobSpec(n=2, order=6, kind=kind, checks=ALL_CHECKS, **{f"{kind}_text": text})
+    report = run(job)
+    assert report["cross_check"] == "pass"
+    assert report["integrability"] == "pass"
+    assert calls == {"minors": 1, "implicit": 1}
+
+
 # ----------------------------------------------------------------------
 # exit codes
 
@@ -107,6 +134,19 @@ def test_exit_one_on_reality_failure(capsys):
     )
     assert code == 1
     assert "fail at z2*z1b" in out
+
+
+def test_exit_one_on_reality_failure_with_huge_coefficient(capsys):
+    # the discrepancy has more digits than the interpreter will print
+    theta = HEIS + " + 3^300000*z1^3"
+    code, out, err = invoke(
+        ["check", "--n", "2", "--order", "5", "--theta", theta, "--json"], capsys
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["reality"].startswith("fail at ")
+    assert "bit part" in payload["errors"][0]["message"]
+    assert "Traceback" not in err
 
 
 def test_exit_two_on_unsupported_dimension(capsys):

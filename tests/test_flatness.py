@@ -172,6 +172,23 @@ def test_cramer_consistency(rng):
                 assert acc.is_zero()
 
 
+def test_second_minor_order_counts_zero_column_entries():
+    # theta_{z_k z1b z1b} vanishes identically while theta_{z1b z1b} does
+    # not: the zero entries have the lower guaranteed order, and it bounds
+    # the minor's order as it does the replaced matrix's determinant
+    theta = ps.parse_series("-wb + z1*z1b + z2*z2b + z1^3 + z1b^3", CTX, 6)
+    model = ps.make_model(2, theta, 6)
+    family = ps.minors(model)
+    col = [row[0].partial("z1b") for row in family.matrix.entries]
+    assert not col[0].is_zero() and col[1].is_zero() and col[2].is_zero()
+    assert col[1].order < col[0].order
+    for tau in range(1, 4):
+        direct = family.matrix.with_column(tau - 1, col).determinant()
+        minor = family.second(1, 1, tau)
+        assert minor == direct
+        assert minor.order == direct.order == model.order - 3
+
+
 def test_minors_require_nondegeneracy():
     theta = ps.parse_series("-wb + z1*z1b", CTX, 5)
     bad = ps.HypersurfaceModel(n=2, order=5, theta=theta)
@@ -273,8 +290,8 @@ def test_cross_check_n3_nonzero_tensor():
     assert not report.direct.is_zero()
 
 
-def test_n4_pipeline_uses_elimination_determinants():
-    # side-5 matrices take the elimination path inside the minors
+def test_n4_pipeline_uses_cofactor_minors():
+    # side-5 Levi matrices: every minor comes from one cofactor table
     flat = heisenberg_model(4, 6, (1, 1, -1, 1))
     assert ps.main_theorem_tensor(flat).is_zero()
     assert ps.levi(flat).signature == (3, 1)

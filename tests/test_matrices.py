@@ -70,7 +70,7 @@ def test_non_square_determinant_rejected():
         m.determinant()
 
 
-def test_bareiss_matches_expansion_for_size_five(rng):
+def test_adjugate_identity_for_size_five(rng):
     ctx = VariableContext(("u", "v"))
     entries = []
     for i in range(5):
@@ -81,11 +81,28 @@ def test_bareiss_matches_expansion_for_size_five(rng):
                 terms[(1, 0)] = random_gaussian(rng)
             if rng.random() < 0.4:
                 terms[(0, 1)] = random_gaussian(rng)
-            row.append(TruncatedSeries(ctx, 3, terms))
+            row.append(TruncatedSeries(ctx, 3 + (i + j) % 2, terms))
         entries.append(row)
     m = SeriesMatrix(entries)
-    assert m._det_bareiss() == m._det_expansion()
-    assert m.determinant() == m._det_expansion()
+    assert m.order == 3
+    delta, cofactor = m.cofactors()
+    assert delta == m.determinant()
+    assert delta.order == 3
+    assert {c.order for c in cofactor.values()} == {3}
+    # M . adj(M) == delta . I, with adj(M)[k][s] = cofactor[(s, k)]
+    for r in range(5):
+        for s in range(5):
+            acc = TruncatedSeries.zero(ctx, 3)
+            for k in range(5):
+                acc = acc + m.entries[r][k] * cofactor[(s, k)]
+            assert acc.order == 3
+            if r == s:
+                assert acc == delta
+            else:
+                assert acc.is_zero()
+    # a cofactor is the determinant of the matrix with a unit column
+    unit = [TruncatedSeries.constant(ctx, 3, ONE if r == 2 else ZERO) for r in range(5)]
+    assert m.with_column(4, unit).determinant() == cofactor[(2, 4)]
 
 
 def test_plucker_trivial_two_by_two():
