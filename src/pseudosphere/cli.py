@@ -33,7 +33,12 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .expressions import parse_series
-from .flatness import cross_check, hachtroudi_tensor, is_pseudospherical
+from .flatness import (
+    PseudosphericalVerdict,
+    cross_check,
+    hachtroudi_tensor,
+    is_pseudospherical,
+)
 from .hypersurface import (
     apply_biholomorphism,
     canonical_context,
@@ -44,6 +49,7 @@ from .hypersurface import (
     map_context,
 )
 from .pde import PdeSystem, check_complete_integrability, derive_associated_system, pde_context
+from .scalars import brief_str
 
 ALL_CHECKS = (
     "reality",
@@ -100,7 +106,7 @@ class JobSpec:
 
 
 def _coefficient_json(value):
-    return {"re": str(value.re), "im": str(value.im)}
+    return {"re": brief_str(value.re), "im": brief_str(value.im)}
 
 
 def _witness_json(witness):
@@ -160,15 +166,12 @@ def run(job: JobSpec) -> dict:
             tensor = timed("tensor", lambda: hachtroudi_tensor(system))
             witness = tensor.first_nonzero_witness()
             report["order_certified"] = tensor.certified_order
-            if witness is None:
-                report["pseudospherical"] = f"VanishesToOrder({tensor.certified_order})"
-            else:
-                report["pseudospherical"] = (
-                    f"NonVanishing(component={witness.component}, "
-                    f"monomial={witness.monomial}, coefficient={witness.coefficient})"
-                )
-                if job.witness:
-                    report["witness"] = _witness_json(witness)
+            verdict = PseudosphericalVerdict(
+                witness is None, tensor.certified_order, witness
+            )
+            report["pseudospherical"] = str(verdict)
+            if witness is not None and job.witness:
+                report["witness"] = _witness_json(witness)
         return report
 
     # build the model (parse and reality verification happen here)
@@ -483,7 +486,7 @@ def cmd_integrability(args) -> int:
     lines = [f"integrable: {result.ok} (checked to order {result.checked_order})"]
     lines += [
         f"failure at D_{k3}(F[{k1},{k2}]) - D_{k2}(F[{k1},{k3}]): "
-        f"{monomial} -> {coeff}"
+        f"{monomial} -> {brief_str(coeff)}"
         for (k1, k2, k3, monomial, coeff) in result.failures
     ]
     _emit(args, payload, lines)
@@ -504,7 +507,7 @@ def cmd_curvature(args) -> int:
         f"tensor vanishes to order {tensor.certified_order}"
         if witness is None
         else f"nonzero component {witness.component} at {witness.monomial}: "
-        f"{witness.coefficient}"
+        f"{brief_str(witness.coefficient)}"
     ]
     _emit(args, payload, lines)
     return 0 if witness is None else 1

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .errors import InsufficientOrderError
 from .hypersurface import HypersurfaceModel, minors, per_model
 from .pde import PdeSystem, derive_associated_system
-from .scalars import GaussianRational
+from .scalars import GaussianRational, brief_str
 from .series import TruncatedSeries
 
 
@@ -268,7 +268,7 @@ class PseudosphericalVerdict:
         w = self.witness
         return (
             f"NonVanishing(component={w.component}, monomial={w.monomial}, "
-            f"coefficient={w.coefficient})"
+            f"coefficient={brief_str(w.coefficient)})"
         )
 
 

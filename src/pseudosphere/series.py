@@ -104,6 +104,20 @@ class TruncatedSeries:
                     clean[exps] = coeff
         self.terms = clean
 
+    @classmethod
+    def _valid(cls, context, order, terms):
+        """Wrap ``terms`` without copying or checking it.
+
+        Only for dicts an operation has built to the class invariant: keys
+        of the context's arity and total degree at most ``order``, values
+        nonzero scalars.  Outside input goes through ``__init__``.
+        """
+        self = object.__new__(cls)
+        self.context = context
+        self.order = order
+        self.terms = terms
+        return self
+
     # ------------------------------------------------------------------
     # constructors
 
@@ -192,7 +206,7 @@ class TruncatedSeries:
     __hash__ = None  # mutable-ish payload, keep unhashable
 
     def __neg__(self):
-        return TruncatedSeries(
+        return TruncatedSeries._valid(
             self.context, self.order, {e: -c for e, c in self.terms.items()}
         )
 
@@ -212,6 +226,9 @@ class TruncatedSeries:
                 terms[e] = acc
             else:
                 terms.pop(e, None)
+        if self.order == other.order:
+            # no operand term lies above the order, and zero sums are dropped
+            return TruncatedSeries._valid(self.context, order, terms)
         return TruncatedSeries(self.context, order, terms)
 
     __radd__ = __add__
@@ -266,7 +283,7 @@ class TruncatedSeries:
                         out[key] = acc
                     else:
                         del out[key]
-        return TruncatedSeries(self.context, order, out)
+        return TruncatedSeries._valid(self.context, order, out)
 
     __rmul__ = __mul__
 

@@ -149,6 +149,22 @@ def test_exit_one_on_reality_failure_with_huge_coefficient(capsys):
     assert "Traceback" not in err
 
 
+def test_exit_one_on_witness_with_huge_coefficient(capsys):
+    # the witness coefficient has more digits than the interpreter will print
+    theta = HEIS + " + 3^10000*z1^2*z1b^2"
+    code, out, err = invoke(
+        ["check", "--n", "2", "--order", "6", "--theta", theta, "--json", "--witness"],
+        capsys,
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["pseudospherical"].startswith("NonVanishing(")
+    assert "bit part" in payload["pseudospherical"]
+    assert "bit part" in payload["witness"]["coefficient"]["re"]
+    assert payload["witness"]["coefficient"]["im"] == "0"
+    assert "Traceback" not in err
+
+
 def test_exit_two_on_unsupported_dimension(capsys):
     code, _, err = invoke(
         ["check", "--n", "1", "--order", "8", "--theta", "-wb + z1*z1b"], capsys

@@ -179,3 +179,38 @@ def test_ring_axioms(a, b, c):
 def test_partials_commute(s):
     assert s.partial("u").partial("v") == s.partial("v").partial("u")
     assert s.partial("v").partial("w") == s.partial("w").partial("v")
+
+
+# Coefficients that cancel in pairs, so sums and products produce zeros.
+CANCELLING_POOL = COEFF_POOL + [GaussianRational(-1), GaussianRational(0, -1)]
+
+
+@st.composite
+def mixed_order_series(draw):
+    """A series of order 1..4 whose input terms may exceed that order."""
+    ctx = VariableContext(("u", "v", "w"))
+    order = draw(st.integers(1, 4))
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        exps = draw(st.tuples(*(st.integers(0, 3) for _ in range(3))))
+        terms[exps] = draw(st.sampled_from(CANCELLING_POOL))
+    return TruncatedSeries(ctx, order, terms)
+
+
+def assert_valid(s):
+    """``s`` holds exactly what the validating constructor keeps of it."""
+    rebuilt = TruncatedSeries(s.context, s.order, s.terms)
+    assert rebuilt.order == s.order and rebuilt.terms == s.terms
+    for exps, coeff in s.terms.items():
+        assert type(exps) is tuple and len(exps) == s.context.arity
+        assert sum(exps) <= s.order
+        assert type(coeff) is GaussianRational and coeff
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_order_series(), mixed_order_series(), mixed_order_series())
+def test_results_satisfy_the_validating_constructor(a, b, c):
+    for result in (a * b, a + b, a - b, -a, a + a, a - a, a + 1, 2 - a):
+        assert_valid(result)
+    assert_valid(a.partial("u"))
+    assert_valid(a.substitute({"u": b - b.constant_term(), "w": c - c.constant_term()}))
