@@ -103,6 +103,26 @@ class JobSpec:
                 raise InputError("missing --f components")
             if "cross-check" in self.checks:
                 raise InputError("cross-check requires a hypersurface input")
+            for k1, k2 in self.f_texts:
+                if not (1 <= k1 <= self.n and 1 <= k2 <= self.n):
+                    raise InputError(f"f[{k1},{k2}]: indices must lie in 1..{self.n}")
+
+
+def _load(job: JobSpec):
+    """Validate the job and build its input: the PdeSystem for kind "pde",
+    otherwise the model (parsing and reality verification happen here)."""
+    job.validate()
+    if job.kind == "pde":
+        ctx = pde_context(job.n)
+        components = {
+            key: parse_series(expr, ctx, job.order) for key, expr in job.f_texts.items()
+        }
+        return PdeSystem(job.n, job.order, components)
+    if job.kind == "graph":
+        phi = parse_series(job.graph_text, graph_context(job.n), job.order)
+        return from_graph(phi, job.n, job.order)
+    theta = parse_series(job.theta_text, canonical_context(job.n), job.order)
+    return make_model(job.n, theta, job.order)
 
 
 def _coefficient_json(value):
@@ -125,7 +145,6 @@ def run(job: JobSpec) -> dict:
     The report dictionary is deterministic for identical job inputs except
     for the measured timings.
     """
-    job.validate()
     report = {
         "n": job.n,
         "order_requested": job.order,
@@ -151,12 +170,7 @@ def run(job: JobSpec) -> dict:
 
     if job.kind == "pde":
         # a raw second-order system: only the jet-side checks apply
-        ctx = pde_context(job.n)
-        components = {
-            key: parse_series(expr, ctx, job.order)
-            for key, expr in job.f_texts.items()
-        }
-        system = PdeSystem(job.n, job.order, components)
+        system = _load(job)
         if "integrability" in job.checks:
             result = timed(
                 "integrability", lambda: check_complete_integrability(system)
@@ -174,14 +188,8 @@ def run(job: JobSpec) -> dict:
                 report["witness"] = _witness_json(witness)
         return report
 
-    # build the model (parse and reality verification happen here)
     try:
-        if job.kind == "graph":
-            phi = parse_series(job.graph_text, graph_context(job.n), job.order)
-            model = timed("model", lambda: from_graph(phi, job.n, job.order))
-        else:
-            theta = parse_series(job.theta_text, canonical_context(job.n), job.order)
-            model = timed("model", lambda: make_model(job.n, theta, job.order))
+        model = timed("model", lambda: _load(job))
         if "reality" in job.checks:
             report["reality"] = "pass"
     except RealityError as exc:
@@ -343,12 +351,6 @@ def _merge_input(args):
     return merged
 
 
-def _require(merged, *keys):
-    for key in keys:
-        if merged.get(key) is None:
-            raise InputError(f"missing required value {key!r}")
-
-
 def _job_from_merged(merged, args, default_checks):
     checks = merged.get("checks", default_checks)
     if checks == ("all",):
@@ -423,26 +425,34 @@ def cmd_levi(args) -> int:
     return 0 if report_passed(report) else 1
 
 
-def _build_model(merged):
-    _require(merged, "n", "order")
-    n, order = merged["n"], merged["order"]
-    if merged.get("graph"):
-        phi = parse_series(merged["graph"], graph_context(n), order)
-        return from_graph(phi, n, order)
-    _require(merged, "theta")
-    theta = parse_series(merged["theta"], canonical_context(n), order)
-    return make_model(n, theta, order)
+def _loaded(merged, args):
+    """The input of a command that runs no checks: a model or a PdeSystem."""
+    job = _job_from_merged(merged, args, ())
+    job.checks = ()
+    return _load(job)
+
+
+def _model(merged, args, command):
+    loaded = _loaded(merged, args)
+    if isinstance(loaded, PdeSystem):
+        raise InputError(f"{command} needs --theta or --graph")
+    return loaded
+
+
+def _system(args) -> PdeSystem:
+    loaded = _loaded(_merge_input(args), args)
+    if isinstance(loaded, PdeSystem):
+        return loaded
+    return derive_associated_system(loaded)
 
 
 def cmd_derive_pde(args) -> int:
-    merged = _merge_input(args)
-    model = _build_model(merged)
-    system = derive_associated_system(model)
+    system = derive_associated_system(_model(_merge_input(args), args, "derive-pde"))
     payload = {
         "n": system.n,
         "order_certified": system.order,
         "components": {
-            f"{k1},{k2}": str(system.component(k1, k2))
+            f"{k1},{k2}": system.component(k1, k2).__str__(brief_str)
             for k1, k2 in system.component_keys()
         },
     }
@@ -454,23 +464,8 @@ def cmd_derive_pde(args) -> int:
     return 0
 
 
-def _system_from_merged(merged) -> PdeSystem:
-    _require(merged, "n", "order")
-    n, order = merged["n"], merged["order"]
-    if merged["f"]:
-        ctx = pde_context(n)
-        components = {
-            key: parse_series(expr, ctx, order) for key, expr in merged["f"].items()
-        }
-        return PdeSystem(n, order, components)
-    model = _build_model(merged)
-    return derive_associated_system(model)
-
-
 def cmd_integrability(args) -> int:
-    merged = _merge_input(args)
-    system = _system_from_merged(merged)
-    result = check_complete_integrability(system)
+    result = check_complete_integrability(_system(args))
     payload = {
         "integrable": result.ok,
         "checked_order": result.checked_order,
@@ -494,9 +489,7 @@ def cmd_integrability(args) -> int:
 
 
 def cmd_curvature(args) -> int:
-    merged = _merge_input(args)
-    system = _system_from_merged(merged)
-    tensor = hachtroudi_tensor(system)
+    tensor = hachtroudi_tensor(_system(args))
     witness = tensor.first_nonzero_witness()
     payload = {
         "zero": witness is None,
@@ -515,8 +508,8 @@ def cmd_curvature(args) -> int:
 
 def cmd_transform(args) -> int:
     merged = _merge_input(args)
-    model = _build_model(merged)
-    n, order = merged["n"], merged["order"]
+    model = _model(merged, args, "transform")
+    n, order = model.n, model.order
     if set(merged["map_z"]) != set(range(1, n + 1)) or not merged.get("map_w"):
         raise InputError("transform needs --map-z k=<expr> for each k and --map-w")
     ctx = map_context(n)
@@ -526,10 +519,10 @@ def cmd_transform(args) -> int:
     payload = {
         "n": image.n,
         "order_certified": image.order,
-        "theta": str(image.theta),
+        "theta": image.theta.__str__(brief_str),
         "reality": "pass",  # re-verified during model construction
     }
-    _emit(args, payload, [f"theta' = {image.theta}"])
+    _emit(args, payload, [f"theta' = {payload['theta']}"])
     return 0
 
 

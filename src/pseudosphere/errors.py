@@ -41,8 +41,9 @@ class UnsupportedDimensionError(PseudosphereError):
     """The CR dimension must be at least 2."""
 
 
-class NormalizationError(PseudosphereError):
-    """A defining function does not have the normalized linear part -wb."""
+class NormalizationError(PseudosphereError, ValueError):
+    """A defining function does not have the normalized linear part -wb,
+    or a real graph is not real-valued or not of order two at the origin."""
 
 
 class RealityError(PseudosphereError):

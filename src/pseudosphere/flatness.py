@@ -231,7 +231,7 @@ def cross_check(model: HypersurfaceModel) -> CrossCheckReport:
         orders.append(transported[key].order)
         if diff.is_zero():
             continue
-        exps = min(diff.terms, key=lambda e: (sum(e), e))
+        exps, _ = diff.first_term()
         mismatches.append(
             (
                 key,

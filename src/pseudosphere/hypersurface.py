@@ -26,7 +26,7 @@ from .errors import (
 from .implicit import solve_formal_system, solve_implicit
 from .matrices import MinorFamily, SeriesMatrix, jacobian_minor_family, scalar_determinant
 from .scalars import GaussianRational, ONE, ZERO, brief_str, gaussian
-from .series import TruncatedSeries, VariableContext
+from .series import TruncatedSeries, VariableContext, graded_lex
 
 
 def canonical_context(n: int) -> VariableContext:
@@ -76,7 +76,8 @@ class HypersurfaceModel:
 
 
 def per_model(fn):
-    """Decorate a function of one model so that it runs once per model."""
+    """Decorate a function of one object with a ``_memo`` dict, a model or
+    a fundamental solution, so that it runs once per object."""
 
     @functools.wraps(fn)
     def memoized(model):
@@ -125,15 +126,12 @@ def make_model(n: int, theta: TruncatedSeries, order: int | None = None) -> Hype
 
     if theta.constant_term():
         raise NormalizationError("theta has a nonzero constant term")
-    wb_index = ctx.index("wb")
-    for pos, name in enumerate(ctx.names):
-        exps = [0] * ctx.arity
-        exps[pos] = 1
-        coeff = theta.coefficient(exps)
-        expected = gaussian(-1) if pos == wb_index else ZERO
+    for name in ctx.names:
+        coeff = theta.coefficient_of(**{name: 1})
+        expected = gaussian(-1) if name == "wb" else ZERO
         if coeff != expected:
             raise NormalizationError(
-                f"linear part must be exactly -wb; coefficient of {name} is {coeff}"
+                f"linear part must be exactly -wb; coefficient of {name} is {brief_str(coeff)}"
             )
 
     model = HypersurfaceModel(n=n, order=order, theta=theta)
@@ -165,14 +163,6 @@ def conjugate_theta(model: HypersurfaceModel) -> TruncatedSeries:
     return TruncatedSeries(out_ctx, model.theta.order, terms)
 
 
-def _first_discrepancy(diff: TruncatedSeries):
-    """Graded-lex smallest nonzero term of a difference series."""
-    if not diff.terms:
-        return None
-    exps = min(diff.terms, key=lambda e: (sum(e), e))
-    return exps, diff.terms[exps]
-
-
 def check_reality(model: HypersurfaceModel) -> RealityReport:
     """Verify wb == thetabar(zb, z, theta) and w == theta(z, zb, thetabar)."""
     theta = model.theta
@@ -182,15 +172,15 @@ def check_reality(model: HypersurfaceModel) -> RealityReport:
 
     lhs1 = cbar.substitute({"w": theta}, target_context=ctx)
     diff1 = lhs1 - TruncatedSeries.variable(ctx, lhs1.order, "wb")
-    bad1 = _first_discrepancy(diff1)
+    bad1 = diff1.first_term()
 
     lhs2 = theta.substitute({"wb": cbar}, target_context=cctx)
     diff2 = lhs2 - TruncatedSeries.variable(cctx, lhs2.order, "w")
-    bad2 = _first_discrepancy(diff2)
+    bad2 = diff2.first_term()
 
     if bad1 is None and bad2 is None:
         return RealityReport(ok=True)
-    if bad2 is None or (bad1 is not None and (sum(bad1[0]), bad1[0]) <= (sum(bad2[0]), bad2[0])):
+    if bad2 is None or (bad1 is not None and graded_lex(bad1[0]) <= graded_lex(bad2[0])):
         exps, coeff = bad1
         return RealityReport(False, 1, diff1.monomial_text(exps), coeff)
     exps, coeff = bad2
@@ -217,11 +207,12 @@ def from_graph(phi: TruncatedSeries, n: int, order: int | None = None) -> Hypers
     phi = phi.truncate(order)
     for exps, coeff in phi.terms.items():
         if coeff.im:
-            raise ValueError(
-                f"phi must be real-valued; coefficient of {phi.monomial_text(exps)} is {coeff}"
+            raise NormalizationError(
+                f"phi must be real-valued; coefficient of {phi.monomial_text(exps)} "
+                f"is {brief_str(coeff)}"
             )
         if sum(exps) < 2:
-            raise ValueError("phi must vanish to second order at the origin")
+            raise NormalizationError("phi must vanish to second order at the origin")
 
     ctx = canonical_context(n)
     big = VariableContext(ctx.names + ("w",))
@@ -332,16 +323,10 @@ def levi(model: HypersurfaceModel) -> LeviData:
     """
     delta = minors(model).delta
     n = model.n
-    ctx = model.context
-    hermitian = []
-    for j in range(1, n + 1):
-        row = []
-        for k in range(1, n + 1):
-            exps = [0] * ctx.arity
-            exps[ctx.index(f"z{j}")] += 1
-            exps[ctx.index(f"z{k}b")] += 1
-            row.append(model.theta.coefficient(exps))
-        hermitian.append(row)
+    hermitian = [
+        [model.theta.coefficient_of(**{f"z{j}": 1, f"z{k}b": 1}) for k in range(1, n + 1)]
+        for j in range(1, n + 1)
+    ]
     signature = hermitian_signature(hermitian)
     return LeviData(delta=delta, delta_at_origin=delta.constant_term(), signature=signature)
 
@@ -366,14 +351,7 @@ def apply_biholomorphism(model: HypersurfaceModel, zmaps, wmap) -> HypersurfaceM
         if comp.constant_term():
             raise NonInvertibleMapError("map must fix the origin")
 
-    jac = []
-    for comp in components:
-        row = []
-        for name in mctx.names:
-            exps = [0] * mctx.arity
-            exps[mctx.index(name)] = 1
-            row.append(comp.coefficient(exps))
-        jac.append(row)
+    jac = [[comp.coefficient_of(**{name: 1}) for name in mctx.names] for comp in components]
     if not scalar_determinant(jac):
         raise NonInvertibleMapError("linear part of the map is singular")
 

@@ -47,14 +47,7 @@ def solve_formal_system(equations, unknowns, order=None):
         if eq.constant_term():
             raise ValueError(f"equation {i} does not vanish at the origin")
 
-    jac = []
-    for eq in equations:
-        row = []
-        for u in unknowns:
-            exps = [0] * ctx.arity
-            exps[ctx.index(u)] = 1
-            row.append(eq.coefficient(exps))
-        jac.append(row)
+    jac = [[eq.coefficient_of(**{u: 1}) for u in unknowns] for eq in equations]
     try:
         jac_inv = invert_scalar_matrix(jac)
     except SingularJacobianError:

@@ -1,27 +1,25 @@
 """Completely integrable second-order PDE systems and their geometry.
 
 The systems handled here are symmetric families y_{x^k1 x^k2} =
-F_{k1,k2}(x, y, y_x) in n >= 2 independent variables.  A hypersurface
-model induces one by eliminating the conjugate variables from its
-defining equation; conversely a fundamental solution Q(x, a, b) recovers
-the system it solves.  The jet-transfer helper rewrites second
-derivatives with respect to the y_x variables as exact expressions in
-the (x, a, b) chart via Cramer minors of the fundamental determinant.
+F_{k1,k2}(x, y, y_x) in n >= 2 independent variables.  A fundamental
+solution Q(x, a, b) determines the system it solves: eliminating the
+parameters (a, b) from {y = Q, y_x = Q_x} gives F.  A hypersurface
+model's theta is its own fundamental solution, with (x, a, b) =
+(z, zb, wb), so its associated system is the same elimination; one
+private kernel does it for both.  The jet-transfer helper rewrites
+second derivatives with respect to the y_x variables as exact
+expressions in the (x, a, b) chart via Cramer minors of the fundamental
+determinant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import (
-    LeviDegenerateError,
-    RankConditionError,
-    SingularJacobianError,
-)
+from .errors import RankConditionError
 from .hypersurface import HypersurfaceModel, minors, per_model
 from .implicit import solve_implicit
-from .matrices import MinorFamily, jacobian_minor_family
-from .scalars import ONE, gaussian
+from .matrices import MinorFamily, jacobian_minor_family, scalar_determinant
 from .series import TruncatedSeries, VariableContext
 
 
@@ -88,30 +86,23 @@ class FundamentalSolution:
 
     ``normalized`` records whether Q(0,a,b) = -b and dQ/dx^k(0,a,b) = a^k
     hold exactly, i.e. whether the parameters are the standard initial
-    conditions.  The rank condition itself is mandatory.
+    conditions.  The rank condition itself is mandatory.  Objects derived
+    from Q by the ``per_model`` functions are kept in the memo, as for a
+    ``HypersurfaceModel``.
     """
 
     n: int
     q: TruncatedSeries
     normalized: bool = field(init=False)
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         ctx = fundamental_context(self.n)
         if self.q.context != ctx:
             raise ValueError(f"Q must live in context {ctx.names}")
         a_names = [f"a{k}" for k in range(1, self.n + 1)] + ["b"]
-        jac = []
-        first = self.q
-        rows = [first] + [self.q.partial(f"x{k}") for k in range(1, self.n + 1)]
-        for row_series in rows:
-            row = []
-            for a in a_names:
-                exps = [0] * ctx.arity
-                exps[ctx.index(a)] = 1
-                row.append(row_series.coefficient(exps))
-            jac.append(row)
-        from .matrices import scalar_determinant
-
+        rows = [self.q] + [self.q.partial(f"x{k}") for k in range(1, self.n + 1)]
+        jac = [[row.coefficient_of(**{a: 1}) for a in a_names] for row in rows]
         if not scalar_determinant(jac):
             raise RankConditionError(
                 "the map (a, b) -> (Q, Q_x)(0, a, b) is rank-deficient at 0"
@@ -119,69 +110,62 @@ class FundamentalSolution:
         object.__setattr__(self, "normalized", self._is_normalized())
 
     def _is_normalized(self) -> bool:
-        ctx = self.q.context
-        n = self.n
-        x_positions = [ctx.index(f"x{k}") for k in range(1, n + 1)]
-        for exps, coeff in self.q.terms.items():
-            x_degree = sum(exps[i] for i in x_positions)
-            if x_degree >= 2:
-                continue
-            expected = None
-            if x_degree == 0:
-                b_exps = [0] * ctx.arity
-                b_exps[ctx.index("b")] = 1
-                if exps == tuple(b_exps) and coeff == gaussian(-1):
-                    continue
-            else:
-                for k in range(1, n + 1):
-                    lin = [0] * ctx.arity
-                    lin[ctx.index(f"x{k}")] = 1
-                    lin[ctx.index(f"a{k}")] = 1
-                    if exps == tuple(lin) and coeff == ONE:
-                        expected = True
-                        break
-                if expected:
-                    continue
-            return False
-        return True
+        """Whether the part of Q of degree <= 1 in x is -b + sum_k x^k a^k."""
+        q = self.q
+
+        def var(name):
+            return TruncatedSeries.variable(q.context, q.order, name)
+
+        standard = -var("b")
+        for k in range(1, self.n + 1):
+            standard = standard + var(f"x{k}") * var(f"a{k}")
+        # x1..xn lead the fundamental context
+        low = {e: c for e, c in q.terms.items() if sum(e[: self.n]) <= 1}
+        return low == standard.terms
 
     @property
     def order(self) -> int:
         return self.q.order
 
 
+def _eliminate(q: TruncatedSeries, x_names, parameters) -> PdeSystem:
+    """The second-order system solved by the family y = q(x, parameters).
+
+    Solves {y = q, y_{x^k} = q_{x^k}} for the parameters as series in
+    (x, y, y_x), substitutes them into the pure second derivatives
+    q_{x^k1 x^k2} in the solver's own context, and renames the result
+    into ``pde_context(n)``.  The caller guarantees that the constant
+    Jacobian of (q, q_x) in the parameters is invertible.  Deriving to
+    order d needs q to order d + 2.
+    """
+    n = len(x_names)
+    system = [q] + [q.partial(x) for x in x_names]
+    targets = ["y"] + [f"yx{k}" for k in range(1, n + 1)]
+    solution = solve_implicit(system, parameters, targets)
+    jet_ctx = solution[parameters[-1]].context  # (x1..xn, y, yx1..yxn)
+    out_ctx = pde_context(n)
+    order = q.order - 2
+    components = {}
+    for k1 in range(1, n + 1):
+        for k2 in range(k1, n + 1):
+            second = q.partial(x_names[k1 - 1]).partial(x_names[k2 - 1])
+            f = second.substitute(solution, target_context=jet_ctx)
+            components[(k1, k2)] = f.truncate(min(order, f.order)).rename_context(out_ctx)
+    return PdeSystem(n, order, components)
+
+
 @per_model
 def derive_associated_system(model: HypersurfaceModel) -> PdeSystem:
     """The second-order system attached to a Levi-nondegenerate model.
 
-    Solves {w = theta, w_{z_k} = theta_{z_k}} for (zb, wb) as series in
-    (z, w, w_z) and substitutes into the pure second derivatives
-    theta_{z_k1 z_k2}; the result is renamed into (x, y, y_x).  Deriving
-    to order d needs theta to order d + 2.
+    theta is its own fundamental solution with (x, a, b) = (z, zb, wb):
+    eliminating (zb, wb) from {w = theta, w_{z_k} = theta_{z_k}} gives the
+    system in (x, y, y_x).  Deriving to order d needs theta to order d + 2.
     """
     n = model.n
-    theta = model.theta
     minors(model)  # raises LeviDegenerateError when delta(0) = 0
-
-    system = [theta] + [theta.partial(f"z{k}") for k in range(1, n + 1)]
-    unknowns = [f"z{k}b" for k in range(1, n + 1)] + ["wb"]
-    targets = ["w"] + [f"wz{k}" for k in range(1, n + 1)]
-    try:
-        solution = solve_implicit(system, unknowns, targets)
-    except SingularJacobianError as exc:
-        raise LeviDegenerateError(str(exc)) from exc
-
-    jet_ctx = solution["wb"].context  # (z1..zn, w, wz1..wzn)
-    assignment = {name: solution[name] for name in unknowns}
-    out_ctx = pde_context(n)
-    order = model.order - 2
-    components = {}
-    for k1 in range(1, n + 1):
-        for k2 in range(k1, n + 1):
-            second = theta.partial(f"z{k1}").partial(f"z{k2}")
-            phi = second.substitute(assignment, target_context=jet_ctx)
-            components[(k1, k2)] = phi.truncate(min(order, phi.order)).rename_context(out_ctx)
-    return PdeSystem(n, order, components)
+    z_names = [f"z{k}" for k in range(1, n + 1)]
+    return _eliminate(model.theta, z_names, [f"{z}b" for z in z_names] + ["wb"])
 
 
 def total_derivative(system: PdeSystem, k: int, g: TruncatedSeries) -> TruncatedSeries:
@@ -221,13 +205,12 @@ def check_complete_integrability(system: PdeSystem) -> IntegrabilityReport:
                 diff = lhs - rhs
                 if diff.is_zero():
                     continue
-                exps = min(diff.terms, key=lambda e: (sum(e), e))
-                failures.append(
-                    (k1, k2, k3, diff.monomial_text(exps), diff.terms[exps])
-                )
+                exps, coeff = diff.first_term()
+                failures.append((k1, k2, k3, diff.monomial_text(exps), coeff))
     return IntegrabilityReport(not failures, checked, tuple(failures))
 
 
+@per_model
 def recover_system_from_solution(sol: FundamentalSolution) -> PdeSystem:
     """Recover the system a fundamental solution solves.
 
@@ -235,30 +218,11 @@ def recover_system_from_solution(sol: FundamentalSolution) -> PdeSystem:
     and substitutes into the pure second derivatives of Q.
     """
     n = sol.n
-    q = sol.q
-    system = [q] + [q.partial(f"x{k}") for k in range(1, n + 1)]
-    unknowns = [f"a{k}" for k in range(1, n + 1)] + ["b"]
-    targets = ["y"] + [f"yx{k}" for k in range(1, n + 1)]
-    try:
-        solution = solve_implicit(system, unknowns, targets)
-    except SingularJacobianError as exc:
-        raise RankConditionError(str(exc)) from exc
-
-    raw_ctx = solution["b"].context  # (x1..xn, y, yx1..yxn)
-    out_ctx = pde_context(n)
-    assignment = {
-        name: solution[name].rename_context(out_ctx) for name in unknowns
-    }
-    order = q.order - 2
-    components = {}
-    for k1 in range(1, n + 1):
-        for k2 in range(k1, n + 1):
-            second = q.partial(f"x{k1}").partial(f"x{k2}")
-            f = second.substitute(assignment, target_context=out_ctx)
-            components[(k1, k2)] = f.truncate(min(order, f.order))
-    return PdeSystem(n, order, components)
+    return _eliminate(sol.q, [f"x{k}" for k in range(1, n + 1)],
+                      [f"a{k}" for k in range(1, n + 1)] + ["b"])
 
 
+@per_model
 def fundamental_minors(sol: FundamentalSolution) -> MinorFamily:
     """The fundamental determinant of Q and all of its Cramer minors."""
     n = sol.n
@@ -268,8 +232,7 @@ def fundamental_minors(sol: FundamentalSolution) -> MinorFamily:
 
 
 def jet_transfer_second(sol: FundamentalSolution, t: TruncatedSeries,
-                        l1: int, l2: int,
-                        minors: MinorFamily | None = None) -> TruncatedSeries:
+                        l1: int, l2: int) -> TruncatedSeries:
     """Second y_x-derivative of the (x, y, y_x)-counterpart of t, in (x, a, b).
 
     For T(x, a, b) corresponding to G(x, y, y_x) under y = Q, y_x = Q_x,
@@ -282,10 +245,6 @@ def jet_transfer_second(sol: FundamentalSolution, t: TruncatedSeries,
         raise ValueError(f"indices {(l1, l2)} out of range 1..{n}")
     if t.context != sol.q.context:
         raise ValueError("t must live in the (x, a, b) context of Q")
-    if minors is None:
-        minors = fundamental_minors(sol)
-    box = minors.delta
-    if not box.constant_term():
-        raise RankConditionError("fundamental determinant vanishes at the origin")
-    inv_box = box.invert_unit()
-    return minors.transfer(t)(l1, l2) * (inv_box * inv_box * inv_box)
+    family = fundamental_minors(sol)
+    inv_box = family.delta.invert_unit()
+    return family.transfer(t)(l1, l2) * (inv_box * inv_box * inv_box)

@@ -66,6 +66,11 @@ class VariableContext:
         return f"VariableContext({self.names!r})"
 
 
+def graded_lex(exps):
+    """Sort key of a multi-index: total degree first, then lexicographic."""
+    return (sum(exps), exps)
+
+
 def _check_same_context(a, b):
     if a.context != b.context:
         raise ContextMismatchError(
@@ -138,22 +143,6 @@ class TruncatedSeries:
         exps[context.index(name)] = 1
         return cls(context, order, {tuple(exps): ONE})
 
-    @classmethod
-    def from_dict(cls, context, order, named_terms):
-        """Build from ``{"z1*z1b": coeff}``-style {name: power} dicts.
-
-        ``named_terms`` maps tuples of (name, power) pairs or dicts
-        {name: power} to coefficients; mostly useful in tests.
-        """
-        terms = {}
-        for mono, coeff in named_terms.items():
-            exps = [0] * context.arity
-            items = mono.items() if isinstance(mono, dict) else mono
-            for name, power in items:
-                exps[context.index(name)] += power
-            terms[tuple(exps)] = coeff
-        return cls(context, order, terms)
-
     # ------------------------------------------------------------------
     # inspection
 
@@ -189,11 +178,12 @@ class TruncatedSeries:
     def homogeneous_part(self, degree: int) -> dict:
         return {e: c for e, c in self.terms.items() if sum(e) == degree}
 
-    def valuation(self):
-        """Lowest total degree with a nonzero coefficient (None if zero)."""
+    def first_term(self):
+        """The graded-lex smallest (exponents, coefficient); None if zero."""
         if not self.terms:
             return None
-        return min(sum(e) for e in self.terms)
+        exps = min(self.terms, key=graded_lex)
+        return exps, self.terms[exps]
 
     # ------------------------------------------------------------------
     # ring operations
@@ -318,12 +308,6 @@ class TruncatedSeries:
             terms[shifted] = c * k
         return TruncatedSeries(self.context, self.order - 1, terms)
 
-    def partials(self, *names) -> "TruncatedSeries":
-        out = self
-        for name in names:
-            out = out.partial(name)
-        return out
-
     def truncate(self, order: int) -> "TruncatedSeries":
         """Restrict the guaranteed order (never raises it)."""
         if order > self.order:
@@ -427,14 +411,21 @@ class TruncatedSeries:
                 parts.append(f"{name}^{k}")
         return "*".join(parts) if parts else "1"
 
-    def __str__(self):
+    def __str__(self, _coefficient_text=str):
+        """The series as expression text, terms in graded-lex order.
+
+        With the default ``str`` coefficients the text re-parses to the
+        same series; a caller may pass another coefficient formatter, such
+        as ``scalars.brief_str`` for output that must not fail on huge
+        numbers.
+        """
         if not self.terms:
             return "0"
         pieces = []
-        for exps in sorted(self.terms, key=lambda e: (sum(e), e)):
+        for exps in sorted(self.terms, key=graded_lex):
             coeff = self.terms[exps]
             mono = self.monomial_text(exps)
-            text = str(coeff)
+            text = _coefficient_text(coeff)
             plain = not coeff.im or not coeff.re  # single-component coefficient
             if mono == "1":
                 piece = text if plain else f"({text})"

@@ -165,6 +165,35 @@ def test_exit_one_on_witness_with_huge_coefficient(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--n", "2", "--order", "6", "--graph", "x1"],
+    ["derive-pde", "--n", "2", "--order", "6", "--graph", "x1^2+y1^2+x2^2+y2^2+i*v"],
+    ["check", "--n", "2", "--order", "5", "--f", "3,3=x1"],
+    ["check", "--n", "2", "--order", "5", "--theta", HEIS + " + 3^10000*z1"],
+], ids=["graph-linear-part", "graph-not-real", "f-index-out-of-range",
+        "theta-huge-linear-part"])
+def test_exit_two_on_malformed_input(capsys, argv):
+    code, _, err = invoke(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["derive-pde"],
+    ["transform", "--map-z", "1=z1", "--map-z", "2=z2", "--map-w", "w"],
+], ids=["derive-pde", "transform"])
+def test_printed_series_with_huge_coefficient(capsys, command):
+    # the coefficient has more digits than the interpreter will print
+    theta = HEIS + " + 3^10000*z1^2*z1b^2"
+    code, out, err = invoke(
+        command + ["--n", "2", "--order", "5", "--theta", theta, "--json"], capsys
+    )
+    assert code == 0
+    assert "bit part" in json.dumps(json.loads(out))
+    assert "Traceback" not in err
+
+
 def test_exit_two_on_unsupported_dimension(capsys):
     code, _, err = invoke(
         ["check", "--n", "1", "--order", "8", "--theta", "-wb + z1*z1b"], capsys
@@ -231,6 +260,16 @@ def test_integrability_command_derived_system(capsys):
     )
     assert code == 0
     assert json.loads(out)["integrable"] is True
+
+
+def test_integrability_verdict_agrees_with_check(capsys):
+    # theta wins over --f in every command, so both read the same input
+    flags = ["--n", "2", "--order", "5", "--theta", HEIS, "--f", "1,1=x2", "--json"]
+    code, out, _ = invoke(["integrability"] + flags, capsys)
+    integrable = json.loads(out)["integrable"]
+    check_code, out, _ = invoke(["check", "--checks", "integrability"] + flags, capsys)
+    assert json.loads(out)["integrability"] == ("pass" if integrable else "fail")
+    assert (code, check_code) == (0, 0)
 
 
 def test_curvature_command(capsys):

@@ -147,6 +147,29 @@ def test_quartic_fundamental_solution_round_trip():
     assert back.agrees_with(q.partial("x1").partial("x1"))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: heisenberg_model(2, 7),
+    lambda: rigid_perturbation_model(random.Random(5), 2, 7),
+    lambda: rigid_perturbation_model(random.Random(6), 3, 6),
+    lambda: ps.from_graph(
+        ps.parse_series("x1^2 + y1^2 - x2^2 - y2^2 + v*x1*y1 + x1^4",
+                        ps.graph_context(2), 7), 2, 7),
+], ids=["heisenberg", "rigid-n2", "rigid-n3", "graph"])
+def test_theta_is_its_own_fundamental_solution(make):
+    # deriving from the model and recovering from theta read as Q(x, a, b)
+    # give the same system, component by component
+    model = make()
+    n = model.n
+    derived = ps.derive_associated_system(model)
+    sol = ps.FundamentalSolution(n, model.theta.rename_context(ps.fundamental_context(n)))
+    recovered = ps.recover_system_from_solution(sol)
+    assert derived.order == recovered.order == model.order - 2
+    assert derived.component_keys() == recovered.component_keys()
+    for key in derived.component_keys():
+        assert derived.component(*key) == recovered.component(*key)
+        assert derived.component(*key).order == recovered.component(*key).order
+
+
 def test_rank_condition_enforced():
     with pytest.raises(RankConditionError):
         ps.FundamentalSolution(2, ps.parse_series("-b + x1*a1", FCTX, 5))
@@ -216,6 +239,27 @@ def test_jet_transfer_matches_chain_rule_oracle(l1, l2):
     direct = ps.jet_transfer_second(sol, t, l1, l2)
     oracle = _chain_rule_oracle(sol, t, l1, l2)
     assert direct.agrees_with(oracle)
+
+
+def test_jet_transfer_builds_the_minor_family_once(monkeypatch):
+    import pseudosphere.pde as pde
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return jacobian_minor_family(*args, **kwargs)
+
+    jacobian_minor_family = pde.jacobian_minor_family
+    monkeypatch.setattr(pde, "jacobian_minor_family", counted)
+    q = ps.parse_series("-b + x1*a1 + x2*a2 + x1^2*a1^2 + x1*x2*a2^2", FCTX, 6)
+    sol = ps.FundamentalSolution(2, q)
+    t = ps.parse_series("a1*a2 + b*x1", FCTX, 6)
+    for l1 in (1, 2):
+        for l2 in (1, 2):
+            ps.jet_transfer_second(sol, t, l1, l2)
+    assert ps.fundamental_minors(sol) is ps.fundamental_minors(sol)
+    assert len(calls) == 1
 
 
 def test_fundamental_determinant_matches_levi_determinant():
