@@ -245,6 +245,11 @@ def jet_transfer_second(sol: FundamentalSolution, t: TruncatedSeries,
         raise ValueError(f"indices {(l1, l2)} out of range 1..{n}")
     if t.context != sol.q.context:
         raise ValueError("t must live in the (x, a, b) context of Q")
-    family = fundamental_minors(sol)
-    inv_box = family.delta.invert_unit()
-    return family.transfer(t)(l1, l2) * (inv_box * inv_box * inv_box)
+    return fundamental_minors(sol).transfer(t)(l1, l2) * _inverse_box_cubed(sol)
+
+
+@per_model
+def _inverse_box_cubed(sol: FundamentalSolution) -> TruncatedSeries:
+    """box^-3 for the fundamental determinant box of Q."""
+    inv_box = fundamental_minors(sol).delta.invert_unit()
+    return inv_box * inv_box * inv_box

@@ -9,6 +9,8 @@ a chain of operations always knows how far its result can be trusted.
 
 from __future__ import annotations
 
+from operator import add
+
 from .errors import (
     CompositionError,
     ContextMismatchError,
@@ -77,6 +79,53 @@ def _check_same_context(a, b):
             f"contexts differ: {a.context.names} vs {b.context.names}"
         )
 
+
+def _product_terms(left, right, limit):
+    """The terms of total degree <= ``limit`` of the product of two term dicts.
+
+    This is the one Cauchy-product loop.  The caller vouches for the limit:
+    ``__mul__`` passes the smaller operand order; a caller that knows the
+    valuation of a factor may pass more (see ``implicit``).  Zero sums are
+    dropped, so the result meets the invariant of ``TruncatedSeries._valid``.
+    """
+    # bucketing the right factor by degree lets each left term skip
+    # everything that would overflow the limit
+    buckets = {}
+    for e, c in right.items():
+        buckets.setdefault(sum(e), []).append((e, c))
+    out = {}
+    for ea, ca in left.items():
+        room = limit - sum(ea)
+        if room < 0:
+            continue
+        for db, items in buckets.items():
+            if db > room:
+                continue
+            for eb, cb in items:
+                key = tuple(map(add, ea, eb))
+                prod = ca * cb
+                acc = out.get(key)
+                acc = prod if acc is None else acc + prod
+                if acc:
+                    out[key] = acc
+                else:
+                    del out[key]
+    return out
+
+
+
+def _add_into(acc, terms, factor=None):
+    """acc += factor * terms (factor 1 if None), coefficientwise, in place;
+    zero sums are dropped."""
+    for e, c in terms.items():
+        if factor is not None:
+            c = factor * c
+        total = acc.get(e)
+        total = c if total is None else total + c
+        if total:
+            acc[e] = total
+        else:
+            del acc[e]
 
 class TruncatedSeries:
     """A sparse formal power series truncated at a guaranteed total degree.
@@ -209,13 +258,7 @@ class TruncatedSeries:
         _check_same_context(self, other)
         order = min(self.order, other.order)
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = terms.get(e)
-            acc = c if acc is None else acc + c
-            if acc:
-                terms[e] = acc
-            else:
-                terms.pop(e, None)
+        _add_into(terms, other.terms)
         if self.order == other.order:
             # no operand term lies above the order, and zero sums are dropped
             return TruncatedSeries._valid(self.context, order, terms)
@@ -250,30 +293,9 @@ class TruncatedSeries:
             return NotImplemented
         _check_same_context(self, other)
         order = min(self.order, other.order)
-        # Cauchy product; bucketing the right factor by degree lets each
-        # left term skip everything that would overflow the truncation.
-        buckets = {}
-        for e, c in other.terms.items():
-            buckets.setdefault(sum(e), []).append((e, c))
-        out = {}
-        for ea, ca in self.terms.items():
-            da = sum(ea)
-            if da > order:
-                continue
-            room = order - da
-            for db, items in buckets.items():
-                if db > room:
-                    continue
-                for eb, cb in items:
-                    key = tuple(x + y for x, y in zip(ea, eb))
-                    prod = ca * cb
-                    acc = out.get(key)
-                    acc = prod if acc is None else acc + prod
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
-        return TruncatedSeries._valid(self.context, order, out)
+        return TruncatedSeries._valid(
+            self.context, order, _product_terms(self.terms, other.terms, order)
+        )
 
     __rmul__ = __mul__
 
@@ -332,7 +354,10 @@ class TruncatedSeries:
         Variables absent from ``assignment`` pass through to the variable
         of the same name in the target context.  Every assigned series
         must share one context (the target) and have zero constant term;
-        that keeps the truncation under control.
+        that keeps the truncation under control.  The image of a monomial
+        is a product of powers of single values; a value's list of powers
+        is built the first time a kept term raises it to a power, and only
+        as far as the terms need.
         """
         assignment = dict(assignment or {})
         for name in assignment:
@@ -356,31 +381,43 @@ class TruncatedSeries:
                 )
             order = min(order, s.order)
 
-        values = []
-        for name in self.context.names:
-            if name in assignment:
-                values.append(assignment[name].truncate(order))
-            else:
-                values.append(TruncatedSeries.variable(target_context, order, name))
-
-        powers = [[TruncatedSeries.constant(target_context, order, ONE), v] for v in values]
+        # per context variable: its assigned series, or its index in the
+        # target context (which raises here for an unknown pass-through name)
+        sources = [
+            assignment[name] if name in assignment else target_context.index(name)
+            for name in self.context.names
+        ]
+        arity = target_context.arity
+        powers = [None] * len(sources)  # powers[i][k - 1]: the terms of value_i^k
 
         def power(i, k):
             cache = powers[i]
-            while len(cache) <= k:
-                cache.append(cache[-1] * cache[1])
-            return cache[k]
+            if cache is None:
+                source = sources[i]
+                if isinstance(source, TruncatedSeries):
+                    first = {e: c for e, c in source.terms.items() if sum(e) <= order}
+                else:
+                    unit = [0] * arity
+                    unit[source] = 1
+                    first = {tuple(unit): ONE}
+                cache = powers[i] = [first]
+            while len(cache) < k:
+                cache.append(_product_terms(cache[-1], cache[0], order))
+            return cache[k - 1]
 
-        result = TruncatedSeries.zero(target_context, order)
-        for exps, coeff in sorted(self.terms.items(), key=lambda item: sum(item[0])):
+        out = {}
+        for exps, coeff in self.terms.items():
             if sum(exps) > order:
                 continue  # valuation of the image would exceed the order
-            term = TruncatedSeries.constant(target_context, order, coeff)
+            image = None
             for i, k in enumerate(exps):
                 if k:
-                    term = term * power(i, k)
-            result = result + term
-        return result
+                    factor = power(i, k)
+                    image = factor if image is None else _product_terms(image, factor, order)
+            if image is None:
+                image = {(0,) * arity: ONE}
+            _add_into(out, image, coeff)
+        return TruncatedSeries._valid(target_context, order, out)
 
     def invert_unit(self) -> "TruncatedSeries":
         """Multiplicative inverse of a series with nonzero constant term."""

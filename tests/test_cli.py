@@ -404,3 +404,27 @@ def test_json_serialization_round_trip(capsys):
     first = json.dumps(json.loads(out), sort_keys=True)
     second = json.dumps(json.loads(first), sort_keys=True)
     assert first == second
+
+
+# ----------------------------------------------------------------------
+# the README examples
+
+
+def readme_command_lines():
+    """The `pseudosphere ...` lines of README's "Command line" block."""
+    from pathlib import Path
+    import shlex
+
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    return [line for line in lines if line and line[0] == "pseudosphere"]
+
+
+@pytest.mark.parametrize("argv", readme_command_lines(), ids=lambda argv: " ".join(argv[1:]))
+def test_readme_command_line_examples_run(argv, capsys):
+    # exit 1 is a reported verdict (some examples show a failing check);
+    # an example that cannot run at all would write an error to stderr
+    code, out, err = invoke(argv[1:], capsys)
+    assert code in (0, 1)
+    assert out and not err

@@ -1,13 +1,17 @@
 """Formal implicit solving: hand-checked models and round-trip identities."""
 
+import itertools
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import pseudosphere as ps
 from pseudosphere import TruncatedSeries, VariableContext
 from pseudosphere.errors import SingularJacobianError
-from pseudosphere.matrices import scalar_determinant
+from pseudosphere.matrices import invert_scalar_matrix, scalar_determinant
+from pseudosphere.scalars import ZERO
 
-from conftest import heisenberg_theta, random_gaussian, random_series
+from conftest import COEFF_POOL, heisenberg_theta, random_gaussian, random_series
 
 CTX = VariableContext(("z1", "z2", "z1b", "z2b", "wb"))
 
@@ -107,3 +111,112 @@ def test_solve_formal_system_quadratic():
     out_ctx = solution["u"].context
     catalan = ps.parse_series("p + p^2 + 2*p^3 + 5*p^4 + 14*p^5", out_ctx, 5)
     assert solution["u"] == catalan
+
+
+
+# ----------------------------------------------------------------------
+# Newton lifting against the degree-by-degree solver it replaced
+
+
+def reference_solve(equations, unknowns, order=None):
+    """Degree-by-degree solve: each pass kills the lowest remaining degree
+    of the residual with one linear solve against the constant Jacobian."""
+    ctx = equations[0].context
+    out_ctx = VariableContext([name for name in ctx.names if name not in set(unknowns)])
+    n = min(eq.order for eq in equations)
+    if order is not None:
+        n = min(n, order)
+    jac = [[eq.coefficient_of(**{u: 1}) for u in unknowns] for eq in equations]
+    jac_inv = invert_scalar_matrix(jac)
+    solution = {u: TruncatedSeries.zero(out_ctx, n) for u in unknowns}
+    for degree in range(1, n + 1):
+        assignment = {u: solution[u].truncate(degree) for u in unknowns}
+        residual_parts = [
+            eq.truncate(degree).substitute(assignment, target_context=out_ctx)
+            .homogeneous_part(degree)
+            for eq in equations
+        ]
+        for j, u in enumerate(unknowns):
+            merged = dict(solution[u].terms)
+            for i, part in enumerate(residual_parts):
+                for exps, coeff in part.items():
+                    merged[exps] = merged.get(exps, ZERO) - jac_inv[j][i] * coeff
+            solution[u] = TruncatedSeries(out_ctx, n, merged)
+    return solution
+
+
+@st.composite
+def invertible_systems(draw, min_order=1, max_order=9):
+    """(equations, unknowns, order): 1-4 unknowns, 1-2 parameters, equations
+    of degree <= 3 without constant term and with an invertible Jacobian."""
+    size = draw(st.integers(1, 4))
+    params = ["p1", "p2"][: draw(st.integers(1, 2))]
+    unknowns = [f"u{j}" for j in range(1, size + 1)]
+    ctx = VariableContext(params + unknowns)
+    monomials = [e for e in itertools.product(range(4), repeat=ctx.arity)
+                 if 1 <= sum(e) <= 3]
+    forcing = [e for e in monomials if not any(e[len(params):])]  # parameters only
+    order = draw(st.integers(min_order, max_order))
+    equations = []
+    for i in range(size):
+        terms = {draw(st.sampled_from(forcing)): draw(st.sampled_from(COEFF_POOL))}
+        for _ in range(draw(st.integers(0, 5))):
+            terms[draw(st.sampled_from(monomials))] = draw(st.sampled_from(COEFF_POOL))
+        unit = [0] * ctx.arity
+        unit[len(params) + i] = 1
+        terms[tuple(unit)] = terms.get(tuple(unit), ZERO) + draw(st.sampled_from(COEFF_POOL))
+        eq_order = draw(st.integers(order, max_order + 2))
+        equations.append(TruncatedSeries(ctx, eq_order, terms))
+    jac = [[eq.coefficient_of(**{u: 1}) for u in unknowns] for eq in equations]
+    assume(scalar_determinant(jac))
+    return equations, unknowns, order
+
+
+@settings(max_examples=60, deadline=None)
+@given(invertible_systems(), st.booleans())
+def test_newton_lifting_equals_degree_by_degree(system, cap):
+    equations, unknowns, order = system
+    order = order if cap else None
+    solution = ps.solve_formal_system(equations, unknowns, order=order)
+    expected = reference_solve(equations, unknowns, order=order)
+    for u in unknowns:
+        assert solution[u] == expected[u]
+        assert solution[u].order == expected[u].order
+
+
+@settings(max_examples=30, deadline=None)
+@given(invertible_systems(max_order=7))
+def test_solution_order_is_sound(system):
+    # solving to d and to d + 2 agrees through the lower run's order
+    equations, unknowns, d = system
+    equations = [TruncatedSeries(eq.context, d + 2, eq.terms) for eq in equations]
+    low = ps.solve_formal_system(equations, unknowns, order=d)
+    high = ps.solve_formal_system(equations, unknowns)
+    for u in unknowns:
+        assert low[u].order == d and high[u].order == d + 2
+        assert high[u].agrees_with(low[u], through_order=low[u].order)
+
+
+@pytest.mark.parametrize("order", range(1, 10))
+def test_residual_evaluations_grow_with_log_order(order, monkeypatch):
+    ctx = VariableContext(("p", "u1", "u2"))
+    equations = [
+        ps.parse_series("u1 - p - u1*u2 + p*u2^2", ctx, order),
+        ps.parse_series("2*u2 + u1 - p^2 + u1^3", ctx, order),
+    ]
+    calls = []
+    substitute = TruncatedSeries.substitute
+
+    def counted(self, *args, **kwargs):
+        if any(self is eq for eq in equations):
+            calls.append(self)
+        return substitute(self, *args, **kwargs)
+
+    monkeypatch.setattr(TruncatedSeries, "substitute", counted)
+    solution = ps.solve_formal_system(equations, ["u1", "u2"])
+    for eq in equations:
+        # floor(log2 order) + 1 evaluations, where one per degree took order
+        assert sum(call is eq for call in calls) == order.bit_length()
+    monkeypatch.undo()
+    expected = reference_solve(equations, ["u1", "u2"])
+    assert solution == expected

@@ -262,6 +262,23 @@ def test_jet_transfer_builds_the_minor_family_once(monkeypatch):
     assert len(calls) == 1
 
 
+
+def test_jet_transfer_inverts_the_box_once(monkeypatch):
+    calls = []
+    invert_unit = TruncatedSeries.invert_unit
+
+    def counted(self):
+        calls.append(self)
+        return invert_unit(self)
+
+    monkeypatch.setattr(TruncatedSeries, "invert_unit", counted)
+    q = ps.parse_series("-b + x1*a1 + x2*a2 + x1^2*a1^2 + x1*x2*a2^2", FCTX, 6)
+    sol = ps.FundamentalSolution(2, q)
+    t = ps.parse_series("a1*a2 + b*x1", FCTX, 6)
+    for l1, l2 in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 1)]:
+        ps.jet_transfer_second(sol, t, l1, l2)
+    assert len(calls) == 1
+
 def test_fundamental_determinant_matches_levi_determinant():
     # with Q := theta and (a, b) := (zb, wb), the fundamental determinant
     # coincides with the Levi determinant under the fixed row convention

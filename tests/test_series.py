@@ -10,8 +10,9 @@ from pseudosphere.errors import (
     ContextMismatchError,
     InsufficientOrderError,
     NonUnitError,
+    UnknownVariableError,
 )
-from pseudosphere.scalars import GaussianRational
+from pseudosphere.scalars import ONE, GaussianRational
 
 from conftest import COEFF_POOL, heisenberg_theta, random_series
 
@@ -214,3 +215,103 @@ def test_results_satisfy_the_validating_constructor(a, b, c):
         assert_valid(result)
     assert_valid(a.partial("u"))
     assert_valid(a.substitute({"u": b - b.constant_term(), "w": c - c.constant_term()}))
+
+
+# ----------------------------------------------------------------------
+# substitute against a naive composition
+
+
+def naive_compose(s, assignment, target):
+    """sum_e c_e prod_i value_i^(e_i), multiplied out in full as polynomials
+    and truncated once at the end."""
+    order = min([s.order] + [v.order for v in assignment.values()])
+
+    def times(a, b):
+        out = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                key = tuple(x + y for x, y in zip(ea, eb))
+                out[key] = out.get(key, GaussianRational(0)) + ca * cb
+        return out
+
+    values = []
+    for name in s.context.names:
+        if name in assignment:
+            values.append(dict(assignment[name].truncate(order).terms))
+        else:
+            values.append(TruncatedSeries.variable(target, order, name).terms)
+    total = {}
+    for exps, coeff in s.terms.items():
+        image = {(0,) * target.arity: coeff}
+        for value, k in zip(values, exps):
+            for _ in range(k):
+                image = times(image, value)
+        for e, c in image.items():
+            total[e] = total.get(e, GaussianRational(0)) + c
+    return TruncatedSeries(target, order, total)
+
+
+SOURCE = VariableContext(("u", "v", "w", "idle"))
+TARGET = VariableContext(("s", "w", "u", "t", "v"))  # reordered, with extras
+
+
+@st.composite
+def source_series(draw):
+    """A series in (u, v, w, idle) in which ``idle`` never occurs."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        exps = draw(st.tuples(*(st.integers(0, 2) for _ in range(3)))) + (0,)
+        terms[exps] = draw(st.sampled_from(CANCELLING_POOL))
+    return TruncatedSeries(SOURCE, draw(st.integers(0, 4)), terms)
+
+
+@st.composite
+def target_series(draw):
+    """A series in TARGET without constant term."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        exps = draw(st.tuples(*(st.integers(0, 2) for _ in range(TARGET.arity))))
+        if any(exps):
+            terms[exps] = draw(st.sampled_from(CANCELLING_POOL))
+    return TruncatedSeries(TARGET, draw(st.integers(0, 5)), terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(source_series(), st.sets(st.sampled_from(["u", "v", "w"])), st.data())
+def test_substitute_matches_naive_composition(s, assigned, data):
+    # unassigned names pass through to the same-named target variable; the
+    # unused "idle" must be assigned, since TARGET lacks it, and the target
+    # variables "s" and "t" are unused unless an assigned value holds them
+    assignment = {name: data.draw(target_series()) for name in sorted(assigned) + ["idle"]}
+    result = s.substitute(assignment, target_context=TARGET)
+    expected = naive_compose(s, assignment, TARGET)
+    assert result == expected
+    assert result.order == expected.order
+    assert_valid(result)
+
+
+def test_substitute_rejects_unknown_pass_through_name():
+    # "idle" has exponent 0 in every term and is still looked up
+    s = TruncatedSeries(SOURCE, 3, {(1, 0, 0, 0): ONE, (0, 2, 0, 0): ONE})
+    u = TruncatedSeries.variable(TARGET, 3, "s")
+    with pytest.raises(UnknownVariableError):
+        s.substitute({"u": u}, target_context=TARGET)
+    with pytest.raises(UnknownVariableError):
+        s.substitute({"nope": u}, target_context=TARGET)
+
+
+def test_substitute_rejects_constant_term_assignment():
+    # checked even for a variable that no term uses
+    s = TruncatedSeries(SOURCE, 3, {(1, 0, 0, 0): ONE})
+    with pytest.raises(CompositionError):
+        s.substitute({"idle": TruncatedSeries.constant(TARGET, 3, 2)}, target_context=TARGET)
+
+
+def test_substitute_rejects_context_mismatch():
+    s = TruncatedSeries(SOURCE, 3, {(1, 0, 0, 0): ONE})
+    other = VariableContext(("s", "w", "u", "t", "v", "idle"))
+    with pytest.raises(ContextMismatchError):
+        s.substitute({"u": TruncatedSeries.variable(other, 3, "s")}, target_context=TARGET)
+    with pytest.raises(ContextMismatchError):
+        s.substitute({"u": TruncatedSeries.variable(TARGET, 3, "s"),
+                      "v": TruncatedSeries.variable(other, 3, "s")})
