@@ -25,6 +25,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import (
+    InsufficientOrderError,
     LeviDegenerateError,
     NormalizationError,
     ParseError,
@@ -33,12 +34,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .expressions import parse_series
-from .flatness import (
-    PseudosphericalVerdict,
-    cross_check,
-    hachtroudi_tensor,
-    is_pseudospherical,
-)
+from .flatness import cross_check, hachtroudi_tensor, is_pseudospherical
 from .hypersurface import (
     apply_biholomorphism,
     canonical_context,
@@ -168,6 +164,12 @@ def run(job: JobSpec) -> dict:
         finally:
             timings[name] = round((time.perf_counter() - start) * 1000.0, 3)
 
+    def record(verdict):
+        report["order_certified"] = verdict.certified_order
+        report["pseudospherical"] = str(verdict)
+        if not verdict.vanishes and job.witness:
+            report["witness"] = _witness_json(verdict.witness)
+
     if job.kind == "pde":
         # a raw second-order system: only the jet-side checks apply
         system = _load(job)
@@ -177,15 +179,7 @@ def run(job: JobSpec) -> dict:
             )
             report["integrability"] = "pass" if result.ok else "fail"
         if "pseudosphericality" in job.checks:
-            tensor = timed("tensor", lambda: hachtroudi_tensor(system))
-            witness = tensor.first_nonzero_witness()
-            report["order_certified"] = tensor.certified_order
-            verdict = PseudosphericalVerdict(
-                witness is None, tensor.certified_order, witness
-            )
-            report["pseudospherical"] = str(verdict)
-            if witness is not None and job.witness:
-                report["witness"] = _witness_json(witness)
+            record(timed("tensor", lambda: hachtroudi_tensor(system).verdict()))
         return report
 
     try:
@@ -222,11 +216,7 @@ def run(job: JobSpec) -> dict:
 
     if "pseudosphericality" in job.checks:
         try:
-            verdict = timed("tensor", lambda: is_pseudospherical(model))
-            report["order_certified"] = verdict.certified_order
-            report["pseudospherical"] = str(verdict)
-            if not verdict.vanishes and job.witness:
-                report["witness"] = _witness_json(verdict.witness)
+            record(timed("tensor", lambda: is_pseudospherical(model)))
         except LeviDegenerateError as exc:
             report["levi_nondegenerate"] = False
             report["errors"].append({"code": "levi_degenerate", "message": str(exc)})
@@ -489,21 +479,21 @@ def cmd_integrability(args) -> int:
 
 
 def cmd_curvature(args) -> int:
-    tensor = hachtroudi_tensor(_system(args))
-    witness = tensor.first_nonzero_witness()
+    verdict = hachtroudi_tensor(_system(args)).verdict()
+    witness = verdict.witness
     payload = {
-        "zero": witness is None,
-        "order_certified": tensor.certified_order,
+        "zero": verdict.vanishes,
+        "order_certified": verdict.certified_order,
         "witness": _witness_json(witness),
     }
     lines = [
-        f"tensor vanishes to order {tensor.certified_order}"
-        if witness is None
+        f"tensor vanishes to order {verdict.certified_order}"
+        if verdict.vanishes
         else f"nonzero component {witness.component} at {witness.monomial}: "
         f"{brief_str(witness.coefficient)}"
     ]
     _emit(args, payload, lines)
-    return 0 if witness is None else 1
+    return 0 if verdict.vanishes else 1
 
 
 def cmd_transform(args) -> int:
@@ -585,7 +575,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (InputError, ParseError, UnsupportedDimensionError, NormalizationError) as exc:
+    except (InputError, ParseError, UnsupportedDimensionError, NormalizationError,
+            InsufficientOrderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PseudosphereError as exc:

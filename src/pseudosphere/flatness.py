@@ -83,6 +83,11 @@ class FlatnessTensor:
             )
         return None
 
+    def verdict(self) -> PseudosphericalVerdict:
+        """Vanishing through the certified order, or the first witness."""
+        witness = self.first_nonzero_witness()
+        return PseudosphericalVerdict(witness is None, self.certified_order, witness)
+
 
 def _assemble_trace_adjusted(n: int, raw) -> dict:
     """Combine raw second-derivative data into the trace-adjusted tensor.
@@ -177,7 +182,7 @@ def main_theorem_tensor(model: HypersurfaceModel) -> FlatnessTensor:
         for b in range(a, n + 1)
     }
     components = _assemble_trace_adjusted(
-        n, lambda a, b, l1, l2: transfers[(a, b)](l1, l2)
+        n, lambda a, b, l1, l2: transfers[(a, b)][(l1, l2)]
     )
     return FlatnessTensor(
         n=n, certified_order=model.order - 4, components=components
@@ -282,8 +287,4 @@ def is_pseudospherical(model: HypersurfaceModel, order: int | None = None) -> Ps
         from .hypersurface import make_model
 
         model = make_model(model.n, model.theta.truncate(order), order)
-    tensor = main_theorem_tensor(model)
-    witness = tensor.first_nonzero_witness()
-    if witness is None:
-        return PseudosphericalVerdict(True, tensor.certified_order)
-    return PseudosphericalVerdict(False, tensor.certified_order, witness)
+    return main_theorem_tensor(model).verdict()

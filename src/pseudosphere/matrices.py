@@ -12,6 +12,8 @@ beats fraction-free elimination and needs no unit pivots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .errors import ContextMismatchError, SingularJacobianError
 from .scalars import GaussianRational, ONE, ZERO
@@ -178,51 +180,56 @@ class MinorFamily:
 
     The matrix has first row (dQ/da_1 .. dQ/da_{n+1}) and then one row
     (d^2Q/dx_k da_1 .. d^2Q/dx_k da_{n+1}) per base variable x_k, where
-    the a_mu are the n+1 ``parameters``.  Both kinds of minor are read off
+    the a_mu are the n+1 ``parameters``.  Every Cramer minor is read off
     the matrix's cofactor table C (0-based, see ``SeriesMatrix.cofactors``):
 
-    * ``unit_minors[(mu, l)]`` replaces the mu-th column by the unit
-      column with 1 in position 1+l (1-based; the x_l derivative row),
-      which is the cofactor C[l, mu-1].
-    * ``second_minors[(mu, nu, tau)]`` replaces the tau-th column by the
-      column col of a_mu a_nu derivatives of (Q, Q_x1 .. Q_xn), which is
-      sum_r col[r] * C[r, tau-1]; stored for mu <= nu.
-      The sum runs over every row, zero entries included, so that its
-      guaranteed order is the minimum over the whole column.
+    * the unit minor D^mu_[l] replaces the mu-th column by the unit column
+      with 1 in position 1+l (1-based; the x_l derivative row), which is
+      the cofactor C[l, mu-1] (``unit``);
+    * the second minor D^tau_[mu nu] replaces the tau-th column by the
+      column ``hessian[(mu, nu)]`` (mu <= nu) of a_mu a_nu derivatives of
+      (Q, Q_x1 .. Q_xn), which is sum_r hessian[(mu, nu)][r] * C[r, tau-1];
+      it is only ever needed contracted with a gradient, inside
+      ``transfer``.
     """
 
     delta: TruncatedSeries
-    unit_minors: dict
-    second_minors: dict
-    size: int
+    cofactor: dict
+    hessian: dict
     matrix: SeriesMatrix
     parameters: tuple
 
     def unit(self, mu: int, l: int) -> TruncatedSeries:
-        return self.unit_minors[(mu, l)]
+        return self.cofactor[(l, mu - 1)]
 
-    def second(self, mu: int, nu: int, tau: int) -> TruncatedSeries:
-        if mu > nu:
-            mu, nu = nu, mu
-        return self.second_minors[(mu, nu, tau)]
-
-    def transfer(self, t: TruncatedSeries):
+    def transfer(self, t: TruncatedSeries) -> dict:
         """The Cramer jet transfer of t, cleared of denominators.
 
-        Returns the function
+        Returns the table {(l1, l2): series} for 1 <= l1 <= l2 <= n of
 
-            (l1, l2) -> sum_{mu,nu} D^mu_[l1] D^nu_[l2]
-                            { delta * t_{mu nu} - sum_tau D^tau_[mu nu] * t_tau }
+            sum_{mu,nu} D^mu_[l1] D^nu_[l2]
+                { delta * t_{mu nu} - sum_tau D^tau_[mu nu] * t_tau }
 
         with subscripts on t its derivatives in the parameters, D^mu_[l]
         the unit minors and D^tau_[mu nu] the second minors.  Divided by
         delta^3 this is d^2 G / d(y_{x^l1}) d(y_{x^l2}) for the G(x, y, y_x)
-        equal to t under y = Q, y_x = Q_x, written back in (x, a).  The
-        brace is computed once per (mu, nu) and shared by all (l1, l2).
-        A zero factor is skipped: it is exactly zero through its own order,
-        which is at least the brace's, so the guaranteed order stays sound.
+        equal to t under y = Q, y_x = Q_x, written back in (x, a).
+
+        The second-minor sum is sum_r H_{mu nu}[r] * w_r with H the Hessian
+        column and w_r = sum_tau C[r, tau-1] * t_tau, computed once per t.
+        The sum over r keeps zero Hessian entries, so that its guaranteed
+        order is the minimum over the whole column.  The brace is computed
+        once per (mu, nu) and shared by all (l1, l2).  A zero factor is
+        skipped: it is exactly zero through its own order, which is at
+        least the brace's, so the guaranteed order stays sound.
         """
+        size = len(self.parameters)
         first = [t.partial(a) for a in self.parameters]
+        nonzero = [(c, d) for c, d in enumerate(first) if not d.is_zero()]
+        weights = [
+            reduce(add, (self.cofactor[(r, c)] * d for c, d in nonzero))
+            for r in range(size)
+        ] if nonzero else []
         braces = {}
 
         def brace(mu, nu):
@@ -231,27 +238,27 @@ class MinorFamily:
             if value is None:
                 mu, nu = key
                 value = self.delta * first[mu - 1].partial(self.parameters[nu - 1])
-                for tau in range(1, self.size + 1):
-                    if not first[tau - 1].is_zero():
-                        value = value - self.second(mu, nu, tau) * first[tau - 1]
+                for h, w in zip(self.hessian[key], weights):
+                    value = value - h * w
                 braces[key] = value
             return value
 
-        def transfer(l1, l2):
-            acc = None
-            for mu in range(1, self.size + 1):
-                unit_mu = self.unit(mu, l1)
-                if unit_mu.is_zero():
-                    continue
-                for nu in range(1, self.size + 1):
-                    unit_nu = self.unit(nu, l2)
-                    if unit_nu.is_zero():
+        table = {}
+        for l1 in range(1, size):
+            for l2 in range(l1, size):
+                acc = None
+                for mu in range(1, size + 1):
+                    unit_mu = self.unit(mu, l1)
+                    if unit_mu.is_zero():
                         continue
-                    term = unit_mu * unit_nu * brace(mu, nu)
-                    acc = term if acc is None else acc + term
-            return acc
-
-        return transfer
+                    for nu in range(1, size + 1):
+                        unit_nu = self.unit(nu, l2)
+                        if unit_nu.is_zero():
+                            continue
+                        term = unit_mu * unit_nu * brace(mu, nu)
+                        acc = term if acc is None else acc + term
+                table[(l1, l2)] = acc
+        return table
 
 
 def jacobian_minor_family(q: TruncatedSeries, x_names, a_names) -> MinorFamily:
@@ -271,22 +278,10 @@ def jacobian_minor_family(q: TruncatedSeries, x_names, a_names) -> MinorFamily:
         rows.append([qx.partial(a) for a in a_names])
     matrix = SeriesMatrix(rows)
     delta, cofactor = matrix.cofactors()
-
-    unit_minors = {
-        (mu, l): cofactor[(l, mu - 1)]
+    hessian = {
+        (mu, nu): tuple(row[mu - 1].partial(a_names[nu - 1]) for row in rows)
         for mu in range(1, size + 1)
-        for l in range(1, n + 1)
+        for nu in range(mu, size + 1)
     }
-    second_minors = {}
-    for mu in range(1, size + 1):
-        for nu in range(mu, size + 1):
-            col = [row[mu - 1].partial(a_names[nu - 1]) for row in rows]
-            for tau in range(1, size + 1):
-                acc = col[0] * cofactor[(0, tau - 1)]
-                for r in range(1, size):
-                    acc = acc + col[r] * cofactor[(r, tau - 1)]
-                second_minors[(mu, nu, tau)] = acc
-
-    return MinorFamily(delta=delta, unit_minors=unit_minors,
-                       second_minors=second_minors, size=size,
+    return MinorFamily(delta=delta, cofactor=cofactor, hessian=hessian,
                        matrix=matrix, parameters=tuple(a_names))

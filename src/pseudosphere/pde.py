@@ -238,14 +238,17 @@ def jet_transfer_second(sol: FundamentalSolution, t: TruncatedSeries,
     For T(x, a, b) corresponding to G(x, y, y_x) under y = Q, y_x = Q_x,
     computes d^2 G / d(y_{x^l1}) d(y_{x^l2}) expressed back in (x, a, b):
     the Cramer transfer (``MinorFamily.transfer``) of T through the minors
-    of the fundamental determinant box of Q, divided by box^3.
+    of the fundamental determinant box of Q, divided by box^3.  This reads
+    one entry of the transfer table; a caller who needs every (l1, l2)
+    calls ``fundamental_minors(sol).transfer(t)`` once instead.
     """
     n = sol.n
     if not (1 <= l1 <= n and 1 <= l2 <= n):
         raise ValueError(f"indices {(l1, l2)} out of range 1..{n}")
     if t.context != sol.q.context:
         raise ValueError("t must live in the (x, a, b) context of Q")
-    return fundamental_minors(sol).transfer(t)(l1, l2) * _inverse_box_cubed(sol)
+    entry = fundamental_minors(sol).transfer(t)[(min(l1, l2), max(l1, l2))]
+    return entry * _inverse_box_cubed(sol)
 
 
 @per_model

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +115,15 @@ def random_series(rng, ctx, order, max_terms=5, degree=None, pool=None):
     for _ in range(rng.randint(1, max_terms)):
         terms[rng.choice(exps_choices)] = rng.choice(pool)
     return ps.TruncatedSeries(ctx, order, terms)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def readme_block(heading, fence):
+    """The text of the first ``fence`` code block after README's ``heading``."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return text.split(heading, 1)[1].split(fence, 1)[1].split("```", 1)[0]
 
 
 @pytest.fixture

@@ -13,6 +13,8 @@ from pseudosphere.cli import (
     run,
 )
 
+from conftest import readme_block
+
 HEIS = "-wb + z1*z1b + z2*z2b"
 QUARTIC = "-wb + z1*z1b + z2*z2b + z1^2*z1b^2"
 
@@ -170,8 +172,15 @@ def test_exit_one_on_witness_with_huge_coefficient(capsys):
     ["derive-pde", "--n", "2", "--order", "6", "--graph", "x1^2+y1^2+x2^2+y2^2+i*v"],
     ["check", "--n", "2", "--order", "5", "--f", "3,3=x1"],
     ["check", "--n", "2", "--order", "5", "--theta", HEIS + " + 3^10000*z1"],
+    ["levi", "--n", "2", "--order", "2", "--theta=" + HEIS],
+    ["derive-pde", "--n", "2", "--order", "2", "--theta=" + HEIS],
+    ["check", "--n", "2", "--order", "2", "--theta=" + HEIS, "--checks", "integrability"],
+    ["check", "--n", "2", "--order", "1", "--f", "1,1=x2"],
+    ["curvature", "--n", "2", "--order", "1", "--f", "1,1=x2"],
 ], ids=["graph-linear-part", "graph-not-real", "f-index-out-of-range",
-        "theta-huge-linear-part"])
+        "theta-huge-linear-part", "levi-order-too-low", "derive-pde-order-too-low",
+        "integrability-order-too-low", "pde-check-order-too-low",
+        "curvature-order-too-low"])
 def test_exit_two_on_malformed_input(capsys, argv):
     code, _, err = invoke(argv, capsys)
     assert code == 2
@@ -412,11 +421,9 @@ def test_json_serialization_round_trip(capsys):
 
 def readme_command_lines():
     """The `pseudosphere ...` lines of README's "Command line" block."""
-    from pathlib import Path
     import shlex
 
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    block = readme_block("## Command line", "```sh")
     lines = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
     return [line for line in lines if line and line[0] == "pseudosphere"]
 

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pseudosphere as ps
 from pseudosphere import PdeSystem
@@ -137,22 +138,6 @@ def test_heisenberg_minor_values():
     assert family.unit(3, 2) == ps.parse_series("-z2", CTX, 4)
 
 
-def test_heisenberg_second_minors_vanish():
-    # theta is bilinear in (zb, wb): every second parameter derivative is 0
-    family = ps.minors(heisenberg_model(2, 6))
-    for key, minor in family.second_minors.items():
-        assert minor.is_zero(), key
-
-
-def test_second_minors_symmetric(rng):
-    model = rigid_perturbation_model(rng, 2, 6)
-    family = ps.minors(model)
-    for mu in range(1, 4):
-        for nu in range(mu, 4):
-            for tau in range(1, 4):
-                assert family.second(mu, nu, tau) == family.second(nu, mu, tau)
-
-
 def test_cramer_consistency(rng):
     # sum_mu unit(mu, l) * column_mu reproduces delta * e_{1+l}
     model = rigid_perturbation_model(rng, 2, 6)
@@ -172,21 +157,110 @@ def test_cramer_consistency(rng):
                 assert acc.is_zero()
 
 
-def test_second_minor_order_counts_zero_column_entries():
+def reference_transfer(family, t):
+    """Test-only reference for ``MinorFamily.transfer``: the double sum with
+    every second minor D^tau_[mu nu] expanded on its own, as the determinant
+    of the fundamental matrix with column tau replaced by the a_mu a_nu
+    derivative column."""
+    params = family.parameters
+    size = len(params)
+    rows = family.matrix.entries
+    first = [t.partial(a) for a in params]
+
+    def brace(mu, nu):
+        col = [row[mu - 1].partial(params[nu - 1]) for row in rows]
+        value = family.delta * first[mu - 1].partial(params[nu - 1])
+        for tau in range(1, size + 1):
+            if not first[tau - 1].is_zero():
+                second = family.matrix.with_column(tau - 1, col).determinant()
+                value = value - second * first[tau - 1]
+        return value
+
+    table = {}
+    for l1 in range(1, size):
+        for l2 in range(l1, size):
+            acc = None
+            for mu in range(1, size + 1):
+                for nu in range(1, size + 1):
+                    unit_mu, unit_nu = family.unit(mu, l1), family.unit(nu, l2)
+                    if unit_mu.is_zero() or unit_nu.is_zero():
+                        continue
+                    term = unit_mu * unit_nu * brace(mu, nu)
+                    acc = term if acc is None else acc + term
+            table[(l1, l2)] = acc
+    return table
+
+
+def assert_same_series_tables(got, want):
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key] == want[key], key
+        assert got[key].order == want[key].order, key
+
+
+def random_graph_model(rng, n, order):
+    """from_graph of sum_k +-(x_k^2 + y_k^2) plus real terms of degree 3-4,
+    v-dependent ones included."""
+    gctx = ps.graph_context(n)
+    monos = [
+        e for e in itertools.product(range(5), repeat=gctx.arity) if 3 <= sum(e) <= 4
+    ]
+    terms = {}
+    for k in range(n):
+        sign = rng.choice([1, -1])
+        for var in (k, n + k):
+            exps = [0] * gctx.arity
+            exps[var] = 2
+            terms[tuple(exps)] = gaussian(sign)
+    for _ in range(rng.randint(1, 3)):
+        terms[rng.choice(monos)] = gaussian(rng.choice([1, -1, Fraction(1, 2)]))
+    return ps.from_graph(ps.TruncatedSeries(gctx, order, terms), n, order)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.sampled_from(["rigid", "graph"]),
+    st.sampled_from(["theta_zz", "random", "parameter_free"]),
+    st.integers(-1, 2),
+    st.randoms(use_true_random=False),
+)
+def test_transfer_matches_replaced_column_minors(n, kind, t_kind, t_shift, rng):
+    order = 6 if n == 2 else 5
+    if kind == "rigid":
+        model = rigid_perturbation_model(rng, n, order)
+    else:
+        model = random_graph_model(rng, n, order)
+    family = ps.minors(model)
+    if t_kind == "theta_zz":
+        a, b = sorted(rng.choice(range(1, n + 1)) for _ in range(2))
+        t = model.theta.partial(f"z{a}").partial(f"z{b}")
+    else:
+        t = random_series(rng, model.context, order + t_shift, degree=4)
+        if t_kind == "parameter_free":
+            t = ps.TruncatedSeries(
+                model.context, t.order, {e: c for e, c in t.terms.items() if not any(e[n:])}
+            )
+    assert_same_series_tables(family.transfer(t), reference_transfer(family, t))
+
+
+def test_transfer_order_counts_zero_column_entries():
     # theta_{z_k z1b z1b} vanishes identically while theta_{z1b z1b} does
     # not: the zero entries have the lower guaranteed order, and it bounds
-    # the minor's order as it does the replaced matrix's determinant
+    # the transfer's order as it does the replaced matrix's determinant
     theta = ps.parse_series("-wb + z1*z1b + z2*z2b + z1^3 + z1b^3", CTX, 6)
     model = ps.make_model(2, theta, 6)
     family = ps.minors(model)
-    col = [row[0].partial("z1b") for row in family.matrix.entries]
+    col = family.hessian[(1, 1)]
     assert not col[0].is_zero() and col[1].is_zero() and col[2].is_zero()
     assert col[1].order < col[0].order
-    for tau in range(1, 4):
-        direct = family.matrix.with_column(tau - 1, col).determinant()
-        minor = family.second(1, 1, tau)
-        assert minor == direct
-        assert minor.order == direct.order == model.order - 3
+    for t in (
+        theta.partial("z1").partial("z1"),
+        ps.parse_series("z1b^2 + z1*wb", CTX, 8),
+    ):
+        table = family.transfer(t)
+        assert_same_series_tables(table, reference_transfer(family, t))
+    assert table[(1, 1)].order == model.order - 3
 
 
 def test_minors_require_nondegeneracy():

@@ -1,9 +1,11 @@
 """Defining functions: validation, reality, Levi data, transport."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pseudosphere as ps
 from pseudosphere import TruncatedSeries
@@ -16,8 +18,9 @@ from pseudosphere.errors import (
 )
 from pseudosphere.hypersurface import hermitian_signature, levi_matrix
 from pseudosphere.scalars import GaussianRational, gaussian
+from pseudosphere.series import graded_lex
 
-from conftest import heisenberg_model, rigid_perturbation_model
+from conftest import COEFF_POOL, heisenberg_model, rigid_perturbation_model
 
 CTX = ps.canonical_context(2)
 
@@ -105,6 +108,47 @@ def test_check_reality_reports_first_failure():
     assert not report.ok
     assert report.identity in (1, 2)
     assert report.monomial is not None
+
+
+def reference_check_reality(model):
+    """Test-only reference for ``check_reality``: both identities by their
+    own substitution."""
+    theta = model.theta
+    cbar = ps.conjugate_theta(model)
+    ctx, cctx = theta.context, cbar.context
+    lhs1 = cbar.substitute({"w": theta}, target_context=ctx)
+    diff1 = lhs1 - TruncatedSeries.variable(ctx, lhs1.order, "wb")
+    lhs2 = theta.substitute({"wb": cbar}, target_context=cctx)
+    diff2 = lhs2 - TruncatedSeries.variable(cctx, lhs2.order, "w")
+    bad1, bad2 = diff1.first_term(), diff2.first_term()
+    if bad1 is None and bad2 is None:
+        return ps.RealityReport(ok=True)
+    if bad2 is None or (bad1 is not None and graded_lex(bad1[0]) <= graded_lex(bad2[0])):
+        exps, coeff = bad1
+        return ps.RealityReport(False, 1, diff1.monomial_text(exps), coeff)
+    exps, coeff = bad2
+    return ps.RealityReport(False, 2, diff2.monomial_text(exps), coeff)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(3, 5), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_check_reality_matches_two_substitutions(n, order, paired, rng):
+    # random normalized thetas; with ``paired`` each term comes with its
+    # conjugate partner, which makes a rigid theta pass
+    ctx = ps.canonical_context(n)
+    monos = [e for e in itertools.product(range(3), repeat=ctx.arity) if 2 <= sum(e) <= 3]
+    terms = {(0,) * (2 * n) + (1,): gaussian(-1)}  # -wb
+    for _ in range(rng.randint(1, 4)):
+        exps = rng.choice(monos)
+        coeff = rng.choice(COEFF_POOL)
+        terms[exps] = terms.get(exps, gaussian(0)) + coeff
+        if paired:
+            mirror = exps[n : 2 * n] + exps[:n] + exps[2 * n :]
+            terms[mirror] = terms.get(mirror, gaussian(0)) + coeff.conjugate()
+    theta = TruncatedSeries(ctx, order, {e: c for e, c in terms.items() if c})
+    model = ps.HypersurfaceModel(n=n, order=order, theta=theta)
+    assert ps.check_reality(model) == reference_check_reality(model)
 
 
 # ----------------------------------------------------------------------
