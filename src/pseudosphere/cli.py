@@ -10,9 +10,14 @@ integrability  compatibility of a derived or user-supplied system
 curvature      trace-adjusted tensor of a user-supplied system
 transform      transport a model through a point map
 
+Input is one set of ``key = value`` pairs: the ``--input`` lines, then
+the flags (``--f K1,K2=E`` is ``f[K1,K2] = E``), so flags win.
+``reality``, ``levi``, ``derive-pde`` and ``transform`` need a model.
+
 Exit status: 0 when every requested check passes (an order-qualified
 vanishing verdict counts as a pass), 1 when a check fails or the tensor
-does not vanish, 2 for input or usage errors.
+does not vanish, 2 for input or usage errors, malformed expressions and
+maps and a ``--checks`` list that leaves nothing to run among them.
 """
 
 from __future__ import annotations
@@ -27,10 +32,13 @@ from dataclasses import dataclass, field
 from .errors import (
     InsufficientOrderError,
     LeviDegenerateError,
+    NonInvertibleMapError,
+    NonUnitError,
     NormalizationError,
     ParseError,
     PseudosphereError,
     RealityError,
+    UnknownVariableError,
     UnsupportedDimensionError,
 )
 from .expressions import parse_series
@@ -56,10 +64,16 @@ ALL_CHECKS = (
     "cross-check",
 )
 DEFAULT_CHECKS = ("reality", "levi", "signature", "pseudosphericality")
+_PDE_CHECKS = ("integrability", "pseudosphericality")
 
 
 class InputError(PseudosphereError):
     """Bad usage or malformed input; mapped to exit status 2."""
+
+
+# the input is at fault, not the hypersurface: exit 2
+_INPUT_ERRORS = (InputError, UnsupportedDimensionError, NormalizationError,
+                 InsufficientOrderError, NonInvertibleMapError)
 
 
 @dataclass
@@ -104,6 +118,15 @@ class JobSpec:
                     raise InputError(f"f[{k1},{k2}]: indices must lie in 1..{self.n}")
 
 
+def _parse(text, context, order):
+    """Every parse of user text: an expression that does not parse, names a
+    variable outside its context or divides by a non-unit is an InputError."""
+    try:
+        return parse_series(text, context, order)
+    except (ParseError, UnknownVariableError, NonUnitError) as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _load(job: JobSpec):
     """Validate the job and build its input: the PdeSystem for kind "pde",
     otherwise the model (parsing and reality verification happen here)."""
@@ -111,13 +134,16 @@ def _load(job: JobSpec):
     if job.kind == "pde":
         ctx = pde_context(job.n)
         components = {
-            key: parse_series(expr, ctx, job.order) for key, expr in job.f_texts.items()
+            key: _parse(expr, ctx, job.order) for key, expr in job.f_texts.items()
         }
-        return PdeSystem(job.n, job.order, components)
+        try:
+            return PdeSystem(job.n, job.order, components)
+        except ValueError as exc:  # f[k1,k2] and f[k2,k1] disagree
+            raise InputError(str(exc)) from exc
     if job.kind == "graph":
-        phi = parse_series(job.graph_text, graph_context(job.n), job.order)
+        phi = _parse(job.graph_text, graph_context(job.n), job.order)
         return from_graph(phi, job.n, job.order)
-    theta = parse_series(job.theta_text, canonical_context(job.n), job.order)
+    theta = _parse(job.theta_text, canonical_context(job.n), job.order)
     return make_model(job.n, theta, job.order)
 
 
@@ -191,36 +217,28 @@ def run(job: JobSpec) -> dict:
         report["errors"].append({"code": "reality", "message": str(exc)})
         return report
 
-    if "levi" in job.checks or "signature" in job.checks:
-        try:
+    try:
+        if "levi" in job.checks or "signature" in job.checks:
             data = timed("levi", lambda: levi(model))
             report["levi_nondegenerate"] = True
             if "signature" in job.checks:
                 report["signature"] = list(data.signature)
-        except LeviDegenerateError as exc:
-            report["levi_nondegenerate"] = False
-            report["errors"].append({"code": "levi_degenerate", "message": str(exc)})
-            return report
-
-    if "integrability" in job.checks:
-        def run_integrability():
-            system = derive_associated_system(model)
-            return check_complete_integrability(system)
-
-        try:
-            integrability = timed("integrability", run_integrability)
-            report["integrability"] = "pass" if integrability.ok else "fail"
-        except LeviDegenerateError as exc:
-            report["integrability"] = "unavailable"
-            report["errors"].append({"code": "levi_degenerate", "message": str(exc)})
-
-    if "pseudosphericality" in job.checks:
-        try:
+        if "integrability" in job.checks:
+            try:
+                integrability = timed(
+                    "integrability",
+                    lambda: check_complete_integrability(derive_associated_system(model)),
+                )
+                report["integrability"] = "pass" if integrability.ok else "fail"
+            except LeviDegenerateError as exc:
+                report["integrability"] = "unavailable"
+                report["errors"].append({"code": "levi_degenerate", "message": str(exc)})
+        if "pseudosphericality" in job.checks:
             record(timed("tensor", lambda: is_pseudospherical(model)))
-        except LeviDegenerateError as exc:
-            report["levi_nondegenerate"] = False
-            report["errors"].append({"code": "levi_degenerate", "message": str(exc)})
-            return report
+    except LeviDegenerateError as exc:
+        report["levi_nondegenerate"] = False
+        report["errors"].append({"code": "levi_degenerate", "message": str(exc)})
+        return report
 
     if "cross-check" in job.checks:
         result = timed("cross_check", lambda: cross_check(model))
@@ -232,28 +250,45 @@ def run(job: JobSpec) -> dict:
 
 
 def report_passed(report: dict) -> bool:
-    if report["errors"]:
-        return False
-    if report["reality"] not in (None, "pass"):
-        return False
-    if report["levi_nondegenerate"] is False:
-        return False
-    if report["integrability"] not in (None, "pass"):
-        return False
-    if report["pseudospherical"] is not None and not report[
-        "pseudospherical"
-    ].startswith("VanishesToOrder"):
-        return False
-    if report["cross_check"] not in (None, "pass"):
-        return False
-    return True
+    verdict = report["pseudospherical"]
+    return (
+        not report["errors"]
+        and report["levi_nondegenerate"] is not False
+        and all(report[k] in (None, "pass") for k in ("reality", "integrability", "cross_check"))
+        and (verdict is None or verdict.startswith("VanishesToOrder"))
+    )
 
 
 # ----------------------------------------------------------------------
-# input files: line-oriented `key = value`, `#` comments
+# input: `key = value` pairs from an input file (`#` comments) and flags
 
-_F_KEY = re.compile(r"^f\[(\d+),(\d+)\]$")
-_MAPZ_KEY = re.compile(r"^map_z\[(\d+)\]$")
+_F_KEY = re.compile(r"^f\[\s*(\d+)\s*,\s*(\d+)\s*\]$")
+_MAPZ_KEY = re.compile(r"^map_z\[\s*(\d+)\s*\]$")
+
+
+def _assign(values: dict, key: str, value):
+    """Set one `key = value` pair, from an input-file line or a flag."""
+    match = _F_KEY.match(key)
+    if match:
+        values["f"][(int(match.group(1)), int(match.group(2)))] = value
+        return
+    match = _MAPZ_KEY.match(key)
+    if match:
+        values["map_z"][int(match.group(1))] = value
+        return
+    if key in ("n", "order"):
+        try:
+            values[key] = int(value)
+        except ValueError:
+            raise InputError(f"{key} must be an integer") from None
+    elif key in ("theta", "graph", "map_w"):
+        values[key] = value
+    elif key == "checks":
+        values["checks"] = tuple(
+            part.strip() for part in value.split(",") if part.strip()
+        )
+    else:
+        raise InputError(f"unknown key {key!r}")
 
 
 def parse_input_file(text: str) -> dict:
@@ -262,182 +297,102 @@ def parse_input_file(text: str) -> dict:
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise InputError(f"line {lineno}: expected `key = value`")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        match = _F_KEY.match(key)
-        if match:
-            values["f"][(int(match.group(1)), int(match.group(2)))] = value
-            continue
-        match = _MAPZ_KEY.match(key)
-        if match:
-            values["map_z"][int(match.group(1))] = value
-            continue
-        if key in ("n", "order"):
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise InputError(f"line {lineno}: {key} must be an integer") from None
-        elif key in ("theta", "graph", "map_w"):
-            values[key] = value
-        elif key == "checks":
-            values["checks"] = tuple(
-                part.strip() for part in value.split(",") if part.strip()
-            )
-        else:
-            raise InputError(f"line {lineno}: unknown key {key!r}")
+        key, equals, value = line.partition("=")
+        try:
+            if not equals:
+                raise InputError("expected `key = value`")
+            _assign(values, key.strip(), value.strip())
+        except InputError as exc:
+            raise InputError(f"line {lineno}: {exc}") from None
     return values
 
 
-# ----------------------------------------------------------------------
-# command handlers
+def _resolve(args):
+    """The command's input and the merged `key = value` pairs.
 
-
-def _emit(args, payload, human_lines):
-    if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for line in human_lines:
-            print(line)
-
-
-def _merge_input(args):
-    merged = {"f": {}, "map_z": {}}
+    The input is the JobSpec of check, reality and levi, the model of
+    derive-pde and transform, and the system of integrability and
+    curvature (given by --f or derived from the model).
+    """
+    text = ""
     if args.input:
         try:
             with open(args.input, "r", encoding="utf-8") as handle:
-                merged.update(parse_input_file(handle.read()))
-        except OSError as exc:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {args.input}: {exc}") from exc
-    if getattr(args, "n", None) is not None:
-        merged["n"] = args.n
-    if getattr(args, "order", None) is not None:
-        merged["order"] = args.order
-    if getattr(args, "theta", None):
-        merged["theta"] = args.theta
-    if getattr(args, "graph", None):
-        merged["graph"] = args.graph
-    for entry in getattr(args, "f", None) or []:
-        head, _, expr = entry.partition("=")
-        try:
-            k1_text, k2_text = head.split(",")
-            merged["f"][(int(k1_text), int(k2_text))] = expr
-        except ValueError:
-            raise InputError(f"--f expects `k1,k2=<expr>`, got {entry!r}") from None
-    for entry in getattr(args, "map_z", None) or []:
-        head, _, expr = entry.partition("=")
-        try:
-            merged["map_z"][int(head)] = expr
-        except ValueError:
-            raise InputError(f"--map-z expects `k=<expr>`, got {entry!r}") from None
-    if getattr(args, "map_w", None):
-        merged["map_w"] = args.map_w
-    if getattr(args, "checks", None):
-        merged["checks"] = tuple(
-            part.strip() for part in args.checks.split(",") if part.strip()
-        )
-    return merged
+    values = parse_input_file(text)
+    # then each given flag, as the `key = value` pair it spells out
+    for key in ("n", "order", "theta", "graph", "map_w", "checks"):
+        if getattr(args, key, None) not in (None, ""):
+            _assign(values, key, getattr(args, key))
+    for key in ("f", "map_z"):
+        for entry in getattr(args, key, None) or ():
+            index, _, expr = entry.partition("=")
+            _assign(values, f"{key}[{index}]", expr)
 
-
-def _job_from_merged(merged, args, default_checks):
-    checks = merged.get("checks", default_checks)
-    if checks == ("all",):
-        checks = ALL_CHECKS
-    if merged.get("graph"):
+    if values.get("graph"):
         kind = "graph"
-    elif merged.get("theta") or not merged["f"]:
+    elif values.get("theta") or not values["f"]:
         kind = "theta"
     else:
         kind = "pde"
-        if "checks" in merged:
-            checks = tuple(
-                c for c in checks if c in ("integrability", "pseudosphericality")
-            )
-        else:
-            checks = ("integrability", "pseudosphericality")
-    return JobSpec(
-        n=merged.get("n"),
-        order=merged.get("order"),
+    checks = values.get("checks", _PDE_CHECKS if kind == "pde" else DEFAULT_CHECKS)
+    if checks == ("all",):
+        checks = ALL_CHECKS
+    if kind == "pde":
+        checks = tuple(c for c in checks if c in _PDE_CHECKS)
+    report = args.handler is cmd_check
+    job = JobSpec(
+        n=values.get("n"),
+        order=values.get("order"),
         kind=kind,
-        theta_text=merged.get("theta"),
-        graph_text=merged.get("graph"),
-        f_texts=dict(merged["f"]),
-        checks=checks,
-        witness=getattr(args, "witness", False),
+        theta_text=values.get("theta"),
+        graph_text=values.get("graph"),
+        f_texts=values["f"],
+        checks=checks if report else (),
+        witness=args.witness,
     )
+    job.validate()
+    if kind == "pde" and args.needs_model:
+        raise InputError(f"{args.command} needs --theta or --graph")
+    if report:
+        if not checks:
+            raise InputError("--checks leaves nothing to run for this input")
+        return job, values
+    loaded = _load(job)
+    if kind != "pde" and not args.needs_model:  # integrability, curvature
+        loaded = derive_associated_system(loaded)
+    return loaded, values
 
 
-def cmd_check(args) -> int:
-    merged = _merge_input(args)
-    job = _job_from_merged(merged, args, DEFAULT_CHECKS)
+# ----------------------------------------------------------------------
+# command handlers: each takes what _resolve built and returns the JSON
+# payload, the text lines and whether everything passed
+
+
+def cmd_check(args, job, values):
+    """check, reality and levi: run the job and report."""
     report = run(job)
-    lines = [f"n = {report['n']}, requested order = {report['order_requested']}"]
-    for key in (
-        "reality",
-        "levi_nondegenerate",
-        "signature",
-        "integrability",
-        "pseudospherical",
-        "cross_check",
-        "order_certified",
-    ):
-        if report[key] is not None:
-            lines.append(f"{key}: {report[key]}")
-    if report["witness"]:
-        lines.append(f"witness: {report['witness']}")
-    for error in report["errors"]:
-        lines.append(f"error[{error['code']}]: {error['message']}")
-    _emit(args, report, lines)
-    return 0 if report_passed(report) else 1
+    if args.fields:
+        lines = [f"{key}: {report[key]}" for key in args.fields]
+    else:
+        lines = [f"n = {report['n']}, requested order = {report['order_requested']}"]
+        lines += [
+            f"{key}: {report[key]}"
+            for key in ("reality", "levi_nondegenerate", "signature", "integrability",
+                        "pseudospherical", "cross_check", "order_certified")
+            if report[key] is not None
+        ]
+        if report["witness"]:
+            lines.append(f"witness: {report['witness']}")
+        for error in report["errors"]:
+            lines.append(f"error[{error['code']}]: {error['message']}")
+    return report, lines, report_passed(report)
 
 
-def cmd_reality(args) -> int:
-    merged = _merge_input(args)
-    job = _job_from_merged(merged, args, ("reality",))
-    job.checks = ("reality",)
-    report = run(job)
-    _emit(args, report, [f"reality: {report['reality']}"])
-    return 0 if report_passed(report) else 1
-
-
-def cmd_levi(args) -> int:
-    merged = _merge_input(args)
-    job = _job_from_merged(merged, args, ("reality", "levi", "signature"))
-    report = run(job)
-    lines = [
-        f"reality: {report['reality']}",
-        f"levi_nondegenerate: {report['levi_nondegenerate']}",
-        f"signature: {report['signature']}",
-    ]
-    _emit(args, report, lines)
-    return 0 if report_passed(report) else 1
-
-
-def _loaded(merged, args):
-    """The input of a command that runs no checks: a model or a PdeSystem."""
-    job = _job_from_merged(merged, args, ())
-    job.checks = ()
-    return _load(job)
-
-
-def _model(merged, args, command):
-    loaded = _loaded(merged, args)
-    if isinstance(loaded, PdeSystem):
-        raise InputError(f"{command} needs --theta or --graph")
-    return loaded
-
-
-def _system(args) -> PdeSystem:
-    loaded = _loaded(_merge_input(args), args)
-    if isinstance(loaded, PdeSystem):
-        return loaded
-    return derive_associated_system(loaded)
-
-
-def cmd_derive_pde(args) -> int:
-    system = derive_associated_system(_model(_merge_input(args), args, "derive-pde"))
+def cmd_derive_pde(args, model, values):
+    system = derive_associated_system(model)
     payload = {
         "n": system.n,
         "order_certified": system.order,
@@ -450,12 +405,11 @@ def cmd_derive_pde(args) -> int:
     lines += [
         f"F[{key}] = {value}" for key, value in sorted(payload["components"].items())
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, True
 
 
-def cmd_integrability(args) -> int:
-    result = check_complete_integrability(_system(args))
+def cmd_integrability(args, system, values):
+    result = check_complete_integrability(system)
     payload = {
         "integrable": result.ok,
         "checked_order": result.checked_order,
@@ -474,12 +428,11 @@ def cmd_integrability(args) -> int:
         f"{monomial} -> {brief_str(coeff)}"
         for (k1, k2, k3, monomial, coeff) in result.failures
     ]
-    _emit(args, payload, lines)
-    return 0 if result.ok else 1
+    return payload, lines, result.ok
 
 
-def cmd_curvature(args) -> int:
-    verdict = hachtroudi_tensor(_system(args)).verdict()
+def cmd_curvature(args, system, values):
+    verdict = hachtroudi_tensor(system).verdict()
     witness = verdict.witness
     payload = {
         "zero": verdict.vanishes,
@@ -492,28 +445,23 @@ def cmd_curvature(args) -> int:
         else f"nonzero component {witness.component} at {witness.monomial}: "
         f"{brief_str(witness.coefficient)}"
     ]
-    _emit(args, payload, lines)
-    return 0 if verdict.vanishes else 1
+    return payload, lines, verdict.vanishes
 
 
-def cmd_transform(args) -> int:
-    merged = _merge_input(args)
-    model = _model(merged, args, "transform")
+def cmd_transform(args, model, values):
     n, order = model.n, model.order
-    if set(merged["map_z"]) != set(range(1, n + 1)) or not merged.get("map_w"):
+    if set(values["map_z"]) != set(range(1, n + 1)) or not values.get("map_w"):
         raise InputError("transform needs --map-z k=<expr> for each k and --map-w")
     ctx = map_context(n)
-    zmaps = [parse_series(merged["map_z"][k], ctx, order) for k in range(1, n + 1)]
-    wmap = parse_series(merged["map_w"], ctx, order)
-    image = apply_biholomorphism(model, zmaps, wmap)
+    zmaps = [_parse(values["map_z"][k], ctx, order) for k in range(1, n + 1)]
+    image = apply_biholomorphism(model, zmaps, _parse(values["map_w"], ctx, order))
     payload = {
         "n": image.n,
         "order_certified": image.order,
         "theta": image.theta.__str__(brief_str),
         "reality": "pass",  # re-verified during model construction
     }
-    _emit(args, payload, [f"theta' = {payload['theta']}"])
-    return 0
+    return payload, [f"theta' = {payload['theta']}"], True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -523,7 +471,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_maps=False, with_checks=False):
+    # subcommand, handler, whether it needs a model (theta or a graph), and
+    # for reality and levi the checks they always run and the fields they print
+    for name, handler, needs_model, checks, fields in (
+        ("check", cmd_check, False, None, None),
+        ("reality", cmd_check, True, "reality", ("reality",)),
+        ("levi", cmd_check, True, "reality,levi,signature",
+         ("reality", "levi_nondegenerate", "signature")),
+        ("derive-pde", cmd_derive_pde, True, None, None),
+        ("integrability", cmd_integrability, False, None, None),
+        ("curvature", cmd_curvature, False, None, None),
+        ("transform", cmd_transform, True, None, None),
+    ):
+        p = sub.add_parser(name)
         p.add_argument("--n", type=int, help="CR dimension (>= 2)")
         p.add_argument("--order", type=int, help="jet truncation order")
         p.add_argument("--theta", help="defining expression in z*, z*b, wb")
@@ -539,49 +499,36 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--witness", action="store_true", help="include the nonvanishing witness"
         )
-        if with_checks:
-            p.add_argument(
-                "--checks",
-                help=f"comma list from {', '.join(ALL_CHECKS)} (or 'all')",
-            )
-        if with_maps:
-            p.add_argument(
-                "--map-z",
-                action="append",
-                metavar="K=EXPR",
-                help="z-component of the point map (repeatable)",
-            )
-            p.add_argument("--map-w", metavar="EXPR", help="w-component of the map")
-
-    handlers = {}
-    for name, handler, kwargs in (
-        ("check", cmd_check, {"with_checks": True}),
-        ("reality", cmd_reality, {}),
-        ("levi", cmd_levi, {}),
-        ("derive-pde", cmd_derive_pde, {}),
-        ("integrability", cmd_integrability, {}),
-        ("curvature", cmd_curvature, {}),
-        ("transform", cmd_transform, {"with_maps": True}),
-    ):
-        p = sub.add_parser(name)
-        add_common(p, **kwargs)
-        p.set_defaults(handler=handler)
-        handlers[name] = handler
+        p.set_defaults(
+            handler=handler, needs_model=needs_model, checks=checks, fields=fields
+        )
+    sub.choices["check"].add_argument(
+        "--checks", help=f"comma list from {', '.join(ALL_CHECKS)} (or 'all')"
+    )
+    transform = sub.choices["transform"]
+    transform.add_argument(
+        "--map-z",
+        action="append",
+        metavar="K=EXPR",
+        help="z-component of the point map (repeatable)",
+    )
+    transform.add_argument("--map-w", metavar="EXPR", help="w-component of the map")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except (InputError, ParseError, UnsupportedDimensionError, NormalizationError,
-            InsufficientOrderError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        payload, lines, passed = args.handler(args, *_resolve(args))
     except PseudosphereError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _INPUT_ERRORS) else 1
+    if args.json:
+        print(json.dumps(payload, sort_keys=True, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from .errors import (
 from .implicit import solve_formal_system, solve_implicit
 from .matrices import MinorFamily, SeriesMatrix, jacobian_minor_family, scalar_determinant
 from .scalars import GaussianRational, ONE, ZERO, brief_str, gaussian
-from .series import TruncatedSeries, VariableContext, graded_lex
+from .series import TruncatedSeries, VariableContext
 
 
 def canonical_context(n: int) -> VariableContext:
@@ -101,7 +101,7 @@ class LeviData:
 @dataclass(frozen=True)
 class RealityReport:
     ok: bool
-    identity: int | None = None      # 1 or 2 when failing
+    identity: int | None = None      # 1 when failing (see check_reality)
     monomial: str | None = None      # first failing monomial, graded-lex
     discrepancy: GaussianRational | None = None
 
@@ -152,39 +152,38 @@ def conjugate_theta(model: HypersurfaceModel) -> TruncatedSeries:
     The result lives in the context (z1..zn, z1b..znb, w); applying the
     construction twice gives back the original series.
     """
-    return _conjugate(model.theta, model.n)
-
-
-def _conjugate(series: TruncatedSeries, n: int) -> TruncatedSeries:
-    """The map of ``conjugate_theta`` on any series in (z, zb, wb)."""
-    terms = {}
-    for exps, coeff in series.terms.items():
-        terms[exps[n : 2 * n] + exps[:n] + exps[2 * n :]] = coeff.conjugate()
-    return TruncatedSeries(conjugate_context(n), series.order, terms)
+    n = model.n
+    terms = {
+        exps[n : 2 * n] + exps[:n] + exps[2 * n :]: coeff.conjugate()
+        for exps, coeff in model.theta.terms.items()
+    }
+    return TruncatedSeries(conjugate_context(n), model.theta.order, terms)
 
 
 def check_reality(model: HypersurfaceModel) -> RealityReport:
     """Verify wb == thetabar(zb, z, theta) and w == theta(z, zb, thetabar).
 
-    The second identity is the conjugate of the first: the map of
-    ``conjugate_theta`` (conjugate coefficients, swap z <-> zb, wb -> w)
-    takes the first identity's discrepancy to the second's, so one
-    substitution serves both.
+    One substitution decides both, and identity 1 is the one reported.
+    Write sigma for the map of ``conjugate_theta``, phi = theta(z, zb, .)
+    and psi = sigma(phi) = thetabar(zb, z, .).  Identity 2's discrepancy
+    phi o psi - id is sigma(psi o phi - id), identity 1's under sigma, so
+    they vanish together.  If psi o phi = id + E and D is the lowest-degree
+    part of E, of degree d, then since phi(t) = -t + (degree >= 2),
+
+        phi o psi - id = phi o (id + E) o phi^-1 - id = -D(z, zb, -t) + (degree > d),
+
+    so sigma(D) = -D(z, zb, -t) has exactly D's support: both identities
+    fail first at the same graded-lex monomial.
     """
     theta = model.theta
     ctx = theta.context
-    lhs1 = conjugate_theta(model).substitute({"w": theta}, target_context=ctx)
-    diff1 = lhs1 - TruncatedSeries.variable(ctx, lhs1.order, "wb")
-    bad1 = diff1.first_term()
-    if bad1 is None:
+    lhs = conjugate_theta(model).substitute({"w": theta}, target_context=ctx)
+    diff = lhs - TruncatedSeries.variable(ctx, lhs.order, "wb")
+    bad = diff.first_term()
+    if bad is None:
         return RealityReport(ok=True)
-    diff2 = _conjugate(diff1, model.n)
-    bad2 = diff2.first_term()
-    if graded_lex(bad1[0]) <= graded_lex(bad2[0]):
-        exps, coeff = bad1
-        return RealityReport(False, 1, diff1.monomial_text(exps), coeff)
-    exps, coeff = bad2
-    return RealityReport(False, 2, diff2.monomial_text(exps), coeff)
+    exps, coeff = bad
+    return RealityReport(False, 1, diff.monomial_text(exps), coeff)
 
 
 def from_graph(phi: TruncatedSeries, n: int, order: int | None = None) -> HypersurfaceModel:

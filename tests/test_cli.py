@@ -1,8 +1,11 @@
 """Command-line interface: reports, exit codes, file input, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pseudosphere.cli import (
     ALL_CHECKS,
@@ -177,10 +180,31 @@ def test_exit_one_on_witness_with_huge_coefficient(capsys):
     ["check", "--n", "2", "--order", "2", "--theta=" + HEIS, "--checks", "integrability"],
     ["check", "--n", "2", "--order", "1", "--f", "1,1=x2"],
     ["curvature", "--n", "2", "--order", "1", "--f", "1,1=x2"],
+    ["levi", "--n", "2", "--order", "6", "--f", "1,1=x1"],
+    ["reality", "--n", "2", "--order", "6", "--f", "1,1=x1"],
+    ["check", "--n", "2", "--order", "6", "--theta=" + HEIS + " + q1"],
+    ["check", "--n", "2", "--order", "6", "--graph", "x1^2 + w"],
+    ["check", "--n", "2", "--order", "6", "--f", "1,1=z1"],
+    ["transform", "--n", "2", "--order", "6", "--theta=" + HEIS, "--map-z", "1=z1",
+     "--map-z", "2=z2", "--map-w", "w + z1b"],
+    ["check", "--n", "2", "--order", "6", "--theta", "1/wb"],
+    ["transform", "--n", "2", "--order", "6", "--theta=" + HEIS, "--map-z", "1=z1",
+     "--map-z", "2=z2", "--map-w", "w + 1"],
+    ["transform", "--n", "2", "--order", "6", "--theta=" + HEIS, "--map-z", "1=z1",
+     "--map-z", "2=z2", "--map-w", "0"],
+    ["check", "--n", "2", "--order", "6", "--theta=" + HEIS, "--checks", ",,"],
+    ["check", "--n", "2", "--order", "6", "--f", "1,1=x1", "--checks", "reality"],
+    ["check", "--n", "2", "--order", "6", "--f", "1,1x1"],
+    ["transform", "--n", "2", "--order", "6", "--theta=" + HEIS, "--map-z", "a=z1"],
+    ["curvature", "--n", "2", "--order", "5", "--f", "1,2=x1", "--f", "2,1=x2"],
 ], ids=["graph-linear-part", "graph-not-real", "f-index-out-of-range",
         "theta-huge-linear-part", "levi-order-too-low", "derive-pde-order-too-low",
         "integrability-order-too-low", "pde-check-order-too-low",
-        "curvature-order-too-low"])
+        "curvature-order-too-low", "levi-needs-model", "reality-needs-model",
+        "theta-unknown-variable", "graph-unknown-variable", "f-unknown-variable",
+        "map-unknown-variable", "theta-non-unit-divisor", "map-moves-origin",
+        "map-singular", "checks-empty", "checks-none-apply-to-system",
+        "f-malformed", "map-z-malformed", "f-conflicting-pair"])
 def test_exit_two_on_malformed_input(capsys, argv):
     code, _, err = invoke(argv, capsys)
     assert code == 2
@@ -237,6 +261,18 @@ def test_levi_command(capsys):
     )
     assert code == 0
     assert json.loads(out)["signature"] == [1, 1]
+
+
+def test_levi_command_runs_its_own_checks(tmp_path, capsys):
+    # the file's `checks` line selects the tensor, which levi never runs
+    path = tmp_path / "job.psp"
+    path.write_text(
+        f"n = 2\norder = 6\ntheta = {QUARTIC}\nchecks = pseudosphericality\n",
+        encoding="utf-8",
+    )
+    code, out, _ = invoke(["levi", "--input", str(path)], capsys)
+    assert code == 0
+    assert out == "reality: pass\nlevi_nondegenerate: True\nsignature: [2, 0]\n"
 
 
 def test_derive_pde_command(capsys):
@@ -435,3 +471,142 @@ def test_readme_command_line_examples_run(argv, capsys):
     code, out, err = invoke(argv[1:], capsys)
     assert code in (0, 1)
     assert out and not err
+
+
+# ----------------------------------------------------------------------
+# the JSON payload of each subcommand, and a fuzz of every subcommand
+
+REPORT_KEYS = {
+    "n", "order_requested", "order_certified", "reality", "levi_nondegenerate",
+    "signature", "integrability", "pseudospherical", "cross_check", "witness",
+    "timings_ms", "errors",
+}
+MAPS = ["--map-z", "1=z1", "--map-z", "2=z2", "--map-w", "w"]
+
+
+@pytest.mark.parametrize("command, extra, keys", [
+    ("check", [], REPORT_KEYS),
+    ("reality", [], REPORT_KEYS),
+    ("levi", [], REPORT_KEYS),
+    ("derive-pde", [], {"n", "order_certified", "components"}),
+    ("integrability", [], {"integrable", "checked_order", "failures"}),
+    ("curvature", [], {"zero", "order_certified", "witness"}),
+    ("transform", MAPS, {"n", "order_certified", "theta", "reality"}),
+])
+def test_json_payload_keys(capsys, command, extra, keys):
+    code, out, _ = invoke(
+        [command, "--n", "2", "--order", "6", "--theta", QUARTIC, "--json"] + extra,
+        capsys,
+    )
+    assert code in (0, 1)
+    assert set(json.loads(out)) == keys
+
+
+FUZZ_COMMANDS = ["check", "reality", "levi", "derive-pde", "integrability",
+                 "curvature", "transform"]
+FUZZ_NAMES = ["i", "z1", "z2", "z3", "z1b", "z2b", "z3b", "wb", "w", "x1", "x2",
+              "y1", "y2", "v", "y", "yx1", "yx2", "q"]
+# inputs that get past parsing, some of them through every check
+FUZZ_THETAS = [HEIS, QUARTIC, "-wb + z1*z1b - z2*z2b", "-wb + z1*z1b",
+               "-wb + z1*z1b + z2*z2b + z3*z3b", HEIS + " + z1^2*z2b + z2*z1b^2"]
+FUZZ_GRAPHS = ["x1^2 + y1^2 + x2^2 + y2^2", "x1^2 + y1^2 + x2^2 + y2^2 + v*x1^2",
+               "x1^2 + y1^2 - x2^2 - y2^2 + x1^4", "x1^2 + y1^2"]
+FUZZ_SYSTEMS = ["2", "x2", "yx1^2", "x1^2 + y", "yx1*yx2"]
+
+
+def _fuzz_text():
+    atoms = st.one_of(st.integers(0, 3).map(str), st.sampled_from(FUZZ_NAMES))
+    binary = st.sampled_from(["+", "-", "*", "/"])
+    return st.recursive(
+        atoms,
+        lambda inner: st.one_of(
+            st.tuples(inner, binary, inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            st.tuples(inner, st.integers(0, 3)).map(lambda t: f"{t[0]}^{t[1]}"),
+            inner.map(lambda e: f"-{e}"),
+        ),
+        max_leaves=5,
+    )
+
+
+FUZZ_TEXT = _fuzz_text()
+
+
+def _fuzz_expressions(pool):
+    """A pool entry, a pool entry plus random terms, random text or garbage."""
+    return st.one_of(
+        st.sampled_from(pool),
+        st.sampled_from(pool),
+        st.tuples(st.sampled_from(pool), FUZZ_TEXT).map(" + ".join),
+        st.one_of(FUZZ_TEXT, st.text("z1b+-*/^() 2", max_size=8)),
+    )
+
+
+INDEX = st.integers(0, 3).map(str)
+CHECK_NAMES = st.sampled_from(list(ALL_CHECKS) + ["all", "bogus", ""])
+
+
+@st.composite
+def cli_invocations(draw):
+    """(argv, input file text or None) for one random subcommand call."""
+    command = draw(st.sampled_from(FUZZ_COMMANDS))
+    argv = [command]
+    # most draws are well formed, so that the checks themselves run often
+    for flag, values in (("--n", ["2"] * 6 + ["3"] * 3 + ["1", None]),
+                         ("--order", ["6"] * 6 + ["5"] * 3 + ["4", "2", "0", None])):
+        value = draw(st.sampled_from(values))
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    for flag in draw(st.sampled_from([["--theta"], ["--theta"], ["--graph"], ["--f"],
+                                      ["--f", "--f"], ["--theta", "--f"],
+                                      ["--graph", "--theta"], []])):
+        if flag == "--theta":
+            argv.append(f"--theta={draw(_fuzz_expressions(FUZZ_THETAS))}")
+        elif flag == "--graph":
+            argv.append(f"--graph={draw(_fuzz_expressions(FUZZ_GRAPHS))}")
+        else:
+            k1, k2 = draw(st.sampled_from(["1", "1", "2", "0", "3"])), draw(INDEX)
+            argv.append(f"--f={k1},{k2}={draw(_fuzz_expressions(FUZZ_SYSTEMS))}")
+    if command == "check" and draw(st.booleans()):
+        argv.append("--checks=" + ",".join(draw(st.lists(CHECK_NAMES, max_size=3))))
+    if command == "transform":
+        # near-identity maps, so that some of them are admissible
+        perturbation = st.one_of(st.just(""), FUZZ_TEXT.map(" + ".__add__))
+        for k in draw(st.sampled_from([["1", "2"], ["1", "2"], ["1", "2", "3"], ["1"],
+                                       ["0", "x"]])):
+            argv.append(f"--map-z={k}=z{k}{draw(perturbation)}")
+        if draw(st.integers(0, 3)):
+            argv.append(f"--map-w=w{draw(perturbation)}")
+    argv += [flag for flag in ("--json", "--witness") if draw(st.booleans())]
+    lines = st.one_of(
+        st.tuples(
+            st.sampled_from(["n", "order", "checks", "checks", "theta", "graph", "f[1,1]",
+                             "f[1,x]", "map_z[1]", "map_w", "bogus"]),
+            st.one_of(st.integers(2, 6).map(str), CHECK_NAMES, FUZZ_TEXT),
+        ).map(" = ".join),
+        st.text("n=1 #\n", max_size=6),
+    )
+    text = draw(st.one_of(st.none(), st.none(), st.none(),
+                          st.lists(lines, max_size=4).map("\n".join)))
+    return argv, text
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_invocations())
+def test_cli_fuzz_exits_cleanly(tmp_path_factory, invocation):
+    argv, text = invocation
+    if text is not None:
+        path = tmp_path_factory.getbasetemp() / "fuzz.psp"
+        path.write_text(text, encoding="utf-8")
+        argv = argv + ["--input", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    # a report on stdout, or else one error line (a failed computation
+    # can also end in exit 1 that way)
+    assert out or err.startswith("error: ")
+    if code == 2:
+        assert not out
+    if out and "--json" in argv:
+        json.loads(out)

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import pseudosphere as ps
 from pseudosphere import TruncatedSeries
@@ -16,7 +16,7 @@ from pseudosphere.errors import (
     RealityError,
     UnsupportedDimensionError,
 )
-from pseudosphere.hypersurface import hermitian_signature, levi_matrix
+from pseudosphere.hypersurface import conjugate_context, hermitian_signature, levi_matrix
 from pseudosphere.scalars import GaussianRational, gaussian
 from pseudosphere.series import graded_lex
 
@@ -106,7 +106,7 @@ def test_check_reality_reports_first_failure():
     bad = ps.HypersurfaceModel(n=2, order=6, theta=theta)
     report = ps.check_reality(bad)
     assert not report.ok
-    assert report.identity in (1, 2)
+    assert report.identity == 1
     assert report.monomial is not None
 
 
@@ -130,14 +130,12 @@ def reference_check_reality(model):
     return ps.RealityReport(False, 2, diff2.monomial_text(exps), coeff)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from([2, 3]), st.integers(3, 5), st.booleans(),
-       st.randoms(use_true_random=False))
-def test_check_reality_matches_two_substitutions(n, order, paired, rng):
-    # random normalized thetas; with ``paired`` each term comes with its
-    # conjugate partner, which makes a rigid theta pass
+def random_theta(n, order, paired, rng, degrees=(2, 3)):
+    """A normalized theta with 1-4 random terms of the given degrees; with
+    ``paired`` each term comes with its conjugate partner, which makes a
+    rigid theta pass."""
     ctx = ps.canonical_context(n)
-    monos = [e for e in itertools.product(range(3), repeat=ctx.arity) if 2 <= sum(e) <= 3]
+    monos = [e for e in itertools.product(range(3), repeat=ctx.arity) if sum(e) in degrees]
     terms = {(0,) * (2 * n) + (1,): gaussian(-1)}  # -wb
     for _ in range(rng.randint(1, 4)):
         exps = rng.choice(monos)
@@ -146,9 +144,39 @@ def test_check_reality_matches_two_substitutions(n, order, paired, rng):
         if paired:
             mirror = exps[n : 2 * n] + exps[:n] + exps[2 * n :]
             terms[mirror] = terms.get(mirror, gaussian(0)) + coeff.conjugate()
-    theta = TruncatedSeries(ctx, order, {e: c for e, c in terms.items() if c})
-    model = ps.HypersurfaceModel(n=n, order=order, theta=theta)
+    return TruncatedSeries(ctx, order, {e: c for e, c in terms.items() if c})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(3, 5), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_check_reality_matches_two_substitutions(n, order, paired, rng):
+    model = ps.HypersurfaceModel(n=n, order=order, theta=random_theta(n, order, paired, rng))
     assert ps.check_reality(model) == reference_check_reality(model)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(3, 6), st.sampled_from([2, 3, 4]),
+       st.randoms(use_true_random=False))
+def test_reality_discrepancy_is_conjugate_to_its_reflection(n, order, degree, rng):
+    # why check_reality reports identity 1 only: if D is the lowest-degree
+    # part of identity 1's discrepancy, the conjugation map of
+    # conjugate_theta sends D to -D(z, zb, -t), which has D's support
+    theta = random_theta(n, order, True, rng, degrees=(2, 3, 4))
+    ctx = theta.context
+    exps = rng.choice([e for e in itertools.product(range(3), repeat=ctx.arity) if sum(e) == degree])
+    theta = theta + TruncatedSeries(ctx, order, {exps: rng.choice(COEFF_POOL)})
+    model = ps.HypersurfaceModel(n=n, order=order, theta=theta)
+    lhs = ps.conjugate_theta(model).substitute({"w": theta}, target_context=ctx)
+    diff = lhs - TruncatedSeries.variable(ctx, lhs.order, "wb")
+    first = diff.first_term()
+    assume(first is not None)
+    lowest = diff.homogeneous_part(sum(first[0]))
+    conjugated = ps.conjugate_theta(
+        ps.HypersurfaceModel(n=n, order=diff.order, theta=TruncatedSeries(ctx, diff.order, lowest))
+    )
+    reflected = {e: c if e[-1] % 2 else -c for e, c in lowest.items()}
+    assert conjugated == TruncatedSeries(conjugate_context(n), diff.order, reflected)
 
 
 # ----------------------------------------------------------------------
