@@ -24,7 +24,7 @@ from .errors import (
     UnknownVariableError,
     UnsupportedDimensionError,
 )
-from .expressions import evaluate, parse, parse_series, render
+from .expressions import parse_series
 from .flatness import (
     CrossCheckReport,
     FlatnessTensor,
@@ -114,7 +114,6 @@ __all__ = [
     "conjugate_theta",
     "cross_check",
     "derive_associated_system",
-    "evaluate",
     "from_graph",
     "fundamental_context",
     "fundamental_minors",
@@ -130,12 +129,10 @@ __all__ = [
     "make_model",
     "map_context",
     "minors",
-    "parse",
     "parse_series",
     "pde_context",
     "plucker_check",
     "recover_system_from_solution",
-    "render",
     "solve_formal_system",
     "solve_implicit",
     "total_derivative",

@@ -224,28 +224,22 @@ def run(job: JobSpec) -> dict:
             if "signature" in job.checks:
                 report["signature"] = list(data.signature)
         if "integrability" in job.checks:
-            try:
-                integrability = timed(
-                    "integrability",
-                    lambda: check_complete_integrability(derive_associated_system(model)),
-                )
-                report["integrability"] = "pass" if integrability.ok else "fail"
-            except LeviDegenerateError as exc:
-                report["integrability"] = "unavailable"
-                report["errors"].append({"code": "levi_degenerate", "message": str(exc)})
+            integrability = timed(
+                "integrability",
+                lambda: check_complete_integrability(derive_associated_system(model)),
+            )
+            report["integrability"] = "pass" if integrability.ok else "fail"
         if "pseudosphericality" in job.checks:
             record(timed("tensor", lambda: is_pseudospherical(model)))
+        if "cross-check" in job.checks:
+            result = timed("cross_check", lambda: cross_check(model))
+            report["cross_check"] = "pass" if result.ok else "fail"
+            if report["order_certified"] is None:
+                report["order_certified"] = result.certified_order
     except LeviDegenerateError as exc:
+        # every stage below needs the Levi family; the first to build it fails
         report["levi_nondegenerate"] = False
         report["errors"].append({"code": "levi_degenerate", "message": str(exc)})
-        return report
-
-    if "cross-check" in job.checks:
-        result = timed("cross_check", lambda: cross_check(model))
-        report["cross_check"] = "pass" if result.ok else "fail"
-        if report["order_certified"] is None:
-            report["order_certified"] = result.certified_order
-
     return report
 
 

@@ -6,69 +6,21 @@ identifiers (``z1``, ``z1b``, ``wb``, ``x1``, ``y``, ``yx1``, ``a1``,
 a nonnegative integer literal exponent, and parentheses.  ``^`` binds
 tightest, then ``* /``, then ``+ -``; the binary operators associate to
 the left.  Rationals are written as quotients, e.g. ``3/2``.
+
+Parsing evaluates directly: each rule of the Pratt parser returns the
+exact series of the text it consumed, and no syntax tree is built.  The
+whole text is tokenized first, so an unknown character is reported
+before anything is evaluated; an unknown variable or a non-unit divisor
+is reported where it is met, before any later syntax error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 
 from .errors import NonUnitError, ParseError
 from .scalars import I as IMAG_UNIT
 from .series import TruncatedSeries, VariableContext
-
-
-# ----------------------------------------------------------------------
-# AST
-
-
-@dataclass(frozen=True)
-class Number:
-    value: int
-
-
-@dataclass(frozen=True)
-class ImaginaryUnit:
-    pass
-
-
-@dataclass(frozen=True)
-class Variable:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-
-
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Div:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
 
 
 # ----------------------------------------------------------------------
@@ -109,16 +61,31 @@ def _tokenize(text: str):
 
 
 # ----------------------------------------------------------------------
-# Pratt parser
+# Pratt parser, evaluating as it parses
+
+
+def _divide(numerator: TruncatedSeries, denominator: TruncatedSeries) -> TruncatedSeries:
+    if not denominator.constant_term():
+        raise NonUnitError("division by a series with zero constant term")
+    return numerator * denominator.invert_unit()
+
 
 _BINARY_PRECEDENCE = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 _UNARY_MINUS_PRECEDENCE = 15
+_BINARY_OPERATION = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _divide,
+}
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, context: VariableContext, order: int):
         self.tokens = _tokenize(text)
         self.index = 0
+        self.context = context
+        self.order = order
 
     def peek(self):
         return self.tokens[self.index]
@@ -134,42 +101,35 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {token[1]!r}", token[2])
         return token
 
-    def parse_expression(self, min_precedence=0):
-        node = self.parse_prefix()
+    def parse_expression(self, min_precedence=0) -> TruncatedSeries:
+        series = self.parse_prefix()
         while True:
-            kind, _, position = self.peek()
+            kind = self.peek()[0]
             precedence = _BINARY_PRECEDENCE.get(kind)
             if precedence is None or precedence < min_precedence:
-                return node
+                return series
             self.advance()
             if kind == "^":
-                node = Pow(node, self.parse_exponent())
+                series = series ** self.parse_exponent()
                 continue
             # left associative: the right operand binds one level tighter
             right = self.parse_expression(precedence + 1)
-            if kind == "+":
-                node = Add(node, right)
-            elif kind == "-":
-                node = Sub(node, right)
-            elif kind == "*":
-                node = Mul(node, right)
-            else:
-                node = Div(node, right)
+            series = _BINARY_OPERATION[kind](series, right)
 
-    def parse_prefix(self):
+    def parse_prefix(self) -> TruncatedSeries:
         kind, value, position = self.advance()
         if kind == "int":
-            return Number(value)
+            return TruncatedSeries.constant(self.context, self.order, value)
         if kind == "ident":
             if value == "i":
-                return ImaginaryUnit()
-            return Variable(value)
+                return TruncatedSeries.constant(self.context, self.order, IMAG_UNIT)
+            return TruncatedSeries.variable(self.context, self.order, value)
         if kind == "-":
-            return Neg(self.parse_expression(_UNARY_MINUS_PRECEDENCE))
+            return -self.parse_expression(_UNARY_MINUS_PRECEDENCE)
         if kind == "(":
-            node = self.parse_expression()
+            series = self.parse_expression()
             self.expect(")")
-            return node
+            return series
         raise ParseError(f"unexpected token {value!r}", position)
 
     def parse_exponent(self) -> int:
@@ -181,69 +141,13 @@ class _Parser:
         return value
 
 
-def parse(text: str):
-    """Parse an expression into its AST; raises ParseError with position."""
-    parser = _Parser(text)
-    node = parser.parse_expression()
+def parse_series(text: str, context: VariableContext, order: int) -> TruncatedSeries:
+    """The exact series of an expression in ``context``, truncated at
+    ``order``.  Raises ParseError (with the 0-based position),
+    UnknownVariableError or NonUnitError."""
+    parser = _Parser(text, context, order)
+    series = parser.parse_expression()
     kind, value, position = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing token {value!r}", position)
-    return node
-
-
-# ----------------------------------------------------------------------
-# evaluation
-
-
-def evaluate(ast, context: VariableContext, order: int) -> TruncatedSeries:
-    """Evaluate an AST to an exact series in the given context."""
-    if isinstance(ast, Number):
-        return TruncatedSeries.constant(context, order, ast.value)
-    if isinstance(ast, ImaginaryUnit):
-        return TruncatedSeries.constant(context, order, IMAG_UNIT)
-    if isinstance(ast, Variable):
-        return TruncatedSeries.variable(context, order, ast.name)
-    if isinstance(ast, Neg):
-        return -evaluate(ast.operand, context, order)
-    if isinstance(ast, Add):
-        return evaluate(ast.left, context, order) + evaluate(ast.right, context, order)
-    if isinstance(ast, Sub):
-        return evaluate(ast.left, context, order) - evaluate(ast.right, context, order)
-    if isinstance(ast, Mul):
-        return evaluate(ast.left, context, order) * evaluate(ast.right, context, order)
-    if isinstance(ast, Div):
-        numerator = evaluate(ast.left, context, order)
-        denominator = evaluate(ast.right, context, order)
-        if not denominator.constant_term():
-            raise NonUnitError("division by a series with zero constant term")
-        return numerator * denominator.invert_unit()
-    if isinstance(ast, Pow):
-        return evaluate(ast.base, context, order) ** ast.exponent
-    raise TypeError(f"not an expression node: {ast!r}")
-
-
-def parse_series(text: str, context: VariableContext, order: int) -> TruncatedSeries:
-    return evaluate(parse(text), context, order)
-
-
-def render(ast) -> str:
-    """Deterministic text for an AST, fully parenthesized where needed."""
-    if isinstance(ast, Number):
-        return str(ast.value)
-    if isinstance(ast, ImaginaryUnit):
-        return "i"
-    if isinstance(ast, Variable):
-        return ast.name
-    if isinstance(ast, Neg):
-        return f"-({render(ast.operand)})"
-    if isinstance(ast, Add):
-        return f"({render(ast.left)} + {render(ast.right)})"
-    if isinstance(ast, Sub):
-        return f"({render(ast.left)} - {render(ast.right)})"
-    if isinstance(ast, Mul):
-        return f"({render(ast.left)} * {render(ast.right)})"
-    if isinstance(ast, Div):
-        return f"({render(ast.left)} / {render(ast.right)})"
-    if isinstance(ast, Pow):
-        return f"({render(ast.base)})^{ast.exponent}"
-    raise TypeError(f"not an expression node: {ast!r}")
+    return series

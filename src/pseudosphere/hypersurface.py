@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
+    InsufficientOrderError,
     LeviDegenerateError,
     NonInvertibleMapError,
     NormalizationError,
@@ -110,8 +111,8 @@ def make_model(n: int, theta: TruncatedSeries, order: int | None = None) -> Hype
     """Validate and wrap a defining series.
 
     Checks, in this sequence: the dimension bound n >= 2, the canonical
-    context, the normalization theta = -wb + O(2), and both reality
-    identities through the guaranteed order.
+    context, order >= 1, the normalization theta = -wb + O(2), and both
+    reality identities through the guaranteed order.
     """
     if n < 2:
         raise UnsupportedDimensionError(f"CR dimension must be >= 2, got {n}")
@@ -122,6 +123,10 @@ def make_model(n: int, theta: TruncatedSeries, order: int | None = None) -> Hype
         )
     if order is None:
         order = theta.order
+    if order < 1:
+        raise InsufficientOrderError(
+            f"a model needs order >= 1 to fix its linear part, got {order}"
+        )
     theta = theta.truncate(order)
 
     if theta.constant_term():
@@ -203,6 +208,10 @@ def from_graph(phi: TruncatedSeries, n: int, order: int | None = None) -> Hypers
         )
     if order is None:
         order = phi.order
+    if order < 1:
+        raise InsufficientOrderError(
+            f"a model needs order >= 1 to fix its linear part, got {order}"
+        )
     phi = phi.truncate(order)
     for exps, coeff in phi.terms.items():
         if coeff.im:
@@ -231,11 +240,8 @@ def from_graph(phi: TruncatedSeries, n: int, order: int | None = None) -> Hypers
     equation = (var("w") + var("wb")).scale(half) - phi.substitute(
         assignment, target_context=big
     )
-    try:
-        solution = solve_formal_system([equation], ["w"], order=order)
-    except SingularJacobianError as exc:  # cannot happen for valid phi
-        raise NotGraphableError(str(exc)) from exc
-    theta = solution["w"].rename_context(ctx)
+    # at order >= 1 the w-derivative of the equation at 0 is 1/2
+    theta = solve_formal_system([equation], ["w"], order=order)["w"].rename_context(ctx)
     return make_model(n, theta, order)
 
 

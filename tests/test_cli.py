@@ -57,6 +57,30 @@ def test_run_levi_degenerate():
     assert not report_passed(report)
 
 
+@pytest.mark.parametrize("checks", [
+    "cross-check", "integrability,pseudosphericality", "integrability", "all",
+])
+def test_levi_degenerate_recorded_once(capsys, checks):
+    code, out, _ = invoke(["check", "--n", "2", "--order", "6", "--theta=-wb + z1*z1b",
+                           "--checks", checks, "--json"], capsys)
+    report = json.loads(out)
+    assert code == 1
+    assert report["levi_nondegenerate"] is False
+    assert [error["code"] for error in report["errors"]] == ["levi_degenerate"]
+    for key in ("signature", "integrability", "pseudospherical", "cross_check",
+                "order_certified", "witness"):
+        assert report[key] is None, key
+
+
+def test_run_cross_check_only_certifies_its_order():
+    job = JobSpec(n=2, order=6, kind="theta", theta_text=QUARTIC, checks=("cross-check",))
+    report = run(job)
+    assert report["cross_check"] == "pass"
+    assert report["pseudospherical"] is None
+    assert report["order_certified"] == 2
+    assert report_passed(report)
+
+
 def test_run_mixed_signature():
     job = JobSpec(n=2, order=8, kind="theta", theta_text="-wb + z1*z1b - z2*z2b")
     report = run(job)
@@ -197,6 +221,8 @@ def test_exit_one_on_witness_with_huge_coefficient(capsys):
     ["check", "--n", "2", "--order", "6", "--f", "1,1x1"],
     ["transform", "--n", "2", "--order", "6", "--theta=" + HEIS, "--map-z", "a=z1"],
     ["curvature", "--n", "2", "--order", "5", "--f", "1,2=x1", "--f", "2,1=x2"],
+    ["check", "--n", "2", "--order", "0", "--graph", "x1^2", "--checks", "reality"],
+    ["check", "--n", "2", "--order", "0", "--theta=-wb", "--checks", "reality"],
 ], ids=["graph-linear-part", "graph-not-real", "f-index-out-of-range",
         "theta-huge-linear-part", "levi-order-too-low", "derive-pde-order-too-low",
         "integrability-order-too-low", "pde-check-order-too-low",
@@ -204,7 +230,8 @@ def test_exit_one_on_witness_with_huge_coefficient(capsys):
         "theta-unknown-variable", "graph-unknown-variable", "f-unknown-variable",
         "map-unknown-variable", "theta-non-unit-divisor", "map-moves-origin",
         "map-singular", "checks-empty", "checks-none-apply-to-system",
-        "f-malformed", "map-z-malformed", "f-conflicting-pair"])
+        "f-malformed", "map-z-malformed", "f-conflicting-pair", "graph-order-zero",
+        "theta-order-zero"])
 def test_exit_two_on_malformed_input(capsys, argv):
     code, _, err = invoke(argv, capsys)
     assert code == 2

@@ -1,76 +1,71 @@
-"""Expression grammar: parsing, precedence, evaluation, round trips."""
+"""Expression grammar: precedence, associativity, errors, round trips."""
 
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import pseudosphere as ps
+from pseudosphere import TruncatedSeries
 from pseudosphere.errors import NonUnitError, ParseError, UnknownVariableError
-from pseudosphere.expressions import (
-    Add,
-    Div,
-    ImaginaryUnit,
-    Mul,
-    Neg,
-    Number,
-    Pow,
-    Sub,
-    Variable,
-    evaluate,
-    parse,
-    render,
-)
-from pseudosphere.scalars import GaussianRational
+from pseudosphere.scalars import I, GaussianRational
 
 CTX = ps.canonical_context(2)
 
 
-def test_parse_heisenberg_ast():
-    ast = parse("-wb + z1*z1b + z2*z2b")
-    assert ast == Add(
-        Add(Neg(Variable("wb")), Mul(Variable("z1"), Variable("z1b"))),
-        Mul(Variable("z2"), Variable("z2b")),
-    )
-
-
-def test_parse_div_node():
-    ast = parse("1/(1 - z1)")
-    assert isinstance(ast, Div)
-    assert ast.left == Number(1)
-
-
-def test_parse_nested_pow_mul():
-    ast = parse("(3/2 + 1/2*i)*z1^2*wb")
-    assert isinstance(ast, Mul)
-    assert isinstance(ast.left, Mul)
-    assert ast.left.right == Pow(Variable("z1"), 2)
+def value(text, order=4):
+    return ps.parse_series(text, CTX, order)
 
 
 def test_precedence_pow_binds_tightest():
-    assert parse("-z1^2") == Neg(Pow(Variable("z1"), 2))
-    assert parse("2*z1^2") == Mul(Number(2), Pow(Variable("z1"), 2))
+    # -(z1^2), not (-z1)^2; 2*(z1^2), not (2*z1)^2
+    assert value("-z1^2").coefficient_of(z1=2) == GaussianRational(-1)
+    assert value("2*z1^2").coefficient_of(z1=2) == GaussianRational(2)
+    assert value("-2^2") == value("0 - 4")
+    assert value("1 + 2*3") == value("7")
 
 
 def test_left_associativity():
-    assert parse("1 - 2 - 3") == Sub(Sub(Number(1), Number(2)), Number(3))
-    assert parse("8/2/2") == Div(Div(Number(8), Number(2)), Number(2))
+    assert value("1 - 2 - 3") == value("0 - 4")
+    assert value("8/2/2") == value("2")
+    assert value("6/2*3") == value("9")
+    assert value("z1^2^3", 6) == value("z1^6", 6)
 
 
 def test_syntax_errors_carry_position():
-    with pytest.raises(ParseError) as excinfo:
-        parse("z1 + ")
-    assert excinfo.value.position == 5
-    with pytest.raises(ParseError) as excinfo:
-        parse("z1 @ z2")
-    assert excinfo.value.position == 3
+    for text, position in [
+        ("z1 + ", 5),      # unexpected token None
+        ("z1 @ z2", 3),    # unknown character
+        ("(z1 + z2", 8),   # expected ')'
+        ("z1 z2", 3),      # unexpected trailing token
+        ("z1^z2", 3),      # exponent not an integer literal
+    ]:
+        with pytest.raises(ParseError) as excinfo:
+            value(text)
+        assert excinfo.value.position == position, text
+        assert str(excinfo.value).endswith(f"(at position {position})")
 
 
 def test_pow_requires_integer_literal():
     with pytest.raises(ParseError):
-        parse("z1^z2")
+        value("z1^z2")
     with pytest.raises(ParseError):
-        parse("z1^(2)")
+        value("z1^(2)")
+
+
+def test_errors_reported_in_text_order():
+    # the text is tokenized before anything is evaluated, but evaluation
+    # runs as it parses: an unknown variable or a non-unit divisor ahead
+    # of a syntax error is the error reported
+    with pytest.raises(ParseError):
+        value("q1 @ z1")
+    with pytest.raises(UnknownVariableError):
+        value("q1 + ")
+    with pytest.raises(NonUnitError):
+        value("1/z1 + )")
+    with pytest.raises(ParseError):
+        value("z1 + ) + q1")
 
 
 def test_evaluate_heisenberg():
@@ -96,6 +91,7 @@ def test_evaluate_rational_coefficient():
     assert series.coefficient_of(z1=2, wb=1) == GaussianRational(
         Fraction(3, 2), Fraction(1, 2)
     )
+    assert len(series.terms) == 1
 
 
 def test_evaluate_undeclared_variable():
@@ -118,46 +114,58 @@ def test_precedence_property(rng):
 
 
 # ----------------------------------------------------------------------
-# round-trip property: render(ast) re-parses to the same AST value, and
-# the printed series re-parses to the same series
+# round-trip property: fully parenthesized text parses to the series
+# built from it with series operators, and the printed series re-parses
+# to the same series
+
+ORDER = 4
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 @st.composite
-def expression_asts(draw, depth=0):
+def texts_with_series(draw, depth=0):
     if depth >= 3:
         choices = ["number", "var", "i"]
     else:
-        choices = ["number", "var", "i", "neg", "add", "sub", "mul", "pow", "div"]
+        choices = ["number", "var", "i", "neg", "binary", "pow", "div", "div-unit"]
     kind = draw(st.sampled_from(choices))
     if kind == "number":
-        return Number(draw(st.integers(0, 9)))
+        number = draw(st.integers(0, 9))
+        return str(number), TruncatedSeries.constant(CTX, ORDER, number)
     if kind == "var":
-        return Variable(draw(st.sampled_from(list(CTX.names))))
+        name = draw(st.sampled_from(list(CTX.names)))
+        return name, TruncatedSeries.variable(CTX, ORDER, name)
     if kind == "i":
-        return ImaginaryUnit()
+        return "i", TruncatedSeries.constant(CTX, ORDER, I)
+    text, series = draw(texts_with_series(depth=depth + 1))
     if kind == "neg":
-        return Neg(draw(expression_asts(depth=depth + 1)))
-    child = expression_asts(depth=depth + 1)
-    if kind == "add":
-        return Add(draw(child), draw(child))
-    if kind == "sub":
-        return Sub(draw(child), draw(child))
-    if kind == "mul":
-        return Mul(draw(child), draw(child))
+        return f"-({text})", -series
     if kind == "pow":
-        return Pow(draw(child), draw(st.integers(0, 3)))
-    # division only by a nonzero integer literal keeps evaluation total
-    return Div(draw(child), Number(draw(st.integers(1, 9))))
+        exponent = draw(st.integers(0, 3))
+        return f"({text})^{exponent}", series ** exponent
+    if kind == "div":
+        # by a nonzero integer literal: a scaling
+        divisor = draw(st.integers(1, 9))
+        return f"({text} / {divisor})", series.scale(Fraction(1, divisor))
+    if kind == "div-unit":
+        # by 1 - v: a product with the geometric series in v
+        name = draw(st.sampled_from(list(CTX.names)))
+        v = TruncatedSeries.variable(CTX, ORDER, name)
+        geometric = TruncatedSeries.zero(CTX, ORDER)
+        for k in range(ORDER + 1):
+            geometric = geometric + v ** k
+        return f"({text} / (1 - {name}))", series * geometric
+    symbol = draw(st.sampled_from(sorted(_BINARY)))
+    right_text, right = draw(texts_with_series(depth=depth + 1))
+    return f"({text} {symbol} {right_text})", _BINARY[symbol](series, right)
 
 
 @settings(max_examples=80, deadline=None)
-@given(expression_asts())
-def test_render_parse_evaluate_round_trip(ast):
-    text = render(ast)
-    reparsed = parse(text)
-    direct = evaluate(ast, CTX, 4)
-    again = evaluate(reparsed, CTX, 4)
-    assert direct == again
-    # pretty-printed series re-parses to an equal series
-    printed = str(direct)
-    assert ps.parse_series(printed, CTX, 4) == direct
+@given(texts_with_series())
+def test_parenthesized_text_round_trip(drawn):
+    text, expected = drawn
+    parsed = ps.parse_series(text, CTX, ORDER)
+    assert parsed == expected
+    assert parsed.order == expected.order
+    printed = ps.parse_series(str(expected), CTX, ORDER)
+    assert printed == expected

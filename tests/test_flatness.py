@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pseudosphere as ps
-from pseudosphere import PdeSystem
+from pseudosphere import PdeSystem, pde as pde_module
 from pseudosphere.errors import InsufficientOrderError, LeviDegenerateError
 from pseudosphere.scalars import gaussian
 
@@ -355,6 +355,25 @@ def test_both_routes_vanish_on_all_sign_patterns(n):
         assert report.ok, (n, signs)
         assert report.direct.is_zero()
         assert all(series.is_zero() for series in report.transported.values())
+
+
+def test_cross_check_reports_a_perturbed_transported_route():
+    # the oracle's failure path: a wrong derived system, planted in the
+    # model's memo, must make the two routes disagree
+    theta = ps.parse_series("-wb + z1*z1b + z2*z2b + z1^2*z1b^2", CTX, 7)
+    model = ps.make_model(2, theta, 7)
+    system = ps.derive_associated_system(model)
+    components = {key: system.component(*key) for key in system.component_keys()}
+    components[(1, 1)] += ps.parse_series("yx1^2*yx2^2", ps.pde_context(2), system.order)
+    model._memo[pde_module.derive_associated_system.__wrapped__] = PdeSystem(
+        2, system.order, components
+    )
+    report = ps.cross_check(model)
+    assert not report.ok
+    assert report.certified_order == 3
+    assert report.mismatches[0] == (
+        (1, 1, 1, 1), "z2b^2", gaussian(0), gaussian(Fraction(-1, 3))
+    )
 
 
 def test_cross_check_n3_nonzero_tensor():

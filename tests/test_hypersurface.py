@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 import pseudosphere as ps
 from pseudosphere import TruncatedSeries
 from pseudosphere.errors import (
+    InsufficientOrderError,
     LeviDegenerateError,
     NonInvertibleMapError,
     NormalizationError,
@@ -56,6 +57,18 @@ def test_normalization_violations_rejected():
         model_from("-wb + z1 + z1*z1b")  # stray linear term
     with pytest.raises(NormalizationError):
         model_from("1 - wb + z1*z1b")  # constant term
+
+
+def test_order_zero_rejected():
+    # an order-0 series has no linear part to normalize or to solve for w
+    with pytest.raises(InsufficientOrderError):
+        model_from("-wb", order=0)
+    gctx = ps.graph_context(2)
+    with pytest.raises(InsufficientOrderError):
+        ps.from_graph(ps.parse_series("x1^2", gctx, 0), 2, 0)
+    assert model_from("-wb", order=1).theta == ps.parse_series("-wb", CTX, 1)
+    graphed = ps.from_graph(ps.parse_series("x1^2", gctx, 1), 2, 1)
+    assert graphed.theta == ps.parse_series("-wb", CTX, 1)
 
 
 def test_dimension_guard():
