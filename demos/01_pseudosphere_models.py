@@ -46,7 +46,6 @@ try:
 except ps.RealityError as exc:
     print("reality violation:", exc)
 try:
-    ps.levi(ps.HypersurfaceModel(n=2, order=5,
-                                 theta=ps.parse_series("-wb + z1*z1b", ctx, 5)))
+    ps.levi(ps.HypersurfaceModel(n=2, theta=ps.parse_series("-wb + z1*z1b", ctx, 5)))
 except ps.LeviDegenerateError as exc:
     print("degenerate Levi form:", exc)

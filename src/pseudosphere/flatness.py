@@ -277,14 +277,9 @@ class PseudosphericalVerdict:
         )
 
 
-def is_pseudospherical(model: HypersurfaceModel, order: int | None = None) -> PseudosphericalVerdict:
+def is_pseudospherical(model: HypersurfaceModel) -> PseudosphericalVerdict:
     """Evaluate the flatness tensor and report vanishing to jet order.
 
-    ``order`` selects the working jet order of theta (default: the
-    model's own order); the verdict is certified to ``order - 4``.
+    The verdict is certified to the model's order minus 4.
     """
-    if order is not None and order != model.order:
-        from .hypersurface import make_model
-
-        model = make_model(model.n, model.theta.truncate(order), order)
     return main_theorem_tensor(model).verdict()

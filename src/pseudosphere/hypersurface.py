@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .implicit import solve_formal_system, solve_implicit
-from .matrices import MinorFamily, SeriesMatrix, jacobian_minor_family, scalar_determinant
+from .matrices import MinorFamily, SeriesMatrix, jacobian_minor_family
 from .scalars import GaussianRational, ONE, ZERO, brief_str, gaussian
 from .series import TruncatedSeries, VariableContext
 
@@ -60,20 +60,23 @@ def map_context(n: int) -> VariableContext:
 
 @dataclass(frozen=True)
 class HypersurfaceModel:
-    """A validated defining function theta with its dimension and order.
+    """A validated defining function theta with its dimension.
 
     Objects derived from theta by the ``per_model`` functions are kept in
     the model's memo, so each is computed once for the model's lifetime.
     """
 
     n: int
-    order: int
     theta: TruncatedSeries
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def context(self) -> VariableContext:
         return self.theta.context
+
+    @property
+    def order(self) -> int:
+        return self.theta.order
 
 
 def per_model(fn):
@@ -139,7 +142,7 @@ def make_model(n: int, theta: TruncatedSeries, order: int | None = None) -> Hype
                 f"linear part must be exactly -wb; coefficient of {name} is {brief_str(coeff)}"
             )
 
-    model = HypersurfaceModel(n=n, order=order, theta=theta)
+    model = HypersurfaceModel(n=n, theta=theta)
     report = check_reality(model)
     if not report.ok:
         raise RealityError(
@@ -241,7 +244,7 @@ def from_graph(phi: TruncatedSeries, n: int, order: int | None = None) -> Hypers
         assignment, target_context=big
     )
     # at order >= 1 the w-derivative of the equation at 0 is 1/2
-    theta = solve_formal_system([equation], ["w"], order=order)["w"].rename_context(ctx)
+    theta = solve_formal_system([equation], ["w"])["w"].rename_context(ctx)
     return make_model(n, theta, order)
 
 
@@ -356,18 +359,16 @@ def apply_biholomorphism(model: HypersurfaceModel, zmaps, wmap) -> HypersurfaceM
         if comp.constant_term():
             raise NonInvertibleMapError("map must fix the origin")
 
-    jac = [[comp.coefficient_of(**{name: 1}) for name in mctx.names] for comp in components]
-    if not scalar_determinant(jac):
-        raise NonInvertibleMapError("linear part of the map is singular")
-
     order = min(model.order, min(comp.order for comp in components))
     primed = [f"zp{k}" for k in range(1, n + 1)] + ["wp"]
-    inverse = solve_implicit(
-        [comp.truncate(order) for comp in components],
-        unknowns=list(mctx.names),
-        targets=primed,
-        order=order,
-    )
+    try:
+        inverse = solve_implicit(
+            [comp.truncate(order) for comp in components],
+            unknowns=list(mctx.names),
+            targets=primed,
+        )
+    except SingularJacobianError:
+        raise NonInvertibleMapError("linear part of the map is singular") from None
 
     big = VariableContext(
         [f"zp{k}" for k in range(1, n + 1)]
@@ -397,7 +398,7 @@ def apply_biholomorphism(model: HypersurfaceModel, zmaps, wmap) -> HypersurfaceM
         inverse["w"]
     )
     try:
-        solution = solve_formal_system([equation], ["wp"], order=order)
+        solution = solve_formal_system([equation], ["wp"])
     except SingularJacobianError as exc:
         raise NotGraphableError(
             "image hypersurface is not graphable over the canonical axes"

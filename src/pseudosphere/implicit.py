@@ -17,10 +17,12 @@ u - u*.  A step from k to N <= 2k + 1 therefore needs E(u) only through
 degree N and J^-1 only through degree M = N - k - 1: every product with
 E(u) adds at least k + 1 to the degree, so what J^-1 holds above M lands
 above N.  J^-1 is the adjugate of J (one cofactor table) over its
-determinant, a unit; for M = 0 it is the constant inverse at the origin.
-The precisions run 1, ..., floor(n/4), floor(n/2), n, and each satisfies
+determinant, a unit exactly when J is invertible at the origin.  The
+precisions run 1, ..., floor(n/4), floor(n/2), n, and each satisfies
 N <= 2k + 1 over the one before, so a solve to order n evaluates each
-equation floor(log2 n) + 1 times.
+equation floor(log2 n) + 1 times.  A step whose M equals the previous
+step's reuses that J^-1: it was built from the iterate's terms of degree
+<= M <= k, which no later step changes.
 
 The order stays sound: the iterate is a polynomial, so its residual is
 exact at any order, and the result claims order n only after the last
@@ -30,16 +32,17 @@ step has made it agree with u* through degree n.
 from __future__ import annotations
 
 from .errors import SingularJacobianError
-from .matrices import SeriesMatrix, invert_scalar_matrix
+from .matrices import SeriesMatrix
 from .series import TruncatedSeries, VariableContext, _add_into, _product_terms
 
 
-def solve_formal_system(equations, unknowns, order=None):
+def solve_formal_system(equations, unknowns):
     """Solve E_i(p, u) = 0 for the unknowns as series in the parameters.
 
     ``equations`` share one context that contains every name in
     ``unknowns``; the remaining context variables are the parameters.
-    Returns {unknown: series in the parameter context}.
+    Returns {unknown: series in the parameter context}, guaranteed to the
+    lowest order among the equations.
     """
     equations = list(equations)
     unknowns = list(unknowns)
@@ -58,51 +61,39 @@ def solve_formal_system(equations, unknowns, order=None):
     out_ctx = VariableContext(params)
 
     n = min(eq.order for eq in equations)
-    if order is not None:
-        n = min(n, order)
-
     for i, eq in enumerate(equations):
         if eq.constant_term():
             raise ValueError(f"equation {i} does not vanish at the origin")
 
-    jac = [[eq.coefficient_of(**{u: 1}) for u in unknowns] for eq in equations]
-    try:
-        jac_inv = invert_scalar_matrix(jac)
-    except SingularJacobianError:
-        raise SingularJacobianError(
-            "constant Jacobian in the unknowns is singular at the origin"
-        ) from None
-
+    # dE_i/du_j through the largest degree of J^-1 needed, n - n//2 - 1; at
+    # n = 0 there is no linear part, and ``partial`` raises InsufficientOrderError
+    cut = n - n // 2
+    partials = [[eq.truncate(cut).partial(u) for u in unknowns] for eq in equations]
     precisions = [n >> s for s in reversed(range(n.bit_length()))]  # 1, ..., n//2, n
 
     size = len(unknowns)
-    origin = (0,) * out_ctx.arity
     iterate = [{} for _ in unknowns]  # term dicts, exact through degree k
-    partials = None  # dE_i/du_j, None where identically zero
     k = 0
+    low = None  # the degree through which ``inverse`` holds J^-1
     for top in precisions:
         point = {u: TruncatedSeries._valid(out_ctx, top, terms)
                  for u, terms in zip(unknowns, iterate)}
         residuals = [eq.substitute(point, target_context=out_ctx).terms
                      for eq in equations]
-        low = top - k - 1  # the degree through which J^-1 is needed
-        if low == 0:
-            inverse = [[{origin: x} if x else {} for x in row] for row in jac_inv]
-        else:
-            if partials is None:
-                # the last step needs J through the largest low, n - n//2 - 1
-                cut = n - n // 2
-                partials = [[d if d.terms else None
-                             for d in (eq.truncate(cut).partial(u) for u in unknowns)]
-                            for eq in equations]
+        if top - k - 1 != low:
+            low = top - k - 1
             point = {u: TruncatedSeries._valid(
                          out_ctx, low, {e: c for e, c in terms.items() if sum(e) <= low})
                      for u, terms in zip(unknowns, iterate)}
             zero = TruncatedSeries.zero(out_ctx, low)
             det, cofactor = SeriesMatrix(
-                [[zero if d is None else d.substitute(point, target_context=out_ctx)
+                [[d.substitute(point, target_context=out_ctx) if d.terms else zero
                   for d in row] for row in partials]
             ).cofactors()
+            if not det.constant_term():
+                raise SingularJacobianError(
+                    "constant Jacobian in the unknowns is singular at the origin"
+                )
             det_inv = det.invert_unit().terms
             # J^-1 is the adjugate, the transposed cofactor table, over det J
             inverse = [[_product_terms(det_inv, cofactor[(i, j)].terms, low)
@@ -120,7 +111,7 @@ def solve_formal_system(equations, unknowns, order=None):
             for u, terms in zip(unknowns, iterate)}
 
 
-def solve_implicit(system, unknowns, targets, order=None):
+def solve_implicit(system, unknowns, targets):
     """Solve system_i(p, u) = t_i for u as series in (p, targets).
 
     ``system`` is a list of series in a context made of parameters and
@@ -145,13 +136,10 @@ def solve_implicit(system, unknowns, targets, order=None):
             raise ValueError(f"target name {t!r} already used in the context")
 
     n = min(eq.order for eq in system)
-    if order is not None:
-        n = min(n, order)
-
     params = [name for name in ctx.names if name not in set(unknowns)]
     ext_ctx = VariableContext(params + targets + unknowns)
     equations = []
     for eq, t in zip(system, targets):
         lifted = eq.truncate(n).substitute({}, target_context=ext_ctx)
         equations.append(lifted - TruncatedSeries.variable(ext_ctx, n, t))
-    return solve_formal_system(equations, unknowns, order=n)
+    return solve_formal_system(equations, unknowns)

@@ -6,7 +6,14 @@ yields its determinant and all of its cofactors at once, and every Cramer
 column-replacement minor is a cofactor, or a column times a cofactor
 column, so no replaced matrix is ever expanded on its own.  The matrices
 here have side n+1 for CR dimension n, small enough that the expansion
-beats fraction-free elimination and needs no unit pivots.
+beats fraction-free elimination and needs no unit pivots.  The same
+expansion decides every invertibility question over Q(i) at the origin:
+a constant matrix is a matrix of order-0 series.
+
+The memo is a plain dict passed down the recursion, not held by a closure
+that refers to itself: such a cycle keeps every expansion's minors alive
+until the cyclic garbage collector runs, whereas the dict is freed as
+soon as the expansion returns.
 """
 
 from __future__ import annotations
@@ -15,8 +22,8 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
-from .errors import ContextMismatchError, SingularJacobianError
-from .scalars import GaussianRational, ONE, ZERO
+from .errors import ContextMismatchError
+from .scalars import ONE
 from .series import TruncatedSeries
 
 
@@ -54,49 +61,46 @@ class SeriesMatrix:
         )
 
     def determinant(self) -> TruncatedSeries:
-        full = tuple(range(self.rows))
-        return self._laplace()(full, full)
+        full, memo = self._expansion()
+        return self._minor(memo, full, full)
 
     def cofactors(self):
         """``(det, table)`` from one shared expansion, where ``table[(r, c)]``
         is the cofactor (-1)^(r+c) det(M without row r and column c), 0-based;
         the adjugate of M is the transpose of the table.
         """
-        full = tuple(range(self.rows))
-        minor = self._laplace()
+        full, memo = self._expansion()
         table = {}
         for r in full:
             for c in full:
-                sub = minor(full[:r] + full[r + 1 :], full[:c] + full[c + 1 :])
+                sub = self._minor(memo, full[:r] + full[r + 1 :], full[:c] + full[c + 1 :])
                 table[(r, c)] = -sub if (r + c) % 2 else sub
-        return minor(full, full), table
+        return self._minor(memo, full, full), table
 
-    def _laplace(self):
-        """minor(rows, cols): the determinant of the submatrix on those index
-        tuples, expanded along its first column and memoized per pair."""
+    def _expansion(self):
+        """The index tuple of the square matrix and a fresh memo for
+        ``_minor`` that holds the empty minor, 1."""
         if self.rows != self.cols:
             raise ValueError(f"determinant of a {self.rows}x{self.cols} matrix")
         one = TruncatedSeries.constant(self.context, self.order, ONE)
-        zero = TruncatedSeries.zero(self.context, self.order)
-        memo = {}
+        return tuple(range(self.rows)), {((), ()): one}
 
-        def minor(rows, cols):
-            if not rows:
-                return one
-            key = (rows, cols)
-            value = memo.get(key)
-            if value is None:
-                value = zero
-                for pos, r in enumerate(rows):
-                    entry = self.entries[r][cols[0]]
-                    if not entry.terms:
-                        continue
-                    term = entry * minor(rows[:pos] + rows[pos + 1 :], cols[1:])
-                    value = value - term if pos % 2 else value + term
-                memo[key] = value
-            return value
-
-        return minor
+    def _minor(self, memo, rows, cols) -> TruncatedSeries:
+        """The determinant of the submatrix on the index tuples ``rows`` and
+        ``cols``, expanded along its first column; ``memo`` maps each
+        (rows, cols) pair already expanded to its value."""
+        key = (rows, cols)
+        value = memo.get(key)
+        if value is None:
+            value = TruncatedSeries.zero(self.context, self.order)
+            for pos, r in enumerate(rows):
+                entry = self.entries[r][cols[0]]
+                if not entry.terms:
+                    continue
+                term = entry * self._minor(memo, rows[:pos] + rows[pos + 1 :], cols[1:])
+                value = value - term if pos % 2 else value + term
+            memo[key] = value
+        return value
 
 
 def plucker_check(ground: SeriesMatrix, d_column, e_column, j1: int, j2: int) -> bool:
@@ -124,50 +128,6 @@ def plucker_check(ground: SeriesMatrix, d_column, e_column, j1: int, j2: int) ->
         j2, d_column
     ).determinant()
     return (lhs - rhs).is_zero()
-
-
-# ----------------------------------------------------------------------
-# exact linear algebra over Q(i)
-
-
-def invert_scalar_matrix(rows):
-    """Exact inverse of a square matrix of GaussianRational entries."""
-    n = len(rows)
-    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot_row is None:
-            raise SingularJacobianError("matrix is singular over Q(i)")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv = ONE / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r == col or not aug[r][col]:
-                continue
-            factor = aug[r][col]
-            aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def scalar_determinant(rows) -> GaussianRational:
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = ONE
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            det = -det
-        det = det * m[col][col]
-        inv = ONE / m[col][col]
-        for r in range(col + 1, n):
-            if not m[r][col]:
-                continue
-            factor = m[r][col] * inv
-            m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return det
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .errors import RankConditionError
 from .hypersurface import HypersurfaceModel, minors, per_model
 from .implicit import solve_implicit
-from .matrices import MinorFamily, jacobian_minor_family, scalar_determinant
+from .matrices import MinorFamily, SeriesMatrix, jacobian_minor_family
 from .series import TruncatedSeries, VariableContext
 
 
@@ -41,14 +41,16 @@ class PdeSystem:
     """Symmetric family F_{k1,k2} of series in (x1..xn, y, yx1..yxn).
 
     Components are stored once per unordered index pair; the accessor
-    symmetrizes.  Unspecified pairs default to zero.
+    symmetrizes.  Unspecified pairs default to zero.  The system's order
+    is the lowest of ``order`` and the components' own orders, and every
+    component is truncated to it.
     """
 
     def __init__(self, n: int, order: int, components):
         if n < 2:
             raise ValueError(f"need n >= 2, got {n}")
         self.n = n
-        self.order = order
+        self.order = min([order] + [series.order for series in components.values()])
         self.context = pde_context(n)
         stored = {}
         for (k1, k2), series in components.items():
@@ -63,8 +65,8 @@ class PdeSystem:
                 if not (stored[key] - series).is_zero():
                     raise ValueError(f"conflicting values for component {key}")
             else:
-                stored[key] = series.truncate(min(order, series.order))
-        zero = TruncatedSeries.zero(self.context, order)
+                stored[key] = series.truncate(self.order)
+        zero = TruncatedSeries.zero(self.context, self.order)
         for k1 in range(1, n + 1):
             for k2 in range(k1, n + 1):
                 stored.setdefault((k1, k2), zero)
@@ -102,8 +104,9 @@ class FundamentalSolution:
             raise ValueError(f"Q must live in context {ctx.names}")
         a_names = [f"a{k}" for k in range(1, self.n + 1)] + ["b"]
         rows = [self.q] + [self.q.partial(f"x{k}") for k in range(1, self.n + 1)]
-        jac = [[row.coefficient_of(**{a: 1}) for a in a_names] for row in rows]
-        if not scalar_determinant(jac):
+        jac = SeriesMatrix([[TruncatedSeries.constant(ctx, 0, row.coefficient_of(**{a: 1}))
+                             for a in a_names] for row in rows])
+        if not jac.determinant().constant_term():
             raise RankConditionError(
                 "the map (a, b) -> (Q, Q_x)(0, a, b) is rank-deficient at 0"
             )
@@ -150,7 +153,7 @@ def _eliminate(q: TruncatedSeries, x_names, parameters) -> PdeSystem:
         for k2 in range(k1, n + 1):
             second = q.partial(x_names[k1 - 1]).partial(x_names[k2 - 1])
             f = second.substitute(solution, target_context=jet_ctx)
-            components[(k1, k2)] = f.truncate(min(order, f.order)).rename_context(out_ctx)
+            components[(k1, k2)] = f.rename_context(out_ctx)
     return PdeSystem(n, order, components)
 
 

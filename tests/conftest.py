@@ -76,6 +76,25 @@ def rigid_perturbation_model(rng, n, order, max_terms=3):
     return ps.make_model(n, theta, order)
 
 
+def random_graph(rng, n, order):
+    """A real graph phi: sum_k +-(x_k^2 + y_k^2) plus real terms of degree
+    3-4, v-dependent ones included."""
+    gctx = ps.graph_context(n)
+    monos = [
+        e for e in itertools.product(range(5), repeat=gctx.arity) if 3 <= sum(e) <= 4
+    ]
+    terms = {}
+    for k in range(n):
+        sign = rng.choice([1, -1])
+        for var in (k, n + k):
+            exps = [0] * gctx.arity
+            exps[var] = 2
+            terms[tuple(exps)] = GaussianRational(sign)
+    for _ in range(rng.randint(1, 3)):
+        terms[rng.choice(monos)] = GaussianRational(rng.choice([1, -1, Fraction(1, 2)]))
+    return ps.TruncatedSeries(gctx, order, terms)
+
+
 def random_gaussian(rng, span=4):
     num = rng.randint(-span, span)
     den = rng.choice([1, 1, 2, 3])

@@ -170,14 +170,12 @@ def test_criterion_07_complete_integrability():
 
 
 def test_criterion_08_implicit_round_trip():
-    from pseudosphere.matrices import scalar_determinant
-
     rng = random.Random(80818)
     ctx = ps.VariableContext(("p1", "p2", "u1", "u2"))
     trials = 0
     while trials < 20:
         jac = [[random_gaussian(rng, span=2) for _ in range(2)] for _ in range(2)]
-        if not scalar_determinant(jac):
+        if not jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]:
             continue
         system = []
         for i in range(2):
@@ -229,7 +227,7 @@ def test_criterion_10_signature():
             assert data.signature == (positives, n - positives), (n, signs)
 
     theta = ps.parse_series("-wb + z1*z1b", CTX2, 5)
-    degenerate = ps.HypersurfaceModel(n=2, order=5, theta=theta)
+    degenerate = ps.HypersurfaceModel(n=2, theta=theta)
     with pytest.raises(LeviDegenerateError):
         ps.levi(degenerate)
     _passed(10, "diag models report exact signatures; degenerate input raises")

@@ -14,6 +14,7 @@ from pseudosphere.scalars import gaussian
 
 from conftest import (
     heisenberg_model,
+    random_graph,
     random_series,
     rigid_perturbation_model,
 )
@@ -199,22 +200,7 @@ def assert_same_series_tables(got, want):
 
 
 def random_graph_model(rng, n, order):
-    """from_graph of sum_k +-(x_k^2 + y_k^2) plus real terms of degree 3-4,
-    v-dependent ones included."""
-    gctx = ps.graph_context(n)
-    monos = [
-        e for e in itertools.product(range(5), repeat=gctx.arity) if 3 <= sum(e) <= 4
-    ]
-    terms = {}
-    for k in range(n):
-        sign = rng.choice([1, -1])
-        for var in (k, n + k):
-            exps = [0] * gctx.arity
-            exps[var] = 2
-            terms[tuple(exps)] = gaussian(sign)
-    for _ in range(rng.randint(1, 3)):
-        terms[rng.choice(monos)] = gaussian(rng.choice([1, -1, Fraction(1, 2)]))
-    return ps.from_graph(ps.TruncatedSeries(gctx, order, terms), n, order)
+    return ps.from_graph(random_graph(rng, n, order), n, order)
 
 
 @settings(max_examples=25, deadline=None)
@@ -265,7 +251,7 @@ def test_transfer_order_counts_zero_column_entries():
 
 def test_minors_require_nondegeneracy():
     theta = ps.parse_series("-wb + z1*z1b", CTX, 5)
-    bad = ps.HypersurfaceModel(n=2, order=5, theta=theta)
+    bad = ps.HypersurfaceModel(n=2, theta=theta)
     with pytest.raises(LeviDegenerateError):
         ps.minors(bad)
 
@@ -447,10 +433,20 @@ def test_nonvanishing_verdict_has_witness():
 
 
 def test_verdict_at_reduced_order():
-    model = heisenberg_model(2, 8)
-    verdict = ps.is_pseudospherical(model, order=6)
+    verdict = ps.is_pseudospherical(heisenberg_model(2, 6))
     assert verdict.vanishes
     assert verdict.certified_order == 2
+
+
+def test_model_order_is_read_off_theta():
+    # a model has no order beside theta's, so nothing certifies beyond it
+    model = ps.HypersurfaceModel(n=2, theta=heisenberg_model(2, 6).theta)
+    tensor = ps.main_theorem_tensor(model)
+    assert model.order == 6
+    assert tensor.certified_order == 2
+    assert min(c.order for c in tensor.components.values()) == 2
+    with pytest.raises(TypeError):
+        ps.HypersurfaceModel(n=2, order=8, theta=model.theta)
 
 
 def test_verdict_invariant_under_shear():

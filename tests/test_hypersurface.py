@@ -116,7 +116,7 @@ def test_check_reality_passes_on_valid_models():
 
 def test_check_reality_reports_first_failure():
     theta = ps.parse_series("-wb + z1*z1b + z2*z2b + z1^2", CTX, 6)
-    bad = ps.HypersurfaceModel(n=2, order=6, theta=theta)
+    bad = ps.HypersurfaceModel(n=2, theta=theta)
     report = ps.check_reality(bad)
     assert not report.ok
     assert report.identity == 1
@@ -164,7 +164,7 @@ def random_theta(n, order, paired, rng, degrees=(2, 3)):
 @given(st.sampled_from([2, 3]), st.integers(3, 5), st.booleans(),
        st.randoms(use_true_random=False))
 def test_check_reality_matches_two_substitutions(n, order, paired, rng):
-    model = ps.HypersurfaceModel(n=n, order=order, theta=random_theta(n, order, paired, rng))
+    model = ps.HypersurfaceModel(n=n, theta=random_theta(n, order, paired, rng))
     assert ps.check_reality(model) == reference_check_reality(model)
 
 
@@ -179,14 +179,14 @@ def test_reality_discrepancy_is_conjugate_to_its_reflection(n, order, degree, rn
     ctx = theta.context
     exps = rng.choice([e for e in itertools.product(range(3), repeat=ctx.arity) if sum(e) == degree])
     theta = theta + TruncatedSeries(ctx, order, {exps: rng.choice(COEFF_POOL)})
-    model = ps.HypersurfaceModel(n=n, order=order, theta=theta)
+    model = ps.HypersurfaceModel(n=n, theta=theta)
     lhs = ps.conjugate_theta(model).substitute({"w": theta}, target_context=ctx)
     diff = lhs - TruncatedSeries.variable(ctx, lhs.order, "wb")
     first = diff.first_term()
     assume(first is not None)
     lowest = diff.homogeneous_part(sum(first[0]))
     conjugated = ps.conjugate_theta(
-        ps.HypersurfaceModel(n=n, order=diff.order, theta=TruncatedSeries(ctx, diff.order, lowest))
+        ps.HypersurfaceModel(n=n, theta=TruncatedSeries(ctx, diff.order, lowest))
     )
     reflected = {e: c if e[-1] % 2 else -c for e, c in lowest.items()}
     assert conjugated == TruncatedSeries(conjugate_context(n), diff.order, reflected)
@@ -239,7 +239,7 @@ def test_levi_heisenberg():
 
 def test_levi_degenerate_raises():
     theta = ps.parse_series("-wb + z1*z1b", CTX, 5)
-    m = ps.HypersurfaceModel(n=2, order=5, theta=theta)  # bypass validation
+    m = ps.HypersurfaceModel(n=2, theta=theta)  # bypass validation
     assert ps.check_reality(m).ok
     with pytest.raises(LeviDegenerateError):
         ps.levi(m)
@@ -307,6 +307,9 @@ def test_map_must_fix_origin_and_be_invertible():
         ps.apply_biholomorphism(m, _map_series(["z1 + 1", "z2"], 2, 6), _map_series(["w"], 2, 6)[0])
     with pytest.raises(NonInvertibleMapError):
         ps.apply_biholomorphism(m, _map_series(["z1", "z1"], 2, 6), _map_series(["w"], 2, 6)[0])
+    # singular linear part under a Jacobian determinant 2*z2 that is not zero
+    with pytest.raises(NonInvertibleMapError, match="linear part of the map is singular"):
+        ps.apply_biholomorphism(m, _map_series(["z1", "z1 + z2^2"], 2, 6), _map_series(["w"], 2, 6)[0])
 
 
 def test_axis_swap_image_not_graphable():

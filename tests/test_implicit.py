@@ -7,9 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import pseudosphere as ps
 from pseudosphere import TruncatedSeries, VariableContext
-from pseudosphere.errors import SingularJacobianError
-from pseudosphere.matrices import invert_scalar_matrix, scalar_determinant
-from pseudosphere.scalars import ZERO
+from pseudosphere.errors import InsufficientOrderError, SingularJacobianError
+from pseudosphere.scalars import ONE, ZERO
 
 from conftest import COEFF_POOL, heisenberg_theta, random_gaussian, random_series
 
@@ -62,6 +61,20 @@ def test_singular_jacobian_detected():
     ]
     with pytest.raises(SingularJacobianError):
         ps.solve_implicit(system, ["z1b", "wb"], ["t1", "t2"])
+    # det J = p is a nonzero series, but it vanishes at the origin
+    ctx = VariableContext(("p", "u1", "u2"))
+    equations = [ps.parse_series("u1 + p*u2", ctx, 4), ps.parse_series("u1 + 2*p*u2", ctx, 4)]
+    with pytest.raises(SingularJacobianError, match="singular at the origin"):
+        ps.solve_formal_system(equations, ["u1", "u2"])
+
+
+def test_order_zero_system_rejected():
+    # order 0 keeps no linear term, so no Jacobian is there to invert
+    ctx = VariableContext(("p", "u"))
+    with pytest.raises(InsufficientOrderError):
+        ps.solve_formal_system([ps.parse_series("u - p", ctx, 0)], ["u"])
+    with pytest.raises(InsufficientOrderError):
+        ps.solve_implicit([ps.parse_series("u", ctx, 0)], ["u"], ["t"])
 
 
 def test_nonvanishing_equation_rejected():
@@ -75,7 +88,7 @@ def _random_invertible_system(rng, order=5):
     ctx = VariableContext(("p1", "p2", "u1", "u2"))
     while True:
         jac = [[random_gaussian(rng, span=2) for _ in range(2)] for _ in range(2)]
-        if scalar_determinant(jac):
+        if jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]:
             break
     system = []
     for i in range(2):
@@ -118,16 +131,36 @@ def test_solve_formal_system_quadratic():
 # Newton lifting against the degree-by-degree solver it replaced
 
 
-def reference_solve(equations, unknowns, order=None):
+def gauss_jordan_inverse(rows):
+    """Exact inverse of a square matrix over Q(i), or None when it is
+    singular; elimination, independent of the solver's cofactor table."""
+    n = len(rows)
+    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot_row is None:
+            return None
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        inv = ONE / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def constant_jacobian(equations, unknowns):
+    return [[eq.coefficient_of(**{u: 1}) for u in unknowns] for eq in equations]
+
+
+def reference_solve(equations, unknowns):
     """Degree-by-degree solve: each pass kills the lowest remaining degree
     of the residual with one linear solve against the constant Jacobian."""
     ctx = equations[0].context
     out_ctx = VariableContext([name for name in ctx.names if name not in set(unknowns)])
     n = min(eq.order for eq in equations)
-    if order is not None:
-        n = min(n, order)
-    jac = [[eq.coefficient_of(**{u: 1}) for u in unknowns] for eq in equations]
-    jac_inv = invert_scalar_matrix(jac)
+    jac_inv = gauss_jordan_inverse(constant_jacobian(equations, unknowns))
     solution = {u: TruncatedSeries.zero(out_ctx, n) for u in unknowns}
     for degree in range(1, n + 1):
         assignment = {u: solution[u].truncate(degree) for u in unknowns}
@@ -167,8 +200,7 @@ def invertible_systems(draw, min_order=1, max_order=9):
         terms[tuple(unit)] = terms.get(tuple(unit), ZERO) + draw(st.sampled_from(COEFF_POOL))
         eq_order = draw(st.integers(order, max_order + 2))
         equations.append(TruncatedSeries(ctx, eq_order, terms))
-    jac = [[eq.coefficient_of(**{u: 1}) for u in unknowns] for eq in equations]
-    assume(scalar_determinant(jac))
+    assume(gauss_jordan_inverse(constant_jacobian(equations, unknowns)) is not None)
     return equations, unknowns, order
 
 
@@ -176,9 +208,10 @@ def invertible_systems(draw, min_order=1, max_order=9):
 @given(invertible_systems(), st.booleans())
 def test_newton_lifting_equals_degree_by_degree(system, cap):
     equations, unknowns, order = system
-    order = order if cap else None
-    solution = ps.solve_formal_system(equations, unknowns, order=order)
-    expected = reference_solve(equations, unknowns, order=order)
+    if cap:
+        equations = [eq.truncate(order) for eq in equations]
+    solution = ps.solve_formal_system(equations, unknowns)
+    expected = reference_solve(equations, unknowns)
     for u in unknowns:
         assert solution[u] == expected[u]
         assert solution[u].order == expected[u].order
@@ -190,7 +223,7 @@ def test_solution_order_is_sound(system):
     # solving to d and to d + 2 agrees through the lower run's order
     equations, unknowns, d = system
     equations = [TruncatedSeries(eq.context, d + 2, eq.terms) for eq in equations]
-    low = ps.solve_formal_system(equations, unknowns, order=d)
+    low = ps.solve_formal_system([eq.truncate(d) for eq in equations], unknowns)
     high = ps.solve_formal_system(equations, unknowns)
     for u in unknowns:
         assert low[u].order == d and high[u].order == d + 2

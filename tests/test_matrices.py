@@ -6,7 +6,6 @@ import pytest
 
 import pseudosphere as ps
 from pseudosphere import SeriesMatrix, TruncatedSeries, VariableContext
-from pseudosphere.matrices import invert_scalar_matrix, scalar_determinant
 from pseudosphere.scalars import GaussianRational, ONE, ZERO
 
 from conftest import (
@@ -134,21 +133,3 @@ def test_plucker_dimension_checks():
     with pytest.raises(ValueError):
         ps.plucker_check(ground, column, column, 1, 1)
 
-
-def test_scalar_matrix_inverse(rng):
-    for _ in range(10):
-        m = [[random_gaussian(rng) for _ in range(3)] for _ in range(3)]
-        if not scalar_determinant(m):
-            continue
-        inv = invert_scalar_matrix(m)
-        for i in range(3):
-            for j in range(3):
-                acc = ZERO
-                for k in range(3):
-                    acc = acc + m[i][k] * inv[k][j]
-                assert acc == (ONE if i == j else ZERO)
-
-
-def test_singular_scalar_matrix_rejected():
-    with pytest.raises(ps.SingularJacobianError):
-        invert_scalar_matrix([[ONE, ONE], [ONE, ONE]])

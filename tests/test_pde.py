@@ -1,14 +1,17 @@
 """Associated systems, total derivatives, recovery, and the jet transfer."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pseudosphere as ps
 from pseudosphere import PdeSystem, TruncatedSeries
 from pseudosphere.errors import LeviDegenerateError, RankConditionError
+from pseudosphere.scalars import ONE
 
-from conftest import heisenberg_model, rigid_perturbation_model
+from conftest import COEFF_POOL, heisenberg_model, random_graph, rigid_perturbation_model
 
 PCTX = ps.pde_context(2)
 FCTX = ps.fundamental_context(2)
@@ -56,7 +59,7 @@ def test_quartic_model_depends_on_first_jet():
 
 def test_degenerate_model_rejected():
     theta = ps.parse_series("-wb + z1*z1b", CTX, 5)
-    bad = ps.HypersurfaceModel(n=2, order=5, theta=theta)
+    bad = ps.HypersurfaceModel(n=2, theta=theta)
     with pytest.raises(LeviDegenerateError):
         ps.derive_associated_system(bad)
 
@@ -106,6 +109,19 @@ def test_integrability_counterexample():
     assert (k1, k2, k3) == (1, 1, 2)
     assert monomial == "1"
     assert residual == ps.gaussian(1)
+
+
+def test_system_order_is_its_lowest_component_order():
+    # an order-3 component caps the system at order 3; the untruncated
+    # tensor has a nonzero coefficient of degree 3, above what is certified
+    system = PdeSystem(2, 6, {(1, 1): p("yx1^5", order=3)})
+    assert system.order == 3
+    assert {system.component(*k).order for k in system.component_keys()} == {3}
+    assert ps.check_complete_integrability(system).checked_order == 2
+    assert str(ps.hachtroudi_tensor(system).verdict()) == "VanishesToOrder(1)"
+    full = ps.hachtroudi_tensor(PdeSystem(2, 6, {(1, 1): p("yx1^5", order=6)}))
+    assert not full.verdict().vanishes
+    assert min(sum(e) for c in full.components.values() for e in c.terms) == 3
 
 
 # ----------------------------------------------------------------------
@@ -173,6 +189,9 @@ def test_theta_is_its_own_fundamental_solution(make):
 def test_rank_condition_enforced():
     with pytest.raises(RankConditionError):
         ps.FundamentalSolution(2, ps.parse_series("-b + x1*a1", FCTX, 5))
+    # the fundamental determinant is 2*a2 + ..., rank-deficient only at 0
+    with pytest.raises(RankConditionError):
+        ps.FundamentalSolution(2, ps.parse_series("-b + x1*a1 + x2*a2^2", FCTX, 5))
 
 
 def test_non_normalized_flag():
@@ -289,3 +308,43 @@ def test_fundamental_determinant_matches_levi_determinant():
     sol = ps.FundamentalSolution(2, model.theta.rename_context(FCTX))
     box = ps.fundamental_minors(sol).delta
     assert box == delta.rename_context(FCTX)
+
+
+# ----------------------------------------------------------------------
+# order soundness of the implicit solver's clients
+
+
+def random_near_identity_map(rng, n, order):
+    """(z, w) -> (z, w) + quadratic terms: invertible, and the image of a
+    normalized model keeps the linear part -wb."""
+    mctx = ps.map_context(n)
+    quadratic = [e for e in itertools.product(range(3), repeat=mctx.arity) if sum(e) == 2]
+    components = []
+    for name in mctx.names:
+        terms = {rng.choice(quadratic): rng.choice(COEFF_POOL) for _ in range(rng.randint(0, 2))}
+        terms[tuple(int(v == name) for v in mctx.names)] = ONE
+        components.append(TruncatedSeries(mctx, order, terms))
+    return components[:-1], components[-1]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(3, 4), st.randoms(use_true_random=False))
+def test_solver_clients_agree_at_orders_d_and_d_plus_2(n, d, rng):
+    # from_graph, apply_biholomorphism and derive_associated_system each
+    # solve implicitly; the run at order d must be the run at d + 2 cut at d
+    phi = random_graph(rng, n, d + 2)
+    zmaps, wmap = random_near_identity_map(rng, n, d + 2)
+    runs = []
+    for order in (d, d + 2):
+        model = ps.from_graph(phi, n, order)
+        image = ps.apply_biholomorphism(model, zmaps, wmap)  # the map keeps order d + 2
+        runs.append((model, image, ps.derive_associated_system(image)))
+    (low_model, low_image, low_system), (high_model, high_image, high_system) = runs
+    for low, high in ((low_model.theta, high_model.theta), (low_image.theta, high_image.theta)):
+        assert (low.order, high.order) == (d, d + 2)
+        assert high.agrees_with(low, through_order=d)
+    assert (low_system.order, high_system.order) == (d - 2, d)
+    for key in high_system.component_keys():
+        low, high = low_system.component(*key), high_system.component(*key)
+        assert (low.order, high.order) == (d - 2, d)
+        assert high.agrees_with(low, through_order=d - 2)
