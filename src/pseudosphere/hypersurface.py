@@ -110,6 +110,25 @@ class RealityReport:
     discrepancy: GaussianRational | None = None
 
 
+def _checked_input(n: int, series: TruncatedSeries, order, name: str, context_of):
+    """``series`` truncated to ``order`` (default: its own), after checking
+    n >= 2, that it lives in ``context_of(n)`` and that order >= 1."""
+    if n < 2:
+        raise UnsupportedDimensionError(f"CR dimension must be >= 2, got {n}")
+    ctx = context_of(n)
+    if series.context != ctx:
+        raise ValueError(
+            f"{name} must live in context {ctx.names}, got {series.context.names}"
+        )
+    if order is None:
+        order = series.order
+    if order < 1:
+        raise InsufficientOrderError(
+            f"a model needs order >= 1 to fix its linear part, got {order}"
+        )
+    return series.truncate(order)
+
+
 def make_model(n: int, theta: TruncatedSeries, order: int | None = None) -> HypersurfaceModel:
     """Validate and wrap a defining series.
 
@@ -117,24 +136,10 @@ def make_model(n: int, theta: TruncatedSeries, order: int | None = None) -> Hype
     context, order >= 1, the normalization theta = -wb + O(2), and both
     reality identities through the guaranteed order.
     """
-    if n < 2:
-        raise UnsupportedDimensionError(f"CR dimension must be >= 2, got {n}")
-    ctx = canonical_context(n)
-    if theta.context != ctx:
-        raise ValueError(
-            f"theta must live in context {ctx.names}, got {theta.context.names}"
-        )
-    if order is None:
-        order = theta.order
-    if order < 1:
-        raise InsufficientOrderError(
-            f"a model needs order >= 1 to fix its linear part, got {order}"
-        )
-    theta = theta.truncate(order)
-
+    theta = _checked_input(n, theta, order, "theta", canonical_context)
     if theta.constant_term():
         raise NormalizationError("theta has a nonzero constant term")
-    for name in ctx.names:
+    for name in theta.context.names:
         coeff = theta.coefficient_of(**{name: 1})
         expected = gaussian(-1) if name == "wb" else ZERO
         if coeff != expected:
@@ -202,20 +207,8 @@ def from_graph(phi: TruncatedSeries, n: int, order: int | None = None) -> Hypers
     v = (w - wb)/2i and solving for w yields theta; the result satisfies
     the reality identities by construction, which make_model re-verifies.
     """
-    if n < 2:
-        raise UnsupportedDimensionError(f"CR dimension must be >= 2, got {n}")
-    gctx = graph_context(n)
-    if phi.context != gctx:
-        raise ValueError(
-            f"phi must live in context {gctx.names}, got {phi.context.names}"
-        )
-    if order is None:
-        order = phi.order
-    if order < 1:
-        raise InsufficientOrderError(
-            f"a model needs order >= 1 to fix its linear part, got {order}"
-        )
-    phi = phi.truncate(order)
+    phi = _checked_input(n, phi, order, "phi", graph_context)
+    order = phi.order
     for exps, coeff in phi.terms.items():
         if coeff.im:
             raise NormalizationError(
@@ -256,11 +249,6 @@ def _levi_family(model: HypersurfaceModel) -> MinorFamily:
     return jacobian_minor_family(model.theta, x_names, a_names)
 
 
-def levi_matrix(model: HypersurfaceModel) -> SeriesMatrix:
-    """Rows: dtheta/d(tbar_mu); then one row d2theta/dz_k d(tbar_mu) per k."""
-    return _levi_family(model).matrix
-
-
 def minors(model: HypersurfaceModel) -> MinorFamily:
     """Levi determinant of the model and all of its Cramer minors.
 
@@ -276,51 +264,27 @@ def minors(model: HypersurfaceModel) -> MinorFamily:
 
 def hermitian_signature(matrix) -> tuple:
     """Exact signature (positives, negatives) of a nondegenerate Hermitian
-    matrix over Q(i), by congruence elimination (no eigenvalues needed)."""
+    matrix H over Q(i), by Descartes' rule of signs on p(t) = det(tI - H).
+
+    Every root of p is a real eigenvalue of H, so the positive ones are
+    counted exactly by the sign changes of p's coefficients (zeros
+    skipped); when p(0) = det(-H) is nonzero the rest are negative.
+    """
     n = len(matrix)
-    h = [[entry for entry in row] for row in matrix]
     for j in range(n):
         for k in range(n):
-            if h[j][k].conjugate() != h[k][j]:
+            if matrix[j][k].conjugate() != matrix[k][j]:
                 raise ValueError("matrix is not Hermitian")
-    active = list(range(n))
-    pos = neg = 0
-    while active:
-        pivot = next((i for i in active if h[i][i]), None)
-        if pivot is None:
-            # all active diagonal entries vanish; mix in an off-diagonal one
-            pair = next(
-                ((i, j) for i in active for j in active if i != j and h[i][j]),
-                None,
-            )
-            if pair is None:
-                raise LeviDegenerateError("Hermitian form is degenerate")
-            i, j = pair
-            c = ONE if h[i][j].re else gaussian(0, 1)
-            # congruence x_i := x_i + c x_j: col_i += c col_j, row_i += conj(c) row_j
-            for r in range(n):
-                h[r][i] = h[r][i] + c * h[r][j]
-            for s in range(n):
-                h[i][s] = h[i][s] + c.conjugate() * h[j][s]
-            pivot = i
-        d = h[pivot][pivot]
-        if d.im:
-            raise ValueError("Hermitian diagonal entry is not real")
-        if d.re > 0:
-            pos += 1
-        else:
-            neg += 1
-        active.remove(pivot)
-        for k in list(active):
-            if not h[k][pivot]:
-                continue
-            factor = -(h[k][pivot] / d)
-            # clear column/row `pivot` against index k
-            for r in range(n):
-                h[r][k] = h[r][k] + factor.conjugate() * h[r][pivot]
-            for s in range(n):
-                h[k][s] = h[k][s] + factor * h[pivot][s]
-    return (pos, neg)
+    ctx = VariableContext(["t"])
+    p = SeriesMatrix(
+        [[TruncatedSeries(ctx, n, {(1,): ONE, (0,): -h} if j == k else {(0,): -h})
+          for k, h in enumerate(row)] for j, row in enumerate(matrix)]
+    ).determinant()
+    if not p.constant_term():
+        raise LeviDegenerateError("Hermitian form is degenerate")
+    signs = [c.re > 0 for c in (p.coefficient((k,)) for k in range(n + 1)) if c]
+    pos = sum(a != b for a, b in zip(signs, signs[1:]))
+    return (pos, n - pos)
 
 
 def levi(model: HypersurfaceModel) -> LeviData:

@@ -7,8 +7,11 @@ column-replacement minor is a cofactor, or a column times a cofactor
 column, so no replaced matrix is ever expanded on its own.  The matrices
 here have side n+1 for CR dimension n, small enough that the expansion
 beats fraction-free elimination and needs no unit pivots.  The same
-expansion decides every invertibility question over Q(i) at the origin:
-a constant matrix is a matrix of order-0 series.
+expansion decides every other determinant question over Q(i): the rank
+condition at the origin is the determinant of a matrix of order-0
+series, and the signature of a Hermitian form is read off its
+characteristic polynomial, the determinant of a matrix of series in one
+variable.
 
 The memo is a plain dict passed down the recursion, not held by a closure
 that refers to itself: such a cycle keeps every expansion's minors alive
@@ -221,25 +224,26 @@ class MinorFamily:
         return table
 
 
+def _fundamental_matrix(q: TruncatedSeries, x_names, a_names) -> SeriesMatrix:
+    """The matrix with first row (q_a) and then one row (q_{x_k a}) per
+    base variable x_k, over the n+1 parameters a."""
+    if len(a_names) != len(x_names) + 1:
+        raise ValueError(f"expected {len(x_names) + 1} parameter names, got {len(a_names)}")
+    rows = [q] + [q.partial(x) for x in x_names]
+    return SeriesMatrix([[row.partial(a) for a in a_names] for row in rows])
+
+
 def jacobian_minor_family(q: TruncatedSeries, x_names, a_names) -> MinorFamily:
     """Build the fundamental matrix of a series q with all of its minors.
 
     ``x_names`` are the n base variables, ``a_names`` the n+1 parameters
     (last one playing the role of the transversal constant).
     """
-    n = len(x_names)
-    size = len(a_names)
-    if size != n + 1:
-        raise ValueError(f"expected {n + 1} parameter names, got {size}")
-
-    rows = [[q.partial(a) for a in a_names]]
-    for x in x_names:
-        qx = q.partial(x)
-        rows.append([qx.partial(a) for a in a_names])
-    matrix = SeriesMatrix(rows)
+    matrix = _fundamental_matrix(q, x_names, a_names)
     delta, cofactor = matrix.cofactors()
+    size = len(a_names)
     hessian = {
-        (mu, nu): tuple(row[mu - 1].partial(a_names[nu - 1]) for row in rows)
+        (mu, nu): tuple(row[mu - 1].partial(a_names[nu - 1]) for row in matrix.entries)
         for mu in range(1, size + 1)
         for nu in range(mu, size + 1)
     }

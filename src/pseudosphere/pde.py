@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .errors import RankConditionError
 from .hypersurface import HypersurfaceModel, minors, per_model
 from .implicit import solve_implicit
-from .matrices import MinorFamily, SeriesMatrix, jacobian_minor_family
+from .matrices import MinorFamily, _fundamental_matrix, jacobian_minor_family
 from .series import TruncatedSeries, VariableContext
 
 
@@ -31,10 +31,13 @@ def pde_context(n: int) -> VariableContext:
 
 
 def fundamental_context(n: int) -> VariableContext:
-    names = [f"x{k}" for k in range(1, n + 1)]
-    names += [f"a{k}" for k in range(1, n + 1)]
-    names.append("b")
-    return VariableContext(names)
+    x_names, parameters = _fundamental_names(n)
+    return VariableContext(x_names + parameters)
+
+
+def _fundamental_names(n: int):
+    """The base variables (x1..xn) and the parameters (a1..an, b) of Q."""
+    return [f"x{k}" for k in range(1, n + 1)], [f"a{k}" for k in range(1, n + 1)] + ["b"]
 
 
 class PdeSystem:
@@ -102,10 +105,8 @@ class FundamentalSolution:
         ctx = fundamental_context(self.n)
         if self.q.context != ctx:
             raise ValueError(f"Q must live in context {ctx.names}")
-        a_names = [f"a{k}" for k in range(1, self.n + 1)] + ["b"]
-        rows = [self.q] + [self.q.partial(f"x{k}") for k in range(1, self.n + 1)]
-        jac = SeriesMatrix([[TruncatedSeries.constant(ctx, 0, row.coefficient_of(**{a: 1}))
-                             for a in a_names] for row in rows])
+        # the rank condition reads Q to order 2, where the matrix is constant
+        jac = _fundamental_matrix(self.q.truncate(2), *_fundamental_names(self.n))
         if not jac.determinant().constant_term():
             raise RankConditionError(
                 "the map (a, b) -> (Q, Q_x)(0, a, b) is rank-deficient at 0"
@@ -220,18 +221,13 @@ def recover_system_from_solution(sol: FundamentalSolution) -> PdeSystem:
     Solves {y = Q, y_{x^k} = Q_{x^k}} for (a, b) as series in (x, y, y_x)
     and substitutes into the pure second derivatives of Q.
     """
-    n = sol.n
-    return _eliminate(sol.q, [f"x{k}" for k in range(1, n + 1)],
-                      [f"a{k}" for k in range(1, n + 1)] + ["b"])
+    return _eliminate(sol.q, *_fundamental_names(sol.n))
 
 
 @per_model
 def fundamental_minors(sol: FundamentalSolution) -> MinorFamily:
     """The fundamental determinant of Q and all of its Cramer minors."""
-    n = sol.n
-    x_names = [f"x{k}" for k in range(1, n + 1)]
-    a_names = [f"a{k}" for k in range(1, n + 1)] + ["b"]
-    return jacobian_minor_family(sol.q, x_names, a_names)
+    return jacobian_minor_family(sol.q, *_fundamental_names(sol.n))
 
 
 def jet_transfer_second(sol: FundamentalSolution, t: TruncatedSeries,

@@ -133,17 +133,7 @@ class GaussianRational:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
-        d1 = self._d
-        d2 = other._d
-        if d2 == 1:
-            return _new(self._a - other._a * d1, self._b - other._b * d1, d1)
-        if d1 == 1:
-            return _new(self._a * d2 - other._a, self._b * d2 - other._b, d2)
-        if d1 == d2:
-            return _reduced(self._a - other._a, self._b - other._b, d1)
-        return _reduced(
-            self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2
-        )
+        return self + (-other)
 
     def __rsub__(self, other):
         other = _coerce(other)

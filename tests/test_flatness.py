@@ -142,10 +142,8 @@ def test_heisenberg_minor_values():
 def test_cramer_consistency(rng):
     # sum_mu unit(mu, l) * column_mu reproduces delta * e_{1+l}
     model = rigid_perturbation_model(rng, 2, 6)
-    from pseudosphere.hypersurface import levi_matrix
-
     family = ps.minors(model)
-    matrix = levi_matrix(model)
+    matrix = family.matrix
     for l in (1, 2):
         for row in range(3):
             acc = None

@@ -17,7 +17,7 @@ from pseudosphere.errors import (
     RealityError,
     UnsupportedDimensionError,
 )
-from pseudosphere.hypersurface import conjugate_context, hermitian_signature, levi_matrix
+from pseudosphere.hypersurface import conjugate_context, hermitian_signature
 from pseudosphere.scalars import GaussianRational, gaussian
 from pseudosphere.series import graded_lex
 
@@ -247,7 +247,7 @@ def test_levi_degenerate_raises():
 
 def test_levi_matrix_row_convention():
     m = heisenberg_model(2, 6)
-    matrix = levi_matrix(m)
+    matrix = ps.minors(m).matrix
     # first row: dtheta/d(z1b, z2b, wb) = (z1, z2, -1)
     assert matrix.entries[0][0] == ps.parse_series("z1", CTX, 5)
     assert matrix.entries[0][2] == ps.parse_series("-1", CTX, 5)
@@ -268,6 +268,61 @@ def test_hermitian_signature_cases():
         hermitian_signature([[one, zero], [zero, zero]])
     with pytest.raises(ValueError):
         hermitian_signature([[one, i], [i, one]])  # not Hermitian
+
+
+small_gaussians = st.builds(gaussian, st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def inertia_forms(draw):
+    """(P, D, inertia of D): P a permuted unit-triangular matrix over Q(i),
+    D block-diagonal with real entries +-1..3 and hyperbolic blocks
+    [[0, c], [conj(c), 0]], each of inertia (1, 1)."""
+    n = draw(st.integers(1, 5))
+    d = [[gaussian(0)] * n for _ in range(n)]
+    pos = neg = 0
+    i = 0
+    while i < n:
+        if i + 1 < n and draw(st.booleans()):
+            c = draw(small_gaussians.filter(bool))
+            d[i][i + 1], d[i + 1][i] = c, c.conjugate()
+            pos, neg, i = pos + 1, neg + 1, i + 2
+        else:
+            v = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+            d[i][i] = gaussian(v)
+            pos, neg, i = pos + (v > 0), neg + (v < 0), i + 1
+    lower = [[gaussian(1) if j == k else draw(small_gaussians) if j > k else gaussian(0)
+              for k in range(n)] for j in range(n)]
+    perm = draw(st.permutations(range(n)))
+    return [lower[r] for r in perm], d, (pos, neg)
+
+
+def congruent(p, d):
+    """P D P*, with P* the conjugate transpose."""
+    n = len(p)
+    pd = [[sum((p[j][m] * d[m][k] for m in range(n)), gaussian(0)) for k in range(n)]
+          for j in range(n)]
+    return [[sum((pd[j][m] * p[k][m].conjugate() for m in range(n)), gaussian(0))
+             for k in range(n)] for j in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(inertia_forms())
+def test_hermitian_signature_is_sylvester_inertia(form):
+    # congruence preserves inertia (Sylvester's law), and D's is known
+    p, d, inertia = form
+    assert hermitian_signature(congruent(p, d)) == inertia
+
+
+@settings(max_examples=100, deadline=None)
+@given(inertia_forms(), st.data())
+def test_hermitian_signature_degenerate_congruence(form, data):
+    p, d, _ = form
+    r = data.draw(st.integers(0, len(d) - 1))
+    for k in range(len(d)):
+        d[r][k] = d[k][r] = gaussian(0)
+    with pytest.raises(LeviDegenerateError):
+        hermitian_signature(congruent(p, d))
 
 
 # ----------------------------------------------------------------------

@@ -39,9 +39,7 @@ def test_identity_constant_matrix():
 def test_heisenberg_levi_determinant_vs_cofactor_oracle():
     # oracle: literal 3x3 cofactor expansion of [[z1, z2, -1], [1,0,0], [0,1,0]]
     model = heisenberg_model(2, 6)
-    from pseudosphere.hypersurface import levi_matrix
-
-    matrix = levi_matrix(model)
+    matrix = ps.minors(model).matrix
     a, b, c = matrix.entries[0]
     d, e, f = matrix.entries[1]
     g, h, i = matrix.entries[2]

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import pseudosphere as ps
 from pseudosphere import PdeSystem, TruncatedSeries
-from pseudosphere.errors import LeviDegenerateError, RankConditionError
+from pseudosphere.errors import InsufficientOrderError, LeviDegenerateError, RankConditionError
 from pseudosphere.scalars import ONE
 
 from conftest import COEFF_POOL, heisenberg_model, random_graph, rigid_perturbation_model
@@ -194,6 +194,17 @@ def test_rank_condition_enforced():
         ps.FundamentalSolution(2, ps.parse_series("-b + x1*a1 + x2*a2^2", FCTX, 5))
 
 
+def test_rank_condition_needs_order_two():
+    # Q_x of an order-1 Q has order 0, so its x-a terms are not known
+    flat = "-b + x1*a1 + x2*a2"
+    with pytest.raises(InsufficientOrderError):
+        ps.FundamentalSolution(2, ps.parse_series(flat, FCTX, 1))
+    assert ps.FundamentalSolution(2, ps.parse_series(flat, FCTX, 2)).normalized
+    for order in (2, 5):
+        with pytest.raises(RankConditionError):
+            ps.FundamentalSolution(2, ps.parse_series("-b + x1*a1 + x2*a2^2", FCTX, order))
+
+
 def test_non_normalized_flag():
     q = ps.parse_series("-b + x1*a1 - x2*a2", FCTX, 5)
     assert not ps.FundamentalSolution(2, q).normalized
@@ -302,9 +313,7 @@ def test_fundamental_determinant_matches_levi_determinant():
     # with Q := theta and (a, b) := (zb, wb), the fundamental determinant
     # coincides with the Levi determinant under the fixed row convention
     model = rigid_perturbation_model(random.Random(23), 2, 6)
-    from pseudosphere.hypersurface import levi_matrix
-
-    delta = levi_matrix(model).determinant()
+    delta = ps.minors(model).matrix.determinant()
     sol = ps.FundamentalSolution(2, model.theta.rename_context(FCTX))
     box = ps.fundamental_minors(sol).delta
     assert box == delta.rename_context(FCTX)
