@@ -24,7 +24,7 @@ from .errors import InsufficientOrderError
 from .hypersurface import HypersurfaceModel, minors, per_model
 from .pde import PdeSystem, derive_associated_system
 from .scalars import GaussianRational, brief_str
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _compose
 
 
 @dataclass(frozen=True)
@@ -224,10 +224,9 @@ def cross_check(model: HypersurfaceModel) -> CrossCheckReport:
         assignment[f"x{k}"] = TruncatedSeries.variable(ctx, theta.order, f"z{k}")
         assignment[f"yx{k}"] = theta.partial(f"z{k}")
 
-    transported = {}
-    for key, series in jet_tensor.components.items():
-        pulled = series.substitute(assignment, target_context=ctx)
-        transported[key] = delta_cubed * pulled
+    keys = list(jet_tensor.components)
+    pulled = _compose([jet_tensor.components[key] for key in keys], assignment, ctx)
+    transported = {key: delta_cubed * series for key, series in zip(keys, pulled)}
 
     mismatches = []
     orders = [direct.certified_order]

@@ -33,7 +33,13 @@ from __future__ import annotations
 
 from .errors import SingularJacobianError
 from .matrices import SeriesMatrix
-from .series import TruncatedSeries, VariableContext, _add_into, _product_terms
+from .series import (
+    TruncatedSeries,
+    VariableContext,
+    _add_into,
+    _compose,
+    _product_terms,
+)
 
 
 def solve_formal_system(equations, unknowns):
@@ -78,17 +84,17 @@ def solve_formal_system(equations, unknowns):
     for top in precisions:
         point = {u: TruncatedSeries._valid(out_ctx, top, terms)
                  for u, terms in zip(unknowns, iterate)}
-        residuals = [eq.substitute(point, target_context=out_ctx).terms
-                     for eq in equations]
+        residuals = [r.terms for r in _compose(equations, point, out_ctx)]
         if top - k - 1 != low:
             low = top - k - 1
             point = {u: TruncatedSeries._valid(
                          out_ctx, low, {e: c for e, c in terms.items() if sum(e) <= low})
                      for u, terms in zip(unknowns, iterate)}
-            zero = TruncatedSeries.zero(out_ctx, low)
+            # a zero partial adds no monomial to the walk and comes back as
+            # zero of order low
+            entries = _compose([d for row in partials for d in row], point, out_ctx)
             det, cofactor = SeriesMatrix(
-                [[d.substitute(point, target_context=out_ctx) if d.terms else zero
-                  for d in row] for row in partials]
+                [entries[i * size:(i + 1) * size] for i in range(size)]
             ).cofactors()
             if not det.constant_term():
                 raise SingularJacobianError(

@@ -20,7 +20,7 @@ from .errors import RankConditionError
 from .hypersurface import HypersurfaceModel, minors, per_model
 from .implicit import solve_implicit
 from .matrices import MinorFamily, _fundamental_matrix, jacobian_minor_family
-from .series import TruncatedSeries, VariableContext
+from .series import TruncatedSeries, VariableContext, _compose
 
 
 def pde_context(n: int) -> VariableContext:
@@ -136,11 +136,11 @@ def _eliminate(q: TruncatedSeries, x_names, parameters) -> PdeSystem:
     """The second-order system solved by the family y = q(x, parameters).
 
     Solves {y = q, y_{x^k} = q_{x^k}} for the parameters as series in
-    (x, y, y_x), substitutes them into the pure second derivatives
-    q_{x^k1 x^k2} in the solver's own context, and renames the result
-    into ``pde_context(n)``.  The caller guarantees that the constant
-    Jacobian of (q, q_x) in the parameters is invertible.  Deriving to
-    order d needs q to order d + 2.
+    (x, y, y_x), substitutes them into all the pure second derivatives
+    q_{x^k1 x^k2} in one composition, in the solver's own context, and
+    renames the result into ``pde_context(n)``.  The caller guarantees
+    that the constant Jacobian of (q, q_x) in the parameters is
+    invertible.  Deriving to order d needs q to order d + 2.
     """
     n = len(x_names)
     system = [q] + [q.partial(x) for x in x_names]
@@ -149,12 +149,10 @@ def _eliminate(q: TruncatedSeries, x_names, parameters) -> PdeSystem:
     jet_ctx = solution[parameters[-1]].context  # (x1..xn, y, yx1..yxn)
     out_ctx = pde_context(n)
     order = q.order - 2
-    components = {}
-    for k1 in range(1, n + 1):
-        for k2 in range(k1, n + 1):
-            second = q.partial(x_names[k1 - 1]).partial(x_names[k2 - 1])
-            f = second.substitute(solution, target_context=jet_ctx)
-            components[(k1, k2)] = f.rename_context(out_ctx)
+    keys = [(k1, k2) for k1 in range(1, n + 1) for k2 in range(k1, n + 1)]
+    seconds = [q.partial(x_names[k1 - 1]).partial(x_names[k2 - 1]) for k1, k2 in keys]
+    components = {key: f.rename_context(out_ctx)
+                  for key, f in zip(keys, _compose(seconds, solution, jet_ctx))}
     return PdeSystem(n, order, components)
 
 

@@ -127,6 +127,127 @@ def _add_into(acc, terms, factor=None):
         else:
             del acc[e]
 
+
+def _compose(series_list, assignment, target_context=None):
+    """Compose every series of ``series_list`` under one assignment.
+
+    This is the one composition kernel; ``TruncatedSeries.substitute`` is
+    it applied to a one-element list.  The series share one source
+    context, and the assignment follows ``substitute``'s rules.  Output j
+    is guaranteed to the smaller of series j's order and the lowest order
+    among the assigned values; its monomials of higher degree are skipped,
+    since their images have a valuation above that order.
+
+    The assignment is validated once, and each value's list of powers is
+    built lazily, once per call.  The kept monomials of all the series
+    are then walked once, in lexicographic order, so monomials that agree
+    on their leading exponents are neighbours.  A stack holds the prefix
+    products value_0^e_0 * ... * value_i^e_i of the current monomial, one
+    entry per nonzero exponent, so at most one per source variable.  A
+    monomial pops the entries past the first position where it differs
+    from the one before and multiplies out only the rest; a monomial that
+    several series share has its image computed once.  Products are cut
+    at the highest output order, and a lower output reads only its part.
+    """
+    series_list = list(series_list)
+    if not series_list:
+        raise ValueError("no series to compose")
+    first = series_list[0]
+    for s in series_list[1:]:
+        _check_same_context(first, s)
+    source_context = first.context
+    assignment = dict(assignment or {})
+    for name in assignment:
+        source_context.index(name)  # raises if undeclared
+    if target_context is None:
+        for s in assignment.values():
+            target_context = s.context
+            break
+        else:
+            raise ValueError("empty assignment requires an explicit target context")
+    value_order = None  # the lowest order among the assigned values
+    for name, s in assignment.items():
+        if s.context != target_context:
+            raise ContextMismatchError(
+                f"assignment for {name!r} lives in {s.context.names}, "
+                f"expected {target_context.names}"
+            )
+        if s.constant_term():
+            raise CompositionError(
+                f"assignment for {name!r} has a nonzero constant term"
+            )
+        if value_order is None or s.order < value_order:
+            value_order = s.order
+    orders = [s.order if value_order is None else min(s.order, value_order)
+              for s in series_list]
+    limit = max(orders)
+
+    # per context variable: its assigned series, or its index in the
+    # target context (which raises here for an unknown pass-through name)
+    sources = [
+        assignment[name] if name in assignment else target_context.index(name)
+        for name in source_context.names
+    ]
+    arity = target_context.arity
+    powers = [None] * len(sources)  # powers[i][k - 1]: the terms of value_i^k
+
+    def power(i, k):
+        cache = powers[i]
+        if cache is None:
+            source = sources[i]
+            if isinstance(source, TruncatedSeries):
+                base = {e: c for e, c in source.terms.items() if sum(e) <= limit}
+            else:
+                unit = [0] * arity
+                unit[source] = 1
+                base = {tuple(unit): ONE}
+            cache = powers[i] = [base]
+        while len(cache) < k:
+            cache.append(_product_terms(cache[-1], cache[0], limit))
+        return cache[k - 1]
+
+    # every kept monomial, with the (output, coefficient) pairs that use it
+    uses = {}
+    for j, (s, order) in enumerate(zip(series_list, orders)):
+        for exps, coeff in s.terms.items():
+            if sum(exps) <= order:
+                entry = uses.get(exps)
+                if entry is None:
+                    uses[exps] = [(j, coeff)]
+                else:
+                    entry.append((j, coeff))
+
+    outs = [{} for _ in series_list]
+    one = {(0,) * arity: ONE}
+    stack = []  # (position, prefix product through that position)
+    previous = None
+    for exps, users in sorted(uses.items()):
+        start = 0
+        if previous is not None:
+            while exps[start] == previous[start]:
+                start += 1
+            while stack and stack[-1][0] >= start:
+                stack.pop()
+        image = stack[-1][1] if stack else None
+        for i in range(start, len(exps)):
+            k = exps[i]
+            if k:
+                factor = power(i, k)
+                image = factor if image is None else _product_terms(image, factor, limit)
+                stack.append((i, image))
+        previous = exps
+        if image is None:
+            image = one
+        for j, coeff in users:
+            if orders[j] < limit:
+                cut = orders[j]
+                _add_into(outs[j], {e: c for e, c in image.items() if sum(e) <= cut}, coeff)
+            else:
+                _add_into(outs[j], image, coeff)
+    return [TruncatedSeries._valid(target_context, order, out)
+            for order, out in zip(orders, outs)]
+
+
 class TruncatedSeries:
     """A sparse formal power series truncated at a guaranteed total degree.
 
@@ -352,72 +473,18 @@ class TruncatedSeries:
         """Formal composition self(v := assignment[v], ...).
 
         Variables absent from ``assignment`` pass through to the variable
-        of the same name in the target context.  Every assigned series
-        must share one context (the target) and have zero constant term;
-        that keeps the truncation under control.  The image of a monomial
-        is a product of powers of single values; a value's list of powers
-        is built the first time a kept term raises it to a power, and only
-        as far as the terms need.
+        of the same name in the target context, which defaults to the
+        assigned values' context.  Every assigned series must live in the
+        target context and have zero constant term; that keeps the
+        truncation under control.  The result is guaranteed to the lowest
+        of ``self.order`` and the assigned values' orders.
+
+        This is ``_compose`` on a one-element list.  Several series under
+        one assignment should go to ``_compose`` together, so that they
+        share the values' powers and the products of common monomial
+        prefixes.
         """
-        assignment = dict(assignment or {})
-        for name in assignment:
-            self.context.index(name)  # raises if undeclared
-        if target_context is None:
-            for s in assignment.values():
-                target_context = s.context
-                break
-            else:
-                raise ValueError("empty assignment requires an explicit target context")
-        order = self.order
-        for name, s in assignment.items():
-            if s.context != target_context:
-                raise ContextMismatchError(
-                    f"assignment for {name!r} lives in {s.context.names}, "
-                    f"expected {target_context.names}"
-                )
-            if s.constant_term():
-                raise CompositionError(
-                    f"assignment for {name!r} has a nonzero constant term"
-                )
-            order = min(order, s.order)
-
-        # per context variable: its assigned series, or its index in the
-        # target context (which raises here for an unknown pass-through name)
-        sources = [
-            assignment[name] if name in assignment else target_context.index(name)
-            for name in self.context.names
-        ]
-        arity = target_context.arity
-        powers = [None] * len(sources)  # powers[i][k - 1]: the terms of value_i^k
-
-        def power(i, k):
-            cache = powers[i]
-            if cache is None:
-                source = sources[i]
-                if isinstance(source, TruncatedSeries):
-                    first = {e: c for e, c in source.terms.items() if sum(e) <= order}
-                else:
-                    unit = [0] * arity
-                    unit[source] = 1
-                    first = {tuple(unit): ONE}
-                cache = powers[i] = [first]
-            while len(cache) < k:
-                cache.append(_product_terms(cache[-1], cache[0], order))
-            return cache[k - 1]
-
-        out = {}
-        for exps, coeff in self.terms.items():
-            if sum(exps) > order:
-                continue  # valuation of the image would exceed the order
-            image = None
-            for i, k in enumerate(exps):
-                if k:
-                    factor = power(i, k)
-                    image = factor if image is None else _product_terms(image, factor, order)
-            if image is None:
-                image = {(0,) * arity: ONE}
-            _add_into(out, image, coeff)
-        return TruncatedSeries._valid(target_context, order, out)
+        return _compose([self], assignment, target_context)[0]
 
     def invert_unit(self) -> "TruncatedSeries":
         """Multiplicative inverse of a series with nonzero constant term."""

@@ -360,6 +360,48 @@ def test_cross_check_reports_a_perturbed_transported_route():
     )
 
 
+def test_cross_check_order_is_bounded_by_a_shorter_derived_system():
+    # a correct derived system one order short, planted in the model's
+    # memo: the routes still agree, and the transported route's order, not
+    # the direct tensor's, bounds the certified one
+    theta = ps.parse_series("-wb + z1*z1b + z2*z2b + z1^2*z1b^2", CTX, 7)
+    model = ps.make_model(2, theta, 7)
+    system = ps.derive_associated_system(model)
+    short = system.order - 1
+    components = {key: system.component(*key).truncate(short)
+                  for key in system.component_keys()}
+    model._memo[pde_module.derive_associated_system.__wrapped__] = PdeSystem(
+        2, short, components
+    )
+    report = ps.cross_check(model)
+    assert report.ok
+    assert report.direct.certified_order == 3
+    assert report.certified_order == 2
+
+
+@pytest.mark.parametrize("kind", ["rigid", "graph"])
+def test_transported_route_order_is_sound(kind):
+    # the transported tensors of one model at orders d and d + 2 agree
+    # through the lower run's certified order
+    def model(order):
+        if kind == "rigid":
+            text = "-wb + z1*z1b + z2*z2b + z1^2*z1b^2 + z1*z2b^2 + z2^2*z1b"
+            return ps.make_model(2, ps.parse_series(text, CTX, order), order)
+        phi = ps.parse_series(
+            "x1^2 + y1^2 + x2^2 + y2^2 + v*x1^2 + x1^2*x2^2", ps.graph_context(2), order
+        )
+        return ps.from_graph(phi, 2, order)
+
+    low, high = ps.cross_check(model(6)), ps.cross_check(model(8))
+    assert low.ok and high.ok
+    assert (low.certified_order, high.certified_order) == (2, 4)
+    assert low.transported.keys() == high.transported.keys()
+    for key, series in low.transported.items():
+        assert series.agrees_with(high.transported[key], low.certified_order), key
+    assert any(not series.is_zero(low.certified_order)
+               for series in low.transported.values())
+
+
 def test_cross_check_n3_nonzero_tensor():
     model = rigid_perturbation_model(random.Random(99), 3, 6)
     report = ps.cross_check(model)

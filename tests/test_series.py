@@ -13,6 +13,7 @@ from pseudosphere.errors import (
     UnknownVariableError,
 )
 from pseudosphere.scalars import ONE, GaussianRational
+from pseudosphere.series import _compose
 
 from conftest import COEFF_POOL, heisenberg_theta, random_series
 
@@ -266,14 +267,14 @@ def source_series(draw):
 
 
 @st.composite
-def target_series(draw):
+def target_series(draw, lowest_order=0):
     """A series in TARGET without constant term."""
     terms = {}
     for _ in range(draw(st.integers(0, 4))):
         exps = draw(st.tuples(*(st.integers(0, 2) for _ in range(TARGET.arity))))
         if any(exps):
             terms[exps] = draw(st.sampled_from(CANCELLING_POOL))
-    return TruncatedSeries(TARGET, draw(st.integers(0, 5)), terms)
+    return TruncatedSeries(TARGET, draw(st.integers(lowest_order, 5)), terms)
 
 
 @settings(max_examples=80, deadline=None)
@@ -288,6 +289,50 @@ def test_substitute_matches_naive_composition(s, assigned, data):
     assert result == expected
     assert result.order == expected.order
     assert_valid(result)
+
+
+@st.composite
+def source_family(draw):
+    """1-4 series in SOURCE of different orders, built from a few shared
+    leading exponents (u, v), so their monomials share prefixes within a
+    series and across series."""
+    prefixes = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                             min_size=1, max_size=3))
+    family = []
+    for _ in range(draw(st.integers(1, 4))):
+        terms = {}
+        for _ in range(draw(st.integers(0, 5))):
+            exps = draw(st.sampled_from(prefixes)) + (draw(st.integers(0, 2)), 0)
+            terms[exps] = draw(st.sampled_from(CANCELLING_POOL))
+        family.append(TruncatedSeries(SOURCE, draw(st.integers(0, 4)), terms))
+    return family
+
+
+@settings(max_examples=80, deadline=None)
+@given(source_family(), st.sets(st.sampled_from(["u", "v", "w"])), st.data())
+def test_compose_matches_naive_composition_of_each_series(family, assigned, data):
+    # one walk over a list under one assignment: each output is the naive
+    # composition of its own series, at its own order.  Values of order >= 2
+    # leave the series' orders 0..4 to tell the outputs' orders apart.
+    assignment = {name: data.draw(target_series(lowest_order=2))
+                  for name in sorted(assigned) + ["idle"]}
+    results = _compose(family, assignment, TARGET)
+    assert len(results) == len(family)
+    for s, result in zip(family, results):
+        expected = naive_compose(s, assignment, TARGET)
+        assert result == expected
+        assert result.order == expected.order
+        assert_valid(result)
+
+
+def test_compose_rejects_an_empty_or_mixed_list():
+    u = TruncatedSeries.variable(TARGET, 3, "s")
+    with pytest.raises(ValueError):
+        _compose([], {"u": u}, TARGET)
+    other = VariableContext(("u", "v", "w"))
+    with pytest.raises(ContextMismatchError):
+        _compose([TruncatedSeries.variable(SOURCE, 3, "u"),
+                  TruncatedSeries.variable(other, 3, "u")], {"u": u}, TARGET)
 
 
 def test_substitute_rejects_unknown_pass_through_name():
