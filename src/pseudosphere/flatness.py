@@ -208,6 +208,12 @@ def cross_check(model: HypersurfaceModel) -> CrossCheckReport:
     substitutes y = theta and y_{x^k} = theta_{z_k}, and scales by the
     cube of the Levi determinant.  Both routes must agree exactly up to
     the common certified order.
+
+    Each transported component keeps the order of its pulled-back
+    component, model.order - 4 for the derived system, which is below
+    delta's model.order - 2.  So delta is cut to the highest pulled order
+    before it is cubed: the degrees above it would be dropped by every
+    product anyway.
     """
     direct = main_theorem_tensor(model)
     system = derive_associated_system(model)
@@ -216,9 +222,6 @@ def cross_check(model: HypersurfaceModel) -> CrossCheckReport:
     n = model.n
     theta = model.theta
     ctx = theta.context
-    delta = minors(model).delta
-    delta_cubed = delta * delta * delta
-
     assignment = {"y": theta}
     for k in range(1, n + 1):
         assignment[f"x{k}"] = TruncatedSeries.variable(ctx, theta.order, f"z{k}")
@@ -226,6 +229,8 @@ def cross_check(model: HypersurfaceModel) -> CrossCheckReport:
 
     keys = list(jet_tensor.components)
     pulled = _compose([jet_tensor.components[key] for key in keys], assignment, ctx)
+    delta = minors(model).delta.truncate(max(s.order for s in pulled))
+    delta_cubed = delta * delta * delta
     transported = {key: delta_cubed * series for key, series in zip(keys, pulled)}
 
     mismatches = []

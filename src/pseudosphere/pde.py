@@ -141,16 +141,25 @@ def _eliminate(q: TruncatedSeries, x_names, parameters) -> PdeSystem:
     renames the result into ``pde_context(n)``.  The caller guarantees
     that the constant Jacobian of (q, q_x) in the parameters is
     invertible.  Deriving to order d needs q to order d + 2.
+
+    The system has order d = q.order - 2, the order of the second
+    derivatives, so the parameters are solved to order d only (to 1 when
+    d = 0, since the solver reads the Jacobian off the linear part),
+    though q_x would allow d + 1: the solution has no constant term, so
+    the composition's terms through degree d read only the solution's
+    terms through degree d.  The dropped degree is the costliest step of
+    the Newton lift.
     """
     n = len(x_names)
-    system = [q] + [q.partial(x) for x in x_names]
+    order = q.order - 2
+    firsts = [q.partial(x) for x in x_names]
+    system = [s.truncate(max(order, 1)) for s in [q] + firsts]
     targets = ["y"] + [f"yx{k}" for k in range(1, n + 1)]
     solution = solve_implicit(system, parameters, targets)
     jet_ctx = solution[parameters[-1]].context  # (x1..xn, y, yx1..yxn)
     out_ctx = pde_context(n)
-    order = q.order - 2
     keys = [(k1, k2) for k1 in range(1, n + 1) for k2 in range(k1, n + 1)]
-    seconds = [q.partial(x_names[k1 - 1]).partial(x_names[k2 - 1]) for k1, k2 in keys]
+    seconds = [firsts[k1 - 1].partial(x_names[k2 - 1]) for k1, k2 in keys]
     components = {key: f.rename_context(out_ctx)
                   for key, f in zip(keys, _compose(seconds, solution, jet_ctx))}
     return PdeSystem(n, order, components)
@@ -196,15 +205,26 @@ class IntegrabilityReport:
 
 
 def check_complete_integrability(system: PdeSystem) -> IntegrabilityReport:
-    """Verify D_{k3} F_{k1,k2} == D_{k2} F_{k1,k3} for all index triples."""
+    """Verify D_{k3} F_{k1,k2} == D_{k2} F_{k1,k3} for all index triples.
+
+    Each D_k F_{i,j} is computed once per k and unordered {i, j}, though
+    several triples read it.
+    """
     failures = []
     checked = system.order - 1
+    derivatives = {}
+
+    def derivative(k, i, j):
+        key = (k, min(i, j), max(i, j))
+        value = derivatives.get(key)
+        if value is None:
+            value = derivatives[key] = total_derivative(system, k, system.component(i, j))
+        return value
+
     for k1 in range(1, system.n + 1):
         for k2 in range(1, system.n + 1):
             for k3 in range(k2 + 1, system.n + 1):
-                lhs = total_derivative(system, k3, system.component(k1, k2))
-                rhs = total_derivative(system, k2, system.component(k1, k3))
-                diff = lhs - rhs
+                diff = derivative(k3, k1, k2) - derivative(k2, k1, k3)
                 if diff.is_zero():
                     continue
                 exps, coeff = diff.first_term()

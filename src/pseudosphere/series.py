@@ -377,13 +377,15 @@ class TruncatedSeries:
         elif not isinstance(other, TruncatedSeries):
             return NotImplemented
         _check_same_context(self, other)
-        order = min(self.order, other.order)
-        terms = dict(self.terms)
-        _add_into(terms, other.terms)
         if self.order == other.order:
             # no operand term lies above the order, and zero sums are dropped
-            return TruncatedSeries._valid(self.context, order, terms)
-        return TruncatedSeries(self.context, order, terms)
+            terms = dict(self.terms)
+            _add_into(terms, other.terms)
+            return TruncatedSeries._valid(self.context, self.order, terms)
+        low, high = (self, other) if self.order < other.order else (other, self)
+        terms = dict(low.terms)
+        _add_into(terms, {e: c for e, c in high.terms.items() if sum(e) <= low.order})
+        return TruncatedSeries._valid(self.context, low.order, terms)
 
     __radd__ = __add__
 
@@ -402,7 +404,8 @@ class TruncatedSeries:
         scalar = _coerce(scalar)
         if not scalar:
             return TruncatedSeries.zero(self.context, self.order)
-        return TruncatedSeries(
+        # a nonzero scalar keeps every coefficient nonzero
+        return TruncatedSeries._valid(
             self.context, self.order, {e: c * scalar for e, c in self.terms.items()}
         )
 
@@ -449,7 +452,7 @@ class TruncatedSeries:
                 continue
             shifted = e[:i] + (k - 1,) + e[i + 1 :]
             terms[shifted] = c * k
-        return TruncatedSeries(self.context, self.order - 1, terms)
+        return TruncatedSeries._valid(self.context, self.order - 1, terms)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Restrict the guaranteed order (never raises it)."""
@@ -459,7 +462,11 @@ class TruncatedSeries:
             )
         if order == self.order:
             return self
-        return TruncatedSeries(self.context, order, self.terms)
+        if order < 0:
+            raise InsufficientOrderError(f"series order must be >= 0, got {order}")
+        return TruncatedSeries._valid(
+            self.context, order, {e: c for e, c in self.terms.items() if sum(e) <= order}
+        )
 
     def rename_context(self, new_context: VariableContext) -> "TruncatedSeries":
         """Positional relabeling of variables; exponents are untouched."""
@@ -467,7 +474,7 @@ class TruncatedSeries:
             raise ContextMismatchError(
                 f"cannot rename {self.context.names} to {new_context.names}"
             )
-        return TruncatedSeries(new_context, self.order, self.terms)
+        return TruncatedSeries._valid(new_context, self.order, dict(self.terms))
 
     def substitute(self, assignment, target_context=None) -> "TruncatedSeries":
         """Formal composition self(v := assignment[v], ...).

@@ -377,6 +377,34 @@ def test_cross_check_order_is_bounded_by_a_shorter_derived_system():
     assert report.ok
     assert report.direct.certified_order == 3
     assert report.certified_order == 2
+    assert_transported_is_the_uncut_delta_cube(model, report)
+
+
+def assert_transported_is_the_uncut_delta_cube(model, report):
+    """Each transported component is delta^3 times its pulled-back jet-tensor
+    component, delta cubed at its full order: cutting delta to the pulled
+    order first changes no term and no order."""
+    theta = model.theta
+    tensor = ps.hachtroudi_tensor(ps.derive_associated_system(model))
+    assignment = {"y": theta}
+    for k in range(1, model.n + 1):
+        assignment[f"x{k}"] = ps.TruncatedSeries.variable(CTX, theta.order, f"z{k}")
+        assignment[f"yx{k}"] = theta.partial(f"z{k}")
+    delta = ps.minors(model).delta
+    assert report.transported.keys() == tensor.components.keys()
+    for key, series in tensor.components.items():
+        want = delta**3 * series.substitute(assignment, CTX)
+        assert report.transported[key] == want, key
+        assert report.transported[key].order == want.order
+
+
+def test_transported_route_is_the_uncut_delta_cube_on_a_graph():
+    phi = ps.parse_series("x1^2 + y1^2 + x2^2 + y2^2 + v*x1^2 + x1^2*x2^2",
+                          ps.graph_context(2), 8)
+    model = ps.from_graph(phi, 2, 8)
+    report = ps.cross_check(model)
+    assert not all(series.is_zero() for series in report.transported.values())
+    assert_transported_is_the_uncut_delta_cube(model, report)
 
 
 @pytest.mark.parametrize("kind", ["rigid", "graph"])

@@ -7,11 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pseudosphere as ps
-from pseudosphere import PdeSystem, TruncatedSeries
+from pseudosphere import PdeSystem, TruncatedSeries, pde as pde_module
 from pseudosphere.errors import InsufficientOrderError, LeviDegenerateError, RankConditionError
 from pseudosphere.scalars import ONE
 
-from conftest import COEFF_POOL, heisenberg_model, random_graph, rigid_perturbation_model
+from conftest import (
+    COEFF_POOL,
+    heisenberg_model,
+    random_graph,
+    random_series,
+    rigid_perturbation_model,
+)
 
 PCTX = ps.pde_context(2)
 FCTX = ps.fundamental_context(2)
@@ -111,6 +117,42 @@ def test_integrability_counterexample():
     assert residual == ps.gaussian(1)
 
 
+def naive_integrability_failures(system):
+    """Every (k1, k2, k3) of the compatibility test, each side derived anew."""
+    failures = []
+    for k1 in range(1, system.n + 1):
+        for k2 in range(1, system.n + 1):
+            for k3 in range(k2 + 1, system.n + 1):
+                diff = (ps.total_derivative(system, k3, system.component(k1, k2))
+                        - ps.total_derivative(system, k2, system.component(k1, k3)))
+                if not diff.is_zero():
+                    exps, coeff = diff.first_term()
+                    failures.append((k1, k2, k3, diff.monomial_text(exps), coeff))
+    return tuple(failures)
+
+
+@pytest.mark.parametrize("n, distinct", [(2, 4), (3, 15), (4, 36)])
+def test_integrability_derives_each_total_derivative_once(n, distinct, monkeypatch):
+    # D_k F_{i,j} for every k and unordered {i, j} but the n with k = i = j
+    rng = random.Random(n)
+    ctx = ps.pde_context(n)
+    components = {(k1, k2): random_series(rng, ctx, 3, max_terms=3, degree=2)
+                  for k1 in range(1, n + 1) for k2 in range(k1, n + 1)}
+    system = PdeSystem(n, 3, components)
+    want = naive_integrability_failures(system)
+    calls = []
+
+    def spy(system, k, g):
+        calls.append(k)
+        return total_derivative(system, k, g)
+
+    total_derivative = pde_module.total_derivative
+    monkeypatch.setattr(pde_module, "total_derivative", spy)
+    report = ps.check_complete_integrability(system)
+    assert len(calls) == distinct
+    assert want and report.failures == want
+
+
 def test_system_order_is_its_lowest_component_order():
     # an order-3 component caps the system at order 3; the untruncated
     # tensor has a nonzero coefficient of degree 3, above what is certified
@@ -161,6 +203,58 @@ def test_quartic_fundamental_solution_round_trip():
     }
     back = f11.substitute(assignment, target_context=FCTX)
     assert back.agrees_with(q.partial("x1").partial("x1"))
+
+
+def full_order_elimination(q, x_names, parameters):
+    """The associated system with the parameters solved to the order q_x
+    allows, q.order - 1, before the second derivatives are composed."""
+    n = len(x_names)
+    system = [q] + [q.partial(x) for x in x_names]
+    targets = ["y"] + [f"yx{k}" for k in range(1, n + 1)]
+    solution = ps.solve_implicit(system, parameters, targets)
+    jet_ctx = solution[parameters[-1]].context
+    components = {}
+    for k1 in range(1, n + 1):
+        for k2 in range(k1, n + 1):
+            second = q.partial(x_names[k1 - 1]).partial(x_names[k2 - 1])
+            image = second.substitute(solution, target_context=jet_ctx)
+            components[(k1, k2)] = image.rename_context(ps.pde_context(n))
+    return PdeSystem(n, q.order - 2, components)
+
+
+TARGET_GRAPH = "x1^2 + y1^2 + x2^2 + y2^2 + v*x1^2 + x1^2*x2^2"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: rigid_perturbation_model(random.Random(5), 2, 7).theta,
+    lambda: rigid_perturbation_model(random.Random(6), 3, 6).theta,
+    lambda: ps.from_graph(ps.parse_series(TARGET_GRAPH, ps.graph_context(2), 8), 2, 8).theta,
+    lambda: ps.parse_series("-b + x1*a1 + x2*a2 + x1^2*a1 + a2*x2^2*b", FCTX, 2),
+], ids=["rigid-n2", "rigid-n3", "target-graph-8", "solution-order-2"])
+def test_elimination_solves_to_the_kept_order_only(make, monkeypatch):
+    # solving the parameters one degree short of what q_x allows gives the
+    # full-order system, term for term and order for order
+    q = make()
+    n = (q.context.arity - 1) // 2
+    names = q.context.names
+    x_names, parameters = list(names[:n]), list(names[n:])
+    want = full_order_elimination(q, x_names, parameters)
+    solved = []
+
+    def spy(system, unknowns, targets):
+        solved.extend(eq.order for eq in system)
+        return solve_implicit(system, unknowns, targets)
+
+    solve_implicit = pde_module.solve_implicit
+    monkeypatch.setattr(pde_module, "solve_implicit", spy)
+    got = pde_module._eliminate(q, x_names, parameters)
+    # the solver reads the Jacobian off the linear part, so it never goes below 1
+    assert solved == [max(q.order - 2, 1)] * (n + 1)
+    assert got.order == want.order == q.order - 2
+    assert got.component_keys() == want.component_keys()
+    for key in want.component_keys():
+        assert got.component(*key) == want.component(*key), key
+        assert got.component(*key).order == want.component(*key).order
 
 
 @pytest.mark.parametrize("make", [

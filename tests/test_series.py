@@ -210,12 +210,31 @@ def assert_valid(s):
 
 
 @settings(max_examples=80, deadline=None)
-@given(mixed_order_series(), mixed_order_series(), mixed_order_series())
-def test_results_satisfy_the_validating_constructor(a, b, c):
+@given(mixed_order_series(), mixed_order_series(), mixed_order_series(),
+       st.sampled_from(CANCELLING_POOL))
+def test_results_satisfy_the_validating_constructor(a, b, c, z):
     for result in (a * b, a + b, a - b, -a, a + a, a - a, a + 1, 2 - a):
         assert_valid(result)
     assert_valid(a.partial("u"))
     assert_valid(a.substitute({"u": b - b.constant_term(), "w": c - c.constant_term()}))
+    assert_valid(a.scale(z))
+    for k in range(a.order + 1):
+        assert_valid(a.truncate(k))
+    renamed = a.rename_context(VariableContext(("p", "q", "r")))
+    assert_valid(renamed)
+    assert renamed.terms == a.terms and renamed.terms is not a.terms
+    for k in range(b.order + 1):
+        low = b.truncate(k)
+        for result in (a + low, low + a, a - low, low - a):
+            assert result.order == min(a.order, k)
+            assert_valid(result)
+
+
+def test_truncate_rejects_orders_outside_zero_to_its_own():
+    s = series("z1 + z1^2*wb", order=4)
+    for order in (-1, 5):
+        with pytest.raises(InsufficientOrderError):
+            s.truncate(order)
 
 
 # ----------------------------------------------------------------------
