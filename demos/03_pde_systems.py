@@ -4,11 +4,13 @@
 Eliminating (zb, wb) from {w = theta, w_z = theta_z} produces the
 complete second-order system the hypersurface's complexified graphs
 solve.  The converse direction starts from a fundamental solution
-Q(x, a, b) and recovers the system.  The two are one computation: a
+Q(x, a, b) and recovers the system.  The two are one function: a
 model's theta is its own fundamental solution, with (x, a, b) =
-(z, zb, wb).  The jet-transfer helper expresses second derivatives with
-respect to the first-order jet variables back in the (x, a, b) chart
-without ever solving implicitly.
+(z, zb, wb), so `recover_system_from_solution` is
+`derive_associated_system`, and both objects share one minor family.
+The jet-transfer helper expresses second derivatives with respect to
+the first-order jet variables back in the (x, a, b) chart without ever
+solving implicitly.
 """
 
 import pseudosphere as ps

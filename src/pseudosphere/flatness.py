@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InsufficientOrderError
-from .hypersurface import HypersurfaceModel, minors, per_model
+from .hypersurface import HypersurfaceModel, _roles, minors, per_model
 from .pde import PdeSystem, derive_associated_system
 from .scalars import GaussianRational, brief_str
 from .series import TruncatedSeries, _compose
@@ -175,9 +175,9 @@ def main_theorem_tensor(model: HypersurfaceModel) -> FlatnessTensor:
             f"theta order {model.order} < 4: certified order would be negative"
         )
     family = minors(model)
-    theta = model.theta
+    theta, z_names, _ = _roles(model)
     transfers = {
-        (a, b): family.transfer(theta.partial(f"z{a}").partial(f"z{b}"))
+        (a, b): family.transfer(theta.partial(z_names[a - 1]).partial(z_names[b - 1]))
         for a in range(1, n + 1)
         for b in range(a, n + 1)
     }
@@ -219,13 +219,12 @@ def cross_check(model: HypersurfaceModel) -> CrossCheckReport:
     system = derive_associated_system(model)
     jet_tensor = hachtroudi_tensor(system)
 
-    n = model.n
-    theta = model.theta
+    theta, z_names, _ = _roles(model)
     ctx = theta.context
     assignment = {"y": theta}
-    for k in range(1, n + 1):
-        assignment[f"x{k}"] = TruncatedSeries.variable(ctx, theta.order, f"z{k}")
-        assignment[f"yx{k}"] = theta.partial(f"z{k}")
+    for k, z in enumerate(z_names, 1):
+        assignment[f"x{k}"] = TruncatedSeries.variable(ctx, theta.order, z)
+        assignment[f"yx{k}"] = theta.partial(z)
 
     keys = list(jet_tensor.components)
     pulled = _compose([jet_tensor.components[key] for key in keys], assignment, ctx)

@@ -241,22 +241,31 @@ def from_graph(phi: TruncatedSeries, n: int, order: int | None = None) -> Hypers
     return make_model(n, theta, order)
 
 
+def _roles(obj):
+    """(series, base names, parameter names) of a model or a fundamental
+    solution: theta over (z1..zn; z1b..znb, wb), or Q over (x1..xn; a1..an,
+    b).  Both contexts list the n base variables first."""
+    series = obj.theta if isinstance(obj, HypersurfaceModel) else obj.q
+    names = list(series.context.names)
+    return series, names[: obj.n], names[obj.n :]
+
+
 @per_model
-def _levi_family(model: HypersurfaceModel) -> MinorFamily:
-    n = model.n
-    x_names = [f"z{k}" for k in range(1, n + 1)]
-    a_names = [f"z{k}b" for k in range(1, n + 1)] + ["wb"]
-    return jacobian_minor_family(model.theta, x_names, a_names)
+def _minor_family(obj) -> MinorFamily:
+    """The fundamental matrix of theta or Q with all of its Cramer minors;
+    a model's is its Levi matrix."""
+    return jacobian_minor_family(*_roles(obj))
 
 
-def minors(model: HypersurfaceModel) -> MinorFamily:
+def minors(model) -> MinorFamily:
     """Levi determinant of the model and all of its Cramer minors.
 
     Row convention: first row dtheta/d(tbar), then one row of mixed
     second derivatives per z_k; columns ordered (z1b..znb, wb).  Raises
-    LeviDegenerateError when the determinant vanishes at the origin.
+    LeviDegenerateError when the determinant vanishes at the origin, which
+    a fundamental solution's rank condition already excludes.
     """
-    family = _levi_family(model)
+    family = _minor_family(model)
     if not family.delta.constant_term():
         raise LeviDegenerateError("Levi determinant vanishes at the origin")
     return family
@@ -293,11 +302,12 @@ def levi(model: HypersurfaceModel) -> LeviData:
     Raises LeviDegenerateError when the determinant vanishes at 0 (the
     signature is undefined there).
     """
-    delta = minors(model).delta
-    n = model.n
+    family = minors(model)
+    delta = family.delta
+    # the Levi form theta_{z_j z_kb}(0): the mixed block of the matrix at 0
     hermitian = [
-        [model.theta.coefficient_of(**{f"z{j}": 1, f"z{k}b": 1}) for k in range(1, n + 1)]
-        for j in range(1, n + 1)
+        [entry.constant_term() for entry in row[: model.n]]
+        for row in family.matrix.entries[1:]
     ]
     signature = hermitian_signature(hermitian)
     return LeviData(delta=delta, delta_at_origin=delta.constant_term(), signature=signature)

@@ -5,11 +5,11 @@ F_{k1,k2}(x, y, y_x) in n >= 2 independent variables.  A fundamental
 solution Q(x, a, b) determines the system it solves: eliminating the
 parameters (a, b) from {y = Q, y_x = Q_x} gives F.  A hypersurface
 model's theta is its own fundamental solution, with (x, a, b) =
-(z, zb, wb), so its associated system is the same elimination; one
-private kernel does it for both.  The jet-transfer helper rewrites
-second derivatives with respect to the y_x variables as exact
-expressions in the (x, a, b) chart via Cramer minors of the fundamental
-determinant.
+(z, zb, wb), so both objects share one memoized elimination and one
+memoized minor family, exported under both names.  The jet-transfer
+helper rewrites second derivatives with respect to the y_x variables as
+exact expressions in the (x, a, b) chart via Cramer minors of the
+fundamental determinant.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import RankConditionError
-from .hypersurface import HypersurfaceModel, minors, per_model
+from .hypersurface import HypersurfaceModel, _minor_family, _roles, minors, per_model
 from .implicit import solve_implicit
-from .matrices import MinorFamily, _fundamental_matrix, jacobian_minor_family
+from .matrices import _fundamental_matrix
 from .series import TruncatedSeries, VariableContext, _compose
 
 
@@ -31,13 +31,9 @@ def pde_context(n: int) -> VariableContext:
 
 
 def fundamental_context(n: int) -> VariableContext:
-    x_names, parameters = _fundamental_names(n)
-    return VariableContext(x_names + parameters)
-
-
-def _fundamental_names(n: int):
-    """The base variables (x1..xn) and the parameters (a1..an, b) of Q."""
-    return [f"x{k}" for k in range(1, n + 1)], [f"a{k}" for k in range(1, n + 1)] + ["b"]
+    """(x1..xn, a1..an, b): the base variables, then the parameters of Q."""
+    return VariableContext([f"x{k}" for k in range(1, n + 1)]
+                           + [f"a{k}" for k in range(1, n + 1)] + ["b"])
 
 
 class PdeSystem:
@@ -106,7 +102,7 @@ class FundamentalSolution:
         if self.q.context != ctx:
             raise ValueError(f"Q must live in context {ctx.names}")
         # the rank condition reads Q to order 2, where the matrix is constant
-        jac = _fundamental_matrix(self.q.truncate(2), *_fundamental_names(self.n))
+        jac = _fundamental_matrix(self.q.truncate(2), *_roles(self)[1:])
         if not jac.determinant().constant_term():
             raise RankConditionError(
                 "the map (a, b) -> (Q, Q_x)(0, a, b) is rank-deficient at 0"
@@ -166,17 +162,20 @@ def _eliminate(q: TruncatedSeries, x_names, parameters) -> PdeSystem:
 
 
 @per_model
-def derive_associated_system(model: HypersurfaceModel) -> PdeSystem:
-    """The second-order system attached to a Levi-nondegenerate model.
+def derive_associated_system(obj) -> PdeSystem:
+    """The second-order system solved by a model's theta or by Q.
 
-    theta is its own fundamental solution with (x, a, b) = (z, zb, wb):
-    eliminating (zb, wb) from {w = theta, w_{z_k} = theta_{z_k}} gives the
-    system in (x, y, y_x).  Deriving to order d needs theta to order d + 2.
+    Deriving to order d needs the series to order d + 2.  A model must be
+    Levi-nondegenerate; a fundamental solution's rank condition, the same
+    determinant at 0, was checked when it was built, so its minors, which
+    need Q to order 3, are not built here.
     """
-    n = model.n
-    minors(model)  # raises LeviDegenerateError when delta(0) = 0
-    z_names = [f"z{k}" for k in range(1, n + 1)]
-    return _eliminate(model.theta, z_names, [f"{z}b" for z in z_names] + ["wb"])
+    if isinstance(obj, HypersurfaceModel):
+        minors(obj)
+    return _eliminate(*_roles(obj))
+
+
+recover_system_from_solution = derive_associated_system
 
 
 def total_derivative(system: PdeSystem, k: int, g: TruncatedSeries) -> TruncatedSeries:
@@ -185,10 +184,8 @@ def total_derivative(system: PdeSystem, k: int, g: TruncatedSeries) -> Truncated
         raise ValueError(f"index {k} out of range 1..{system.n}")
     if g.context != system.context:
         raise ValueError("g must live in the system's jet context")
-    ctx = system.context
-    order = g.order - 1
     out = g.partial(f"x{k}")
-    out = out + TruncatedSeries.variable(ctx, order, f"yx{k}") * g.partial("y")
+    out = out + TruncatedSeries.variable(system.context, g.order, f"yx{k}") * g.partial("y")
     for l in range(1, system.n + 1):
         dg = g.partial(f"yx{l}")
         if dg.is_zero():
@@ -232,24 +229,10 @@ def check_complete_integrability(system: PdeSystem) -> IntegrabilityReport:
     return IntegrabilityReport(not failures, checked, tuple(failures))
 
 
-@per_model
-def recover_system_from_solution(sol: FundamentalSolution) -> PdeSystem:
-    """Recover the system a fundamental solution solves.
-
-    Solves {y = Q, y_{x^k} = Q_{x^k}} for (a, b) as series in (x, y, y_x)
-    and substitutes into the pure second derivatives of Q.
-    """
-    return _eliminate(sol.q, *_fundamental_names(sol.n))
+fundamental_minors = _minor_family
 
 
-@per_model
-def fundamental_minors(sol: FundamentalSolution) -> MinorFamily:
-    """The fundamental determinant of Q and all of its Cramer minors."""
-    return jacobian_minor_family(sol.q, *_fundamental_names(sol.n))
-
-
-def jet_transfer_second(sol: FundamentalSolution, t: TruncatedSeries,
-                        l1: int, l2: int) -> TruncatedSeries:
+def jet_transfer_second(sol, t: TruncatedSeries, l1: int, l2: int) -> TruncatedSeries:
     """Second y_x-derivative of the (x, y, y_x)-counterpart of t, in (x, a, b).
 
     For T(x, a, b) corresponding to G(x, y, y_x) under y = Q, y_x = Q_x,
@@ -257,19 +240,25 @@ def jet_transfer_second(sol: FundamentalSolution, t: TruncatedSeries,
     the Cramer transfer (``MinorFamily.transfer``) of T through the minors
     of the fundamental determinant box of Q, divided by box^3.  This reads
     one entry of the transfer table; a caller who needs every (l1, l2)
-    calls ``fundamental_minors(sol).transfer(t)`` once instead.
+    calls ``fundamental_minors(sol).transfer(t)`` once instead.  A model
+    is accepted as its own fundamental solution Q = theta, if it is
+    Levi-nondegenerate.
     """
     n = sol.n
     if not (1 <= l1 <= n and 1 <= l2 <= n):
         raise ValueError(f"indices {(l1, l2)} out of range 1..{n}")
-    if t.context != sol.q.context:
+    if t.context != _roles(sol)[0].context:
         raise ValueError("t must live in the (x, a, b) context of Q")
-    entry = fundamental_minors(sol).transfer(t)[(min(l1, l2), max(l1, l2))]
+    entry = minors(sol).transfer(t)[(min(l1, l2), max(l1, l2))]
+    if entry.is_zero():
+        return entry
     return entry * _inverse_box_cubed(sol)
 
 
 @per_model
-def _inverse_box_cubed(sol: FundamentalSolution) -> TruncatedSeries:
-    """box^-3 for the fundamental determinant box of Q."""
-    inv_box = fundamental_minors(sol).delta.invert_unit()
+def _inverse_box_cubed(sol) -> TruncatedSeries:
+    """box^-3 cut to q.order - 3: every transfer entry that is not exactly
+    zero has at most that order, the order of the Hessian column q_{x a a}
+    its braces sum over, so higher degrees would be dropped."""
+    inv_box = fundamental_minors(sol).delta.truncate(sol.order - 3).invert_unit()
     return inv_box * inv_box * inv_box

@@ -68,6 +68,8 @@ def test_degenerate_model_rejected():
     bad = ps.HypersurfaceModel(n=2, theta=theta)
     with pytest.raises(LeviDegenerateError):
         ps.derive_associated_system(bad)
+    with pytest.raises(LeviDegenerateError):
+        ps.jet_transfer_second(bad, ps.parse_series("z1b^2", CTX, 5), 1, 1)
 
 
 def test_symmetry_of_derived_components():
@@ -267,17 +269,86 @@ def test_elimination_solves_to_the_kept_order_only(make, monkeypatch):
 ], ids=["heisenberg", "rigid-n2", "rigid-n3", "graph"])
 def test_theta_is_its_own_fundamental_solution(make):
     # deriving from the model and recovering from theta read as Q(x, a, b)
-    # give the same system, component by component
+    # give the same system, component by component; so do the minor family
+    # and the jet transfer, and the Levi form is the family's mixed block
     model = make()
     n = model.n
+    fctx = ps.fundamental_context(n)
     derived = ps.derive_associated_system(model)
-    sol = ps.FundamentalSolution(n, model.theta.rename_context(ps.fundamental_context(n)))
+    sol = ps.FundamentalSolution(n, model.theta.rename_context(fctx))
     recovered = ps.recover_system_from_solution(sol)
     assert derived.order == recovered.order == model.order - 2
     assert derived.component_keys() == recovered.component_keys()
     for key in derived.component_keys():
         assert derived.component(*key) == recovered.component(*key)
         assert derived.component(*key).order == recovered.component(*key).order
+
+    def assert_renamed(mine, theirs):
+        assert mine.rename_context(fctx) == theirs
+        assert mine.order == theirs.order
+
+    family, box = ps.minors(model), ps.fundamental_minors(sol)
+    assert_renamed(family.delta, box.delta)
+    assert family.cofactor.keys() == box.cofactor.keys()
+    for key in box.cofactor:
+        assert_renamed(family.cofactor[key], box.cofactor[key])
+    assert family.hessian.keys() == box.hessian.keys()
+    for key in box.hessian:
+        assert len(family.hessian[key]) == len(box.hessian[key]) == n + 1
+        for mine, theirs in zip(family.hessian[key], box.hessian[key]):
+            assert_renamed(mine, theirs)
+
+    theta = model.theta
+    z1 = TruncatedSeries.variable(theta.context, model.order + 2, "z1")
+    for t in (theta.partial("z1").partial("z1"), theta * theta, z1 * z1 + z1):
+        for l1, l2 in itertools.combinations_with_replacement(range(1, n + 1), 2):
+            assert_renamed(ps.jet_transfer_second(model, t, l1, l2),
+                           ps.jet_transfer_second(sol, t.rename_context(fctx), l1, l2))
+
+    hermitian = [
+        [theta.coefficient_of(**{f"z{j}": 1, f"z{k}b": 1}) for k in range(1, n + 1)]
+        for j in range(1, n + 1)
+    ]
+    assert ps.levi(model).signature == ps.hermitian_signature(hermitian)
+
+
+@pytest.mark.parametrize("as_solution", [False, True], ids=["model", "solution"])
+def test_both_exported_names_share_one_family_and_one_elimination(as_solution, monkeypatch):
+    import pseudosphere.hypersurface as hypersurface
+
+    built, solved = [], []
+
+    def counted_family(*args):
+        built.append(args)
+        return jacobian_minor_family(*args)
+
+    def counted_solve(*args):
+        solved.append(args)
+        return solve_implicit(*args)
+
+    jacobian_minor_family = hypersurface.jacobian_minor_family
+    solve_implicit = pde_module.solve_implicit
+    monkeypatch.setattr(hypersurface, "jacobian_minor_family", counted_family)
+    monkeypatch.setattr(pde_module, "solve_implicit", counted_solve)
+    model = rigid_perturbation_model(random.Random(5), 2, 6)
+    obj = ps.FundamentalSolution(2, model.theta.rename_context(FCTX)) if as_solution else model
+    family = ps.fundamental_minors(obj)
+    system = ps.recover_system_from_solution(obj)
+    assert ps.minors(obj) is family
+    assert ps.derive_associated_system(obj) is system
+    assert len(built) == len(solved) == 1
+
+
+def test_recovery_from_an_order_two_solution_builds_no_minors(monkeypatch):
+    # the minors need Q to order 3 (its Hessian column q_{x a a}); the
+    # order-0 system does not, and the rank condition was checked on Q
+    import pseudosphere.hypersurface as hypersurface
+
+    built = []
+    monkeypatch.setattr(hypersurface, "jacobian_minor_family", lambda *args: built.append(args))
+    sol = ps.FundamentalSolution(2, ps.parse_series("-b + x1*a1 + x2*a2 + x1^2*a1", FCTX, 2))
+    system = ps.recover_system_from_solution(sol)
+    assert system.order == 0 and not built
 
 
 def test_rank_condition_enforced():
@@ -365,8 +436,44 @@ def test_jet_transfer_matches_chain_rule_oracle(l1, l2):
     assert direct.agrees_with(oracle)
 
 
+def _random_solution(rng, n, order):
+    """-b + x.a plus random terms of degree 2..order, redrawn until the rank
+    condition holds."""
+    ctx = ps.fundamental_context(n)
+    base = ps.parse_series("-b + " + " + ".join(f"x{k}*a{k}" for k in range(1, n + 1)), ctx, order)
+    while True:
+        extra = random_series(rng, ctx, order, max_terms=6)
+        extra = TruncatedSeries(ctx, order, {e: c for e, c in extra.terms.items() if sum(e) >= 2})
+        try:
+            return ps.FundamentalSolution(n, base + extra)
+        except RankConditionError:
+            continue
+
+
+@pytest.mark.parametrize("n,order", [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5)])
+def test_jet_transfer_matches_the_uncut_box_cube(n, order):
+    # box^-3 is cut to q.order - 3 before it multiplies a transfer entry;
+    # the product is the uncut entry * box^-3, terms and order, for t with
+    # and without parameters and of orders below, at and above q's
+    rng = random.Random(100 * n + order)
+    sol = _random_solution(rng, n, order)
+    ctx = sol.q.context
+    family = ps.fundamental_minors(sol)
+    inv_box = family.delta.invert_unit()
+    cube = inv_box * inv_box * inv_box
+    ts = [random_series(rng, ctx, t_order) for t_order in (2, order, order + 2)]
+    ts += [TruncatedSeries(ctx, t.order, {e: c for e, c in t.terms.items() if not any(e[n:])})
+           for t in ts]  # parameter-free: exactly zero entries
+    ts.append(sol.q * sol.q)
+    for t in ts:
+        for (l1, l2), entry in family.transfer(t).items():
+            got, want = ps.jet_transfer_second(sol, t, l1, l2), entry * cube
+            assert got == want, (t, l1, l2)
+            assert got.order == want.order, (t, l1, l2)
+
+
 def test_jet_transfer_builds_the_minor_family_once(monkeypatch):
-    import pseudosphere.pde as pde
+    import pseudosphere.hypersurface as hypersurface
 
     calls = []
 
@@ -374,8 +481,8 @@ def test_jet_transfer_builds_the_minor_family_once(monkeypatch):
         calls.append(args)
         return jacobian_minor_family(*args, **kwargs)
 
-    jacobian_minor_family = pde.jacobian_minor_family
-    monkeypatch.setattr(pde, "jacobian_minor_family", counted)
+    jacobian_minor_family = hypersurface.jacobian_minor_family
+    monkeypatch.setattr(hypersurface, "jacobian_minor_family", counted)
     q = ps.parse_series("-b + x1*a1 + x2*a2 + x1^2*a1^2 + x1*x2*a2^2", FCTX, 6)
     sol = ps.FundamentalSolution(2, q)
     t = ps.parse_series("a1*a2 + b*x1", FCTX, 6)
