@@ -250,15 +250,11 @@ def jet_transfer_second(sol, t: TruncatedSeries, l1: int, l2: int) -> TruncatedS
     if t.context != _roles(sol)[0].context:
         raise ValueError("t must live in the (x, a, b) context of Q")
     entry = minors(sol).transfer(t)[(min(l1, l2), max(l1, l2))]
-    if entry.is_zero():
-        return entry
     return entry * _inverse_box_cubed(sol)
 
 
 @per_model
 def _inverse_box_cubed(sol) -> TruncatedSeries:
-    """box^-3 cut to q.order - 3: every transfer entry that is not exactly
-    zero has at most that order, the order of the Hessian column q_{x a a}
-    its braces sum over, so higher degrees would be dropped."""
-    inv_box = fundamental_minors(sol).delta.truncate(sol.order - 3).invert_unit()
+    """box^-3 for the fundamental determinant box of Q."""
+    inv_box = fundamental_minors(sol).delta.invert_unit()
     return inv_box * inv_box * inv_box

@@ -436,42 +436,6 @@ def test_jet_transfer_matches_chain_rule_oracle(l1, l2):
     assert direct.agrees_with(oracle)
 
 
-def _random_solution(rng, n, order):
-    """-b + x.a plus random terms of degree 2..order, redrawn until the rank
-    condition holds."""
-    ctx = ps.fundamental_context(n)
-    base = ps.parse_series("-b + " + " + ".join(f"x{k}*a{k}" for k in range(1, n + 1)), ctx, order)
-    while True:
-        extra = random_series(rng, ctx, order, max_terms=6)
-        extra = TruncatedSeries(ctx, order, {e: c for e, c in extra.terms.items() if sum(e) >= 2})
-        try:
-            return ps.FundamentalSolution(n, base + extra)
-        except RankConditionError:
-            continue
-
-
-@pytest.mark.parametrize("n,order", [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5)])
-def test_jet_transfer_matches_the_uncut_box_cube(n, order):
-    # box^-3 is cut to q.order - 3 before it multiplies a transfer entry;
-    # the product is the uncut entry * box^-3, terms and order, for t with
-    # and without parameters and of orders below, at and above q's
-    rng = random.Random(100 * n + order)
-    sol = _random_solution(rng, n, order)
-    ctx = sol.q.context
-    family = ps.fundamental_minors(sol)
-    inv_box = family.delta.invert_unit()
-    cube = inv_box * inv_box * inv_box
-    ts = [random_series(rng, ctx, t_order) for t_order in (2, order, order + 2)]
-    ts += [TruncatedSeries(ctx, t.order, {e: c for e, c in t.terms.items() if not any(e[n:])})
-           for t in ts]  # parameter-free: exactly zero entries
-    ts.append(sol.q * sol.q)
-    for t in ts:
-        for (l1, l2), entry in family.transfer(t).items():
-            got, want = ps.jet_transfer_second(sol, t, l1, l2), entry * cube
-            assert got == want, (t, l1, l2)
-            assert got.order == want.order, (t, l1, l2)
-
-
 def test_jet_transfer_builds_the_minor_family_once(monkeypatch):
     import pseudosphere.hypersurface as hypersurface
 

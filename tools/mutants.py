@@ -17,8 +17,7 @@ pass.  The script exits 1 when that baseline fails, when an old text no
 longer occurs exactly once, when a test run cannot be collected, when an
 expected kill survives or when an equivalent mutant is killed.
 
-    python3 tools/mutants.py            # every mutant
-    python3 tools/mutants.py NAME ...   # the named mutants only
+    python3 tools/mutants.py
 
 It needs only the standard library and the test suite's own
 requirements (pytest, hypothesis).  It is not a test module, so pytest
@@ -122,20 +121,6 @@ MUTANTS = [
         ("tests/test_flatness.py::test_transported_route_is_the_uncut_delta_cube_on_a_graph",),
         "killed",
     ),
-    Mutant(
-        "box-cut-one-short", "pde.py",
-        "delta.truncate(sol.order - 3).invert_unit()",
-        "delta.truncate(sol.order - 4).invert_unit()",
-        ("tests/test_pde.py::test_jet_transfer_matches_the_uncut_box_cube",),
-        "killed",
-    ),
-    Mutant(
-        "zero-transfer-entry-multiplied", "pde.py",
-        "    if entry.is_zero():\n        return entry\n",
-        "",
-        ("tests/test_pde.py::test_jet_transfer_matches_the_uncut_box_cube",),
-        "killed",
-    ),
     # -- one path for a model and a fundamental solution --------------
     Mutant(
         "role-split-one-late", "hypersurface.py",
@@ -214,16 +199,9 @@ def _outcome(mutant: Mutant) -> str:
     return {0: "survived", 1: "killed"}.get(status, f"error (pytest exit {status})")
 
 
-def main(argv=None) -> int:
-    names = sys.argv[1:] if argv is None else argv
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}")
-        return 2
-    chosen = [m for m in MUTANTS if not names or m.name in names]
+def main() -> int:
     start = time.perf_counter()
-
-    tests = list(dict.fromkeys(t for m in chosen for t in m.tests))
+    tests = list(dict.fromkeys(t for m in MUTANTS for t in m.tests))
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         _copy(Path(tmp))
         status = _run_tests(Path(tmp), tests)
@@ -232,7 +210,7 @@ def main(argv=None) -> int:
         return 1
 
     bad = 0
-    for mutant in chosen:
+    for mutant in MUTANTS:
         outcome = _outcome(mutant)
         expected = "killed" if mutant.expect == "killed" else "survived"
         ok = outcome == expected
@@ -241,7 +219,7 @@ def main(argv=None) -> int:
         note = "" if mutant.expect == "killed" else f"  [{mutant.expect}]"
         print(f"{label} {mutant.name}: {outcome}{note}", flush=True)
     elapsed = time.perf_counter() - start
-    print(f"{len(chosen) - bad} of {len(chosen)} mutants as expected in {elapsed:.0f} s")
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants as expected in {elapsed:.0f} s")
     return 1 if bad else 0
 
 
