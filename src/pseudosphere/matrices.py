@@ -182,9 +182,17 @@ class MinorFamily:
         column and w_r = sum_tau C[r, tau-1] * t_tau, computed once per t.
         The sum over r keeps zero Hessian entries, so that its guaranteed
         order is the minimum over the whole column.  The brace is computed
-        once per (mu, nu) and shared by all (l1, l2).  A zero factor is
-        skipped: it is exactly zero through its own order, which is at
-        least the brace's, so the guaranteed order stays sound.
+        once per (mu, nu) and shared by all (l1, l2).  Each term is
+        multiplied as D^mu_[l1] * (D^nu_[l2] * brace): the brace is a
+        multiple of delta plus further terms, so its order is at most the
+        unit minors' and both products are cut at it, whereas the product
+        of the two unit minors alone would be formed at their own order,
+        two degrees above the brace's for t = theta_{z z}.  A zero factor
+        is skipped: it is exactly zero through its own order, which is at
+        least the brace's, so the guaranteed order stays sound.  When
+        every unit minor of l1 or l2 is zero, the entry is the zero series
+        of the order the sum would have without its skips, the lowest
+        order of the factors of all its terms.
         """
         size = len(self.parameters)
         first = [t.partial(a) for a in self.parameters]
@@ -218,8 +226,16 @@ class MinorFamily:
                         unit_nu = self.unit(nu, l2)
                         if unit_nu.is_zero():
                             continue
-                        term = unit_mu * unit_nu * brace(mu, nu)
+                        term = unit_mu * (unit_nu * brace(mu, nu))
                         acc = term if acc is None else acc + term
+                if acc is None:
+                    order = min(
+                        min(self.unit(mu, l1).order, self.unit(nu, l2).order,
+                            brace(mu, nu).order)
+                        for mu in range(1, size + 1)
+                        for nu in range(1, size + 1)
+                    )
+                    acc = TruncatedSeries.zero(self.delta.context, order)
                 table[(l1, l2)] = acc
         return table
 

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pseudosphere as ps
 from pseudosphere import PdeSystem, pde as pde_module
@@ -160,7 +160,10 @@ def reference_transfer(family, t):
     """Test-only reference for ``MinorFamily.transfer``: the double sum with
     every second minor D^tau_[mu nu] expanded on its own, as the determinant
     of the fundamental matrix with column tau replaced by the a_mu a_nu
-    derivative column."""
+    derivative column.  Each term is grouped as (D^mu_[l1] * D^nu_[l2]) *
+    brace on purpose, the other way from ``transfer``: exact arithmetic
+    makes the grouping irrelevant to the value and the order, so this is
+    the independent check of the regrouping."""
     params = family.parameters
     size = len(params)
     rows = family.matrix.entries
@@ -203,14 +206,16 @@ def random_graph_model(rng, n, order):
 
 @settings(max_examples=25, deadline=None)
 @given(
-    st.sampled_from([2, 3]),
-    st.sampled_from(["rigid", "graph"]),
+    st.sampled_from([(2, "rigid"), (2, "graph"), (3, "rigid"), (3, "graph"), (4, "rigid")]),
     st.sampled_from(["theta_zz", "random", "parameter_free"]),
     st.integers(-1, 2),
     st.randoms(use_true_random=False),
 )
-def test_transfer_matches_replaced_column_minors(n, kind, t_kind, t_shift, rng):
-    order = 6 if n == 2 else 5
+@example((4, "rigid"), "random", 1, random.Random(4))
+def test_transfer_matches_replaced_column_minors(shape, t_kind, t_shift, rng):
+    # n = 4 at order 6 is the shape of the pipeline-n4 benchmark inputs
+    n, kind = shape
+    order = 5 if n == 3 else 6
     if kind == "rigid":
         model = rigid_perturbation_model(rng, n, order)
     else:
@@ -245,6 +250,50 @@ def test_transfer_order_counts_zero_column_entries():
         table = family.transfer(t)
         assert_same_series_tables(table, reference_transfer(family, t))
     assert table[(1, 1)].order == model.order - 3
+
+
+def test_transfer_forms_no_product_of_two_unit_minors(monkeypatch):
+    # each term is D^mu_[l1] * (D^nu_[l2] * brace), so every product is
+    # cut at the brace's order; the product of two unit minors alone would
+    # be formed at the cofactor order, two degrees above it
+    graph = ps.parse_series("x1^2 + y1^2 + x2^2 + y2^2 + v*x1^2 + x1^2*x2^2",
+                            ps.graph_context(2), 8)
+    mul = ps.TruncatedSeries.__mul__
+    for model in (ps.from_graph(graph, 2, 8),
+                  rigid_perturbation_model(random.Random(7), 4, 6)):
+        family = ps.minors(model)
+        units = {id(u) for u in family.cofactor.values()}
+        t = model.theta.partial("z1").partial("z1") + ps.parse_series(
+            "z1b^2 + z1*wb", model.context, model.order - 2)
+        operands = []
+
+        def spy(a, b):
+            operands.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(ps.TruncatedSeries, "__mul__", spy)
+        table = family.transfer(t)
+        monkeypatch.undo()
+        assert any(id(a) in units for a, _ in operands)
+        assert not any(id(a) in units and id(b) in units for a, b in operands)
+        assert_same_series_tables(table, reference_transfer(family, t))
+
+
+def test_transfer_of_a_vanishing_delta_is_zero_at_the_sum_order():
+    # delta vanishes identically, and so does every unit minor of l = 1,
+    # so the entries with l1 = 1 have no term; each is the zero series of
+    # the order the double sum has without its skips: t has order 3, so
+    # every brace has order 1, below the unit minors' order 3
+    theta = ps.parse_series("-wb + z1*z1b", CTX, 5)
+    family = ps.jacobian_minor_family(theta, ["z1", "z2"], ["z1b", "z2b", "wb"])
+    assert family.delta.is_zero()
+    assert all(family.unit(mu, 1).is_zero() for mu in (1, 2, 3))
+    t = theta.partial("z1").partial("z1") + ps.parse_series("z1b^2 + z2b*z1", CTX, 5)
+    assert t.order == 3
+    table = family.transfer(t)
+    assert table.keys() == {(1, 1), (1, 2), (2, 2)}
+    for key, series in table.items():
+        assert series.is_zero() and series.order == 1, key
 
 
 def test_minors_require_nondegeneracy():

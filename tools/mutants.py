@@ -165,6 +165,20 @@ MUTANTS = [
         ("tests/test_flatness.py::test_transfer_order_counts_zero_column_entries",),
         "killed",
     ),
+    Mutant(
+        "transfer-units-multiplied-first", "matrices.py",
+        "term = unit_mu * (unit_nu * brace(mu, nu))",
+        "term = unit_mu * unit_nu * brace(mu, nu)",
+        ("tests/test_flatness.py::test_transfer_forms_no_product_of_two_unit_minors",),
+        "killed",
+    ),
+    Mutant(
+        "transfer-empty-entry-one-long", "matrices.py",
+        "acc = TruncatedSeries.zero(self.delta.context, order)",
+        "acc = TruncatedSeries.zero(self.delta.context, order + 1)",
+        ("tests/test_flatness.py::test_transfer_of_a_vanishing_delta_is_zero_at_the_sum_order",),
+        "killed",
+    ),
 ]
 
 
