@@ -181,18 +181,31 @@ class MinorFamily:
         The second-minor sum is sum_r H_{mu nu}[r] * w_r with H the Hessian
         column and w_r = sum_tau C[r, tau-1] * t_tau, computed once per t.
         The sum over r keeps zero Hessian entries, so that its guaranteed
-        order is the minimum over the whole column.  The brace is computed
-        once per (mu, nu) and shared by all (l1, l2).  Each term is
-        multiplied as D^mu_[l1] * (D^nu_[l2] * brace): the brace is a
-        multiple of delta plus further terms, so its order is at most the
-        unit minors' and both products are cut at it, whereas the product
-        of the two unit minors alone would be formed at their own order,
-        two degrees above the brace's for t = theta_{z z}.  A zero factor
-        is skipped: it is exactly zero through its own order, which is at
-        least the brace's, so the guaranteed order stays sound.  When
-        every unit minor of l1 or l2 is zero, the entry is the zero series
-        of the order the sum would have without its skips, the lowest
-        order of the factors of all its terms.
+        order is the minimum over the whole column.  The brace B[mu, nu] is
+        computed once per (mu, nu) and shared by all (l1, l2).
+
+        The double sum is taken as two contractions, T = U^T (B U) with
+        U[mu, l] = D^mu_[l]: first V[mu, l2] = sum_nu D^nu_[l2] * B[mu, nu],
+        once per column l2, then the entry sum_mu D^mu_[l1] * V[mu, l2].
+        With every unit minor nonzero that is n (n+1)^2 + (n+1) n(n+1)/2
+        products per transfer (150 at n = 4), where a double sum per entry
+        would take 2 (n+1)^2 for each of the n(n+1)/2 entries (500).  Both
+        products are cut at the brace's order: the brace is a multiple of
+        delta plus further terms, so its order is at most the unit minors'.
+        No product of two unit minors is ever formed; it would be formed at
+        their own order, two degrees above the brace's for t = theta_{z z}.
+
+        The products are the double sum's own, regrouped, and exact
+        arithmetic makes the grouping irrelevant to the value.  Every
+        product and sum has the lowest order of its operands, so the
+        entry's order is still the lowest order of the factors of all its
+        terms.  A zero unit minor is skipped: it is exactly zero through
+        its own order, which is at least the brace's, so the guaranteed
+        order stays sound.  A V that sums to zero is still multiplied, and
+        its order counts.  When every unit minor of l1 or l2 is zero, the
+        entry is the zero series of the order the double sum would have
+        without its skips, the lowest order of the factors of all its
+        terms.
         """
         size = len(self.parameters)
         first = [t.partial(a) for a in self.parameters]
@@ -214,19 +227,28 @@ class MinorFamily:
                 braces[key] = value
             return value
 
+        live = {
+            l: [mu for mu in range(1, size + 1) if not self.unit(mu, l).is_zero()]
+            for l in range(1, size)
+        }
+        hoisted = {}
+
+        def column(mu, l):
+            # V[mu, l], formed once and shared by every entry of column l
+            key = (mu, l)
+            value = hoisted.get(key)
+            if value is None:
+                value = reduce(add, (self.unit(nu, l) * brace(mu, nu) for nu in live[l]))
+                hoisted[key] = value
+            return value
+
         table = {}
         for l1 in range(1, size):
             for l2 in range(l1, size):
                 acc = None
-                for mu in range(1, size + 1):
-                    unit_mu = self.unit(mu, l1)
-                    if unit_mu.is_zero():
-                        continue
-                    for nu in range(1, size + 1):
-                        unit_nu = self.unit(nu, l2)
-                        if unit_nu.is_zero():
-                            continue
-                        term = unit_mu * (unit_nu * brace(mu, nu))
+                if live[l2]:
+                    for mu in live[l1]:
+                        term = self.unit(mu, l1) * column(mu, l2)
                         acc = term if acc is None else acc + term
                 if acc is None:
                     order = min(

@@ -160,10 +160,13 @@ def reference_transfer(family, t):
     """Test-only reference for ``MinorFamily.transfer``: the double sum with
     every second minor D^tau_[mu nu] expanded on its own, as the determinant
     of the fundamental matrix with column tau replaced by the a_mu a_nu
-    derivative column.  Each term is grouped as (D^mu_[l1] * D^nu_[l2]) *
-    brace on purpose, the other way from ``transfer``: exact arithmetic
-    makes the grouping irrelevant to the value and the order, so this is
-    the independent check of the regrouping."""
+    derivative column.  Each entry is its own double sum, and each term is
+    grouped as (D^mu_[l1] * D^nu_[l2]) * brace on purpose, unlike
+    ``transfer``, which contracts the braces with the unit minors of l2
+    into a V shared by all entries of column l2 before the unit minors of
+    l1 meet it: exact arithmetic makes the grouping irrelevant to the
+    value and the order, so this is the independent check of the
+    factoring.  An entry with no term is None here."""
     params = family.parameters
     size = len(params)
     rows = family.matrix.entries
@@ -252,17 +255,16 @@ def test_transfer_order_counts_zero_column_entries():
     assert table[(1, 1)].order == model.order - 3
 
 
-def test_transfer_forms_no_product_of_two_unit_minors(monkeypatch):
-    # each term is D^mu_[l1] * (D^nu_[l2] * brace), so every product is
-    # cut at the brace's order; the product of two unit minors alone would
-    # be formed at the cofactor order, two degrees above it
+def spied_transfers(monkeypatch):
+    """(family, t, table, operands of every product inside ``transfer``)
+    for the target graph at order 8 and a rigid n = 4 model at order 6,
+    the shape of the pipeline-n4 benchmark inputs."""
     graph = ps.parse_series("x1^2 + y1^2 + x2^2 + y2^2 + v*x1^2 + x1^2*x2^2",
                             ps.graph_context(2), 8)
     mul = ps.TruncatedSeries.__mul__
     for model in (ps.from_graph(graph, 2, 8),
                   rigid_perturbation_model(random.Random(7), 4, 6)):
         family = ps.minors(model)
-        units = {id(u) for u in family.cofactor.values()}
         t = model.theta.partial("z1").partial("z1") + ps.parse_series(
             "z1b^2 + z1*wb", model.context, model.order - 2)
         operands = []
@@ -274,8 +276,43 @@ def test_transfer_forms_no_product_of_two_unit_minors(monkeypatch):
         monkeypatch.setattr(ps.TruncatedSeries, "__mul__", spy)
         table = family.transfer(t)
         monkeypatch.undo()
+        yield family, t, table, operands
+
+
+def test_transfer_forms_no_product_of_two_unit_minors(monkeypatch):
+    # V[mu, l2] = sum_nu D^nu_[l2] * brace, then D^mu_[l1] * V[mu, l2]:
+    # every product has a brace or a V as a factor and is cut at the
+    # brace's order; the product of two unit minors alone would be formed
+    # at the cofactor order, two degrees above it
+    for family, t, table, operands in spied_transfers(monkeypatch):
+        units = {id(u) for u in family.cofactor.values()}
         assert any(id(a) in units for a, _ in operands)
         assert not any(id(a) in units and id(b) in units for a, b in operands)
+        assert_same_series_tables(table, reference_transfer(family, t))
+
+
+def test_transfer_multiplies_each_unit_minor_column_once(monkeypatch):
+    # the count the two contractions make, from the pattern of nonzero
+    # unit minors: each V[mu, l2] once over the live nu of l2, for the mu
+    # live in some l1 <= l2, then one product per live mu of each entry
+    for family, t, table, operands in spied_transfers(monkeypatch):
+        size = len(family.parameters)
+        columns = range(1, size)
+        live = {l: [mu for mu in range(1, size + 1) if not family.unit(mu, l).is_zero()]
+                for l in columns}
+        assert all(live.values())
+        used = {l2: {mu for l1 in columns if l1 <= l2 for mu in live[l1]} for l2 in columns}
+        keys = {(min(mu, nu), max(mu, nu))
+                for l2 in columns for mu in used[l2] for nu in live[l2]}
+        firsts = sum(not t.partial(a).is_zero() for a in family.parameters)
+        weights = size * firsts
+        braces = len(keys) * (1 + size * bool(firsts))
+        hoisted = (sum(len(used[l2]) * len(live[l2]) for l2 in columns)
+                   + sum(len(live[l1]) for l1 in columns for l2 in columns if l1 <= l2))
+        double_sum = 2 * sum(len(live[l1]) * len(live[l2])
+                             for l1 in columns for l2 in columns if l1 <= l2)
+        assert len(operands) == weights + braces + hoisted
+        assert hoisted < double_sum
         assert_same_series_tables(table, reference_transfer(family, t))
 
 
@@ -294,6 +331,23 @@ def test_transfer_of_a_vanishing_delta_is_zero_at_the_sum_order():
     assert table.keys() == {(1, 1), (1, 2), (2, 2)}
     for key, series in table.items():
         assert series.is_zero() and series.order == 1, key
+
+
+def test_transfer_of_a_column_without_unit_minors_is_zero_at_the_sum_order():
+    # only D^1_[1] is nonzero, so l = 1 has a live unit minor and l = 2
+    # none: every V[mu, 2] is an empty sum, and (1, 2) and (2, 2) are the
+    # zero series of the double sum's order, the brace's order 2 below the
+    # unit minors' 4; (1, 1) has its one term, which is zero of order 2
+    theta = ps.parse_series("-wb + z2*z2b", CTX, 6)
+    family = ps.jacobian_minor_family(theta, ["z1", "z2"], ["z1b", "z2b", "wb"])
+    assert [mu for mu in (1, 2, 3) if not family.unit(mu, 1).is_zero()] == [1]
+    assert all(family.unit(mu, 2).is_zero() for mu in (1, 2, 3))
+    t = theta.partial("z1").partial("z2") + ps.parse_series("z1b^2 + z2b*z1 + wb*z2b", CTX, 4)
+    assert t.order == 4
+    table = family.transfer(t)
+    assert table.keys() == {(1, 1), (1, 2), (2, 2)}
+    for key, series in table.items():
+        assert series.is_zero() and series.order == 2, key
 
 
 def test_minors_require_nondegeneracy():
