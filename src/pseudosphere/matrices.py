@@ -201,11 +201,13 @@ class MinorFamily:
         entry's order is still the lowest order of the factors of all its
         terms.  A zero unit minor is skipped: it is exactly zero through
         its own order, which is at least the brace's, so the guaranteed
-        order stays sound.  A V that sums to zero is still multiplied, and
-        its order counts.  When every unit minor of l1 or l2 is zero, the
-        entry is the zero series of the order the double sum would have
-        without its skips, the lowest order of the factors of all its
-        terms.
+        order stays sound.  A zero V is skipped too.  Every unit minor is a
+        minor of the fundamental matrix and has its order, delta's, and
+        every brace of one t has one order, at most delta's, since none of
+        its factors' orders depends on (mu, nu).  So every V and every term
+        has the brace order, and skipping one moves no order.  An entry left
+        without a term is the zero series of that order, the one the double
+        sum would have without its skips.
         """
         size = len(self.parameters)
         first = [t.partial(a) for a in self.parameters]
@@ -248,16 +250,12 @@ class MinorFamily:
                 acc = None
                 if live[l2]:
                     for mu in live[l1]:
-                        term = self.unit(mu, l1) * column(mu, l2)
-                        acc = term if acc is None else acc + term
+                        v = column(mu, l2)
+                        if v.terms:
+                            term = self.unit(mu, l1) * v
+                            acc = term if acc is None else acc + term
                 if acc is None:
-                    order = min(
-                        min(self.unit(mu, l1).order, self.unit(nu, l2).order,
-                            brace(mu, nu).order)
-                        for mu in range(1, size + 1)
-                        for nu in range(1, size + 1)
-                    )
-                    acc = TruncatedSeries.zero(self.delta.context, order)
+                    acc = TruncatedSeries.zero(self.delta.context, brace(1, 1).order)
                 table[(l1, l2)] = acc
         return table
 

@@ -5,6 +5,15 @@ up to ``order`` is exact, and nothing is claimed beyond it.  Operations
 propagate the worst-case guaranteed order of their output (a partial
 derivative loses one degree, products and compositions take minima), so
 a chain of operations always knows how far its result can be trusted.
+
+Two rules make a zero series cost no more than a call.  A product with
+an empty operand is the empty series of the lower operand order: every
+term of the true product lies above that order, and nothing is claimed
+beyond it.  A sum or difference of two series of the same order, one of
+them empty, is the other operand itself (negated in ``empty - b``); at
+unequal orders the sum is still cut to the lower order.  Series are
+immutable by convention, so returning an operand shares no state that
+anyone changes.
 """
 
 from __future__ import annotations
@@ -74,7 +83,7 @@ def graded_lex(exps):
 
 
 def _check_same_context(a, b):
-    if a.context != b.context:
+    if a.context is not b.context and a.context != b.context:
         raise ContextMismatchError(
             f"contexts differ: {a.context.names} vs {b.context.names}"
         )
@@ -126,6 +135,44 @@ def _add_into(acc, terms, factor=None):
             acc[e] = total
         else:
             del acc[e]
+
+
+def _subtract_into(acc, terms):
+    """acc -= terms, coefficientwise, in place; zero differences are dropped."""
+    for e, c in terms.items():
+        c = -c
+        total = acc.get(e)
+        total = c if total is None else total + c
+        if total:
+            acc[e] = total
+        else:
+            del acc[e]
+
+
+def _sum(a, b, subtract):
+    """a + b, or a - b when ``subtract``, at the lower of the two orders.
+
+    At one order no operand term lies above it, so an empty operand leaves
+    the other as it is; otherwise the higher operand is cut first.  The
+    lower operand's terms come first in the result.
+    """
+    _check_same_context(a, b)
+    if a.order == b.order:
+        if not b.terms:
+            return a
+        if not a.terms:
+            return -b if subtract else b
+    if a.order <= b.order:
+        order = a.order
+        terms = dict(a.terms)
+        other = b.terms if b.order == order else {
+            e: c for e, c in b.terms.items() if sum(e) <= order}
+        (_subtract_into if subtract else _add_into)(terms, other)
+    else:
+        order = b.order
+        terms = {e: -c for e, c in b.terms.items()} if subtract else dict(b.terms)
+        _add_into(terms, {e: c for e, c in a.terms.items() if sum(e) <= order})
+    return TruncatedSeries._valid(a.context, order, terms)
 
 
 def _compose(series_list, assignment, target_context=None):
@@ -298,14 +345,18 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, context, order):
-        return cls(context, order)
+        if order < 0:
+            raise InsufficientOrderError(f"series order must be >= 0, got {order}")
+        return cls._valid(context, order, {})
 
     @classmethod
     def constant(cls, context, order, value):
-        value = _coerce(value)
-        if value is None:
+        scalar = _coerce(value)
+        if scalar is None:
             raise TypeError(f"cannot use {value!r} as a coefficient")
-        return cls(context, order, {(0,) * context.arity: value})
+        if order < 0:
+            raise InsufficientOrderError(f"series order must be >= 0, got {order}")
+        return cls._valid(context, order, {(0,) * context.arity: scalar} if scalar else {})
 
     @classmethod
     def variable(cls, context, order, name):
@@ -370,53 +421,57 @@ class TruncatedSeries:
             self.context, self.order, {e: -c for e, c in self.terms.items()}
         )
 
-    def __add__(self, other):
+    def _lift(self, other):
+        """A non-series operand as the constant series of self's context
+        and order; None when it is not a scalar either."""
+        if isinstance(other, TruncatedSeries):
+            return other
         scalar = _coerce(other)
-        if scalar is not None:
-            other = TruncatedSeries.constant(self.context, self.order, scalar)
-        elif not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        _check_same_context(self, other)
-        if self.order == other.order:
-            # no operand term lies above the order, and zero sums are dropped
-            terms = dict(self.terms)
-            _add_into(terms, other.terms)
-            return TruncatedSeries._valid(self.context, self.order, terms)
-        low, high = (self, other) if self.order < other.order else (other, self)
-        terms = dict(low.terms)
-        _add_into(terms, {e: c for e, c in high.terms.items() if sum(e) <= low.order})
-        return TruncatedSeries._valid(self.context, low.order, terms)
+        if scalar is None:
+            return None
+        return TruncatedSeries.constant(self.context, self.order, scalar)
+
+    def __add__(self, other):
+        if other.__class__ is not TruncatedSeries:
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
+        return _sum(self, other, False)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return self + (-other)
-        scalar = _coerce(other)
-        if scalar is None:
-            return NotImplemented
-        return self + (-scalar)
+        if other.__class__ is not TruncatedSeries:
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
+        return _sum(self, other, True)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def scale(self, scalar) -> "TruncatedSeries":
-        scalar = _coerce(scalar)
-        if not scalar:
+        value = _coerce(scalar)
+        if value is None:
+            raise TypeError(f"cannot scale by {scalar!r}")
+        if not value:
             return TruncatedSeries.zero(self.context, self.order)
         # a nonzero scalar keeps every coefficient nonzero
         return TruncatedSeries._valid(
-            self.context, self.order, {e: c * scalar for e, c in self.terms.items()}
+            self.context, self.order, {e: c * value for e, c in self.terms.items()}
         )
 
     def __mul__(self, other):
-        scalar = _coerce(other)
-        if scalar is not None:
-            return self.scale(scalar)
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
+        if other.__class__ is not TruncatedSeries:
+            scalar = _coerce(other)
+            if scalar is not None:
+                return self.scale(scalar)
+            if not isinstance(other, TruncatedSeries):
+                return NotImplemented
         _check_same_context(self, other)
         order = min(self.order, other.order)
+        if not self.terms or not other.terms:
+            return TruncatedSeries._valid(self.context, order, {})
         return TruncatedSeries._valid(
             self.context, order, _product_terms(self.terms, other.terms, order)
         )

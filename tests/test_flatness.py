@@ -167,20 +167,7 @@ def reference_transfer(family, t):
     l1 meet it: exact arithmetic makes the grouping irrelevant to the
     value and the order, so this is the independent check of the
     factoring.  An entry with no term is None here."""
-    params = family.parameters
-    size = len(params)
-    rows = family.matrix.entries
-    first = [t.partial(a) for a in params]
-
-    def brace(mu, nu):
-        col = [row[mu - 1].partial(params[nu - 1]) for row in rows]
-        value = family.delta * first[mu - 1].partial(params[nu - 1])
-        for tau in range(1, size + 1):
-            if not first[tau - 1].is_zero():
-                second = family.matrix.with_column(tau - 1, col).determinant()
-                value = value - second * first[tau - 1]
-        return value
-
+    size = len(family.parameters)
     table = {}
     for l1 in range(1, size):
         for l2 in range(l1, size):
@@ -190,10 +177,24 @@ def reference_transfer(family, t):
                     unit_mu, unit_nu = family.unit(mu, l1), family.unit(nu, l2)
                     if unit_mu.is_zero() or unit_nu.is_zero():
                         continue
-                    term = unit_mu * unit_nu * brace(mu, nu)
+                    term = unit_mu * unit_nu * reference_brace(family, t, mu, nu)
                     acc = term if acc is None else acc + term
             table[(l1, l2)] = acc
     return table
+
+
+def reference_brace(family, t, mu, nu):
+    """delta * t_{mu nu} - sum_tau D^tau_[mu nu] * t_tau, with every second
+    minor expanded on its own as a replaced-column determinant."""
+    params = family.parameters
+    first = [t.partial(a) for a in params]
+    col = [row[mu - 1].partial(params[nu - 1]) for row in family.matrix.entries]
+    value = family.delta * first[mu - 1].partial(params[nu - 1])
+    for tau in range(1, len(params) + 1):
+        if not first[tau - 1].is_zero():
+            second = family.matrix.with_column(tau - 1, col).determinant()
+            value = value - second * first[tau - 1]
+    return value
 
 
 def assert_same_series_tables(got, want):
@@ -293,8 +294,11 @@ def test_transfer_forms_no_product_of_two_unit_minors(monkeypatch):
 
 def test_transfer_multiplies_each_unit_minor_column_once(monkeypatch):
     # the count the two contractions make, from the pattern of nonzero
-    # unit minors: each V[mu, l2] once over the live nu of l2, for the mu
-    # live in some l1 <= l2, then one product per live mu of each entry
+    # unit minors and of nonzero V: each V[mu, l2] once over the live nu
+    # of l2, for the mu live in some l1 <= l2, then one product per live
+    # mu of each entry whose V[mu, l2] is nonzero; an entry left without a
+    # term reads the order of brace (1, 1), formed for it if need be
+    skipped = 0
     for family, t, table, operands in spied_transfers(monkeypatch):
         size = len(family.parameters)
         columns = range(1, size)
@@ -304,16 +308,27 @@ def test_transfer_multiplies_each_unit_minor_column_once(monkeypatch):
         used = {l2: {mu for l1 in columns if l1 <= l2 for mu in live[l1]} for l2 in columns}
         keys = {(min(mu, nu), max(mu, nu))
                 for l2 in columns for mu in used[l2] for nu in live[l2]}
+        braces = {key: reference_brace(family, t, *key) for key in keys}
+        zero_v = {(mu, l2) for l2 in columns for mu in used[l2]
+                  if sum((family.unit(nu, l2) * braces[min(mu, nu), max(mu, nu)]
+                          for nu in live[l2]), start=0).is_zero()}
+        terms = {(l1, l2): [mu for mu in live[l1] if (mu, l2) not in zero_v]
+                 for l1 in columns for l2 in columns if l1 <= l2}
+        if not all(terms.values()):
+            keys.add((1, 1))
         firsts = sum(not t.partial(a).is_zero() for a in family.parameters)
         weights = size * firsts
-        braces = len(keys) * (1 + size * bool(firsts))
+        brace_products = len(keys) * (1 + size * bool(firsts))
         hoisted = (sum(len(used[l2]) * len(live[l2]) for l2 in columns)
-                   + sum(len(live[l1]) for l1 in columns for l2 in columns if l1 <= l2))
+                   + sum(len(mus) for mus in terms.values()))
         double_sum = 2 * sum(len(live[l1]) * len(live[l2])
                              for l1 in columns for l2 in columns if l1 <= l2)
-        assert len(operands) == weights + braces + hoisted
+        assert len(operands) == weights + brace_products + hoisted
         assert hoisted < double_sum
         assert_same_series_tables(table, reference_transfer(family, t))
+        skipped += sum(len(live[l1]) - len(mus) for (l1, _), mus in terms.items())
+    # the rigid n = 4 model has zero V, whose products are skipped
+    assert skipped
 
 
 def test_transfer_of_a_vanishing_delta_is_zero_at_the_sum_order():

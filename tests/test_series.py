@@ -1,7 +1,9 @@
 """Ring operations, calculus, and order bookkeeping of truncated series."""
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pseudosphere as ps
 from pseudosphere import TruncatedSeries, VariableContext
@@ -12,8 +14,9 @@ from pseudosphere.errors import (
     NonUnitError,
     UnknownVariableError,
 )
-from pseudosphere.scalars import ONE, GaussianRational
-from pseudosphere.series import _compose
+from pseudosphere import series as series_module
+from pseudosphere.scalars import ONE, ZERO, GaussianRational
+from pseudosphere.series import _compose, _product_terms
 
 from conftest import COEFF_POOL, heisenberg_theta, random_series
 
@@ -235,6 +238,111 @@ def test_truncate_rejects_orders_outside_zero_to_its_own():
     for order in (-1, 5):
         with pytest.raises(InsufficientOrderError):
             s.truncate(order)
+
+
+# ----------------------------------------------------------------------
+# ring operations against dict arithmetic, empty operands included
+
+UVW = VariableContext(("u", "v", "w"))
+
+
+@st.composite
+def sparse_series(draw):
+    """A series of order 0..4, empty in about one draw of five."""
+    order = draw(st.integers(0, 4))
+    terms = {}
+    for _ in range(draw(st.sampled_from([0, 1, 2, 4, 6]))):
+        exps = draw(st.tuples(*(st.integers(0, 3) for _ in range(3))))
+        terms[exps] = draw(st.sampled_from(CANCELLING_POOL))
+    return TruncatedSeries(UVW, order, terms)
+
+
+def reference_sum(a, b, sign):
+    """(order, terms) of a + sign * b by plain dict arithmetic."""
+    order = min(a.order, b.order)
+    out = {}
+    for s, k in ((a, 1), (b, sign)):
+        for e, c in s.terms.items():
+            if sum(e) <= order:
+                out[e] = out.get(e, ZERO) + c * k
+    return order, {e: c for e, c in out.items() if c}
+
+
+def reference_product(a, b):
+    order = min(a.order, b.order)
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if sum(e) <= order:
+                out[e] = out.get(e, ZERO) + ca * cb
+    return order, {e: c for e, c in out.items() if c}
+
+
+def order_and_terms(s):
+    return s.order, s.terms
+
+
+EMPTY_HIGH = TruncatedSeries(UVW, 3, {})
+LINEAR_LOW = TruncatedSeries(UVW, 1, {(1, 0, 0): ONE, (0, 2, 0): ONE})
+CUBIC_HIGH = TruncatedSeries(UVW, 3, {(1, 0, 0): ONE, (1, 1, 1): ONE})
+EMPTY_LOW = TruncatedSeries(UVW, 1, {})
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_series(), sparse_series())
+@example(EMPTY_HIGH, LINEAR_LOW)
+@example(CUBIC_HIGH, EMPTY_LOW)
+@example(EMPTY_LOW, EMPTY_HIGH)
+@example(EMPTY_HIGH, CUBIC_HIGH)
+def test_ring_operations_match_dict_arithmetic(a, b):
+    # an empty operand shortcuts only at equal orders; at unequal orders
+    # the result still has the lower order and the cut terms
+    assert order_and_terms(a * b) == reference_product(a, b)
+    assert order_and_terms(b * a) == reference_product(b, a)
+    assert order_and_terms(a + b) == reference_sum(a, b, 1)
+    assert order_and_terms(a - b) == reference_sum(a, b, -1)
+    assert order_and_terms(-a) == (a.order, {e: -c for e, c in a.terms.items()})
+
+
+@pytest.mark.parametrize("value", [3, 0, Fraction(-2, 3), GaussianRational(Fraction(1, 2), -1)])
+def test_scalar_operands_are_constant_series(value):
+    s = series("1 + z1 - wb^2", order=3)
+    const = TruncatedSeries.constant(CTX, 3, value)
+    for got, want in (
+        (s + value, s + const), (value + s, const + s),
+        (s - value, s - const), (value - s, const - s),
+        (s * value, s * const), (value * s, const * s),
+    ):
+        assert order_and_terms(got) == order_and_terms(want)
+
+
+@pytest.mark.parametrize("value", [1.5, "z1"])
+def test_float_and_str_operands_raise_type_error(value):
+    s = series("1 + z1", order=3)
+    for op in (lambda: s + value, lambda: value + s, lambda: s - value,
+               lambda: value - s, lambda: s * value, lambda: value * s,
+               lambda: s.scale(value),
+               lambda: TruncatedSeries.constant(CTX, 3, value)):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_product_with_an_empty_operand_skips_the_product_loop(monkeypatch):
+    calls = []
+
+    def spy(left, right, limit):
+        calls.append(limit)
+        return _product_terms(left, right, limit)
+
+    s = series("1 + z1*wb", order=5)
+    monkeypatch.setattr(series_module, "_product_terms", spy)
+    for empty in (TruncatedSeries.zero(CTX, 3), TruncatedSeries.zero(CTX, 7)):
+        for product in (s * empty, empty * s):
+            assert product.is_zero() and product.order == min(s.order, empty.order)
+    assert not calls
+    s * s
+    assert calls == [5]
 
 
 # ----------------------------------------------------------------------

@@ -174,43 +174,38 @@ MUTANTS = [
     ),
     Mutant(
         "transfer-hoisted-column-l1", "matrices.py",
-        "term = self.unit(mu, l1) * column(mu, l2)",
-        "term = self.unit(mu, l1) * column(mu, l1)",
+        "v = column(mu, l2)",
+        "v = column(mu, l1)",
         ("tests/test_flatness.py::test_transfer_matches_replaced_column_minors",),
         "killed",
     ),
     Mutant(
-        "transfer-zero-column-skipped", "matrices.py",
-        "                    for mu in live[l1]:\n",
-        "                    for mu in (mu for mu in live[l1] if not column(mu, l2).is_zero()):\n",
-        # every test of the transfer's value and order, through the tensors
-        # and the cross-check too; the product count alone would tell the
-        # mutant, which skips the products of the zero V
-        ("tests/test_pde.py", *(f"tests/test_flatness.py::test_{name}" for name in (
-            "transfer_matches_replaced_column_minors",
-            "transfer_order_counts_zero_column_entries",
-            "transfer_forms_no_product_of_two_unit_minors",
-            "transfer_of_a_vanishing_delta_is_zero_at_the_sum_order",
-            "transfer_of_a_column_without_unit_minors_is_zero_at_the_sum_order",
-            "quartic_model_has_frozen_witness",
-            "verdict_at_reduced_order",
-            "cross_check_random_perturbations",
-            "transported_route_order_is_sound",
-            "n4_pipeline_uses_cofactor_minors",
-            "cross_check_nonrigid_model",
-        ))),
-        "equivalent: every unit minor is a minor of the fundamental matrix and "
-        "has the matrix's order, and every brace has one order, the lowest of "
-        "delta's, t's second partials' and, when t has a nonzero parameter "
-        "derivative, the Hessian rows' and the weights', none of which depends "
-        "on (mu, nu); so every V[mu, l2] and every term of an entry has one "
-        "order, and an entry left with no term gets it as its empty sum",
+        "transfer-zero-column-multiplied", "matrices.py",
+        "                        if v.terms:\n",
+        "                        if v is not None:\n",
+        ("tests/test_flatness.py::test_transfer_multiplies_each_unit_minor_column_once",),
+        "killed",
     ),
     Mutant(
         "transfer-empty-entry-one-long", "matrices.py",
-        "acc = TruncatedSeries.zero(self.delta.context, order)",
-        "acc = TruncatedSeries.zero(self.delta.context, order + 1)",
+        "acc = TruncatedSeries.zero(self.delta.context, brace(1, 1).order)",
+        "acc = TruncatedSeries.zero(self.delta.context, brace(1, 1).order + 1)",
         ("tests/test_flatness.py::test_transfer_of_a_vanishing_delta_is_zero_at_the_sum_order",),
+        "killed",
+    ),
+    # -- zero operands ------------------------------------------------
+    Mutant(
+        "mul-empty-at-max-order", "series.py",
+        "            return TruncatedSeries._valid(self.context, order, {})\n",
+        "            return TruncatedSeries._valid(self.context, max(self.order, other.order), {})\n",
+        ("tests/test_series.py::test_ring_operations_match_dict_arithmetic",),
+        "killed",
+    ),
+    Mutant(
+        "add-empty-at-unequal-order", "series.py",
+        "    if a.order == b.order:\n        if not b.terms:\n            return a\n",
+        "    if not b.terms:\n        return a\n    if a.order == b.order:\n",
+        ("tests/test_series.py::test_ring_operations_match_dict_arithmetic",),
         "killed",
     ),
 ]
