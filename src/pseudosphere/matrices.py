@@ -181,33 +181,15 @@ class MinorFamily:
         The second-minor sum is sum_r H_{mu nu}[r] * w_r with H the Hessian
         column and w_r = sum_tau C[r, tau-1] * t_tau, computed once per t.
         The sum over r keeps zero Hessian entries, so that its guaranteed
-        order is the minimum over the whole column.  The brace B[mu, nu] is
-        computed once per (mu, nu) and shared by all (l1, l2).
+        order is the minimum over the whole column.
 
-        The double sum is taken as two contractions, T = U^T (B U) with
-        U[mu, l] = D^mu_[l]: first V[mu, l2] = sum_nu D^nu_[l2] * B[mu, nu],
-        once per column l2, then the entry sum_mu D^mu_[l1] * V[mu, l2].
-        With every unit minor nonzero that is n (n+1)^2 + (n+1) n(n+1)/2
-        products per transfer (150 at n = 4), where a double sum per entry
-        would take 2 (n+1)^2 for each of the n(n+1)/2 entries (500).  Both
-        products are cut at the brace's order: the brace is a multiple of
-        delta plus further terms, so its order is at most the unit minors'.
-        No product of two unit minors is ever formed; it would be formed at
-        their own order, two degrees above the brace's for t = theta_{z z}.
-
-        The products are the double sum's own, regrouped, and exact
-        arithmetic makes the grouping irrelevant to the value.  Every
-        product and sum has the lowest order of its operands, so the
-        entry's order is still the lowest order of the factors of all its
-        terms.  A zero unit minor is skipped: it is exactly zero through
-        its own order, which is at least the brace's, so the guaranteed
-        order stays sound.  A zero V is skipped too.  Every unit minor is a
-        minor of the fundamental matrix and has its order, delta's, and
-        every brace of one t has one order, at most delta's, since none of
-        its factors' orders depends on (mu, nu).  So every V and every term
-        has the brace order, and skipping one moves no order.  An entry left
-        without a term is the zero series of that order, the one the double
-        sum would have without its skips.
+        With B[mu, nu] the brace and U[mu, l] = D^mu_[l], the table is
+        T = U^T V with V = B U: n (n+1)^2 + (n+1) n(n+1)/2 products with
+        every unit minor nonzero (150 at n = 4), each cut at the brace's
+        order.  Every unit minor has delta's order and every brace of one t
+        one order, at most delta's, so every V and every term has the brace
+        order: skipping a zero unit minor or a zero V moves no order, and
+        every sum starts from the zero of that order.
         """
         size = len(self.parameters)
         first = [t.partial(a) for a in self.parameters]
@@ -216,48 +198,22 @@ class MinorFamily:
             reduce(add, (self.cofactor[(r, c)] * d for c, d in nonzero))
             for r in range(size)
         ] if nonzero else []
-        braces = {}
-
-        def brace(mu, nu):
-            key = (min(mu, nu), max(mu, nu))
-            value = braces.get(key)
-            if value is None:
-                mu, nu = key
-                value = self.delta * first[mu - 1].partial(self.parameters[nu - 1])
-                for h, w in zip(self.hessian[key], weights):
-                    value = value - h * w
-                braces[key] = value
-            return value
-
-        live = {
-            l: [mu for mu in range(1, size + 1) if not self.unit(mu, l).is_zero()]
-            for l in range(1, size)
+        brace = {}
+        for (mu, nu), column in self.hessian.items():
+            value = self.delta * first[mu - 1].partial(self.parameters[nu - 1])
+            for h, w in zip(column, weights):
+                value = value - h * w
+            brace[(mu, nu)] = brace[(nu, mu)] = value
+        zero = TruncatedSeries.zero(self.delta.context, brace[(1, 1)].order)
+        mus, columns = range(1, size + 1), range(1, size)
+        units = {l: [(mu, self.unit(mu, l)) for mu in mus if self.unit(mu, l).terms]
+                 for l in columns}
+        v = {(mu, l): sum((u * brace[(mu, nu)] for nu, u in units[l]), zero)
+             for l in columns for mu in mus}
+        return {
+            (l1, l2): sum((u * v[(mu, l2)] for mu, u in units[l1] if v[(mu, l2)].terms), zero)
+            for l1 in columns for l2 in columns if l1 <= l2
         }
-        hoisted = {}
-
-        def column(mu, l):
-            # V[mu, l], formed once and shared by every entry of column l
-            key = (mu, l)
-            value = hoisted.get(key)
-            if value is None:
-                value = reduce(add, (self.unit(nu, l) * brace(mu, nu) for nu in live[l]))
-                hoisted[key] = value
-            return value
-
-        table = {}
-        for l1 in range(1, size):
-            for l2 in range(l1, size):
-                acc = None
-                if live[l2]:
-                    for mu in live[l1]:
-                        v = column(mu, l2)
-                        if v.terms:
-                            term = self.unit(mu, l1) * v
-                            acc = term if acc is None else acc + term
-                if acc is None:
-                    acc = TruncatedSeries.zero(self.delta.context, brace(1, 1).order)
-                table[(l1, l2)] = acc
-        return table
 
 
 def _fundamental_matrix(q: TruncatedSeries, x_names, a_names) -> SeriesMatrix:

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import RankConditionError
-from .hypersurface import HypersurfaceModel, _minor_family, _roles, minors, per_model
+from .errors import LeviDegenerateError, RankConditionError, SingularJacobianError
+from .hypersurface import _minor_family, _roles, minors, per_model
 from .implicit import solve_implicit
 from .matrices import _fundamental_matrix
 from .series import TruncatedSeries, VariableContext, _compose
@@ -165,14 +165,16 @@ def _eliminate(q: TruncatedSeries, x_names, parameters) -> PdeSystem:
 def derive_associated_system(obj) -> PdeSystem:
     """The second-order system solved by a model's theta or by Q.
 
-    Deriving to order d needs the series to order d + 2.  A model must be
-    Levi-nondegenerate; a fundamental solution's rank condition, the same
-    determinant at 0, was checked when it was built, so its minors, which
-    need Q to order 3, are not built here.
+    Deriving to order d needs the series to order d + 2.  The elimination
+    inverts the Jacobian of (Q, Q_x) in the parameters at 0, a model's
+    Levi matrix and a fundamental solution's rank condition, so it is the
+    Levi check: the minors, which need the series to order 3, are not
+    built here.
     """
-    if isinstance(obj, HypersurfaceModel):
-        minors(obj)
-    return _eliminate(*_roles(obj))
+    try:
+        return _eliminate(*_roles(obj))
+    except SingularJacobianError:
+        raise LeviDegenerateError("Levi determinant vanishes at the origin") from None
 
 
 recover_system_from_solution = derive_associated_system

@@ -200,7 +200,7 @@ def test_exit_one_on_witness_with_huge_coefficient(capsys):
     ["check", "--n", "2", "--order", "5", "--f", "3,3=x1"],
     ["check", "--n", "2", "--order", "5", "--theta", HEIS + " + 3^10000*z1"],
     ["levi", "--n", "2", "--order", "2", "--theta=" + HEIS],
-    ["derive-pde", "--n", "2", "--order", "2", "--theta=" + HEIS],
+    ["derive-pde", "--n", "2", "--order", "1", "--theta=" + HEIS],
     ["check", "--n", "2", "--order", "2", "--theta=" + HEIS, "--checks", "integrability"],
     ["check", "--n", "2", "--order", "1", "--f", "1,1=x2"],
     ["curvature", "--n", "2", "--order", "1", "--f", "1,1=x2"],

@@ -351,6 +351,22 @@ def test_recovery_from_an_order_two_solution_builds_no_minors(monkeypatch):
     assert system.order == 0 and not built
 
 
+def test_order_two_model_derives_the_system_of_its_theta_as_a_solution():
+    # the order-0 system reads theta only to order 2, below the order 3 the
+    # Levi minors' Hessian columns need; the elimination's own Jacobian at
+    # 0 is the Levi matrix, so it is the Levi check
+    theta = ps.parse_series("-wb + z1*z1b - z2*z2b + z1^2 + z1b^2", CTX, 2)
+    derived = ps.derive_associated_system(ps.make_model(2, theta, 2))
+    sol = ps.FundamentalSolution(2, theta.rename_context(FCTX))
+    recovered = ps.recover_system_from_solution(sol)
+    assert derived.order == recovered.order == 0
+    assert derived.component_keys() == recovered.component_keys()
+    for key in recovered.component_keys():
+        assert derived.component(*key) == recovered.component(*key)
+        assert derived.component(*key).order == 0
+    assert not derived.component(1, 1).is_zero()
+
+
 def test_rank_condition_enforced():
     with pytest.raises(RankConditionError):
         ps.FundamentalSolution(2, ps.parse_series("-b + x1*a1", FCTX, 5))

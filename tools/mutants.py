@@ -130,10 +130,18 @@ MUTANTS = [
         "killed",
     ),
     Mutant(
-        "solution-minors-built-for-recovery", "pde.py",
-        "    if isinstance(obj, HypersurfaceModel):\n        minors(obj)\n",
-        "    minors(obj)\n",
-        ("tests/test_pde.py::test_recovery_from_an_order_two_solution_builds_no_minors",),
+        "minors-built-for-every-object", "pde.py",
+        "    try:\n        return _eliminate(*_roles(obj))\n",
+        "    minors(obj)\n    try:\n        return _eliminate(*_roles(obj))\n",
+        ("tests/test_pde.py::test_recovery_from_an_order_two_solution_builds_no_minors",
+         "tests/test_pde.py::test_order_two_model_derives_the_system_of_its_theta_as_a_solution"),
+        "killed",
+    ),
+    Mutant(
+        "levi-check-mapping-dropped", "pde.py",
+        "except SingularJacobianError:",
+        "except LeviDegenerateError:",
+        ("tests/test_pde.py::test_degenerate_model_rejected",),
         "killed",
     ),
     Mutant(
@@ -160,37 +168,31 @@ MUTANTS = [
     ),
     Mutant(
         "zero-hessian-entries-skipped", "matrices.py",
-        "for h, w in zip(self.hessian[key], weights):\n",
-        "for h, w in ((h, w) for h, w in zip(self.hessian[key], weights) if h.terms):\n",
+        "for h, w in zip(column, weights):\n",
+        "for h, w in ((h, w) for h, w in zip(column, weights) if h.terms):\n",
         ("tests/test_flatness.py::test_transfer_order_counts_zero_column_entries",),
         "killed",
     ),
     Mutant(
-        "transfer-unhoisted", "matrices.py",
-        "value = hoisted.get(key)",
-        "value = None",
+        "transfer-zero-one-long", "matrices.py",
+        "zero = TruncatedSeries.zero(self.delta.context, brace[(1, 1)].order)",
+        "zero = TruncatedSeries.zero(self.delta.context, brace[(1, 1)].order + 1)",
+        ("tests/test_flatness.py::test_transfer_of_a_vanishing_delta_is_zero_at_the_sum_order",
+         "tests/test_flatness.py::test_transfer_of_a_column_without_unit_minors_is_zero_at_the_sum_order"),
+        "killed",
+    ),
+    Mutant(
+        "transfer-zero-v-multiplied", "matrices.py",
+        "for mu, u in units[l1] if v[(mu, l2)].terms)",
+        "for mu, u in units[l1])",
         ("tests/test_flatness.py::test_transfer_multiplies_each_unit_minor_column_once",),
         "killed",
     ),
     Mutant(
-        "transfer-hoisted-column-l1", "matrices.py",
-        "v = column(mu, l2)",
-        "v = column(mu, l1)",
+        "transfer-v-column-l1", "matrices.py",
+        "u * v[(mu, l2)]",
+        "u * v[(mu, l1)]",
         ("tests/test_flatness.py::test_transfer_matches_replaced_column_minors",),
-        "killed",
-    ),
-    Mutant(
-        "transfer-zero-column-multiplied", "matrices.py",
-        "                        if v.terms:\n",
-        "                        if v is not None:\n",
-        ("tests/test_flatness.py::test_transfer_multiplies_each_unit_minor_column_once",),
-        "killed",
-    ),
-    Mutant(
-        "transfer-empty-entry-one-long", "matrices.py",
-        "acc = TruncatedSeries.zero(self.delta.context, brace(1, 1).order)",
-        "acc = TruncatedSeries.zero(self.delta.context, brace(1, 1).order + 1)",
-        ("tests/test_flatness.py::test_transfer_of_a_vanishing_delta_is_zero_at_the_sum_order",),
         "killed",
     ),
     # -- zero operands ------------------------------------------------
