@@ -301,6 +301,17 @@ def parse_input_file(text: str) -> dict:
     return values
 
 
+# The lowest --order of each command and check, on a model and on a --f
+# system: the jets its derivatives read.  A model needs its linear part,
+# the Levi matrix and the elimination differentiate theta, and the tensor
+# checks add one certified degree.
+_LOWEST_ORDER_MODEL = {
+    "reality": 1, "transform": 1, "derive-pde": 2, "levi": 3, "signature": 3,
+    "integrability": 3, "curvature": 4, "pseudosphericality": 5, "cross-check": 5,
+}
+_LOWEST_ORDER_SYSTEM = {"integrability": 1, "curvature": 2, "pseudosphericality": 2}
+
+
 def _resolve(args):
     """The command's input and the merged `key = value` pairs.
 
@@ -350,9 +361,13 @@ def _resolve(args):
     job.validate()
     if kind == "pde" and args.needs_model:
         raise InputError(f"{args.command} needs --theta or --graph")
+    if report and not checks:
+        raise InputError("--checks leaves nothing to run for this input")
+    lowest = _LOWEST_ORDER_SYSTEM if kind == "pde" else _LOWEST_ORDER_MODEL
+    lowest = max(lowest[name] for name in (checks if report else (args.command,)))
+    if job.order < lowest:
+        raise InputError(f"{args.command} needs --order >= {lowest}")
     if report:
-        if not checks:
-            raise InputError("--checks leaves nothing to run for this input")
         return job, values
     loaded = _load(job)
     if kind != "pde" and not args.needs_model:  # integrability, curvature

@@ -27,7 +27,15 @@ from .errors import (
     NonUnitError,
     UnknownVariableError,
 )
-from .scalars import GaussianRational, ONE, ZERO, _coerce
+from .scalars import (
+    GaussianRational,
+    ONE,
+    ZERO,
+    _coerce,
+    _multiply_add,
+    _numerators,
+    _reduced,
+)
 
 
 class VariableContext:
@@ -96,41 +104,58 @@ def _product_terms(left, right, limit):
     ``__mul__`` passes the smaller operand order; a caller that knows the
     valuation of a factor may pass more (see ``implicit``).  Zero sums are
     dropped, so the result meets the invariant of ``TruncatedSeries._valid``.
+
+    A one-term operand gives one product per term of the other, each on its
+    own key: nothing accumulates, and no product of two nonzero scalars is
+    zero.  Otherwise each operand is brought over its own common
+    denominator, the Gaussian-integer numerators of each key are summed
+    with integer operations only, and each output coefficient is built once
+    over the product of the two denominators, with one reduction.
     """
+    if len(left) == 1:
+        left, right = right, left
+    if len(right) == 1:
+        (eb, cb), = right.items()
+        room = limit - sum(eb)
+        return {tuple(map(add, ea, eb)): ca * cb
+                for ea, ca in left.items() if sum(ea) <= room}
+    dl, lefts = _numerators(left)
+    dr, rights = _numerators(right)
     # bucketing the right factor by degree lets each left term skip
     # everything that would overflow the limit
     buckets = {}
-    for e, c in right.items():
-        buckets.setdefault(sum(e), []).append((e, c))
-    out = {}
-    for ea, ca in left.items():
+    for term in rights:
+        buckets.setdefault(sum(term[0]), []).append(term)
+    sums = {}  # key -> [real, imaginary] numerator over dl * dr
+    for ea, a1, b1 in lefts:
         room = limit - sum(ea)
         if room < 0:
             continue
         for db, items in buckets.items():
             if db > room:
                 continue
-            for eb, cb in items:
+            for eb, a2, b2 in items:
                 key = tuple(map(add, ea, eb))
-                prod = ca * cb
-                acc = out.get(key)
-                acc = prod if acc is None else acc + prod
-                if acc:
-                    out[key] = acc
+                acc = sums.get(key)
+                if acc is None:
+                    sums[key] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
                 else:
-                    del out[key]
-    return out
-
+                    acc[0] += a1 * a2 - b1 * b2
+                    acc[1] += a1 * b2 + b1 * a2
+    d = dl * dr
+    return {key: _reduced(a, b, d) for key, (a, b) in sums.items() if a or b}
 
 
 def _add_into(acc, terms, factor=None):
     """acc += factor * terms (factor 1 if None), coefficientwise, in place;
-    zero sums are dropped."""
+    zero sums are dropped.  With a factor, each new coefficient is one
+    multiply-add with one reduction."""
     for e, c in terms.items():
-        if factor is not None:
-            c = factor * c
         total = acc.get(e)
-        total = c if total is None else total + c
+        if factor is None:
+            total = c if total is None else total + c
+        else:
+            total = factor * c if total is None else _multiply_add(total, factor, c)
         if total:
             acc[e] = total
         else:

@@ -254,6 +254,36 @@ def test_printed_series_with_huge_coefficient(capsys, command):
     assert "Traceback" not in err
 
 
+MAP = ["--map-z", "1=z1", "--map-z", "2=z2", "--map-w", "w"]
+
+
+@pytest.mark.parametrize("command, lowest", [
+    (["reality", "--theta", HEIS], 1),
+    (["transform", "--theta", HEIS] + MAP, 1),
+    (["derive-pde", "--theta", HEIS], 2),
+    (["levi", "--theta", HEIS], 3),
+    (["integrability", "--theta", HEIS], 3),
+    (["curvature", "--theta", HEIS], 4),
+    (["check", "--theta", HEIS, "--checks", "reality"], 1),
+    (["check", "--theta", HEIS, "--checks", "levi"], 3),
+    (["check", "--graph", "x1^2 + y1^2 + x2^2 + y2^2", "--checks", "integrability"], 3),
+    (["check", "--theta", HEIS], 5),
+    (["integrability", "--f", "1,1=x2"], 1),
+    (["curvature", "--f", "1,1=x2"], 2),
+    (["check", "--f", "1,1=x2"], 2),
+], ids=["reality", "transform", "derive-pde", "levi", "integrability", "curvature",
+        "check-reality", "check-levi", "check-integrability", "check", "pde-integrability",
+        "pde-curvature", "pde-check"])
+def test_order_below_a_commands_lowest_names_that_order(capsys, command, lowest):
+    # the lowest --order of each command that the README lists: one below
+    # it is an input error that names it, and at it the command runs
+    code, _, err = invoke(command + ["--n", "2", "--order", str(lowest - 1)], capsys)
+    assert code == 2
+    assert f"needs --order >= {lowest}" in err
+    code, _, err = invoke(command + ["--n", "2", "--order", str(lowest)], capsys)
+    assert code in (0, 1) and not err
+
+
 def test_exit_two_on_unsupported_dimension(capsys):
     code, _, err = invoke(
         ["check", "--n", "1", "--order", "8", "--theta", "-wb + z1*z1b"], capsys

@@ -1,5 +1,6 @@
 """Ring operations, calculus, and order bookkeeping of truncated series."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from pseudosphere.errors import (
 )
 from pseudosphere import series as series_module
 from pseudosphere.scalars import ONE, ZERO, GaussianRational
-from pseudosphere.series import _compose, _product_terms
+from pseudosphere.series import _add_into, _compose, _product_terms
 
 from conftest import COEFF_POOL, heisenberg_theta, random_series
 
@@ -343,6 +344,110 @@ def test_product_with_an_empty_operand_skips_the_product_loop(monkeypatch):
     assert not calls
     s * s
     assert calls == [5]
+
+
+# ----------------------------------------------------------------------
+# the product kernel and the multiply-add against the scalar loops, on
+# coefficients whose denominators are coprime
+
+
+def reference_product_terms(left, right, limit):
+    """The Cauchy product by scalar operations, one product and one sum
+    per pair of terms."""
+    out = {}
+    for ea, ca in left.items():
+        for eb, cb in right.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            if sum(key) <= limit:
+                total = out.get(key)
+                out[key] = ca * cb if total is None else total + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def reference_add_into(acc, terms, factor):
+    out = dict(acc)
+    for e, c in terms.items():
+        out[e] = out[e] + factor * c if e in out else factor * c
+    return {e: c for e, c in out.items() if c}
+
+
+def assert_canonical_terms(terms):
+    for coeff in terms.values():
+        a, b, d = coeff._a, coeff._b, coeff._d
+        assert d > 0 and (a or b) and math.gcd(a, b, d) == 1
+
+
+COPRIME_POOL = [
+    ps.gaussian("1/3"),
+    ps.gaussian("-2/5"),
+    ps.gaussian(0, "1/7"),
+    ps.gaussian("3/11", "1/11"),
+    ps.gaussian("1/2", "-1/2"),
+    ps.gaussian("1/6", "1/6"),
+    ps.gaussian(2**70 + 1),
+    ps.gaussian(Fraction(-(3**50), 13), 5**20),
+    ps.gaussian(-1),
+    ps.gaussian(0, 1),
+]
+KERNEL_EXPONENTS = st.tuples(*(st.integers(0, 3) for _ in range(3)))
+
+
+@st.composite
+def coprime_terms(draw):
+    """A term dict of 0-6 terms; one term in about one draw of three."""
+    size = draw(st.sampled_from([0, 1, 1, 2, 3, 6]))
+    return draw(st.dictionaries(KERNEL_EXPONENTS, st.sampled_from(COPRIME_POOL),
+                                min_size=size, max_size=size))
+
+
+@st.composite
+def cancelling_factors(draw):
+    """Two term dicts whose product cancels on a key: left has c1 at m1 and
+    c2 at m2, right has -s*c1 at m1 and s*c2 at m2, so the two products on
+    m1 + m2 sum to zero unless other terms reach it too."""
+    m1, m2 = draw(st.lists(KERNEL_EXPONENTS, min_size=2, max_size=2, unique=True))
+    c1, c2, s = (draw(st.sampled_from(COPRIME_POOL)) for _ in range(3))
+    left = {m1: c1, m2: c2}
+    right = {m1: -s * c1, m2: s * c2}
+    left.update(draw(coprime_terms()))
+    right.update(draw(coprime_terms()))
+    return left, right
+
+
+THIRD, FIFTH = COPRIME_POOL[:2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.tuples(coprime_terms(), coprime_terms()), cancelling_factors()),
+       st.integers(0, 10))
+# a product exactly at the limit from a one-term operand on either side
+@example(({(1, 0, 0): THIRD}, {(0, 1, 0): FIFTH, (2, 0, 0): THIRD}), 3)
+@example(({(0, 1, 0): FIFTH, (2, 0, 0): THIRD}, {(1, 0, 0): THIRD}), 3)
+# two operands of mixed denominators, each with more than one term
+@example(({(1, 0, 0): THIRD, (0, 1, 0): FIFTH}, {(0, 0, 1): FIFTH, (1, 0, 0): ONE}), 2)
+def test_product_terms_match_the_scalar_loop(operands, limit):
+    left, right = operands
+    out = _product_terms(left, right, limit)
+    assert out == reference_product_terms(left, right, limit)
+    assert all(sum(e) <= limit for e in out)
+    assert_canonical_terms(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coprime_terms(), coprime_terms(), st.sampled_from(COPRIME_POOL),
+       st.lists(st.booleans(), min_size=6, max_size=6))
+@example({(0, 0, 1): THIRD}, {(1, 0, 0): FIFTH, (0, 1, 0): ONE}, THIRD, [True] + [False] * 5)
+# (1 + i)/6 + (1 - i)/2 * 1/3 = 1/3: a sum over one denominator that reduces
+@example({(1, 0, 0): COPRIME_POOL[5]}, {(1, 0, 0): THIRD}, COPRIME_POOL[4], [False] * 6)
+def test_add_into_with_a_factor_matches_the_scalar_loop(acc, terms, factor, cancels):
+    # a flagged term of ``terms`` meets -factor * itself in ``acc``
+    for (e, c), cancel in zip(terms.items(), cancels):
+        if cancel:
+            acc[e] = -(factor * c)
+    expected = reference_add_into(acc, terms, factor)
+    _add_into(acc, terms, factor)
+    assert acc == expected
+    assert_canonical_terms(acc)
 
 
 # ----------------------------------------------------------------------

@@ -160,6 +160,27 @@ MUTANTS = [
         "killed",
     ),
     Mutant(
+        "product-one-term-limit-one-short", "series.py",
+        "for ea, ca in left.items() if sum(ea) <= room}",
+        "for ea, ca in left.items() if sum(ea) < room}",
+        ("tests/test_series.py::test_product_terms_match_the_scalar_loop",),
+        "killed",
+    ),
+    Mutant(
+        "product-numerators-unscaled", "scalars.py",
+        "(e, z._a * m, z._b * m) for e, z in terms.items() for m in (d // z._d,)",
+        "(e, z._a, z._b) for e, z in terms.items()",
+        ("tests/test_series.py::test_product_terms_match_the_scalar_loop",),
+        "killed",
+    ),
+    Mutant(
+        "multiply-add-unreduced", "scalars.py",
+        "return _reduced(x._a + p, x._b + q, dx)",
+        "return _new(x._a + p, x._b + q, dx)",
+        ("tests/test_series.py::test_add_into_with_a_factor_matches_the_scalar_loop",),
+        "killed",
+    ),
+    Mutant(
         "inverse-jacobian-one-short", "implicit.py",
         "_product_terms(det_inv, cofactor[(i, j)].terms, low)",
         "_product_terms(det_inv, cofactor[(i, j)].terms, low - 1)",
