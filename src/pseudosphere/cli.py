@@ -75,6 +75,16 @@ class InputError(PseudosphereError):
 _INPUT_ERRORS = (InputError, UnsupportedDimensionError, NormalizationError,
                  InsufficientOrderError, NonInvertibleMapError)
 
+# The lowest --order of each command and check, on a model and on a --f
+# system: the jets its derivatives read.  A model needs its linear part,
+# the Levi matrix and the elimination differentiate theta, and the tensor
+# checks add one certified degree.
+_LOWEST_ORDER_MODEL = {
+    "reality": 1, "transform": 1, "derive-pde": 2, "levi": 3, "signature": 3,
+    "integrability": 3, "curvature": 4, "pseudosphericality": 5, "cross-check": 5,
+}
+_LOWEST_ORDER_SYSTEM = {"integrability": 1, "curvature": 2, "pseudosphericality": 2}
+
 
 @dataclass
 class JobSpec:
@@ -87,7 +97,10 @@ class JobSpec:
     checks: tuple = DEFAULT_CHECKS
     witness: bool = False
 
-    def validate(self):
+    def validate(self, needs=None):
+        """Every input rule of a job.  The order must reach the lowest of the
+        table entries ``needs``: the job's checks that apply to its input, or
+        the name of a command that runs no report."""
         if self.n is None:
             raise InputError("missing --n")
         if self.n < 2:
@@ -96,14 +109,11 @@ class JobSpec:
             )
         if self.order is None:
             raise InputError("missing --order")
+        if self.kind not in ("theta", "graph", "pde"):
+            raise InputError(f"unknown kind {self.kind!r}; choose from theta, graph, pde")
         for c in self.checks:
             if c not in ALL_CHECKS:
                 raise InputError(f"unknown check {c!r}; choose from {ALL_CHECKS}")
-        needs_tensor = {"pseudosphericality", "cross-check"} & set(self.checks)
-        if self.kind in ("theta", "graph") and needs_tensor and self.order < 5:
-            raise InputError(
-                "pseudosphericality needs --order >= 5 (fourth-order jets)"
-            )
         if self.kind == "theta" and not self.theta_text:
             raise InputError("missing --theta expression")
         if self.kind == "graph" and not self.graph_text:
@@ -111,11 +121,17 @@ class JobSpec:
         if self.kind == "pde":
             if not self.f_texts:
                 raise InputError("missing --f components")
-            if "cross-check" in self.checks:
-                raise InputError("cross-check requires a hypersurface input")
             for k1, k2 in self.f_texts:
                 if not (1 <= k1 <= self.n and 1 <= k2 <= self.n):
                     raise InputError(f"f[{k1},{k2}]: indices must lie in 1..{self.n}")
+        lowest = _LOWEST_ORDER_SYSTEM if self.kind == "pde" else _LOWEST_ORDER_MODEL
+        if needs is None:  # a --f system runs only the checks in its table
+            needs = [c for c in self.checks if c in lowest]
+            if not needs:
+                raise InputError("--checks leaves nothing to run for this input")
+        name = max(needs, key=lowest.__getitem__)
+        if self.order < lowest[name]:
+            raise InputError(f"{name} needs --order >= {lowest[name]}")
 
 
 def _parse(text, context, order):
@@ -128,9 +144,8 @@ def _parse(text, context, order):
 
 
 def _load(job: JobSpec):
-    """Validate the job and build its input: the PdeSystem for kind "pde",
-    otherwise the model (parsing and reality verification happen here)."""
-    job.validate()
+    """Build a validated job's input: the PdeSystem for kind "pde", otherwise
+    the model (parsing and reality verification happen here)."""
     if job.kind == "pde":
         ctx = pde_context(job.n)
         components = {
@@ -165,8 +180,9 @@ def run(job: JobSpec) -> dict:
     """Execute the requested checks in dependency order; returns the report.
 
     The report dictionary is deterministic for identical job inputs except
-    for the measured timings.
+    for the measured timings.  A broken input rule raises InputError.
     """
+    job.validate()
     report = {
         "n": job.n,
         "order_requested": job.order,
@@ -301,17 +317,6 @@ def parse_input_file(text: str) -> dict:
     return values
 
 
-# The lowest --order of each command and check, on a model and on a --f
-# system: the jets its derivatives read.  A model needs its linear part,
-# the Levi matrix and the elimination differentiate theta, and the tensor
-# checks add one certified degree.
-_LOWEST_ORDER_MODEL = {
-    "reality": 1, "transform": 1, "derive-pde": 2, "levi": 3, "signature": 3,
-    "integrability": 3, "curvature": 4, "pseudosphericality": 5, "cross-check": 5,
-}
-_LOWEST_ORDER_SYSTEM = {"integrability": 1, "curvature": 2, "pseudosphericality": 2}
-
-
 def _resolve(args):
     """The command's input and the merged `key = value` pairs.
 
@@ -342,11 +347,11 @@ def _resolve(args):
         kind = "theta"
     else:
         kind = "pde"
+    if kind == "pde" and args.needs_model:
+        raise InputError(f"{args.command} needs --theta or --graph")
     checks = values.get("checks", _PDE_CHECKS if kind == "pde" else DEFAULT_CHECKS)
     if checks == ("all",):
         checks = ALL_CHECKS
-    if kind == "pde":
-        checks = tuple(c for c in checks if c in _PDE_CHECKS)
     report = args.handler is cmd_check
     job = JobSpec(
         n=values.get("n"),
@@ -358,17 +363,9 @@ def _resolve(args):
         checks=checks if report else (),
         witness=args.witness,
     )
-    job.validate()
-    if kind == "pde" and args.needs_model:
-        raise InputError(f"{args.command} needs --theta or --graph")
-    if report and not checks:
-        raise InputError("--checks leaves nothing to run for this input")
-    lowest = _LOWEST_ORDER_SYSTEM if kind == "pde" else _LOWEST_ORDER_MODEL
-    lowest = max(lowest[name] for name in (checks if report else (args.command,)))
-    if job.order < lowest:
-        raise InputError(f"{args.command} needs --order >= {lowest}")
     if report:
-        return job, values
+        return job, values  # run validates it
+    job.validate(needs=(args.command,))
     loaded = _load(job)
     if kind != "pde" and not args.needs_model:  # integrability, curvature
         loaded = derive_associated_system(loaded)

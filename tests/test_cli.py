@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from pseudosphere.cli import (
     ALL_CHECKS,
+    InputError,
     JobSpec,
     main,
     parse_input_file,
@@ -90,8 +91,23 @@ def test_run_mixed_signature():
 
 def test_run_order_guard():
     job = JobSpec(n=2, order=4, kind="theta", theta_text=HEIS)
-    with pytest.raises(Exception):
+    with pytest.raises(InputError, match="needs --order >= 5"):
         run(job)
+    # a kind that run does not know is no theta job
+    job = JobSpec(n=2, order=6, kind="thta", theta_text=HEIS)
+    with pytest.raises(InputError, match="unknown kind 'thta'"):
+        run(job)
+
+
+@pytest.mark.parametrize("fields", [
+    {"kind": "pde", "f_texts": {(1, 1): "x2"},
+     "checks": ("reality", "levi", "signature", "cross-check")},
+    {"kind": "pde", "f_texts": {(1, 1): "x2"}, "checks": ()},
+    {"kind": "theta", "theta_text": HEIS, "checks": ()},
+], ids=["pde-model-checks", "pde-no-checks", "theta-no-checks"])
+def test_run_rejects_a_job_that_leaves_nothing_to_run(fields):
+    with pytest.raises(InputError, match="leaves nothing to run"):
+        run(JobSpec(n=2, order=6, **fields))
 
 
 def test_run_is_deterministic_modulo_timings():
@@ -282,6 +298,61 @@ def test_order_below_a_commands_lowest_names_that_order(capsys, command, lowest)
     assert f"needs --order >= {lowest}" in err
     code, _, err = invoke(command + ["--n", "2", "--order", str(lowest)], capsys)
     assert code in (0, 1) and not err
+
+
+GRAPH = "x1^2 + y1^2 + x2^2 + y2^2"
+
+
+@pytest.mark.parametrize("flags, fields, lowest", [
+    (["--theta", HEIS, "--checks", "reality"],
+     {"kind": "theta", "theta_text": HEIS, "checks": ("reality",)}, 1),
+    (["--theta", HEIS, "--checks", "levi"],
+     {"kind": "theta", "theta_text": HEIS, "checks": ("levi",)}, 3),
+    (["--graph", GRAPH, "--checks", "integrability"],
+     {"kind": "graph", "graph_text": GRAPH, "checks": ("integrability",)}, 3),
+    (["--theta", HEIS], {"kind": "theta", "theta_text": HEIS}, 5),
+    (["--f", "1,1=x2"],
+     {"kind": "pde", "f_texts": {(1, 1): "x2"},
+      "checks": ("integrability", "pseudosphericality")}, 2),
+], ids=["check-reality", "check-levi", "check-integrability", "check", "pde-check"])
+def test_run_below_a_checks_lowest_order_raises_the_command_line_message(
+        capsys, flags, fields, lowest):
+    # the library entry keeps the rule of `check`: one below the lowest
+    # order is an InputError with the message the command prints, and at
+    # it a report comes back
+    _, _, err = invoke(["check", "--n", "2", "--order", str(lowest - 1)] + flags, capsys)
+    with pytest.raises(InputError, match=f"needs --order >= {lowest}") as excinfo:
+        run(JobSpec(n=2, order=lowest - 1, **fields))
+    assert err == f"error: {excinfo.value}\n"
+    assert run(JobSpec(n=2, order=lowest, **fields))["errors"] == []
+
+
+@pytest.mark.parametrize("argv, order", [
+    (["check", "--theta", HEIS, "--checks", "all"], 6),
+    (["check", "--theta", HEIS], 4),
+    (["check", "--f", "1,1=x2"], 6),
+    (["reality", "--theta", HEIS], 6),
+    (["levi", "--graph", GRAPH], 6),
+    (["derive-pde", "--theta", HEIS], 6),
+    (["integrability", "--theta", HEIS], 6),
+    (["integrability", "--f", "1,1=x2"], 6),
+    (["curvature", "--f", "1,1=x2"], 6),
+    (["curvature", "--theta", HEIS], 3),
+    (["transform", "--theta", HEIS] + MAP, 6),
+], ids=["check-all", "check-order-too-low", "pde-check", "reality", "levi", "derive-pde",
+        "integrability", "pde-integrability", "pde-curvature", "curvature-order-too-low",
+        "transform"])
+def test_each_command_validates_its_job_once(monkeypatch, capsys, argv, order):
+    calls = []
+    validate = JobSpec.validate
+
+    def counted(job, *args, **kwargs):
+        calls.append(job)
+        return validate(job, *args, **kwargs)
+
+    monkeypatch.setattr(JobSpec, "validate", counted)
+    invoke(argv + ["--n", "2", "--order", str(order)], capsys)
+    assert len(calls) == 1
 
 
 def test_exit_two_on_unsupported_dimension(capsys):

@@ -121,6 +121,14 @@ MUTANTS = [
         ("tests/test_flatness.py::test_transported_route_is_the_uncut_delta_cube_on_a_graph",),
         "killed",
     ),
+    # -- the lowest --order of an input -------------------------------
+    Mutant(
+        "tensor-lowest-order-one-short", "cli.py",
+        '"pseudosphericality": 5, "cross-check": 5',
+        '"pseudosphericality": 4, "cross-check": 4',
+        ("tests/test_cli.py::test_order_below_a_commands_lowest_names_that_order",),
+        "killed",
+    ),
     # -- one path for a model and a fundamental solution --------------
     Mutant(
         "role-split-one-late", "hypersurface.py",
