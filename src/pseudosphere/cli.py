@@ -64,7 +64,6 @@ ALL_CHECKS = (
     "cross-check",
 )
 DEFAULT_CHECKS = ("reality", "levi", "signature", "pseudosphericality")
-_PDE_CHECKS = ("integrability", "pseudosphericality")
 
 
 class InputError(PseudosphereError):
@@ -98,8 +97,8 @@ class JobSpec:
     witness: bool = False
 
     def validate(self, needs=None):
-        """Every input rule of a job.  The order must reach the lowest of the
-        table entries ``needs``: the job's checks that apply to its input, or
+        """Every input rule of a job; returns the table entries ``needs`` whose
+        lowest order it checked: the job's checks that apply to its input, or
         the name of a command that runs no report."""
         if self.n is None:
             raise InputError("missing --n")
@@ -132,6 +131,7 @@ class JobSpec:
         name = max(needs, key=lowest.__getitem__)
         if self.order < lowest[name]:
             raise InputError(f"{name} needs --order >= {lowest[name]}")
+        return needs
 
 
 def _parse(text, context, order):
@@ -176,13 +176,28 @@ def _witness_json(witness):
     }
 
 
+def _system(loaded) -> PdeSystem:
+    """A --f system as it is, a model's derived system."""
+    if isinstance(loaded, PdeSystem):
+        return loaded
+    return derive_associated_system(loaded)
+
+
+def _verdict(loaded):
+    """A system's Hachtroudi tensor verdict, a model's main theorem verdict."""
+    if isinstance(loaded, PdeSystem):
+        return hachtroudi_tensor(loaded).verdict()
+    return is_pseudospherical(loaded)
+
+
 def run(job: JobSpec) -> dict:
     """Execute the requested checks in dependency order; returns the report.
 
     The report dictionary is deterministic for identical job inputs except
-    for the measured timings.  A broken input rule raises InputError.
+    for the measured timings.  A broken input rule raises InputError; a --f
+    system runs those of its checks that read a system.
     """
-    job.validate()
+    checks = job.validate()
     report = {
         "n": job.n,
         "order_requested": job.order,
@@ -206,27 +221,10 @@ def run(job: JobSpec) -> dict:
         finally:
             timings[name] = round((time.perf_counter() - start) * 1000.0, 3)
 
-    def record(verdict):
-        report["order_certified"] = verdict.certified_order
-        report["pseudospherical"] = str(verdict)
-        if not verdict.vanishes and job.witness:
-            report["witness"] = _witness_json(verdict.witness)
-
-    if job.kind == "pde":
-        # a raw second-order system: only the jet-side checks apply
-        system = _load(job)
-        if "integrability" in job.checks:
-            result = timed(
-                "integrability", lambda: check_complete_integrability(system)
-            )
-            report["integrability"] = "pass" if result.ok else "fail"
-        if "pseudosphericality" in job.checks:
-            record(timed("tensor", lambda: hachtroudi_tensor(system).verdict()))
-        return report
-
     try:
-        model = timed("model", lambda: _load(job))
-        if "reality" in job.checks:
+        # a --f system is given, not built: its load is not the model stage
+        loaded = _load(job) if job.kind == "pde" else timed("model", lambda: _load(job))
+        if "reality" in checks:
             report["reality"] = "pass"
     except RealityError as exc:
         report["reality"] = f"fail at {exc.monomial}"
@@ -234,21 +232,24 @@ def run(job: JobSpec) -> dict:
         return report
 
     try:
-        if "levi" in job.checks or "signature" in job.checks:
-            data = timed("levi", lambda: levi(model))
+        if "levi" in checks or "signature" in checks:
+            data = timed("levi", lambda: levi(loaded))
             report["levi_nondegenerate"] = True
-            if "signature" in job.checks:
+            if "signature" in checks:
                 report["signature"] = list(data.signature)
-        if "integrability" in job.checks:
+        if "integrability" in checks:
             integrability = timed(
-                "integrability",
-                lambda: check_complete_integrability(derive_associated_system(model)),
+                "integrability", lambda: check_complete_integrability(_system(loaded))
             )
             report["integrability"] = "pass" if integrability.ok else "fail"
-        if "pseudosphericality" in job.checks:
-            record(timed("tensor", lambda: is_pseudospherical(model)))
-        if "cross-check" in job.checks:
-            result = timed("cross_check", lambda: cross_check(model))
+        if "pseudosphericality" in checks:
+            verdict = timed("tensor", lambda: _verdict(loaded))
+            report["order_certified"] = verdict.certified_order
+            report["pseudospherical"] = str(verdict)
+            if not verdict.vanishes and job.witness:
+                report["witness"] = _witness_json(verdict.witness)
+        if "cross-check" in checks:
+            result = timed("cross_check", lambda: cross_check(loaded))
             report["cross_check"] = "pass" if result.ok else "fail"
             if report["order_certified"] is None:
                 report["order_certified"] = result.certified_order
@@ -320,9 +321,8 @@ def parse_input_file(text: str) -> dict:
 def _resolve(args):
     """The command's input and the merged `key = value` pairs.
 
-    The input is the JobSpec of check, reality and levi, the model of
-    derive-pde and transform, and the system of integrability and
-    curvature (given by --f or derived from the model).
+    The input is the JobSpec of check, reality and levi, and otherwise the
+    loaded model or --f system.
     """
     text = ""
     if args.input:
@@ -349,7 +349,7 @@ def _resolve(args):
         kind = "pde"
     if kind == "pde" and args.needs_model:
         raise InputError(f"{args.command} needs --theta or --graph")
-    checks = values.get("checks", _PDE_CHECKS if kind == "pde" else DEFAULT_CHECKS)
+    checks = values.get("checks", ALL_CHECKS if kind == "pde" else DEFAULT_CHECKS)
     if checks == ("all",):
         checks = ALL_CHECKS
     report = args.handler is cmd_check
@@ -366,10 +366,7 @@ def _resolve(args):
     if report:
         return job, values  # run validates it
     job.validate(needs=(args.command,))
-    loaded = _load(job)
-    if kind != "pde" and not args.needs_model:  # integrability, curvature
-        loaded = derive_associated_system(loaded)
-    return loaded, values
+    return _load(job), values
 
 
 # ----------------------------------------------------------------------
@@ -392,8 +389,7 @@ def cmd_check(args, job, values):
         ]
         if report["witness"]:
             lines.append(f"witness: {report['witness']}")
-        for error in report["errors"]:
-            lines.append(f"error[{error['code']}]: {error['message']}")
+    lines += [f"error[{error['code']}]: {error['message']}" for error in report["errors"]]
     return report, lines, report_passed(report)
 
 
@@ -414,8 +410,8 @@ def cmd_derive_pde(args, model, values):
     return payload, lines, True
 
 
-def cmd_integrability(args, system, values):
-    result = check_complete_integrability(system)
+def cmd_integrability(args, loaded, values):
+    result = check_complete_integrability(_system(loaded))
     payload = {
         "integrable": result.ok,
         "checked_order": result.checked_order,
@@ -437,8 +433,8 @@ def cmd_integrability(args, system, values):
     return payload, lines, result.ok
 
 
-def cmd_curvature(args, system, values):
-    verdict = hachtroudi_tensor(system).verdict()
+def cmd_curvature(args, loaded, values):
+    verdict = hachtroudi_tensor(_system(loaded)).verdict()
     witness = verdict.witness
     payload = {
         "zero": verdict.vanishes,

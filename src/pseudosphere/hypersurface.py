@@ -251,21 +251,16 @@ def _roles(obj):
 
 
 @per_model
-def _minor_family(obj) -> MinorFamily:
+def minors(obj) -> MinorFamily:
     """The fundamental matrix of theta or Q with all of its Cramer minors;
-    a model's is its Levi matrix."""
-    return jacobian_minor_family(*_roles(obj))
-
-
-def minors(model) -> MinorFamily:
-    """Levi determinant of the model and all of its Cramer minors.
+    a model's is its Levi matrix, and its determinant the Levi determinant.
 
     Row convention: first row dtheta/d(tbar), then one row of mixed
     second derivatives per z_k; columns ordered (z1b..znb, wb).  Raises
     LeviDegenerateError when the determinant vanishes at the origin, which
     a fundamental solution's rank condition already excludes.
     """
-    family = _minor_family(model)
+    family = jacobian_minor_family(*_roles(obj))
     if not family.delta.constant_term():
         raise LeviDegenerateError("Levi determinant vanishes at the origin")
     return family

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import LeviDegenerateError, RankConditionError, SingularJacobianError
-from .hypersurface import _minor_family, _roles, minors, per_model
+from .hypersurface import _roles, minors, per_model
 from .implicit import solve_implicit
 from .matrices import _fundamental_matrix
 from .series import TruncatedSeries, VariableContext, _compose
@@ -231,7 +231,7 @@ def check_complete_integrability(system: PdeSystem) -> IntegrabilityReport:
     return IntegrabilityReport(not failures, checked, tuple(failures))
 
 
-fundamental_minors = _minor_family
+fundamental_minors = minors
 
 
 def jet_transfer_second(sol, t: TruncatedSeries, l1: int, l2: int) -> TruncatedSeries:
@@ -258,5 +258,5 @@ def jet_transfer_second(sol, t: TruncatedSeries, l1: int, l2: int) -> TruncatedS
 @per_model
 def _inverse_box_cubed(sol) -> TruncatedSeries:
     """box^-3 for the fundamental determinant box of Q."""
-    inv_box = fundamental_minors(sol).delta.invert_unit()
+    inv_box = minors(sol).delta.invert_unit()
     return inv_box * inv_box * inv_box

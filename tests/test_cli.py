@@ -110,6 +110,17 @@ def test_run_rejects_a_job_that_leaves_nothing_to_run(fields):
         run(JobSpec(n=2, order=6, **fields))
 
 
+def test_run_system_job_runs_its_checks_whatever_the_list():
+    # a --f job keeps the checks that read a system, so "all" is those two
+    fields = {"n": 2, "order": 5, "kind": "pde", "f_texts": {(1, 1): "yx1^2"},
+              "witness": True}
+    full = run(JobSpec(checks=ALL_CHECKS, **fields))
+    pair = run(JobSpec(checks=("integrability", "pseudosphericality"), **fields))
+    assert set(full.pop("timings_ms")) == {"integrability", "tensor"}
+    assert set(pair.pop("timings_ms")) == {"integrability", "tensor"}
+    assert full == pair
+
+
 def test_run_is_deterministic_modulo_timings():
     job = JobSpec(n=2, order=6, kind="theta", theta_text=QUARTIC, checks=(
         "reality", "levi", "signature", "pseudosphericality", "cross-check"
@@ -403,6 +414,23 @@ def test_levi_command_runs_its_own_checks(tmp_path, capsys):
     assert out == "reality: pass\nlevi_nondegenerate: True\nsignature: [2, 0]\n"
 
 
+@pytest.mark.parametrize("command, order, theta, error", [
+    ("reality", 6, "-wb + z1*z2b",
+     "error[reality]: reality identity 1 fails at monomial z2*z1b (discrepancy 1)"),
+    ("levi", 3, "-wb + z1*z1b",
+     "error[levi_degenerate]: Levi determinant vanishes at the origin"),
+], ids=["reality", "levi"])
+def test_reality_and_levi_text_ends_with_the_error_line(
+    capsys, command, order, theta, error
+):
+    flags = ["--n", "2", "--order", str(order), "--theta", theta]
+    code, out, _ = invoke([command] + flags, capsys)
+    assert code == 1
+    assert out.splitlines()[-1] == error
+    _, check_out, _ = invoke(["check", "--checks", "reality,levi"] + flags, capsys)
+    assert check_out.splitlines()[-1] == error
+
+
 def test_derive_pde_command(capsys):
     code, out, _ = invoke(
         ["derive-pde", "--n", "2", "--order", "6", "--theta",
@@ -443,6 +471,28 @@ def test_integrability_verdict_agrees_with_check(capsys):
     check_code, out, _ = invoke(["check", "--checks", "integrability"] + flags, capsys)
     assert json.loads(out)["integrability"] == ("pass" if integrable else "fail")
     assert (code, check_code) == (0, 0)
+
+
+@pytest.mark.parametrize("f, integrable, coefficient", [
+    ("1,1=yx1^2", True, {"re": "1/3", "im": "0"}),
+    ("1,1=x2", False, None),
+])
+def test_system_verdicts_agree_between_check_and_the_commands(
+    capsys, f, integrable, coefficient
+):
+    flags = ["--n", "2", "--order", "5", "--f", f, "--json"]
+    _, out, _ = invoke(["integrability"] + flags, capsys)
+    assert json.loads(out)["integrable"] is integrable
+    _, out, _ = invoke(["curvature"] + flags, capsys)
+    curvature = json.loads(out)
+    _, out, _ = invoke(["check", "--witness"] + flags, capsys)
+    report = json.loads(out)
+    assert report["integrability"] == ("pass" if integrable else "fail")
+    assert report["pseudospherical"].startswith("VanishesToOrder") is curvature["zero"]
+    assert report["order_certified"] == curvature["order_certified"]
+    assert report["witness"] == curvature["witness"]
+    witness = curvature["witness"]
+    assert (witness["coefficient"] if witness else None) == coefficient
 
 
 def test_curvature_command(capsys):

@@ -153,9 +153,10 @@ MUTANTS = [
         "killed",
     ),
     Mutant(
-        "jet-transfer-without-levi-check", "pde.py",
-        "entry = minors(sol).transfer(t)",
-        "entry = fundamental_minors(sol).transfer(t)",
+        "minors-levi-check-dropped", "hypersurface.py",
+        '    if not family.delta.constant_term():\n'
+        '        raise LeviDegenerateError("Levi determinant vanishes at the origin")\n',
+        "",
         ("tests/test_pde.py::test_degenerate_model_rejected",),
         "killed",
     ),
