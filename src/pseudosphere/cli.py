@@ -7,12 +7,13 @@ reality        reality identities only
 levi           Levi nondegeneracy and signature
 derive-pde     print the associated second-order system
 integrability  compatibility of a derived or user-supplied system
-curvature      trace-adjusted tensor of a user-supplied system
+curvature      main theorem tensor of a model, Hachtroudi tensor of a system
 transform      transport a model through a point map
 
 Input is one set of ``key = value`` pairs: the ``--input`` lines, then
 the flags (``--f K1,K2=E`` is ``f[K1,K2] = E``), so flags win.
-``reality``, ``levi``, ``derive-pde`` and ``transform`` need a model.
+``reality``, ``levi``, ``derive-pde`` and ``transform`` need a model;
+``integrability`` alone checks a model's derived system.
 
 Exit status: 0 when every requested check passes (an order-qualified
 vanishing verdict counts as a pass), 1 when a check fails or the tensor
@@ -176,11 +177,11 @@ def _witness_json(witness):
     }
 
 
-def _system(loaded) -> PdeSystem:
-    """A --f system as it is, a model's derived system."""
+def _integrability(loaded):
+    """A --f system's integrability report, a model's derived system's."""
     if isinstance(loaded, PdeSystem):
-        return loaded
-    return derive_associated_system(loaded)
+        return check_complete_integrability(loaded)
+    return check_complete_integrability(derive_associated_system(loaded))
 
 
 def _verdict(loaded):
@@ -238,9 +239,7 @@ def run(job: JobSpec) -> dict:
             if "signature" in checks:
                 report["signature"] = list(data.signature)
         if "integrability" in checks:
-            integrability = timed(
-                "integrability", lambda: check_complete_integrability(_system(loaded))
-            )
+            integrability = timed("integrability", lambda: _integrability(loaded))
             report["integrability"] = "pass" if integrability.ok else "fail"
         if "pseudosphericality" in checks:
             verdict = timed("tensor", lambda: _verdict(loaded))
@@ -411,7 +410,7 @@ def cmd_derive_pde(args, model, values):
 
 
 def cmd_integrability(args, loaded, values):
-    result = check_complete_integrability(_system(loaded))
+    result = _integrability(loaded)
     payload = {
         "integrable": result.ok,
         "checked_order": result.checked_order,
@@ -434,7 +433,7 @@ def cmd_integrability(args, loaded, values):
 
 
 def cmd_curvature(args, loaded, values):
-    verdict = hachtroudi_tensor(_system(loaded)).verdict()
+    verdict = _verdict(loaded)
     witness = verdict.witness
     payload = {
         "zero": verdict.vanishes,

@@ -98,7 +98,8 @@ class _Parser:
     def expect(self, kind):
         token = self.advance()
         if token[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {token[1]!r}", token[2])
+            found = "end of expression" if token[0] == "end" else repr(token[1])
+            raise ParseError(f"expected {kind!r}, found {found}", token[2])
         return token
 
     def parse_expression(self, min_precedence=0) -> TruncatedSeries:
@@ -130,7 +131,8 @@ class _Parser:
             series = self.parse_expression()
             self.expect(")")
             return series
-        raise ParseError(f"unexpected token {value!r}", position)
+        found = "end of expression" if kind == "end" else f"token {value!r}"
+        raise ParseError(f"unexpected {found}", position)
 
     def parse_exponent(self) -> int:
         kind, value, position = self.advance()

@@ -95,9 +95,8 @@ def per_model(fn):
 
 @dataclass(frozen=True)
 class LeviData:
-    """Levi determinant, its value at 0, and the exact form signature."""
+    """Levi determinant at 0 and exact form signature; the series is minors(model).delta."""
 
-    delta: TruncatedSeries
     delta_at_origin: GaussianRational
     signature: tuple
 
@@ -292,20 +291,18 @@ def hermitian_signature(matrix) -> tuple:
 
 
 def levi(model: HypersurfaceModel) -> LeviData:
-    """Levi determinant, its origin value, and the exact signature.
+    """The Levi determinant at 0 and the exact signature, from minors(model).
 
     Raises LeviDegenerateError when the determinant vanishes at 0 (the
     signature is undefined there).
     """
     family = minors(model)
-    delta = family.delta
     # the Levi form theta_{z_j z_kb}(0): the mixed block of the matrix at 0
     hermitian = [
         [entry.constant_term() for entry in row[: model.n]]
         for row in family.matrix.entries[1:]
     ]
-    signature = hermitian_signature(hermitian)
-    return LeviData(delta=delta, delta_at_origin=delta.constant_term(), signature=signature)
+    return LeviData(family.delta.constant_term(), hermitian_signature(hermitian))
 
 
 def apply_biholomorphism(model: HypersurfaceModel, zmaps, wmap) -> HypersurfaceModel:

@@ -21,6 +21,7 @@ from conftest import readme_block
 
 HEIS = "-wb + z1*z1b + z2*z2b"
 QUARTIC = "-wb + z1*z1b + z2*z2b + z1^2*z1b^2"
+TARGET_GRAPH = "x1^2 + y1^2 + x2^2 + y2^2 + v*x1^2 + x1^2*x2^2"
 
 
 def invoke(argv, capsys):
@@ -473,19 +474,24 @@ def test_integrability_verdict_agrees_with_check(capsys):
     assert (code, check_code) == (0, 0)
 
 
-@pytest.mark.parametrize("f, integrable, coefficient", [
-    ("1,1=yx1^2", True, {"re": "1/3", "im": "0"}),
-    ("1,1=x2", False, None),
-])
+# named by their last flag; on a model curvature reads the main theorem
+# tensor that check reports, not the derived system's Hachtroudi tensor,
+# whose witnesses are delta(0)^3 off: 2/3 on the quartic, -1/12 on the graph
+@pytest.mark.parametrize("inputs, integrable, coefficient", [
+    (["--order", "5", "--f", "1,1=yx1^2"], True, {"re": "1/3", "im": "0"}),
+    (["--order", "5", "--f", "1,1=x2"], False, None),
+    (["--order", "5", "--theta", QUARTIC], True, {"re": "-2/3", "im": "0"}),
+    (["--order", "6", "--graph", TARGET_GRAPH], True, {"re": "16/3", "im": "0"}),
+], ids=lambda value: value[-1] if isinstance(value, list) else None)
 def test_system_verdicts_agree_between_check_and_the_commands(
-    capsys, f, integrable, coefficient
+    capsys, inputs, integrable, coefficient
 ):
-    flags = ["--n", "2", "--order", "5", "--f", f, "--json"]
+    flags = ["--n", "2"] + inputs + ["--json"]
     _, out, _ = invoke(["integrability"] + flags, capsys)
     assert json.loads(out)["integrable"] is integrable
     _, out, _ = invoke(["curvature"] + flags, capsys)
     curvature = json.loads(out)
-    _, out, _ = invoke(["check", "--witness"] + flags, capsys)
+    _, out, _ = invoke(["check", "--witness", "--checks", "all"] + flags, capsys)
     report = json.loads(out)
     assert report["integrability"] == ("pass" if integrable else "fail")
     assert report["pseudospherical"].startswith("VanishesToOrder") is curvature["zero"]

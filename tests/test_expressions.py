@@ -34,17 +34,19 @@ def test_left_associativity():
 
 
 def test_syntax_errors_carry_position():
-    for text, position in [
-        ("z1 + ", 5),      # unexpected token None
-        ("z1 @ z2", 3),    # unknown character
-        ("(z1 + z2", 8),   # expected ')'
-        ("z1 z2", 3),      # unexpected trailing token
-        ("z1^z2", 3),      # exponent not an integer literal
+    for text, position, message in [
+        ("z1 + ", 5, "unexpected end of expression"),
+        ("z1 + )", 5, "unexpected token ')'"),
+        ("z1 @ z2", 3, "unknown character '@'"),
+        ("(z1 + z2", 8, "expected ')', found end of expression"),
+        ("(z1 + z2 (", 9, "expected ')', found '('"),
+        ("z1 z2", 3, "unexpected trailing token 'z2'"),
+        ("z1^z2", 3, "exponent must be a nonnegative integer literal"),
     ]:
         with pytest.raises(ParseError) as excinfo:
             value(text)
         assert excinfo.value.position == position, text
-        assert str(excinfo.value).endswith(f"(at position {position})")
+        assert str(excinfo.value) == f"{message} (at position {position})"
 
 
 def test_pow_requires_integer_literal():

@@ -231,10 +231,12 @@ def test_from_graph_rejects_bad_phi():
 
 
 def test_levi_heisenberg():
-    data = ps.levi(heisenberg_model(2, 6))
+    model = heisenberg_model(2, 6)
+    data = ps.levi(model)
     assert data.delta_at_origin == gaussian(-1)
-    assert data.delta == ps.parse_series("-1", CTX, 4)
     assert data.signature == (2, 0)
+    # the determinant itself is the minor family's, at the matrix order
+    assert ps.minors(model).delta == ps.parse_series("-1", CTX, 4)
 
 
 def test_levi_degenerate_raises():

@@ -160,6 +160,14 @@ MUTANTS = [
         ("tests/test_pde.py::test_degenerate_model_rejected",),
         "killed",
     ),
+    # -- one witness per model ----------------------------------------
+    Mutant(
+        "curvature-reads-derived-system", "cli.py",
+        "verdict = _verdict(loaded)",
+        "verdict = hachtroudi_tensor(derive_associated_system(loaded)).verdict()",
+        ("tests/test_cli.py::test_system_verdicts_agree_between_check_and_the_commands",),
+        "killed",
+    ),
     # -- kernels ------------------------------------------------------
     Mutant(
         "product-limit-one-short", "series.py",
