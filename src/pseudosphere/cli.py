@@ -81,8 +81,10 @@ _INPUT_ERRORS = (InputError, UnsupportedDimensionError, NormalizationError,
 # checks add one certified degree.
 _LOWEST_ORDER_MODEL = {
     "reality": 1, "transform": 1, "derive-pde": 2, "levi": 3, "signature": 3,
-    "integrability": 3, "curvature": 4, "pseudosphericality": 5, "cross-check": 5,
+    "integrability": 3, "pseudosphericality": 5, "cross-check": 5,
 }
+# curvature reads the main theorem tensor that pseudosphericality reports
+_LOWEST_ORDER_MODEL["curvature"] = _LOWEST_ORDER_MODEL["pseudosphericality"]
 _LOWEST_ORDER_SYSTEM = {"integrability": 1, "curvature": 2, "pseudosphericality": 2}
 
 

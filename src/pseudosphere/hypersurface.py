@@ -198,6 +198,18 @@ def check_reality(model: HypersurfaceModel) -> RealityReport:
     return RealityReport(False, 1, diff.monomial_text(exps), coeff)
 
 
+def _solved_model(n: int, equation: TruncatedSeries) -> HypersurfaceModel:
+    """The validated model w = theta(z, zb, wb) that solves ``equation`` = 0,
+    an equation in (z1..zn, z1b..znb, wb, w)."""
+    try:
+        theta = solve_formal_system([equation], ["w"])["w"]
+    except SingularJacobianError as exc:
+        raise NotGraphableError(
+            "image hypersurface is not graphable over the canonical axes"
+        ) from exc
+    return make_model(n, theta)
+
+
 def from_graph(phi: TruncatedSeries, n: int, order: int | None = None) -> HypersurfaceModel:
     """Convert a real graphed equation u = phi(x, y, v) to a complex model.
 
@@ -217,8 +229,7 @@ def from_graph(phi: TruncatedSeries, n: int, order: int | None = None) -> Hypers
         if sum(exps) < 2:
             raise NormalizationError("phi must vanish to second order at the origin")
 
-    ctx = canonical_context(n)
-    big = VariableContext(ctx.names + ("w",))
+    big = VariableContext(canonical_context(n).names + ("w",))
     half = gaussian(Fraction(1, 2))
     minus_half_i = gaussian(0, Fraction(-1, 2))
 
@@ -236,8 +247,7 @@ def from_graph(phi: TruncatedSeries, n: int, order: int | None = None) -> Hypers
         assignment, target_context=big
     )
     # at order >= 1 the w-derivative of the equation at 0 is 1/2
-    theta = solve_formal_system([equation], ["w"])["w"].rename_context(ctx)
-    return make_model(n, theta, order)
+    return _solved_model(n, equation)
 
 
 def _roles(obj):
@@ -310,9 +320,11 @@ def apply_biholomorphism(model: HypersurfaceModel, zmaps, wmap) -> HypersurfaceM
 
     The map must fix the origin and have an invertible linear part.  The
     image equation is obtained by substituting the formal inverse into
-    w = theta and re-solving for the new vertical variable; the output is
-    re-validated, so a map that destroys the normalization or the graph
-    property raises rather than returning a broken model.
+    w = theta, written in the image's own (z, zb, wb, w); ``_solved_model``,
+    the step that also ends ``from_graph``, solves it for the new vertical
+    variable and re-validates the result, so a map that destroys the
+    normalization or the graph property raises rather than returning a
+    broken model.
     """
     n = model.n
     mctx = map_context(n)
@@ -336,38 +348,22 @@ def apply_biholomorphism(model: HypersurfaceModel, zmaps, wmap) -> HypersurfaceM
     except SingularJacobianError:
         raise NonInvertibleMapError("linear part of the map is singular") from None
 
-    big = VariableContext(
-        [f"zp{k}" for k in range(1, n + 1)]
-        + [f"zp{k}b" for k in range(1, n + 1)]
-        + ["wpb", "wp"]
-    )
+    big = VariableContext(canonical_context(n).names + ("w",))
 
-    def lift(series):
-        return series.substitute({}, target_context=big)
-
-    def lift_conjugate(series):
-        # conjugate coefficients and move to the barred primed variables
-        barred = VariableContext([f"zp{k}b" for k in range(1, n + 1)] + ["wpb"])
-        conj = TruncatedSeries(
-            barred, series.order, {e: c.conjugate() for e, c in series.terms.items()}
-        )
-        return conj.substitute({}, target_context=big)
+    def lift(g, conjugate=False):
+        """g(z, w) in the image equation's context, or its conjugate gbar(zb, wb)."""
+        zero = (0,) * n
+        if conjugate:
+            terms = {zero + e + (0,): c.conjugate() for e, c in g.terms.items()}
+        else:
+            terms = {e[:n] + zero + (0,) + e[n:]: c for e, c in g.terms.items()}
+        return TruncatedSeries(big, g.order, terms)
 
     assignment = {}
     for k in range(1, n + 1):
         g = inverse[f"z{k}"]
         assignment[f"z{k}"] = lift(g)
-        assignment[f"z{k}b"] = lift_conjugate(g)
-    assignment["wb"] = lift_conjugate(inverse["w"])
-
-    equation = model.theta.substitute(assignment, target_context=big) - lift(
-        inverse["w"]
-    )
-    try:
-        solution = solve_formal_system([equation], ["wp"])
-    except SingularJacobianError as exc:
-        raise NotGraphableError(
-            "image hypersurface is not graphable over the canonical axes"
-        ) from exc
-    theta_prime = solution["wp"].rename_context(canonical_context(n))
-    return make_model(n, theta_prime, theta_prime.order)
+        assignment[f"z{k}b"] = lift(g, conjugate=True)
+    assignment["wb"] = lift(inverse["w"], conjugate=True)
+    equation = model.theta.substitute(assignment, target_context=big) - lift(inverse["w"])
+    return _solved_model(n, equation)

@@ -291,7 +291,7 @@ MAP = ["--map-z", "1=z1", "--map-z", "2=z2", "--map-w", "w"]
     (["derive-pde", "--theta", HEIS], 2),
     (["levi", "--theta", HEIS], 3),
     (["integrability", "--theta", HEIS], 3),
-    (["curvature", "--theta", HEIS], 4),
+    (["curvature", "--theta", HEIS], 5),
     (["check", "--theta", HEIS, "--checks", "reality"], 1),
     (["check", "--theta", HEIS, "--checks", "levi"], 3),
     (["check", "--graph", "x1^2 + y1^2 + x2^2 + y2^2", "--checks", "integrability"], 3),

@@ -21,7 +21,7 @@ from pseudosphere.hypersurface import conjugate_context, hermitian_signature
 from pseudosphere.scalars import GaussianRational, gaussian
 from pseudosphere.series import graded_lex
 
-from conftest import COEFF_POOL, heisenberg_model, rigid_perturbation_model
+from conftest import COEFF_POOL, heisenberg_model, random_graph, rigid_perturbation_model
 
 CTX = ps.canonical_context(2)
 
@@ -411,21 +411,65 @@ def test_signature_invariant_under_random_linear_maps(rng):
         assert data.delta_at_origin  # nondegeneracy preserved
 
 
-def test_from_graph_outputs_pass_reality(rng):
-    # random real graphs of degree <= 4 produce reality-exact models
-    gctx = ps.graph_context(2)
-    import itertools
+# non-real nonlinear terms for the z- and w-components of a random map:
+# z_k goes to c*z_k plus two of them, with c from ZSCALES, and w to w plus
+# one, so the map is invertible and keeps theta's linear part -wb
+NONREAL_TERMS = {
+    "z": ["i*z1*w", "(1/2*i)*z1^2", "(1 - i)*z2*w", "(-1/2*i)*w^2", "i*z1*z2^2"],
+    "w": ["(1/2*i)*z1^2", "(-1 + i)*z1*z2", "i*z2*w", "(1/2*i)*z1^2*z2"],
+}
+ZSCALES = ["1", "i", "(1 + i)", "(1/2 - i)"]
 
+
+def random_nonreal_map(rng, n, order):
+    """A random map (zmaps, wmap) built from NONREAL_TERMS and ZSCALES."""
+    texts = [f"{rng.choice(ZSCALES)}*z{k} + " + " + ".join(rng.sample(NONREAL_TERMS["z"], 2))
+             for k in range(1, n + 1)]
+    texts.append("w + " + rng.choice(NONREAL_TERMS["w"]))
+    comps = _map_series(texts, n, order)
+    return comps[:n], comps[n]
+
+
+def inverse_map(zmaps, wmap):
+    """The formal inverse of a map, by solve_implicit, as a map."""
+    mctx = wmap.context
+    inverse = ps.solve_implicit(list(zmaps) + [wmap], unknowns=list(mctx.names),
+                                targets=[f"t{k}" for k in range(len(mctx))])
+    comps = [inverse[name].rename_context(mctx) for name in mctx.names]
+    return comps[:-1], comps[-1]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(5, 6), st.randoms(use_true_random=False))
+def test_transport_round_trip_gives_back_theta(n, order, rng):
+    # a curved real graph model through F, then through F^-1: theta comes
+    # back through the order of the final image
+    model = ps.from_graph(random_graph(rng, n, order), n, order)
+    zmaps, wmap = random_nonreal_map(rng, n, order)
+    image = ps.apply_biholomorphism(model, zmaps, wmap)
+    assert image.theta != model.theta
+    back = ps.apply_biholomorphism(image, *inverse_map(zmaps, wmap))
+    assert back.order == order
+    assert back.theta == model.theta
+
+
+def test_from_graph_outputs_pass_reality(rng):
+    # random real graphs of degree <= 4 with a term of odd degree in y, and
+    # their images under maps with non-real coefficients, are reality-exact
+    gctx = ps.graph_context(2)
     monos = [
         e
         for e in itertools.product(range(5), repeat=5)
         if 2 <= sum(e) <= 4
     ]
+    odd_y = [e for e in monos if (e[2] + e[3]) % 2]
     pool = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)]
     for _ in range(10):
-        terms = {}
+        terms = {rng.choice(odd_y): GaussianRational(rng.choice(pool))}
         for _ in range(rng.randint(1, 4)):
             terms[rng.choice(monos)] = GaussianRational(rng.choice(pool))
         phi = TruncatedSeries(gctx, 5, terms)
         m = ps.from_graph(phi, 2, 5)
         assert ps.check_reality(m).ok
+        image = ps.apply_biholomorphism(m, *random_nonreal_map(rng, 2, 5))
+        assert ps.check_reality(image).ok

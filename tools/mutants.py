@@ -129,6 +129,13 @@ MUTANTS = [
         ("tests/test_cli.py::test_order_below_a_commands_lowest_names_that_order",),
         "killed",
     ),
+    Mutant(
+        "curvature-lowest-order-four", "cli.py",
+        '_LOWEST_ORDER_MODEL["curvature"] = _LOWEST_ORDER_MODEL["pseudosphericality"]',
+        '_LOWEST_ORDER_MODEL["curvature"] = 4',
+        ("tests/test_cli.py::test_order_below_a_commands_lowest_names_that_order",),
+        "killed",
+    ),
     # -- one path for a model and a fundamental solution --------------
     Mutant(
         "role-split-one-late", "hypersurface.py",
@@ -158,6 +165,21 @@ MUTANTS = [
         '        raise LeviDegenerateError("Levi determinant vanishes at the origin")\n',
         "",
         ("tests/test_pde.py::test_degenerate_model_rejected",),
+        "killed",
+    ),
+    # -- reality of the models the library builds ---------------------
+    Mutant(
+        "graph-y-without-one-over-i", "hypersurface.py",
+        'assignment[f"y{k}"] = (zk - zkb).scale(minus_half_i)',
+        'assignment[f"y{k}"] = (zk - zkb).scale(half)',
+        ("tests/test_hypersurface.py::test_from_graph_outputs_pass_reality",),
+        "killed",
+    ),
+    Mutant(
+        "map-conjugate-components-unconjugated", "hypersurface.py",
+        "zero + e + (0,): c.conjugate()",
+        "zero + e + (0,): c",
+        ("tests/test_hypersurface.py::test_from_graph_outputs_pass_reality",),
         "killed",
     ),
     # -- one witness per model ----------------------------------------
