@@ -12,13 +12,16 @@ transform      transport a model through a point map
 
 Input is one set of ``key = value`` pairs: the ``--input`` lines, then
 the flags (``--f K1,K2=E`` is ``f[K1,K2] = E``), so flags win.
+``reality``, ``levi``, ``integrability`` and ``curvature`` are views of
+the ``check`` report: each runs its own checks and prints their fields.
 ``reality``, ``levi``, ``derive-pde`` and ``transform`` need a model;
 ``integrability`` alone checks a model's derived system.
 
 Exit status: 0 when every requested check passes (an order-qualified
 vanishing verdict counts as a pass), 1 when a check fails or the tensor
 does not vanish, 2 for input or usage errors, malformed expressions and
-maps and a ``--checks`` list that leaves nothing to run among them.
+maps, a map whose image is no graph over the canonical axes and a
+``--checks`` list that leaves nothing to run among them.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .errors import (
     NonInvertibleMapError,
     NonUnitError,
     NormalizationError,
+    NotGraphableError,
     ParseError,
     PseudosphereError,
     RealityError,
@@ -73,7 +77,7 @@ class InputError(PseudosphereError):
 
 # the input is at fault, not the hypersurface: exit 2
 _INPUT_ERRORS = (InputError, UnsupportedDimensionError, NormalizationError,
-                 InsufficientOrderError, NonInvertibleMapError)
+                 InsufficientOrderError, NonInvertibleMapError, NotGraphableError)
 
 # The lowest --order of each command and check, on a model and on a --f
 # system: the jets its derivatives read.  A model needs its linear part,
@@ -83,9 +87,7 @@ _LOWEST_ORDER_MODEL = {
     "reality": 1, "transform": 1, "derive-pde": 2, "levi": 3, "signature": 3,
     "integrability": 3, "pseudosphericality": 5, "cross-check": 5,
 }
-# curvature reads the main theorem tensor that pseudosphericality reports
-_LOWEST_ORDER_MODEL["curvature"] = _LOWEST_ORDER_MODEL["pseudosphericality"]
-_LOWEST_ORDER_SYSTEM = {"integrability": 1, "curvature": 2, "pseudosphericality": 2}
+_LOWEST_ORDER_SYSTEM = {"integrability": 1, "pseudosphericality": 2}
 
 
 @dataclass
@@ -165,17 +167,12 @@ def _load(job: JobSpec):
     return make_model(job.n, theta, job.order)
 
 
-def _coefficient_json(value):
-    return {"re": brief_str(value.re), "im": brief_str(value.im)}
-
-
 def _witness_json(witness):
-    if witness is None:
-        return None
+    coefficient = witness.coefficient
     return {
         "component": list(witness.component),
         "monomial": witness.monomial,
-        "coefficient": _coefficient_json(witness.coefficient),
+        "coefficient": {"re": brief_str(coefficient.re), "im": brief_str(coefficient.im)},
     }
 
 
@@ -198,7 +195,8 @@ def run(job: JobSpec) -> dict:
 
     The report dictionary is deterministic for identical job inputs except
     for the measured timings.  A broken input rule raises InputError; a --f
-    system runs those of its checks that read a system.
+    system runs those of its checks that read a system.  order_certified is
+    the lowest order certified by the checks that ran.
     """
     checks = job.validate()
     report = {
@@ -216,6 +214,7 @@ def run(job: JobSpec) -> dict:
         "errors": [],
     }
     timings = report["timings_ms"]
+    orders = []
 
     def timed(name, fn):
         start = time.perf_counter()
@@ -243,21 +242,28 @@ def run(job: JobSpec) -> dict:
         if "integrability" in checks:
             integrability = timed("integrability", lambda: _integrability(loaded))
             report["integrability"] = "pass" if integrability.ok else "fail"
+            orders.append(integrability.checked_order)
+            report["errors"] += [
+                {"code": "integrability",
+                 "message": f"D_{k3}(F[{k1},{k2}]) - D_{k2}(F[{k1},{k3}]) "
+                            f"at {monomial}: {brief_str(coeff)}"}
+                for k1, k2, k3, monomial, coeff in integrability.failures
+            ]
         if "pseudosphericality" in checks:
             verdict = timed("tensor", lambda: _verdict(loaded))
-            report["order_certified"] = verdict.certified_order
+            orders.append(verdict.certified_order)
             report["pseudospherical"] = str(verdict)
             if not verdict.vanishes and job.witness:
                 report["witness"] = _witness_json(verdict.witness)
         if "cross-check" in checks:
             result = timed("cross_check", lambda: cross_check(loaded))
             report["cross_check"] = "pass" if result.ok else "fail"
-            if report["order_certified"] is None:
-                report["order_certified"] = result.certified_order
+            orders.append(result.certified_order)
     except LeviDegenerateError as exc:
         # every stage below needs the Levi family; the first to build it fails
         report["levi_nondegenerate"] = False
         report["errors"].append({"code": "levi_degenerate", "message": str(exc)})
+    report["order_certified"] = min(orders, default=None)
     return report
 
 
@@ -322,8 +328,8 @@ def parse_input_file(text: str) -> dict:
 def _resolve(args):
     """The command's input and the merged `key = value` pairs.
 
-    The input is the JobSpec of check, reality and levi, and otherwise the
-    loaded model or --f system.
+    The input is the JobSpec of check and its views, and otherwise the
+    loaded model.
     """
     text = ""
     if args.input:
@@ -376,7 +382,8 @@ def _resolve(args):
 
 
 def cmd_check(args, job, values):
-    """check, reality and levi: run the job and report."""
+    """check and its views reality, levi, integrability and curvature: run
+    the job and report."""
     report = run(job)
     if args.fields:
         lines = [f"{key}: {report[key]}" for key in args.fields]
@@ -411,46 +418,6 @@ def cmd_derive_pde(args, model, values):
     return payload, lines, True
 
 
-def cmd_integrability(args, loaded, values):
-    result = _integrability(loaded)
-    payload = {
-        "integrable": result.ok,
-        "checked_order": result.checked_order,
-        "failures": [
-            {
-                "indices": [k1, k2, k3],
-                "monomial": monomial,
-                "discrepancy": _coefficient_json(coeff),
-            }
-            for (k1, k2, k3, monomial, coeff) in result.failures
-        ],
-    }
-    lines = [f"integrable: {result.ok} (checked to order {result.checked_order})"]
-    lines += [
-        f"failure at D_{k3}(F[{k1},{k2}]) - D_{k2}(F[{k1},{k3}]): "
-        f"{monomial} -> {brief_str(coeff)}"
-        for (k1, k2, k3, monomial, coeff) in result.failures
-    ]
-    return payload, lines, result.ok
-
-
-def cmd_curvature(args, loaded, values):
-    verdict = _verdict(loaded)
-    witness = verdict.witness
-    payload = {
-        "zero": verdict.vanishes,
-        "order_certified": verdict.certified_order,
-        "witness": _witness_json(witness),
-    }
-    lines = [
-        f"tensor vanishes to order {verdict.certified_order}"
-        if verdict.vanishes
-        else f"nonzero component {witness.component} at {witness.monomial}: "
-        f"{brief_str(witness.coefficient)}"
-    ]
-    return payload, lines, verdict.vanishes
-
-
 def cmd_transform(args, model, values):
     n, order = model.n, model.order
     if set(values["map_z"]) != set(range(1, n + 1)) or not values.get("map_w"):
@@ -475,15 +442,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # subcommand, handler, whether it needs a model (theta or a graph), and
-    # for reality and levi the checks they always run and the fields they print
+    # for the views of check the checks they always run and the fields they
+    # print
     for name, handler, needs_model, checks, fields in (
         ("check", cmd_check, False, None, None),
         ("reality", cmd_check, True, "reality", ("reality",)),
         ("levi", cmd_check, True, "reality,levi,signature",
          ("reality", "levi_nondegenerate", "signature")),
         ("derive-pde", cmd_derive_pde, True, None, None),
-        ("integrability", cmd_integrability, False, None, None),
-        ("curvature", cmd_curvature, False, None, None),
+        ("integrability", cmd_check, False, "integrability",
+         ("integrability", "order_certified")),
+        ("curvature", cmd_check, False, "pseudosphericality",
+         ("pseudospherical", "order_certified")),
         ("transform", cmd_transform, True, None, None),
     ):
         p = sub.add_parser(name)
@@ -508,6 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.choices["check"].add_argument(
         "--checks", help=f"comma list from {', '.join(ALL_CHECKS)} (or 'all')"
     )
+    sub.choices["curvature"].set_defaults(witness=True)  # its report names the witness
     transform = sub.choices["transform"]
     transform.add_argument(
         "--map-z",

@@ -83,6 +83,20 @@ def test_run_cross_check_only_certifies_its_order():
     assert report_passed(report)
 
 
+@pytest.mark.parametrize("argv, order_certified", [
+    (["check", "--order", "5", "--f", "1,1=x2", "--checks", "integrability"], 4),
+    (["integrability", "--order", "6", "--theta", QUARTIC], 3),
+    (["check", "--order", "8", "--theta", HEIS, "--checks", "all"], 4),
+], ids=["pde-integrability-only", "integrability-view", "all-checks"])
+def test_order_certified_is_the_lowest_order_of_the_checks_that_ran(
+    capsys, argv, order_certified
+):
+    # integrability certifies its checked order; with --checks all on the
+    # order-8 sphere the orders are 5, 4 and 4, so the report takes the min
+    _, out, _ = invoke(argv + ["--n", "2", "--json"], capsys)
+    assert json.loads(out)["order_certified"] == order_certified
+
+
 def test_run_mixed_signature():
     job = JobSpec(n=2, order=8, kind="theta", theta_text="-wb + z1*z1b - z2*z2b")
     report = run(job)
@@ -249,6 +263,8 @@ def test_exit_one_on_witness_with_huge_coefficient(capsys):
     ["check", "--n", "2", "--order", "6", "--f", "1,1x1"],
     ["transform", "--n", "2", "--order", "6", "--theta=" + HEIS, "--map-z", "a=z1"],
     ["curvature", "--n", "2", "--order", "5", "--f", "1,2=x1", "--f", "2,1=x2"],
+    ["transform", "--n", "2", "--order", "4", "--theta=" + HEIS, "--map-z", "1=w",
+     "--map-z", "2=z2", "--map-w", "z1"],
     ["check", "--n", "2", "--order", "0", "--graph", "x1^2", "--checks", "reality"],
     ["check", "--n", "2", "--order", "0", "--theta=-wb", "--checks", "reality"],
 ], ids=["graph-linear-part", "graph-not-real", "f-index-out-of-range",
@@ -258,8 +274,8 @@ def test_exit_one_on_witness_with_huge_coefficient(capsys):
         "theta-unknown-variable", "graph-unknown-variable", "f-unknown-variable",
         "map-unknown-variable", "theta-non-unit-divisor", "map-moves-origin",
         "map-singular", "checks-empty", "checks-none-apply-to-system",
-        "f-malformed", "map-z-malformed", "f-conflicting-pair", "graph-order-zero",
-        "theta-order-zero"])
+        "f-malformed", "map-z-malformed", "f-conflicting-pair", "map-image-not-graphable",
+        "graph-order-zero", "theta-order-zero"])
 def test_exit_two_on_malformed_input(capsys, argv):
     code, _, err = invoke(argv, capsys)
     assert code == 2
@@ -336,7 +352,10 @@ def test_run_below_a_checks_lowest_order_raises_the_command_line_message(
     with pytest.raises(InputError, match=f"needs --order >= {lowest}") as excinfo:
         run(JobSpec(n=2, order=lowest - 1, **fields))
     assert err == f"error: {excinfo.value}\n"
-    assert run(JobSpec(n=2, order=lowest, **fields))["errors"] == []
+    # x2 is no integrable system: its one error entry is that check's
+    report = run(JobSpec(n=2, order=lowest, **fields))
+    expected = ["integrability"] if report["integrability"] == "fail" else []
+    assert [error["code"] for error in report["errors"]] == expected
 
 
 @pytest.mark.parametrize("argv, order", [
@@ -444,15 +463,17 @@ def test_derive_pde_command(capsys):
 
 
 def test_integrability_command_failure(capsys):
-    code, out, _ = invoke(
-        ["integrability", "--n", "2", "--order", "5", "--f", "1,1=x2", "--json"],
-        capsys,
-    )
-    assert code == 1
-    payload = json.loads(out)
-    assert payload["integrable"] is False
-    assert payload["failures"][0]["indices"] == [1, 1, 2]
-    assert payload["failures"][0]["discrepancy"] == {"re": "1", "im": "0"}
+    # the view and check name the failed condition, its monomial and its
+    # discrepancy in one error entry
+    flags = ["--n", "2", "--order", "5", "--f", "1,1=x2", "--json"]
+    for argv in (["integrability"], ["check", "--checks", "integrability"]):
+        code, out, _ = invoke(argv + flags, capsys)
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["integrability"] == "fail"
+        assert payload["errors"] == [
+            {"code": "integrability", "message": "D_2(F[1,1]) - D_1(F[1,2]) at 1: 1"}
+        ]
 
 
 def test_integrability_command_derived_system(capsys):
@@ -461,16 +482,16 @@ def test_integrability_command_derived_system(capsys):
         capsys,
     )
     assert code == 0
-    assert json.loads(out)["integrable"] is True
+    assert json.loads(out)["integrability"] == "pass"
 
 
 def test_integrability_verdict_agrees_with_check(capsys):
     # theta wins over --f in every command, so both read the same input
     flags = ["--n", "2", "--order", "5", "--theta", HEIS, "--f", "1,1=x2", "--json"]
     code, out, _ = invoke(["integrability"] + flags, capsys)
-    integrable = json.loads(out)["integrable"]
+    integrability = json.loads(out)["integrability"]
     check_code, out, _ = invoke(["check", "--checks", "integrability"] + flags, capsys)
-    assert json.loads(out)["integrability"] == ("pass" if integrable else "fail")
+    assert json.loads(out)["integrability"] == integrability
     assert (code, check_code) == (0, 0)
 
 
@@ -488,13 +509,13 @@ def test_system_verdicts_agree_between_check_and_the_commands(
 ):
     flags = ["--n", "2"] + inputs + ["--json"]
     _, out, _ = invoke(["integrability"] + flags, capsys)
-    assert json.loads(out)["integrable"] is integrable
+    assert json.loads(out)["integrability"] == ("pass" if integrable else "fail")
     _, out, _ = invoke(["curvature"] + flags, capsys)
     curvature = json.loads(out)
     _, out, _ = invoke(["check", "--witness", "--checks", "all"] + flags, capsys)
     report = json.loads(out)
     assert report["integrability"] == ("pass" if integrable else "fail")
-    assert report["pseudospherical"].startswith("VanishesToOrder") is curvature["zero"]
+    assert report["pseudospherical"] == curvature["pseudospherical"]
     assert report["order_certified"] == curvature["order_certified"]
     assert report["witness"] == curvature["witness"]
     witness = curvature["witness"]
@@ -508,7 +529,7 @@ def test_curvature_command(capsys):
     )
     assert code == 1
     payload = json.loads(out)
-    assert payload["zero"] is False
+    assert payload["pseudospherical"].startswith("NonVanishing")
     assert payload["witness"]["coefficient"] == {"re": "1/3", "im": "0"}
 
 
@@ -518,7 +539,21 @@ def test_curvature_command_zero(capsys):
         capsys,
     )
     assert code == 0
-    assert json.loads(out)["zero"] is True
+    assert json.loads(out)["pseudospherical"] == "VanishesToOrder(3)"
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["integrability", "--order", "5", "--f", "1,1=x2"],
+     ["integrability: fail", "order_certified: 4",
+      "error[integrability]: D_2(F[1,1]) - D_1(F[1,2]) at 1: 1"]),
+    (["curvature", "--order", "5", "--theta", QUARTIC],
+     ["pseudospherical: NonVanishing(component=(1, 1, 1, 1), monomial=1, "
+      "coefficient=-2/3)", "order_certified: 1"]),
+], ids=["integrability", "curvature"])
+def test_integrability_and_curvature_print_their_fields(capsys, argv, lines):
+    code, out, _ = invoke(argv + ["--n", "2"], capsys)
+    assert code == 1
+    assert out.splitlines() == lines
 
 
 def test_transform_command(capsys):
@@ -673,8 +708,8 @@ MAPS = ["--map-z", "1=z1", "--map-z", "2=z2", "--map-w", "w"]
     ("reality", [], REPORT_KEYS),
     ("levi", [], REPORT_KEYS),
     ("derive-pde", [], {"n", "order_certified", "components"}),
-    ("integrability", [], {"integrable", "checked_order", "failures"}),
-    ("curvature", [], {"zero", "order_certified", "witness"}),
+    ("integrability", [], REPORT_KEYS),
+    ("curvature", [], REPORT_KEYS),
     ("transform", MAPS, {"n", "order_certified", "theta", "reality"}),
 ])
 def test_json_payload_keys(capsys, command, extra, keys):

@@ -1,6 +1,7 @@
 """Flatness tensors: direct formula, minors, verdicts, two-route checks."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from pseudosphere.scalars import gaussian
 
 from conftest import (
     heisenberg_model,
+    heisenberg_theta,
     random_graph,
     random_series,
     rigid_perturbation_model,
@@ -195,6 +197,52 @@ def reference_brace(family, t, mu, nu):
             second = family.matrix.with_column(tau - 1, col).determinant()
             value = value - second * first[tau - 1]
     return value
+
+
+def chern_moser_origin(theta, signs):
+    """Test-only closed form of the main theorem tensor at the origin.
+
+    For theta = -wb + sum_k eps_k z_k zb_k, plus a Hermitian quartic of type
+    (2, 2), plus terms of degree >= 5, let C be the fourth derivatives
+    d^4 theta / dz_k1 dz_k2 dzb_l1 dzb_l2 at 0 and S their trace-free part,
+    with traces taken through the Levi form diag(eps) and the weights
+    1/(n+2) and 1/((n+1)(n+2)) (Chern & Moser, "Real hypersurfaces in
+    complex manifolds", Acta Math. 133 (1974)).  Then
+
+        W_{k1 k2 l1 l2}(0) = (-1)^(n+1) det(eps) eps_l1 eps_l2 S_{k1 k2 l1 l2}.
+
+    This reads theta's quartic coefficients and shares no series code and
+    no trace adjustment with the library.  Keys are (k1, k2, l1, l2) with
+    k1 <= k2 and l1 <= l2."""
+    n = len(signs)
+    idx = range(1, n + 1)
+    eps = dict(zip(idx, signs))
+
+    def c(k1, k2, l1, l2):
+        exps = [0] * theta.context.arity
+        for name in (f"z{k1}", f"z{k2}", f"z{l1}b", f"z{l2}b"):
+            exps[theta.context.index(name)] += 1
+        return theta.coefficient(exps) * math.prod(map(math.factorial, exps))
+
+    def kron(a, b):
+        return int(a == b)
+
+    trace = {(k, l): sum(eps[m] * c(m, k, m, l) for m in idx) for k in idx for l in idx}
+    double = sum(eps[l] * trace[(l, l)] for l in idx)
+    sign = (-1) ** (n + 1) * math.prod(signs)
+    table = {}
+    for k1, k2, l1, l2 in itertools.product(idx, repeat=4):
+        if k1 > k2 or l1 > l2:
+            continue
+        single = (eps[k1] * kron(k1, l1) * trace[(k2, l2)]
+                  + eps[k1] * kron(k1, l2) * trace[(k2, l1)]
+                  + eps[k2] * kron(k2, l1) * trace[(k1, l2)]
+                  + eps[k2] * kron(k2, l2) * trace[(k1, l1)])
+        pair = kron(k1, l1) * kron(k2, l2) + kron(k1, l2) * kron(k2, l1)
+        s = (c(k1, k2, l1, l2) - single * Fraction(1, n + 2)
+             + eps[k1] * eps[k2] * pair * double * Fraction(1, (n + 1) * (n + 2)))
+        table[(k1, k2, l1, l2)] = sign * eps[l1] * eps[l2] * s
+    return table
 
 
 def assert_same_series_tables(got, want):
@@ -455,6 +503,54 @@ def test_both_routes_vanish_on_all_sign_patterns(n):
         assert report.ok, (n, signs)
         assert report.direct.is_zero()
         assert all(series.is_zero() for series in report.transported.values())
+
+
+COEFFICIENTS = st.builds(
+    gaussian, st.fractions(-2, 2, max_denominator=3), st.fractions(-2, 2, max_denominator=3)
+)
+
+
+@st.composite
+def quartic_models(draw, n, positive):
+    """(signs, model) for theta = -wb + sum_k eps_k z_k zb_k at order 5, with
+    ``positive`` signs +1 in a drawn order, plus a Hermitian (2, 2) quartic
+    and maybe rigid (3, 2) + (2, 3) pairs."""
+    signs = tuple(draw(st.permutations((1,) * positive + (-1,) * (n - positive))))
+    quartic, quintic = (
+        [e for e in itertools.product(range(degree + 1), repeat=n) if sum(e) == degree]
+        for degree in (2, 3)
+    )
+    pairs = draw(st.lists(st.tuples(st.sampled_from(quartic), st.sampled_from(quartic),
+                                    COEFFICIENTS), min_size=1, max_size=3))
+    pairs += draw(st.lists(st.tuples(st.sampled_from(quintic), st.sampled_from(quartic),
+                                     COEFFICIENTS), max_size=2))
+    terms = dict(heisenberg_theta(n, 5, signs).terms)
+    for a, b, c in pairs:
+        # c z^a zb^b + conj(c) z^b zb^a is real; for a == b it is 2 Re(c)
+        for key, value in ((a + b + (0,), c), (b + a + (0,), c.conjugate())):
+            terms[key] = terms.get(key, gaussian(0)) + value
+    theta = ps.TruncatedSeries(ps.canonical_context(n), 5, {e: v for e, v in terms.items() if v})
+    return signs, ps.make_model(n, theta, 5)
+
+
+SIGNATURES = [(n, positive) for n in (2, 3, 4) for positive in range(n, -1, -1)]
+
+
+@pytest.mark.parametrize("n, positive", SIGNATURES,
+                         ids=[f"{p},{n - p}" for n, p in SIGNATURES])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_tensor_at_the_origin_is_the_chern_moser_closed_form(n, positive, data):
+    # the third oracle: both routes' constant terms against the closed form,
+    # which shares neither the series code nor the trace adjustment
+    signs, model = data.draw(quartic_models(n, positive))
+    want = chern_moser_origin(model.theta, signs)
+    direct = ps.main_theorem_tensor(model)
+    transported = ps.cross_check(model).transported
+    assert want.keys() == direct.components.keys()
+    for key, value in want.items():
+        assert direct.components[key].constant_term() == value, key
+        assert transported[key].constant_term() == value, key
 
 
 def test_cross_check_reports_a_perturbed_transported_route():

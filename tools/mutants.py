@@ -130,10 +130,18 @@ MUTANTS = [
         "killed",
     ),
     Mutant(
-        "curvature-lowest-order-four", "cli.py",
-        '_LOWEST_ORDER_MODEL["curvature"] = _LOWEST_ORDER_MODEL["pseudosphericality"]',
-        '_LOWEST_ORDER_MODEL["curvature"] = 4',
+        "system-tensor-lowest-order-one-short", "cli.py",
+        '{"integrability": 1, "pseudosphericality": 2}',
+        '{"integrability": 1, "pseudosphericality": 1}',
         ("tests/test_cli.py::test_order_below_a_commands_lowest_names_that_order",),
+        "killed",
+    ),
+    # -- the report's certified order ---------------------------------
+    Mutant(
+        "order-certified-max", "cli.py",
+        'report["order_certified"] = min(orders, default=None)',
+        'report["order_certified"] = max(orders, default=None)',
+        ("tests/test_cli.py::test_order_certified_is_the_lowest_order_of_the_checks_that_ran",),
         "killed",
     ),
     # -- one path for a model and a fundamental solution --------------
@@ -184,10 +192,26 @@ MUTANTS = [
     ),
     # -- one witness per model ----------------------------------------
     Mutant(
-        "curvature-reads-derived-system", "cli.py",
-        "verdict = _verdict(loaded)",
-        "verdict = hachtroudi_tensor(derive_associated_system(loaded)).verdict()",
+        "model-verdict-reads-derived-system", "cli.py",
+        "    return is_pseudospherical(loaded)\n",
+        "    return hachtroudi_tensor(derive_associated_system(loaded)).verdict()\n",
         ("tests/test_cli.py::test_system_verdicts_agree_between_check_and_the_commands",),
+        "killed",
+    ),
+    # -- the trace adjustment, against the closed form at the origin --
+    Mutant(
+        "trace-single-k2-l2-dropped", "flatness.py",
+        "                    if k2 == l2:\n"
+        "                        comp = comp - trace[(k1, l1)].scale(w1)\n",
+        "",
+        ("tests/test_flatness.py::test_tensor_at_the_origin_is_the_chern_moser_closed_form",),
+        "killed",
+    ),
+    Mutant(
+        "trace-double-sign-flipped", "flatness.py",
+        "comp = comp + double.scale(w2 * kron)",
+        "comp = comp - double.scale(w2 * kron)",
+        ("tests/test_flatness.py::test_tensor_at_the_origin_is_the_chern_moser_closed_form",),
         "killed",
     ),
     # -- kernels ------------------------------------------------------
