@@ -59,6 +59,7 @@ from .hypersurface import (
 )
 from .pde import PdeSystem, check_complete_integrability, derive_associated_system, pde_context
 from .scalars import brief_str
+from .series import _MAX_ORDER
 
 ALL_CHECKS = (
     "reality",
@@ -88,6 +89,9 @@ _LOWEST_ORDER_MODEL = {
     "integrability": 3, "pseudosphericality": 5, "cross-check": 5,
 }
 _LOWEST_ORDER_SYSTEM = {"integrability": 1, "pseudosphericality": 2}
+# The highest --n and --order of a job.  The order budget is the series
+# packing's, which sizes its exponent fields from it.
+_MAX_N = 8
 
 
 @dataclass
@@ -111,8 +115,12 @@ class JobSpec:
             raise UnsupportedDimensionError(
                 f"CR dimension must be >= 2, got {self.n}"
             )
+        if self.n > _MAX_N:
+            raise InputError(f"--n {self.n} exceeds the limit of {_MAX_N}")
         if self.order is None:
             raise InputError("missing --order")
+        if self.order > _MAX_ORDER:
+            raise InputError(f"--order {self.order} exceeds the limit of {_MAX_ORDER}")
         if self.kind not in ("theta", "graph", "pde"):
             raise InputError(f"unknown kind {self.kind!r}; choose from theta, graph, pde")
         for c in self.checks:

@@ -12,6 +12,14 @@ exact series of the text it consumed, and no syntax tree is built.  The
 whole text is tokenized first, so an unknown character is reported
 before anything is evaluated; an unknown variable or a non-unit divisor
 is reported where it is met, before any later syntax error.
+
+Evaluation has input budgets, each a ParseError that names its limit: an
+integer literal has at most ``_MAX_LITERAL_BITS`` bits, an exponent is at
+most ``_MAX_EXPONENT``, and no series the parser evaluates, the squares
+of a power included, has a numerator or denominator of more than
+``_MAX_COEFFICIENT_BITS`` bits.  They bound the work of any text, also
+the well-formed prefix that a malformed text evaluates before its syntax
+error is found.
 """
 
 from __future__ import annotations
@@ -19,8 +27,17 @@ from __future__ import annotations
 import operator
 
 from .errors import NonUnitError, ParseError
-from .scalars import I as IMAG_UNIT
+from .scalars import I as IMAG_UNIT, MESSAGE_BITS, ONE
 from .series import TruncatedSeries, VariableContext
+
+# Input budgets.  A literal prints back in full (see scalars.brief_str); the
+# coefficient budget holds 3^300000 but not the 2^(2^20) that the exponent
+# budget could ask for.
+_MAX_LITERAL_BITS = MESSAGE_BITS
+_MAX_EXPONENT = 2 ** 20
+_MAX_COEFFICIENT_BITS = 2 ** 20
+# a literal of more digits than 2^_MAX_LITERAL_BITS has exceeds that budget
+_MAX_LITERAL_DIGITS = len(str(2 ** _MAX_LITERAL_BITS))
 
 
 # ----------------------------------------------------------------------
@@ -43,7 +60,7 @@ def _tokenize(text: str):
             start = pos
             while pos < length and text[pos].isdigit():
                 pos += 1
-            tokens.append(("int", int(text[start:pos]), start))
+            tokens.append(("int", text[start:pos], start))  # converted when read
             continue
         if ch.isalpha() or ch == "_":
             start = pos
@@ -105,22 +122,33 @@ class _Parser:
     def parse_expression(self, min_precedence=0) -> TruncatedSeries:
         series = self.parse_prefix()
         while True:
-            kind = self.peek()[0]
+            kind, _, position = self.peek()
             precedence = _BINARY_PRECEDENCE.get(kind)
             if precedence is None or precedence < min_precedence:
                 return series
             self.advance()
             if kind == "^":
-                series = series ** self.parse_exponent()
+                series = self.power(series, self.parse_exponent(), position)
                 continue
             # left associative: the right operand binds one level tighter
             right = self.parse_expression(precedence + 1)
-            series = _BINARY_OPERATION[kind](series, right)
+            series = _budgeted(_BINARY_OPERATION[kind](series, right), position)
+
+    def power(self, base, exponent, position) -> TruncatedSeries:
+        """base ** exponent by repeated squaring, each step within budget."""
+        result = TruncatedSeries.constant(self.context, self.order, ONE)
+        while exponent:
+            if exponent & 1:
+                result = _budgeted(result * base, position)
+            exponent >>= 1
+            if exponent:
+                base = _budgeted(base * base, position)
+        return result
 
     def parse_prefix(self) -> TruncatedSeries:
         kind, value, position = self.advance()
         if kind == "int":
-            return TruncatedSeries.constant(self.context, self.order, value)
+            return TruncatedSeries.constant(self.context, self.order, _integer(value, position))
         if kind == "ident":
             if value == "i":
                 return TruncatedSeries.constant(self.context, self.order, IMAG_UNIT)
@@ -140,7 +168,41 @@ class _Parser:
             raise ParseError(
                 "exponent must be a nonnegative integer literal", position
             )
+        value = _integer(value, position)
+        if value > _MAX_EXPONENT:
+            raise ParseError(
+                f"exponent {value} exceeds the limit of {_MAX_EXPONENT}", position
+            )
         return value
+
+
+def _integer(digits: str, position: int) -> int:
+    """The value of an integer literal's digits within the literal budget;
+    the digits are counted first, so no conversion is ever too long."""
+    if len(digits.lstrip("0")) > _MAX_LITERAL_DIGITS:
+        raise ParseError(
+            f"integer literal of {len(digits)} digits exceeds the limit of "
+            f"{_MAX_LITERAL_BITS} bits", position
+        )
+    value = int(digits)
+    if value.bit_length() > _MAX_LITERAL_BITS:
+        raise ParseError(
+            f"integer literal of {value.bit_length()} bits exceeds the limit of "
+            f"{_MAX_LITERAL_BITS} bits", position
+        )
+    return value
+
+
+def _budgeted(series: TruncatedSeries, position: int) -> TruncatedSeries:
+    """``series``, after checking the coefficient budget at the operator
+    at ``position``."""
+    bits = series._bits()
+    if bits > _MAX_COEFFICIENT_BITS:
+        raise ParseError(
+            f"a coefficient of {bits} bits exceeds the limit of "
+            f"{_MAX_COEFFICIENT_BITS} bits", position
+        )
+    return series
 
 
 def parse_series(text: str, context: VariableContext, order: int) -> TruncatedSeries:

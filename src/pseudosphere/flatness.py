@@ -79,7 +79,7 @@ class FlatnessTensor:
                 component=key,
                 exponents=exps,
                 monomial=series.monomial_text(exps),
-                coefficient=series.terms[exps],
+                coefficient=series.coefficient(exps),
             )
         return None
 

@@ -165,11 +165,8 @@ def conjugate_theta(model: HypersurfaceModel) -> TruncatedSeries:
     construction twice gives back the original series.
     """
     n = model.n
-    terms = {
-        exps[n : 2 * n] + exps[:n] + exps[2 * n :]: coeff.conjugate()
-        for exps, coeff in model.theta.terms.items()
-    }
-    return TruncatedSeries(conjugate_context(n), model.theta.order, terms)
+    swapped = list(range(n, 2 * n)) + list(range(n)) + [2 * n]
+    return model.theta._embedded(conjugate_context(n), swapped, conjugate=True)
 
 
 def check_reality(model: HypersurfaceModel) -> RealityReport:
@@ -220,7 +217,7 @@ def from_graph(phi: TruncatedSeries, n: int, order: int | None = None) -> Hypers
     """
     phi = _checked_input(n, phi, order, "phi", graph_context)
     order = phi.order
-    for exps, coeff in phi.terms.items():
+    for exps, coeff in phi.terms.items():  # graded-lex: the lowest is named
         if coeff.im:
             raise NormalizationError(
                 f"phi must be real-valued; coefficient of {phi.monomial_text(exps)} "
@@ -352,12 +349,10 @@ def apply_biholomorphism(model: HypersurfaceModel, zmaps, wmap) -> HypersurfaceM
 
     def lift(g, conjugate=False):
         """g(z, w) in the image equation's context, or its conjugate gbar(zb, wb)."""
-        zero = (0,) * n
+        zs, none = list(range(n)), [None] * n
         if conjugate:
-            terms = {zero + e + (0,): c.conjugate() for e, c in g.terms.items()}
-        else:
-            terms = {e[:n] + zero + (0,) + e[n:]: c for e, c in g.terms.items()}
-        return TruncatedSeries(big, g.order, terms)
+            return g._embedded(big, none + zs + [n, None], conjugate=True)
+        return g._embedded(big, zs + none + [None, n])
 
     assignment = {}
     for k in range(1, n + 1):

@@ -33,13 +33,7 @@ from __future__ import annotations
 
 from .errors import SingularJacobianError
 from .matrices import SeriesMatrix
-from .series import (
-    TruncatedSeries,
-    VariableContext,
-    _add_into,
-    _compose,
-    _product_terms,
-)
+from .series import TruncatedSeries, VariableContext, _add, _compose, _product
 
 
 def solve_formal_system(equations, unknowns):
@@ -78,18 +72,17 @@ def solve_formal_system(equations, unknowns):
     precisions = [n >> s for s in reversed(range(n.bit_length()))]  # 1, ..., n//2, n
 
     size = len(unknowns)
-    iterate = [{} for _ in unknowns]  # term dicts, exact through degree k
+    # the iterates as (denominator, grades) storages, exact through degree k
+    iterate = [(1, {}) for _ in unknowns]
     k = 0
     low = None  # the degree through which ``inverse`` holds J^-1
     for top in precisions:
-        point = {u: TruncatedSeries._valid(out_ctx, top, terms)
-                 for u, terms in zip(unknowns, iterate)}
-        residuals = [r.terms for r in _compose(equations, point, out_ctx)]
+        point = {u: TruncatedSeries._valid(out_ctx, top, *storage)
+                 for u, storage in zip(unknowns, iterate)}
+        residuals = _compose(equations, point, out_ctx)
         if top - k - 1 != low:
             low = top - k - 1
-            point = {u: TruncatedSeries._valid(
-                         out_ctx, low, {e: c for e, c in terms.items() if sum(e) <= low})
-                     for u, terms in zip(unknowns, iterate)}
+            point = {u: s.truncate(low) for u, s in point.items()}
             # a zero partial adds no monomial to the walk and comes back as
             # zero of order low
             entries = _compose([d for row in partials for d in row], point, out_ctx)
@@ -100,21 +93,21 @@ def solve_formal_system(equations, unknowns):
                 raise SingularJacobianError(
                     "constant Jacobian in the unknowns is singular at the origin"
                 )
-            det_inv = det.invert_unit().terms
+            det_inv = det.invert_unit()
             # J^-1 is the adjugate, the transposed cofactor table, over det J
-            inverse = [[_product_terms(det_inv, cofactor[(i, j)].terms, low)
+            inverse = [[_product(det_inv._den, det_inv._grades,
+                                 cofactor[(i, j)]._den, cofactor[(i, j)]._grades, low)
                         for i in range(size)] for j in range(size)]
-        for j, terms in enumerate(iterate):
-            correction = {}
-            for i, r in enumerate(residuals):
-                if r and inverse[j][i]:
-                    _add_into(correction, _product_terms(inverse[j][i], r, top))
-            # the correction starts at degree k + 1, past every iterate term
-            terms.update((e, -c) for e, c in correction.items())
+        for j, (den, grades) in enumerate(iterate):
+            for (dv, v), r in zip(inverse[j], residuals):
+                if v and r._grades:
+                    den, grades = _add(den, grades, *_product(
+                        dv, v, r._den, r._grades, top), -1)
+            iterate[j] = (den, grades)
         k = top
 
-    return {u: TruncatedSeries._valid(out_ctx, n, terms)
-            for u, terms in zip(unknowns, iterate)}
+    return {u: TruncatedSeries._valid(out_ctx, n, *storage)
+            for u, storage in zip(unknowns, iterate)}
 
 
 def solve_implicit(system, unknowns, targets):

@@ -98,7 +98,7 @@ class SeriesMatrix:
             value = TruncatedSeries.zero(self.context, self.order)
             for pos, r in enumerate(rows):
                 entry = self.entries[r][cols[0]]
-                if not entry.terms:
+                if entry.is_zero():
                     continue
                 term = entry * self._minor(memo, rows[:pos] + rows[pos + 1 :], cols[1:])
                 value = value - term if pos % 2 else value + term
@@ -206,12 +206,13 @@ class MinorFamily:
             brace[(mu, nu)] = brace[(nu, mu)] = value
         zero = TruncatedSeries.zero(self.delta.context, brace[(1, 1)].order)
         mus, columns = range(1, size + 1), range(1, size)
-        units = {l: [(mu, self.unit(mu, l)) for mu in mus if self.unit(mu, l).terms]
+        units = {l: [(mu, self.unit(mu, l)) for mu in mus if not self.unit(mu, l).is_zero()]
                  for l in columns}
         v = {(mu, l): sum((u * brace[(mu, nu)] for nu, u in units[l]), zero)
              for l in columns for mu in mus}
         return {
-            (l1, l2): sum((u * v[(mu, l2)] for mu, u in units[l1] if v[(mu, l2)].terms), zero)
+            (l1, l2): sum((u * v[(mu, l2)] for mu, u in units[l1] if not v[(mu, l2)].is_zero()),
+                          zero)
             for l1 in columns for l2 in columns if l1 <= l2
         }
 

@@ -11,17 +11,16 @@ arithmetic and restores the canonical form with one three-argument gcd,
 skipped where the result is canonical already: a denominator of 1, or a
 sum or difference with an integer.  Only this module knows the storage
 format; other modules use the operators and the ``re``/``im`` properties.
-The one exception is the series product kernel, which does its inner
-products in integers: ``_numerators`` gives it the terms of a series
-over one common denominator, ``_reduced`` turns each summed numerator
-back into a scalar, and ``_multiply_add`` forms x + y*z with one
-reduction.
+The one exception is the series storage, which keeps Gaussian-integer
+numerators over one denominator per series: it reads the triples of the
+scalars it is given, and ``_reduced`` turns a numerator pair over its
+denominator back into a scalar.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 def _new(a, b, d):
@@ -40,33 +39,6 @@ def _reduced(a, b, d):
         if g != 1:
             return _new(a // g, b // g, d // g)
     return _new(a, b, d)
-
-
-def _numerators(terms):
-    """A term dict over the common denominator of its coefficients.
-
-    Returns ``(d, [(key, a, b), ...])`` in the dict's order: d is the lcm
-    of the denominators (1 for an empty dict), and each coefficient equals
-    (a + b*i)/d.
-    """
-    d = lcm(*{z._d for z in terms.values()})
-    if d == 1:
-        return 1, [(e, z._a, z._b) for e, z in terms.items()]
-    return d, [(e, z._a * m, z._b * m) for e, z in terms.items() for m in (d // z._d,)]
-
-
-def _multiply_add(x, y, z):
-    """x + y*z, built from the triples with at most one reduction."""
-    p = y._a * z._a - y._b * z._b
-    q = y._a * z._b + y._b * z._a
-    dyz = y._d * z._d
-    dx = x._d
-    if dyz == 1:
-        # gcd(a + p*dx, b + q*dx, dx) = gcd(a, b, dx) = 1
-        return _new(x._a + p * dx, x._b + q * dx, dx)
-    if dx == dyz:
-        return _reduced(x._a + p, x._b + q, dx)
-    return _reduced(x._a * dyz + p * dx, x._b * dyz + q * dx, dx * dyz)
 
 
 def _coerce(value):

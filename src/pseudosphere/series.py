@@ -6,19 +6,41 @@ propagate the worst-case guaranteed order of their output (a partial
 derivative loses one degree, products and compositions take minima), so
 a chain of operations always knows how far its result can be trusted.
 
+Storage.  A series is one denominator ``d > 0`` and, per total degree, a
+dict from a packed exponent key to a Gaussian-integer numerator pair
+``(a, b)``: the coefficient of that monomial is (a + b*i)/d.  A key packs
+the exponents into fields of ``_FIELD`` bits, the first context variable
+in the most significant field, so the integer order of keys is the
+lexicographic order of exponent tuples and the key of a product of two
+monomials is the sum of their keys.  A field holds any exponent up to
+``_MAX_ORDER``, the highest order a series may have, plus one guard bit:
+the sum of any two keys of exponents within that budget carries into no
+neighbouring field.  Degrees with no term have no dict, and no stored
+pair is (0, 0).
+
+Normalization.  Every series is kept in one canonical form: gcd(d, every
+numerator) = 1, and the empty series has d = 1.  Each operation that
+builds numerators over a product or an lcm of denominators, or drops
+terms, ends by dividing that common factor out (``_canonical``,
+``_closed``); where d is 1 there is none.  So each series has exactly
+one storage, and ``==`` compares it structurally.  Coefficients as
+:class:`GaussianRational` (``terms``, ``coefficient``, ``first_term``,
+``__str__``) are built on demand.
+
 Two rules make a zero series cost no more than a call.  A product with
 an empty operand is the empty series of the lower operand order: every
 term of the true product lies above that order, and nothing is claimed
-beyond it.  A sum or difference of two series of the same order, one of
-them empty, is the other operand itself (negated in ``empty - b``); at
-unequal orders the sum is still cut to the lower order.  Series are
-immutable by convention, so returning an operand shares no state that
-anyone changes.
+beyond it.  A sum or difference with an empty operand is the other
+operand itself (negated in ``empty - b``), cut to the lower order when
+the orders differ.  Series are
+immutable by convention, and so are the per-degree dicts, which
+operations share between series instead of copying.
 """
 
 from __future__ import annotations
 
-from operator import add
+from math import gcd, lcm
+from types import MappingProxyType
 
 from .errors import (
     CompositionError,
@@ -27,25 +49,24 @@ from .errors import (
     NonUnitError,
     UnknownVariableError,
 )
-from .scalars import (
-    GaussianRational,
-    ONE,
-    ZERO,
-    _coerce,
-    _multiply_add,
-    _numerators,
-    _reduced,
-)
+from .scalars import GaussianRational, ONE, ZERO, _coerce, _reduced
+
+# The highest order a series may have; the command line's --order budget.
+_MAX_ORDER = 16
+# Bits per exponent field: enough for _MAX_ORDER, plus one guard bit.
+_FIELD = _MAX_ORDER.bit_length() + 1
+_MASK = (1 << _FIELD) - 1
 
 
 class VariableContext:
     """An ordered tuple of distinct variable names.
 
     The order is significant: it fixes the positions of exponent
-    multi-indices for every series sharing the context.
+    multi-indices, and the fields of packed keys, for every series
+    sharing the context.
     """
 
-    __slots__ = ("names", "_positions")
+    __slots__ = ("names", "_positions", "_shifts")
 
     def __init__(self, names):
         names = tuple(names)
@@ -53,6 +74,8 @@ class VariableContext:
             raise ValueError(f"duplicate variable names in context: {names}")
         self.names = names
         self._positions = {name: k for k, name in enumerate(names)}
+        # the bit offset of each variable's field in a packed key
+        self._shifts = tuple(_FIELD * k for k in reversed(range(len(names))))
 
     @property
     def arity(self) -> int:
@@ -65,6 +88,15 @@ class VariableContext:
             raise UnknownVariableError(
                 f"variable {name!r} not in context {self.names}"
             ) from None
+
+    def _pack(self, exps) -> int:
+        key = 0
+        for e in exps:
+            key = (key << _FIELD) | e
+        return key
+
+    def _unpack(self, key) -> tuple:
+        return tuple((key >> s) & _MASK for s in self._shifts)
 
     def __contains__(self, name):
         return name in self._positions
@@ -97,107 +129,159 @@ def _check_same_context(a, b):
         )
 
 
-def _product_terms(left, right, limit):
-    """The terms of total degree <= ``limit`` of the product of two term dicts.
+def _check_order(order):
+    if order < 0:
+        raise InsufficientOrderError(f"series order must be >= 0, got {order}")
+    if order > _MAX_ORDER:
+        raise ValueError(
+            f"series order {order} exceeds the packing limit {_MAX_ORDER}"
+        )
+
+
+# ----------------------------------------------------------------------
+# kernels on the storage: a denominator and a {degree: {key: (a, b)}} dict
+
+
+def _common(d, grades):
+    """gcd(d, every numerator of grades); d itself when grades is empty."""
+    for terms in grades.values():
+        for a, b in terms.values():
+            d = gcd(d, a, b)
+            if d == 1:
+                return 1
+    return d
+
+
+def _canonical(d, grades):
+    """(d, grades) with gcd(d, every numerator) divided out; the empty
+    series gets d = 1.  Callers skip it where d is 1 already."""
+    g = _common(d, grades)
+    if g == 1:
+        return d, grades
+    return d // g, {
+        degree: {k: (a // g, b // g) for k, (a, b) in terms.items()}
+        for degree, terms in grades.items()
+    }
+
+
+def _cut(d, grades, order):
+    """The storage of the terms of degree <= ``order``."""
+    if all(degree <= order for degree in grades):
+        return d, grades
+    grades = {degree: terms for degree, terms in grades.items() if degree <= order}
+    return _canonical(d, grades) if d != 1 else (d, grades)
+
+
+def _closed(d, acc):
+    """The canonical storage of a kernel accumulator {degree: {key: [a, b]}}
+    over d: zero sums dropped and the common factor divided out, in one
+    pass after the gcd (zero sums leave the gcd as it is)."""
+    g = 1 if d == 1 else _common(d, acc)
+    grades = {}
+    if g == 1:
+        for degree, sums in acc.items():
+            kept = {k: (a, b) for k, (a, b) in sums.items() if a or b}
+            if kept:
+                grades[degree] = kept
+    else:
+        for degree, sums in acc.items():
+            kept = {k: (a // g, b // g) for k, (a, b) in sums.items() if a or b}
+            if kept:
+                grades[degree] = kept
+    return d // g, grades
+
+
+def _product(dl, left, dr, right, limit):
+    """The storage of the product of two storages through degree ``limit``.
 
     This is the one Cauchy-product loop.  The caller vouches for the limit:
     ``__mul__`` passes the smaller operand order; a caller that knows the
-    valuation of a factor may pass more (see ``implicit``).  Zero sums are
-    dropped, so the result meets the invariant of ``TruncatedSeries._valid``.
+    valuation of a factor may pass more (see ``implicit``).
 
-    A one-term operand gives one product per term of the other, each on its
-    own key: nothing accumulates, and no product of two nonzero scalars is
-    zero.  Otherwise each operand is brought over its own common
-    denominator, the Gaussian-integer numerators of each key are summed
-    with integer operations only, and each output coefficient is built once
-    over the product of the two denominators, with one reduction.
+    Only degree pairs within the limit are walked, and a product key is
+    one integer addition.  A one-term operand gives one product per term of
+    the other, each on its own key, so nothing accumulates.  Otherwise the
+    Gaussian-integer products of each key are summed into a list, and the
+    result is brought to canonical form once over dl * dr.
     """
-    if len(left) == 1:
-        left, right = right, left
-    if len(right) == 1:
-        (eb, cb), = right.items()
-        room = limit - sum(eb)
-        return {tuple(map(add, ea, eb)): ca * cb
-                for ea, ca in left.items() if sum(ea) <= room}
-    dl, lefts = _numerators(left)
-    dr, rights = _numerators(right)
-    # bucketing the right factor by degree lets each left term skip
-    # everything that would overflow the limit
-    buckets = {}
-    for term in rights:
-        buckets.setdefault(sum(term[0]), []).append(term)
-    sums = {}  # key -> [real, imaginary] numerator over dl * dr
-    for ea, a1, b1 in lefts:
-        room = limit - sum(ea)
-        if room < 0:
-            continue
-        for db, items in buckets.items():
-            if db > room:
+    for single, other in ((right, left), (left, right)):
+        if len(single) == 1:
+            (degree_s, terms_s), = single.items()
+            if len(terms_s) == 1:
+                (ks, (a2, b2)), = terms_s.items()
+                room = limit - degree_s
+                grades = {
+                    degree + degree_s: {
+                        k + ks: (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
+                        for k, (a1, b1) in terms.items()
+                    }
+                    for degree, terms in other.items() if degree <= room
+                }
+                d = dl * dr
+                return _canonical(d, grades) if d != 1 else (d, grades)
+    acc = {}
+    for degree_l, terms_l in left.items():
+        room = limit - degree_l
+        for degree_r, terms_r in right.items():
+            if degree_r > room:
                 continue
-            for eb, a2, b2 in items:
-                key = tuple(map(add, ea, eb))
-                acc = sums.get(key)
-                if acc is None:
-                    sums[key] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
-                else:
-                    acc[0] += a1 * a2 - b1 * b2
-                    acc[1] += a1 * b2 + b1 * a2
-    d = dl * dr
-    return {key: _reduced(a, b, d) for key, (a, b) in sums.items() if a or b}
+            degree = degree_l + degree_r
+            sums = acc.get(degree)
+            if sums is None:
+                sums = acc[degree] = {}
+            for kl, (a1, b1) in terms_l.items():
+                for kr, (a2, b2) in terms_r.items():
+                    k = kl + kr
+                    v = sums.get(k)
+                    if v is None:
+                        sums[k] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
+                    else:
+                        v[0] += a1 * a2 - b1 * b2
+                        v[1] += a1 * b2 + b1 * a2
+    return _closed(dl * dr, acc)
 
 
-def _add_into(acc, terms, factor=None):
-    """acc += factor * terms (factor 1 if None), coefficientwise, in place;
-    zero sums are dropped.  With a factor, each new coefficient is one
-    multiply-add with one reduction."""
-    for e, c in terms.items():
-        total = acc.get(e)
-        if factor is None:
-            total = c if total is None else total + c
-        else:
-            total = factor * c if total is None else _multiply_add(total, factor, c)
-        if total:
-            acc[e] = total
-        else:
-            del acc[e]
+def _add(da, a, db, b, sign):
+    """The storage of a + sign * b (sign is 1 or -1) over the lcm d of the
+    two denominators.
 
-
-def _subtract_into(acc, terms):
-    """acc -= terms, coefficientwise, in place; zero differences are dropped."""
-    for e, c in terms.items():
-        c = -c
-        total = acc.get(e)
-        total = c if total is None else total + c
-        if total:
-            acc[e] = total
-        else:
-            del acc[e]
-
-
-def _sum(a, b, subtract):
-    """a + b, or a - b when ``subtract``, at the lower of the two orders.
-
-    At one order no operand term lies above it, so an empty operand leaves
-    the other as it is; otherwise the higher operand is cut first.  The
-    lower operand's terms come first in the result.
-    """
-    _check_same_context(a, b)
-    if a.order == b.order:
-        if not b.terms:
-            return a
-        if not a.terms:
-            return -b if subtract else b
-    if a.order <= b.order:
-        order = a.order
-        terms = dict(a.terms)
-        other = b.terms if b.order == order else {
-            e: c for e, c in b.terms.items() if sum(e) <= order}
-        (_subtract_into if subtract else _add_into)(terms, other)
+    When no key is in both operands, the result holds the numerators of an
+    operand whose denominator is d, up to sign, and their gcd with d is 1
+    already: the gcd pass is skipped."""
+    if da == db:
+        d, ma, mb = da, 1, sign
     else:
-        order = b.order
-        terms = {e: -c for e, c in b.terms.items()} if subtract else dict(b.terms)
-        _add_into(terms, {e: c for e, c in a.terms.items() if sum(e) <= order})
-    return TruncatedSeries._valid(a.context, order, terms)
+        d = lcm(da, db)
+        ma, mb = d // da, sign * (d // db)
+    out = dict(a) if ma == 1 else {
+        degree: {k: (x * ma, y * ma) for k, (x, y) in terms.items()}
+        for degree, terms in a.items()}
+    met = False
+    for degree, terms in b.items():
+        acc = out.get(degree)
+        if acc is None:
+            out[degree] = terms if mb == 1 else {
+                k: (x * mb, y * mb) for k, (x, y) in terms.items()}
+            continue
+        if ma == 1:
+            acc = out[degree] = dict(acc)  # a's own dict is shared: copy it
+        for k, (x, y) in terms.items():
+            v = acc.get(k)
+            if v is None:
+                acc[k] = (x * mb, y * mb)
+                continue
+            met = True
+            x = v[0] + x * mb
+            y = v[1] + y * mb
+            if x or y:
+                acc[k] = (x, y)
+            else:
+                del acc[k]
+        if not acc:
+            del out[degree]
+    if d == 1 or not met and (d == da or d == db):
+        return d, out
+    return _canonical(d, out)
 
 
 def _compose(series_list, assignment, target_context=None):
@@ -212,14 +296,20 @@ def _compose(series_list, assignment, target_context=None):
 
     The assignment is validated once, and each value's list of powers is
     built lazily, once per call.  The kept monomials of all the series
-    are then walked once, in lexicographic order, so monomials that agree
-    on their leading exponents are neighbours.  A stack holds the prefix
+    are then walked once, in the order of their keys, which is
+    lexicographic, so monomials that agree on their leading exponents are
+    neighbours; the first field where a key differs from the one before
+    is read off the highest bit of their xor.  A stack holds the prefix
     products value_0^e_0 * ... * value_i^e_i of the current monomial, one
     entry per nonzero exponent, so at most one per source variable.  A
     monomial pops the entries past the first position where it differs
     from the one before and multiplies out only the rest; a monomial that
     several series share has its image computed once.  Products are cut
     at the highest output order, and a lower output reads only its part.
+
+    Output j is summed as numerators: series j's own denominator is
+    factored out, and each image is brought over the running lcm of the
+    images' denominators, which rescales the sum only when that lcm grows.
     """
     series_list = list(series_list)
     if not series_list:
@@ -244,7 +334,7 @@ def _compose(series_list, assignment, target_context=None):
                 f"assignment for {name!r} lives in {s.context.names}, "
                 f"expected {target_context.names}"
             )
-        if s.constant_term():
+        if 0 in s._grades:
             raise CompositionError(
                 f"assignment for {name!r} has a nonzero constant term"
             )
@@ -254,88 +344,118 @@ def _compose(series_list, assignment, target_context=None):
               for s in series_list]
     limit = max(orders)
 
-    # per context variable: its assigned series, or its index in the
-    # target context (which raises here for an unknown pass-through name)
+    # per context variable: its assigned series, or its field's shift in
+    # the target context (which raises here for an unknown pass-through name)
+    target_shifts = target_context._shifts
     sources = [
-        assignment[name] if name in assignment else target_context.index(name)
+        assignment[name] if name in assignment
+        else target_shifts[target_context.index(name)]
         for name in source_context.names
     ]
-    arity = target_context.arity
-    powers = [None] * len(sources)  # powers[i][k - 1]: the terms of value_i^k
+    powers = [None] * len(sources)  # powers[i][k - 1]: the storage of value_i^k
 
     def power(i, k):
         cache = powers[i]
         if cache is None:
             source = sources[i]
             if isinstance(source, TruncatedSeries):
-                base = {e: c for e, c in source.terms.items() if sum(e) <= limit}
+                base = _cut(source._den, source._grades, limit)
             else:
-                unit = [0] * arity
-                unit[source] = 1
-                base = {tuple(unit): ONE}
+                base = (1, {1: {1 << source: (1, 0)}})
             cache = powers[i] = [base]
         while len(cache) < k:
-            cache.append(_product_terms(cache[-1], cache[0], limit))
+            cache.append(_product(*cache[-1], *cache[0], limit))
         return cache[k - 1]
 
-    # every kept monomial, with the (output, coefficient) pairs that use it
+    # every kept monomial, with the (output, numerator) triples that use it
     uses = {}
     for j, (s, order) in enumerate(zip(series_list, orders)):
-        for exps, coeff in s.terms.items():
-            if sum(exps) <= order:
-                entry = uses.get(exps)
-                if entry is None:
-                    uses[exps] = [(j, coeff)]
-                else:
-                    entry.append((j, coeff))
+        for degree, terms in s._grades.items():
+            if degree <= order:
+                for key, (a, b) in terms.items():
+                    entry = uses.get(key)
+                    if entry is None:
+                        uses[key] = [(j, a, b)]
+                    else:
+                        entry.append((j, a, b))
 
-    outs = [{} for _ in series_list]
-    one = {(0,) * arity: ONE}
-    stack = []  # (position, prefix product through that position)
+    # per output: [lcm of the images' denominators, {degree: {key: [a, b]}}]
+    outs = [[1, {}] for _ in series_list]
+    one = (1, {0: {0: (1, 0)}})
+    shifts = source_context._shifts
+    width = _FIELD * len(shifts)
+    stack = []  # (position, prefix product storage through that position)
     previous = None
-    for exps, users in sorted(uses.items()):
-        start = 0
+    for key in sorted(uses):
+        rest = key  # the fields from the first one that differs on
         if previous is not None:
-            while exps[start] == previous[start]:
-                start += 1
+            start = (width - (key ^ previous).bit_length()) // _FIELD
+            rest &= (1 << (shifts[start] + _FIELD)) - 1
             while stack and stack[-1][0] >= start:
                 stack.pop()
         image = stack[-1][1] if stack else None
-        for i in range(start, len(exps)):
-            k = exps[i]
-            if k:
-                factor = power(i, k)
-                image = factor if image is None else _product_terms(image, factor, limit)
-                stack.append((i, image))
-        previous = exps
-        if image is None:
-            image = one
-        for j, coeff in users:
-            if orders[j] < limit:
-                cut = orders[j]
-                _add_into(outs[j], {e: c for e, c in image.items() if sum(e) <= cut}, coeff)
-            else:
-                _add_into(outs[j], image, coeff)
-    return [TruncatedSeries._valid(target_context, order, out)
-            for order, out in zip(orders, outs)]
+        while rest:  # each nonzero field, leading first
+            i = (width - rest.bit_length()) // _FIELD
+            k = rest >> shifts[i]
+            rest ^= k << shifts[i]
+            factor = power(i, k)
+            image = factor if image is None else _product(*image, *factor, limit)
+            stack.append((i, image))
+        previous = key
+        di, grades = one if image is None else image
+        for j, ca, cb in uses[key]:
+            out = outs[j]
+            den = out[0]
+            if den % di:
+                grown = lcm(den, di)
+                f = grown // den
+                for sums in out[1].values():
+                    for v in sums.values():
+                        v[0] *= f
+                        v[1] *= f
+                out[0] = den = grown
+            m = den // di
+            ca *= m
+            cb *= m
+            cut = orders[j]
+            acc = out[1]
+            for degree, terms in grades.items():
+                if degree > cut:
+                    continue
+                sums = acc.get(degree)
+                if sums is None:
+                    sums = acc[degree] = {}
+                for k, (a, b) in terms.items():
+                    x = ca * a - cb * b
+                    y = ca * b + cb * a
+                    v = sums.get(k)
+                    if v is None:
+                        sums[k] = [x, y]
+                    else:
+                        v[0] += x
+                        v[1] += y
+    return [
+        TruncatedSeries._valid(target_context, order, *_closed(s._den * den, acc))
+        for s, order, (den, acc) in zip(series_list, orders, outs)
+    ]
 
 
 class TruncatedSeries:
     """A sparse formal power series truncated at a guaranteed total degree.
 
-    ``terms`` maps exponent tuples (one entry per context variable) to
-    nonzero :class:`GaussianRational` coefficients; every stored
-    multi-index has total degree at most ``order``.
+    ``terms`` is a read-only mapping from exponent tuples (one entry per
+    context variable) to nonzero :class:`GaussianRational` coefficients,
+    built on demand from the packed storage described in the module
+    docstring; every multi-index has total degree at most ``order``.
     """
 
-    __slots__ = ("context", "order", "terms")
+    __slots__ = ("context", "order", "_den", "_grades")
 
     def __init__(self, context: VariableContext, order: int, terms=None):
-        if order < 0:
-            raise InsufficientOrderError(f"series order must be >= 0, got {order}")
+        _check_order(order)
         self.context = context
         self.order = order
-        clean = {}
+        entries = []  # (degree, key, coefficient)
         if terms:
             arity = context.arity
             for exps, coeff in terms.items():
@@ -344,25 +464,34 @@ class TruncatedSeries:
                     raise ValueError(f"multi-index {exps} has wrong arity")
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
-                if sum(exps) > order:
+                degree = sum(exps)
+                if degree > order:
                     continue
                 coeff = _coerce(coeff)
                 if coeff:
-                    clean[exps] = coeff
-        self.terms = clean
+                    entries.append((degree, context._pack(exps), coeff))
+        # over the lcm of canonical denominators the storage is canonical
+        d = lcm(*(z._d for _, _, z in entries)) if entries else 1
+        grades = {}
+        for degree, key, z in entries:
+            m = d // z._d
+            grades.setdefault(degree, {})[key] = (z._a * m, z._b * m)
+        self._den = d
+        self._grades = grades
 
     @classmethod
-    def _valid(cls, context, order, terms):
-        """Wrap ``terms`` without copying or checking it.
+    def _valid(cls, context, order, den, grades):
+        """Wrap a storage without copying or checking it.
 
-        Only for dicts an operation has built to the class invariant: keys
-        of the context's arity and total degree at most ``order``, values
-        nonzero scalars.  Outside input goes through ``__init__``.
+        Only for a storage an operation has built to the class invariant:
+        canonical, keys of the context, degrees at most ``order``, no empty
+        degree and no zero pair.  Outside input goes through ``__init__``.
         """
         self = object.__new__(cls)
         self.context = context
         self.order = order
-        self.terms = terms
+        self._den = den
+        self._grades = grades
         return self
 
     # ------------------------------------------------------------------
@@ -370,33 +499,53 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, context, order):
-        if order < 0:
-            raise InsufficientOrderError(f"series order must be >= 0, got {order}")
-        return cls._valid(context, order, {})
+        if not 0 <= order <= _MAX_ORDER:
+            _check_order(order)
+        return cls._valid(context, order, 1, {})
 
     @classmethod
     def constant(cls, context, order, value):
         scalar = _coerce(value)
         if scalar is None:
             raise TypeError(f"cannot use {value!r} as a coefficient")
-        if order < 0:
-            raise InsufficientOrderError(f"series order must be >= 0, got {order}")
-        return cls._valid(context, order, {(0,) * context.arity: scalar} if scalar else {})
+        _check_order(order)
+        if not scalar:
+            return cls._valid(context, order, 1, {})
+        return cls._valid(context, order, scalar._d, {0: {0: (scalar._a, scalar._b)}})
 
     @classmethod
     def variable(cls, context, order, name):
-        exps = [0] * context.arity
-        exps[context.index(name)] = 1
-        return cls(context, order, {tuple(exps): ONE})
+        shift = context._shifts[context.index(name)]
+        _check_order(order)
+        grades = {1: {1 << shift: (1, 0)}} if order else {}
+        return cls._valid(context, order, 1, grades)
 
     # ------------------------------------------------------------------
     # inspection
 
+    def _scalar(self, pair) -> GaussianRational:
+        return _reduced(pair[0], pair[1], self._den)
+
+    @property
+    def terms(self):
+        """{exponent tuple: coefficient}, read-only, in graded-lex order."""
+        unpack = self.context._unpack
+        return MappingProxyType({
+            unpack(k): self._scalar(self._grades[degree][k])
+            for degree in sorted(self._grades) for k in sorted(self._grades[degree])
+        })
+
     def constant_term(self) -> GaussianRational:
-        return self.terms.get((0,) * self.context.arity, ZERO)
+        terms = self._grades.get(0)
+        return ZERO if terms is None else self._scalar(terms[0])
 
     def coefficient(self, exps) -> GaussianRational:
-        return self.terms.get(tuple(exps), ZERO)
+        exps = tuple(exps)
+        terms = self._grades.get(sum(exps))
+        if terms is None or len(exps) != self.context.arity or min(exps, default=0) < 0:
+            return ZERO
+        pair = terms.get(self.context._pack(exps))
+        return ZERO if pair is None else self._scalar(pair)
 
     def coefficient_of(self, **powers) -> GaussianRational:
         exps = [0] * self.context.arity
@@ -406,8 +555,8 @@ class TruncatedSeries:
 
     def is_zero(self, through_order=None) -> bool:
         if through_order is None:
-            return not self.terms
-        return all(sum(e) > through_order for e in self.terms)
+            return not self._grades
+        return all(degree > through_order for degree in self._grades)
 
     def agrees_with(self, other, through_order=None) -> bool:
         """Coefficientwise equality for all total degrees <= through_order.
@@ -422,14 +571,25 @@ class TruncatedSeries:
         return (self - other).is_zero(through_order=d)
 
     def homogeneous_part(self, degree: int) -> dict:
-        return {e: c for e, c in self.terms.items() if sum(e) == degree}
+        unpack = self.context._unpack
+        return {unpack(k): self._scalar(pair)
+                for k, pair in sorted(self._grades.get(degree, {}).items())}
 
     def first_term(self):
         """The graded-lex smallest (exponents, coefficient); None if zero."""
-        if not self.terms:
+        if not self._grades:
             return None
-        exps = min(self.terms, key=graded_lex)
-        return exps, self.terms[exps]
+        terms = self._grades[min(self._grades)]
+        key = min(terms)
+        return self.context._unpack(key), self._scalar(terms[key])
+
+    def _bits(self) -> int:
+        """The largest bit length of the denominator and the numerators."""
+        bits = self._den.bit_length()
+        for terms in self._grades.values():
+            for a, b in terms.values():
+                bits = max(bits, a.bit_length(), b.bit_length())
+        return bits
 
     # ------------------------------------------------------------------
     # ring operations
@@ -437,14 +597,16 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.context == other.context and self.terms == other.terms
+        return (self.context == other.context and self._den == other._den
+                and self._grades == other._grades)
 
     __hash__ = None  # mutable-ish payload, keep unhashable
 
     def __neg__(self):
-        return TruncatedSeries._valid(
-            self.context, self.order, {e: -c for e, c in self.terms.items()}
-        )
+        return TruncatedSeries._valid(self.context, self.order, self._den, {
+            degree: {k: (-a, -b) for k, (a, b) in terms.items()}
+            for degree, terms in self._grades.items()
+        })
 
     def _lift(self, other):
         """A non-series operand as the constant series of self's context
@@ -461,7 +623,7 @@ class TruncatedSeries:
             other = self._lift(other)
             if other is None:
                 return NotImplemented
-        return _sum(self, other, False)
+        return _sum(self, other, 1)
 
     __radd__ = __add__
 
@@ -470,7 +632,7 @@ class TruncatedSeries:
             other = self._lift(other)
             if other is None:
                 return NotImplemented
-        return _sum(self, other, True)
+        return _sum(self, other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -481,10 +643,16 @@ class TruncatedSeries:
             raise TypeError(f"cannot scale by {scalar!r}")
         if not value:
             return TruncatedSeries.zero(self.context, self.order)
-        # a nonzero scalar keeps every coefficient nonzero
-        return TruncatedSeries._valid(
-            self.context, self.order, {e: c * value for e, c in self.terms.items()}
-        )
+        # a nonzero scalar keeps every numerator nonzero
+        p, q = value._a, value._b
+        d = self._den * value._d
+        grades = {
+            degree: {k: (a * p - b * q, a * q + b * p) for k, (a, b) in terms.items()}
+            for degree, terms in self._grades.items()
+        }
+        if d != 1:
+            d, grades = _canonical(d, grades)
+        return TruncatedSeries._valid(self.context, self.order, d, grades)
 
     def __mul__(self, other):
         if other.__class__ is not TruncatedSeries:
@@ -495,11 +663,10 @@ class TruncatedSeries:
                 return NotImplemented
         _check_same_context(self, other)
         order = min(self.order, other.order)
-        if not self.terms or not other.terms:
-            return TruncatedSeries._valid(self.context, order, {})
-        return TruncatedSeries._valid(
-            self.context, order, _product_terms(self.terms, other.terms, order)
-        )
+        if not self._grades or not other._grades:
+            return TruncatedSeries._valid(self.context, order, 1, {})
+        return TruncatedSeries._valid(self.context, order, *_product(
+            self._den, self._grades, other._den, other._grades, order))
 
     __rmul__ = __mul__
 
@@ -524,15 +691,21 @@ class TruncatedSeries:
             raise InsufficientOrderError(
                 "cannot differentiate a series of guaranteed order 0"
             )
-        i = self.context.index(name)
-        terms = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if not k:
-                continue
-            shifted = e[:i] + (k - 1,) + e[i + 1 :]
-            terms[shifted] = c * k
-        return TruncatedSeries._valid(self.context, self.order - 1, terms)
+        shift = self.context._shifts[self.context.index(name)]
+        if not self._grades:
+            return TruncatedSeries._valid(self.context, self.order - 1, 1, {})
+        unit = 1 << shift
+        grades = {}
+        for degree, terms in self._grades.items():
+            if degree:
+                out = {k - unit: (a * e, b * e) for k, (a, b) in terms.items()
+                       if (e := (k >> shift) & _MASK)}
+                if out:
+                    grades[degree - 1] = out
+        d = self._den
+        if d != 1:
+            d, grades = _canonical(d, grades)
+        return TruncatedSeries._valid(self.context, self.order - 1, d, grades)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Restrict the guaranteed order (never raises it)."""
@@ -545,8 +718,7 @@ class TruncatedSeries:
         if order < 0:
             raise InsufficientOrderError(f"series order must be >= 0, got {order}")
         return TruncatedSeries._valid(
-            self.context, order, {e: c for e, c in self.terms.items() if sum(e) <= order}
-        )
+            self.context, order, *_cut(self._den, self._grades, order))
 
     def rename_context(self, new_context: VariableContext) -> "TruncatedSeries":
         """Positional relabeling of variables; exponents are untouched."""
@@ -554,7 +726,24 @@ class TruncatedSeries:
             raise ContextMismatchError(
                 f"cannot rename {self.context.names} to {new_context.names}"
             )
-        return TruncatedSeries._valid(new_context, self.order, dict(self.terms))
+        return TruncatedSeries._valid(new_context, self.order, self._den, self._grades)
+
+    def _embedded(self, context, sources, conjugate=False) -> "TruncatedSeries":
+        """The series in ``context`` whose variable i has the exponent of
+        this series' variable ``sources[i]`` (0 where that is None), with
+        coefficients conjugated when ``conjugate``.  Every variable of this
+        series is some ``sources[i]`` exactly once, so degrees, the order
+        and the canonical form are kept."""
+        unpack = self.context._unpack
+        pack = context._pack
+        sign = -1 if conjugate else 1
+        return TruncatedSeries._valid(context, self.order, self._den, {
+            degree: {
+                pack([0 if i is None else exps[i] for i in sources]): (a, sign * b)
+                for k, (a, b) in terms.items() for exps in (unpack(k),)
+            }
+            for degree, terms in self._grades.items()
+        })
 
     def substitute(self, assignment, target_context=None) -> "TruncatedSeries":
         """Formal composition self(v := assignment[v], ...).
@@ -610,11 +799,10 @@ class TruncatedSeries:
         as ``scalars.brief_str`` for output that must not fail on huge
         numbers.
         """
-        if not self.terms:
+        if not self._grades:
             return "0"
         pieces = []
-        for exps in sorted(self.terms, key=graded_lex):
-            coeff = self.terms[exps]
+        for exps, coeff in self.terms.items():
             mono = self.monomial_text(exps)
             text = _coefficient_text(coeff)
             plain = not coeff.im or not coeff.re  # single-component coefficient
@@ -639,3 +827,25 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"<TruncatedSeries order={self.order} {self}>"
+
+
+def _sum(a, b, sign):
+    """a + sign * b (sign 1 or -1) at the lower of the two orders.
+
+    An empty operand leaves the other as it is, cut to the lower order
+    (and negated in ``empty - b``); otherwise the higher operand is cut
+    before the numerators are added.
+    """
+    _check_same_context(a, b)
+    if not b._grades:
+        return a if a.order <= b.order else a.truncate(b.order)
+    if not a._grades:
+        if b.order > a.order:
+            b = b.truncate(a.order)
+        return -b if sign < 0 else b
+    da, ga, db, gb = a._den, a._grades, b._den, b._grades
+    if a.order > b.order:
+        da, ga = _cut(da, ga, b.order)
+    elif b.order > a.order:
+        db, gb = _cut(db, gb, a.order)
+    return TruncatedSeries._valid(a.context, min(a.order, b.order), *_add(da, ga, db, gb, sign))

@@ -829,3 +829,51 @@ def test_cli_fuzz_exits_cleanly(tmp_path_factory, invocation):
         assert not out
     if out and "--json" in argv:
         json.loads(out)
+
+
+# ----------------------------------------------------------------------
+# input budgets
+
+
+@pytest.mark.parametrize("argv, limit", [
+    # the exponent budget, before 7^3000000 is evaluated
+    (["check", "--n", "2", "--order", "5", "--theta", HEIS + " + 7^3000000*z1^3"],
+     "exponent 3000000 exceeds the limit of 1048576"),
+    # the coefficient budget, at the first square past it
+    (["check", "--n", "2", "--order", "5", "--theta", HEIS + " + 7^1000000*z1^3"],
+     "exceeds the limit of 1048576 bits"),
+    (["check", "--n", "2", "--order", "5", "--theta", HEIS + " + (1/3 + z1)^1000000"],
+     "exceeds the limit of 1048576 bits"),
+    # sums and products are within budget only while their results are
+    (["check", "--n", "2", "--order", "5",
+      "--theta", HEIS + " + " + "*".join(["3^300000"] * 3) + "*z1^3"],
+     "exceeds the limit of 1048576 bits"),
+    # a literal that long does not fit the interpreter's str-to-int limit
+    (["check", "--n", "2", "--order", "5", "--theta", HEIS + " + " + "9" * 5000 + "*z1^3"],
+     "exceeds the limit of 4096 bits"),
+    (["check", "--n", "2", "--order", "5", "--theta", HEIS + " + " + "9" * 1234 + "*z1^3"],
+     "integer literal of 4100 bits exceeds the limit of 4096 bits"),
+    (["check", "--n", "2", "--order", "17", "--theta", HEIS], "--order 17 exceeds the limit of 16"),
+    (["derive-pde", "--n", "2", "--order", "17", "--theta", HEIS],
+     "--order 17 exceeds the limit of 16"),
+    (["check", "--n", "9", "--order", "5", "--theta", HEIS], "--n 9 exceeds the limit of 8"),
+], ids=["exponent", "power", "series-power", "product", "literal-digits", "literal-bits",
+        "order", "derive-pde-order", "dimension"])
+def test_input_budgets_exit_two_with_a_message_that_names_the_limit(capsys, argv, limit):
+    code, _, err = invoke(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and limit in err
+    assert "Traceback" not in err
+
+
+def test_input_budgets_hold_at_their_limits(capsys):
+    # the largest --order and a literal of 4096 bits are inputs like others
+    code, _, err = invoke(["check", "--n", "2", "--order", "16", "--theta", HEIS,
+                           "--checks", "reality"], capsys)
+    assert code == 0 and not err
+    code, _, err = invoke(["check", "--n", "2", "--order", "5", "--theta",
+                           HEIS + f" + {2 ** 4096 - 1}*z1^2*z1b^2", "--checks", "reality"],
+                          capsys)
+    assert code == 0 and not err
+    with pytest.raises(InputError, match="--order 17 exceeds the limit of 16"):
+        run(JobSpec(n=2, order=17, kind="theta", theta_text=HEIS))

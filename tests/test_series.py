@@ -17,7 +17,7 @@ from pseudosphere.errors import (
 )
 from pseudosphere import series as series_module
 from pseudosphere.scalars import ONE, ZERO, GaussianRational
-from pseudosphere.series import _add_into, _compose, _product_terms
+from pseudosphere.series import _MAX_ORDER, _compose, _product
 
 from conftest import COEFF_POOL, heisenberg_theta, random_series
 
@@ -234,6 +234,29 @@ def test_results_satisfy_the_validating_constructor(a, b, c, z):
             assert_valid(result)
 
 
+def test_an_order_beyond_the_packing_limit_is_rejected():
+    for build in (lambda k: TruncatedSeries(CTX, k, {}),
+                  lambda k: TruncatedSeries.zero(CTX, k),
+                  lambda k: TruncatedSeries.constant(CTX, k, 1),
+                  lambda k: TruncatedSeries.variable(CTX, k, "z1")):
+        assert build(_MAX_ORDER).order == _MAX_ORDER
+        with pytest.raises(ValueError, match=f"exceeds the packing limit {_MAX_ORDER}"):
+            build(_MAX_ORDER + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, _MAX_ORDER), st.integers(0, _MAX_ORDER)),
+                min_size=1, max_size=CTX.arity))
+@example([(_MAX_ORDER, _MAX_ORDER)] * CTX.arity)
+def test_sum_of_two_keys_within_the_budget_carries_into_no_field(pairs):
+    # the guard bit: any two exponents within the order budget, even
+    # summing past it, add field by field
+    left = [x for x, _ in pairs] + [0] * (CTX.arity - len(pairs))
+    right = [y for _, y in pairs] + [0] * (CTX.arity - len(pairs))
+    total = CTX._unpack(CTX._pack(left) + CTX._pack(right))
+    assert total == tuple(x + y for x, y in zip(left, right))
+
+
 def test_truncate_rejects_orders_outside_zero_to_its_own():
     s = series("z1 + z1^2*wb", order=4)
     for order in (-1, 5):
@@ -332,12 +355,12 @@ def test_float_and_str_operands_raise_type_error(value):
 def test_product_with_an_empty_operand_skips_the_product_loop(monkeypatch):
     calls = []
 
-    def spy(left, right, limit):
+    def spy(dl, left, dr, right, limit):
         calls.append(limit)
-        return _product_terms(left, right, limit)
+        return _product(dl, left, dr, right, limit)
 
     s = series("1 + z1*wb", order=5)
-    monkeypatch.setattr(series_module, "_product_terms", spy)
+    monkeypatch.setattr(series_module, "_product", spy)
     for empty in (TruncatedSeries.zero(CTX, 3), TruncatedSeries.zero(CTX, 7)):
         for product in (s * empty, empty * s):
             assert product.is_zero() and product.order == min(s.order, empty.order)
@@ -347,8 +370,8 @@ def test_product_with_an_empty_operand_skips_the_product_loop(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the product kernel and the multiply-add against the scalar loops, on
-# coefficients whose denominators are coprime
+# the product kernel and the sum of a scaled series against the scalar
+# loops, on coefficients whose denominators are coprime
 
 
 def reference_product_terms(left, right, limit):
@@ -375,6 +398,25 @@ def assert_canonical_terms(terms):
     for coeff in terms.values():
         a, b, d = coeff._a, coeff._b, coeff._d
         assert d > 0 and (a or b) and math.gcd(a, b, d) == 1
+
+
+def assert_canonical_storage(s):
+    """One denominator d > 0 with gcd(d, every numerator) = 1 (d = 1 for the
+    empty series), per-degree dicts that are nonempty and hold their own
+    degree's keys, and no zero numerator pair."""
+    d, grades = s._den, s._grades
+    g = d
+    for degree, terms in grades.items():
+        assert terms and degree <= s.order
+        for key, (a, b) in terms.items():
+            assert (a or b) and sum(s.context._unpack(key)) == degree
+            g = math.gcd(g, a, b)
+    assert d > 0 and g == 1
+
+
+def as_series(terms):
+    """A term dict as a series of the highest order over (u, v, w)."""
+    return TruncatedSeries(UVW, _MAX_ORDER, terms)
 
 
 COPRIME_POOL = [
@@ -426,11 +468,13 @@ THIRD, FIFTH = COPRIME_POOL[:2]
 # two operands of mixed denominators, each with more than one term
 @example(({(1, 0, 0): THIRD, (0, 1, 0): FIFTH}, {(0, 0, 1): FIFTH, (1, 0, 0): ONE}), 2)
 def test_product_terms_match_the_scalar_loop(operands, limit):
-    left, right = operands
-    out = _product_terms(left, right, limit)
-    assert out == reference_product_terms(left, right, limit)
-    assert all(sum(e) <= limit for e in out)
-    assert_canonical_terms(out)
+    left, right = (as_series(terms) for terms in operands)
+    out = TruncatedSeries._valid(UVW, limit, *_product(
+        left._den, left._grades, right._den, right._grades, limit))
+    assert out.terms == reference_product_terms(*operands, limit)
+    assert all(sum(e) <= limit for e in out.terms)
+    assert_canonical_terms(out.terms)
+    assert_canonical_storage(out)
 
 
 @settings(max_examples=200, deadline=None)
@@ -445,9 +489,10 @@ def test_add_into_with_a_factor_matches_the_scalar_loop(acc, terms, factor, canc
         if cancel:
             acc[e] = -(factor * c)
     expected = reference_add_into(acc, terms, factor)
-    _add_into(acc, terms, factor)
-    assert acc == expected
-    assert_canonical_terms(acc)
+    out = as_series(acc) + as_series(terms).scale(factor)
+    assert out.terms == expected
+    assert_canonical_terms(out.terms)
+    assert_canonical_storage(out)
 
 
 # ----------------------------------------------------------------------
@@ -555,6 +600,19 @@ def test_compose_matches_naive_composition_of_each_series(family, assigned, data
         assert result == expected
         assert result.order == expected.order
         assert_valid(result)
+
+
+def test_compose_cuts_each_output_at_its_own_order():
+    # the images are built through the highest output order, 3; the
+    # order-1 output keeps only their terms of degree <= 1
+    low = TruncatedSeries(SOURCE, 1, {(1, 0, 0, 0): ONE})
+    high = TruncatedSeries(SOURCE, 3, {(1, 0, 0, 0): ONE})
+    value = series("s + s^2 + s^3", order=3, ctx=TARGET)
+    idle = TruncatedSeries.variable(TARGET, 3, "t")
+    cut, kept = _compose([low, high], {"u": value, "idle": idle}, TARGET)
+    assert (cut.order, cut) == (1, series("s", order=1, ctx=TARGET))
+    assert (kept.order, kept) == (3, value)
+    assert_valid(cut)
 
 
 def test_compose_rejects_an_empty_or_mixed_list():
