@@ -93,9 +93,12 @@ def _assemble_trace_adjusted(n: int, raw) -> dict:
     """Combine raw second-derivative data into the trace-adjusted tensor.
 
     ``raw(a, b, l1, l2)`` must be symmetric in (a, b) and in (l1, l2).
-    The output subtracts the four single traces with weight 1/(n+2) and
-    adds back the double trace with weight 1/((n+1)(n+2)); those weights
-    are exactly what makes every contraction sum_k W_{k,k2,k,l2} vanish.
+    Each single trace T_{k,l} = sum_l' raw(l', k, l', l) is formed once,
+    already weighted by 1/(n+2), and the double trace is the sum of those
+    weighted diagonal traces times 1/(n+1).  The output subtracts the four
+    single traces and adds the double trace once per Kronecker term; those
+    weights are exactly what makes every contraction sum_k W_{k,k2,k,l2}
+    vanish.
     """
     cache = {}
 
@@ -107,20 +110,15 @@ def _assemble_trace_adjusted(n: int, raw) -> dict:
             cache[key] = value
         return value
 
-    trace = {}
-    for k in range(1, n + 1):
-        for l in range(1, n + 1):
-            acc = None
-            for lp in range(1, n + 1):
-                term = s(lp, k, lp, l)
-                acc = term if acc is None else acc + term
-            trace[(k, l)] = acc
-    double = None
-    for lp in range(1, n + 1):
-        double = trace[(lp, lp)] if double is None else double + trace[(lp, lp)]
+    w = Fraction(1, n + 2)
+    trace = {
+        (k, l): sum((s(lp, k, lp, l) for lp in range(2, n + 1)), s(1, k, 1, l)).scale(w)
+        for k in range(1, n + 1)
+        for l in range(1, n + 1)
+    }
+    double = sum((trace[(lp, lp)] for lp in range(2, n + 1)), trace[(1, 1)])
+    double = double.scale(Fraction(1, n + 1))
 
-    w1 = Fraction(1, n + 2)
-    w2 = Fraction(1, (n + 1) * (n + 2))
     components = {}
     for k1 in range(1, n + 1):
         for k2 in range(k1, n + 1):
@@ -128,16 +126,17 @@ def _assemble_trace_adjusted(n: int, raw) -> dict:
                 for l2 in range(l1, n + 1):
                     comp = s(k1, k2, l1, l2)
                     if k1 == l1:
-                        comp = comp - trace[(k2, l2)].scale(w1)
+                        comp = comp - trace[(k2, l2)]
                     if k1 == l2:
-                        comp = comp - trace[(k2, l1)].scale(w1)
+                        comp = comp - trace[(k2, l1)]
                     if k2 == l1:
-                        comp = comp - trace[(k1, l2)].scale(w1)
+                        comp = comp - trace[(k1, l2)]
                     if k2 == l2:
-                        comp = comp - trace[(k1, l1)].scale(w1)
-                    kron = int(k1 == l1 and k2 == l2) + int(k2 == l1 and k1 == l2)
-                    if kron:
-                        comp = comp + double.scale(w2 * kron)
+                        comp = comp - trace[(k1, l1)]
+                    if k1 == l1 and k2 == l2:
+                        comp = comp + double
+                    if k2 == l1 and k1 == l2:
+                        comp = comp + double
                     components[(k1, k2, l1, l2)] = comp
     return components
 

@@ -36,6 +36,17 @@ from .matrices import SeriesMatrix
 from .series import TruncatedSeries, VariableContext, _add, _compose, _product
 
 
+def _context(equations):
+    """The one context of a nonempty list of equations."""
+    if not equations:
+        raise ValueError("no equations to solve")
+    ctx = equations[0].context
+    for eq in equations:
+        if eq.context != ctx:
+            raise ValueError("equations live in different contexts")
+    return ctx
+
+
 def solve_formal_system(equations, unknowns):
     """Solve E_i(p, u) = 0 for the unknowns as series in the parameters.
 
@@ -50,10 +61,9 @@ def solve_formal_system(equations, unknowns):
         raise ValueError(
             f"{len(equations)} equations for {len(unknowns)} unknowns"
         )
-    ctx = equations[0].context
-    for eq in equations:
-        if eq.context != ctx:
-            raise ValueError("equations live in different contexts")
+    if len(set(unknowns)) != len(unknowns):
+        raise ValueError(f"repeated unknown names in {unknowns}")
+    ctx = _context(equations)
     for u in unknowns:
         ctx.index(u)
 
@@ -129,7 +139,7 @@ def solve_implicit(system, unknowns, targets):
     targets = list(targets)
     if len(system) != len(targets):
         raise ValueError(f"{len(system)} equations for {len(targets)} targets")
-    ctx = system[0].context
+    ctx = _context(system)
     for t in targets:
         if t in ctx:
             raise ValueError(f"target name {t!r} already used in the context")
@@ -137,8 +147,12 @@ def solve_implicit(system, unknowns, targets):
     n = min(eq.order for eq in system)
     params = [name for name in ctx.names if name not in set(unknowns)]
     ext_ctx = VariableContext(params + targets + unknowns)
-    equations = []
-    for eq, t in zip(system, targets):
-        lifted = eq.truncate(n).substitute({}, target_context=ext_ctx)
-        equations.append(lifted - TruncatedSeries.variable(ext_ctx, n, t))
+    # each equation re-indexed into (params, targets, unknowns): a target
+    # is no variable of the system, and neither is an unknown it lacks
+    sources = [ctx.index(name) if name in ctx else None for name in ext_ctx.names]
+    equations = [
+        eq.truncate(n)._embedded(ext_ctx, sources)
+        - TruncatedSeries.variable(ext_ctx, n, t)
+        for eq, t in zip(system, targets)
+    ]
     return solve_formal_system(equations, unknowns)

@@ -8,13 +8,15 @@ A value is stored as one integer triple ``(a, b, d)`` in canonical form:
 element of Q(i) has exactly one such triple, so equality is equality of
 the triples.  Each operation builds its result triple with integer
 arithmetic and restores the canonical form with one three-argument gcd,
-skipped where the result is canonical already: a denominator of 1, or a
-sum or difference with an integer.  Only this module knows the storage
-format; other modules use the operators and the ``re``/``im`` properties.
-The one exception is the series storage, which keeps Gaussian-integer
-numerators over one denominator per series: it reads the triples of the
-scalars it is given, and ``_reduced`` turns a numerator pair over its
-denominator back into a scalar.
+skipped only where the result's denominator is 1.  Each operation has
+that one formula and no fast path: series do their arithmetic on integer
+numerators, so scalar operations are few (parsing, the inverse of a
+unit's constant term, coefficients read out).  Only this module knows
+the storage format; other modules use the operators and the ``re``/``im``
+properties.  The one exception is the series storage, which keeps
+Gaussian-integer numerators over one denominator per series: it reads
+the triples of the scalars it is given, and ``_reduced`` turns a
+numerator pair over its denominator back into a scalar.
 """
 
 from __future__ import annotations
@@ -65,9 +67,6 @@ class GaussianRational:
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        if type(re) is int and type(im) is int:
-            self._a, self._b, self._d = re, im, 1
-            return
         re = Fraction(re)
         im = Fraction(im)
         p, q = re.numerator, re.denominator
@@ -117,15 +116,7 @@ class GaussianRational:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
-        d1 = self._d
-        d2 = other._d
-        if d2 == 1:
-            # gcd(a1 + a2*d1, b1 + b2*d1, d1) = gcd(a1, b1, d1) = 1
-            return _new(self._a + other._a * d1, self._b + other._b * d1, d1)
-        if d1 == 1:
-            return _new(self._a * d2 + other._a, self._b * d2 + other._b, d2)
-        if d1 == d2:
-            return _reduced(self._a + other._a, self._b + other._b, d1)
+        d1, d2 = self._d, other._d
         return _reduced(
             self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2
         )
@@ -137,14 +128,7 @@ class GaussianRational:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
-        d1 = self._d
-        d2 = other._d
-        if d2 == 1:
-            return _new(self._a - other._a * d1, self._b - other._b * d1, d1)
-        if d1 == 1:
-            return _new(self._a * d2 - other._a, self._b * d2 - other._b, d2)
-        if d1 == d2:
-            return _reduced(self._a - other._a, self._b - other._b, d1)
+        d1, d2 = self._d, other._d
         return _reduced(
             self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2
         )

@@ -174,20 +174,15 @@ def _cut(d, grades, order):
 
 def _closed(d, acc):
     """The canonical storage of a kernel accumulator {degree: {key: [a, b]}}
-    over d: zero sums dropped and the common factor divided out, in one
-    pass after the gcd (zero sums leave the gcd as it is)."""
+    over d: zero sums dropped and the common factor g divided out, in one
+    pass after the gcd (zero sums leave the gcd as it is).  The one loop
+    serves g = 1 too, where the division leaves every numerator as it is."""
     g = 1 if d == 1 else _common(d, acc)
     grades = {}
-    if g == 1:
-        for degree, sums in acc.items():
-            kept = {k: (a, b) for k, (a, b) in sums.items() if a or b}
-            if kept:
-                grades[degree] = kept
-    else:
-        for degree, sums in acc.items():
-            kept = {k: (a // g, b // g) for k, (a, b) in sums.items() if a or b}
-            if kept:
-                grades[degree] = kept
+    for degree, sums in acc.items():
+        kept = {k: (a // g, b // g) for k, (a, b) in sums.items() if a or b}
+        if kept:
+            grades[degree] = kept
     return d // g, grades
 
 
@@ -199,26 +194,11 @@ def _product(dl, left, dr, right, limit):
     valuation of a factor may pass more (see ``implicit``).
 
     Only degree pairs within the limit are walked, and a product key is
-    one integer addition.  A one-term operand gives one product per term of
-    the other, each on its own key, so nothing accumulates.  Otherwise the
-    Gaussian-integer products of each key are summed into a list, and the
-    result is brought to canonical form once over dl * dr.
+    one integer addition.  The Gaussian-integer products of each key are
+    summed into a list, and the result is brought to canonical form once
+    over dl * dr.  A one-term operand takes the same loop: its products
+    fall on distinct keys, so nothing accumulates and no sum is zero.
     """
-    for single, other in ((right, left), (left, right)):
-        if len(single) == 1:
-            (degree_s, terms_s), = single.items()
-            if len(terms_s) == 1:
-                (ks, (a2, b2)), = terms_s.items()
-                room = limit - degree_s
-                grades = {
-                    degree + degree_s: {
-                        k + ks: (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
-                        for k, (a1, b1) in terms.items()
-                    }
-                    for degree, terms in other.items() if degree <= room
-                }
-                d = dl * dr
-                return _canonical(d, grades) if d != 1 else (d, grades)
     acc = {}
     for degree_l, terms_l in left.items():
         room = limit - degree_l

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pseudosphere as ps
-from pseudosphere import PdeSystem, pde as pde_module
+from pseudosphere import PdeSystem, flatness as flatness_module, pde as pde_module
 from pseudosphere.errors import InsufficientOrderError, LeviDegenerateError
 from pseudosphere.scalars import gaussian
 
 from conftest import (
     heisenberg_model,
     heisenberg_theta,
+    random_gaussian,
     random_graph,
     random_series,
     rigid_perturbation_model,
@@ -122,6 +123,76 @@ def test_trace_free_identity_random_systems(rng):
         for k2 in (1, 2):
             for l2 in (1, 2):
                 assert tensor.contract(k2, l2).is_zero()
+
+
+def trace_adjusted_reference(n, raw):
+    """The trace-adjusted table of a constant raw table, in scalars.
+
+    ``raw`` maps (a, b, l1, l2) with a <= b and l1 <= l2 to a scalar; the
+    result maps each such key to (value, the set of raw keys it reads).
+    Written from the displayed formula with explicit Kronecker deltas."""
+    idx = range(1, n + 1)
+
+    def key(a, b, l1, l2):
+        return (min(a, b), max(a, b), min(l1, l2), max(l1, l2))
+
+    def kron(a, b):
+        return int(a == b)
+
+    def trace(k, l):
+        keys = {key(m, k, m, l) for m in idx}
+        return sum(raw[key(m, k, m, l)] for m in idx), keys
+
+    table = {}
+    for k1, k2, l1, l2 in itertools.product(idx, repeat=4):
+        if k1 > k2 or l1 > l2:
+            continue
+        value, read = raw[(k1, k2, l1, l2)], {(k1, k2, l1, l2)}
+        for delta, (k, l) in ((kron(k1, l1), (k2, l2)), (kron(k1, l2), (k2, l1)),
+                              (kron(k2, l1), (k1, l2)), (kron(k2, l2), (k1, l1))):
+            if delta:
+                t, keys = trace(k, l)
+                value = value - t * Fraction(1, n + 2)
+                read |= keys
+        pair = kron(k1, l1) * kron(k2, l2) + kron(k1, l2) * kron(k2, l1)
+        if pair:
+            for l in idx:
+                t, keys = trace(l, l)
+                value = value + t * Fraction(pair, (n + 1) * (n + 2))
+                read |= keys
+        table[(k1, k2, l1, l2)] = value, read
+    return table
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_trace_adjustment_matches_the_scalar_formula(n, rng):
+    # a random symmetric table of constants, some zero, each at its own
+    # order: every component is the scalar formula at the lowest order of
+    # the entries it reads, and every contraction vanishes
+    ctx = ps.VariableContext(("u",))
+    keys = [k for k in itertools.product(range(1, n + 1), repeat=4)
+            if k[0] <= k[1] and k[2] <= k[3]]
+    for _ in range(3):
+        raw = {k: random_gaussian(rng) if rng.random() < 0.8 else gaussian(0) for k in keys}
+        orders = {k: rng.randint(2, 5) for k in keys}
+        calls = []
+
+        def entry(a, b, l1, l2):
+            calls.append((a, b, l1, l2))
+            key = (a, b, l1, l2)
+            return ps.TruncatedSeries.constant(ctx, orders[key], raw[key])
+
+        components = flatness_module._assemble_trace_adjusted(n, entry)
+        assert sorted(calls) == keys  # each raw entry is read once
+        want = trace_adjusted_reference(n, raw)
+        assert components.keys() == want.keys()
+        for key, (value, read) in want.items():
+            expected = ps.TruncatedSeries.constant(ctx, min(orders[k] for k in read), value)
+            assert components[key] == expected, key
+            assert components[key].order == expected.order, key
+        tensor = ps.FlatnessTensor(n, 0, components)
+        for k2, l2 in itertools.product(range(1, n + 1), repeat=2):
+            assert tensor.contract(k2, l2).is_zero(), (k2, l2)
 
 
 # ----------------------------------------------------------------------

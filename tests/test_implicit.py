@@ -78,6 +78,31 @@ def test_order_zero_system_rejected():
         ps.solve_implicit([ps.parse_series("u", ctx, 0)], ["u"], ["t"])
 
 
+def test_empty_systems_rejected():
+    with pytest.raises(ValueError, match="no equations to solve"):
+        ps.solve_formal_system([], [])
+    with pytest.raises(ValueError, match="no equations to solve"):
+        ps.solve_implicit([], [], [])
+
+
+def test_repeated_unknown_names_rejected():
+    # two copies of one unknown would reach the Jacobian as two equal columns
+    ctx = VariableContext(("p", "u"))
+    eq = ps.parse_series("u + p*u", ctx, 4)
+    with pytest.raises(ValueError, match="repeated unknown names"):
+        ps.solve_formal_system([eq, eq], ["u", "u"])
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        ps.solve_implicit([eq, eq], ["u", "u"], ["t1", "t2"])
+
+
+def test_implicit_system_in_different_contexts_rejected():
+    # each equation is re-indexed by the positions of the first one's context
+    one = ps.parse_series("u", VariableContext(("p", "u", "v")), 4)
+    other = ps.parse_series("v", VariableContext(("v", "u", "p")), 4)
+    with pytest.raises(ValueError, match="different contexts"):
+        ps.solve_implicit([one, other], ["u", "v"], ["t1", "t2"])
+
+
 def test_nonvanishing_equation_rejected():
     system = [ps.parse_series("1 + z1b", CTX, 4)]
     with pytest.raises(ValueError):

@@ -568,6 +568,21 @@ def test_substitute_matches_naive_composition(s, assigned, data):
     assert_valid(result)
 
 
+@settings(max_examples=100, deadline=None)
+@given(mixed_order_series(), st.permutations(("u", "v", "w", "s", "t")))
+def test_embedded_matches_the_composition_with_an_empty_assignment(s, names):
+    # re-indexing into a shuffled superset context is composing with no
+    # assigned value: every variable passes through by name
+    superset = VariableContext(names)
+    sources = [s.context.index(name) if name in s.context else None for name in names]
+    embedded = s._embedded(superset, sources)
+    composed = s.substitute({}, target_context=superset)
+    assert embedded.terms == composed.terms
+    assert embedded.order == composed.order
+    assert (embedded._den, embedded._grades) == (composed._den, composed._grades)
+    assert_valid(embedded)
+
+
 @st.composite
 def source_family(draw):
     """1-4 series in SOURCE of different orders, built from a few shared
