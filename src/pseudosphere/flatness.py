@@ -3,8 +3,8 @@
 Two independent routes compute the same obstruction:
 
 * the direct route evaluates an explicit fourth-order expression in the
-  jets of the defining series theta, built from the Levi determinant and
-  its Cramer column-replacement minors, already cleared of denominators;
+  jets of the defining series theta, the chain rule along the fields of
+  the Levi determinant's Cramer unit minors, cleared of denominators;
 * the transported route derives the associated second-order PDE system
   by formal elimination, applies the trace-adjusted second-derivative
   test for equivalence to the straight system y'' = 0, and pulls the

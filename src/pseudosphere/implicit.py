@@ -125,10 +125,11 @@ def solve_implicit(system, unknowns, targets):
 
     ``system`` is a list of series in a context made of parameters and
     unknowns; ``targets`` are fresh variable names, one per equation.
-    The i-th equation pins the i-th target.  Preconditions: the system
-    components vanish at the origin and the Jacobian in the unknowns is
-    invertible there.  The returned series satisfy the system identically
-    to the guaranteed order, which makes the round trip
+    The i-th equation pins the i-th target; an unknown outside the
+    system's context raises UnknownVariableError.  Preconditions: the
+    system components vanish at the origin and the Jacobian in the
+    unknowns is invertible there.  The returned series satisfy the
+    system identically to the guaranteed order, which makes the round trip
 
         system_i(p, u(p, t)) == t_i
 
@@ -140,6 +141,8 @@ def solve_implicit(system, unknowns, targets):
     if len(system) != len(targets):
         raise ValueError(f"{len(system)} equations for {len(targets)} targets")
     ctx = _context(system)
+    for u in unknowns:
+        ctx.index(u)
     for t in targets:
         if t in ctx:
             raise ValueError(f"target name {t!r} already used in the context")
@@ -148,7 +151,7 @@ def solve_implicit(system, unknowns, targets):
     params = [name for name in ctx.names if name not in set(unknowns)]
     ext_ctx = VariableContext(params + targets + unknowns)
     # each equation re-indexed into (params, targets, unknowns): a target
-    # is no variable of the system, and neither is an unknown it lacks
+    # is no variable of the system
     sources = [ctx.index(name) if name in ctx else None for name in ext_ctx.names]
     equations = [
         eq.truncate(n)._embedded(ext_ctx, sources)

@@ -3,8 +3,8 @@
 Every determinant is a Laplace expansion along the first column, memoized
 over (row set, column set) pairs.  One such expansion of a square matrix
 yields its determinant and all of its cofactors at once, and every Cramer
-column-replacement minor is a cofactor, or a column times a cofactor
-column, so no replaced matrix is ever expanded on its own.  The matrices
+unit minor is a cofactor, so no replaced matrix is ever expanded on its
+own; the jet transfer needs no other minor (``MinorFamily``).  The matrices
 here have side n+1 for CR dimension n, small enough that the expansion
 beats fraction-free elimination and needs no unit pivots.  The same
 expansion decides every other determinant question over Q(i): the rank
@@ -22,8 +22,7 @@ soon as the expansion returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
+from functools import cached_property
 
 from .errors import ContextMismatchError
 from .scalars import ONE
@@ -143,78 +142,78 @@ class MinorFamily:
 
     The matrix has first row (dQ/da_1 .. dQ/da_{n+1}) and then one row
     (d^2Q/dx_k da_1 .. d^2Q/dx_k da_{n+1}) per base variable x_k, where
-    the a_mu are the n+1 ``parameters``.  Every Cramer minor is read off
-    the matrix's cofactor table C (0-based, see ``SeriesMatrix.cofactors``):
-
-    * the unit minor D^mu_[l] replaces the mu-th column by the unit column
-      with 1 in position 1+l (1-based; the x_l derivative row), which is
-      the cofactor C[l, mu-1] (``unit``);
-    * the second minor D^tau_[mu nu] replaces the tau-th column by the
-      column ``hessian[(mu, nu)]`` (mu <= nu) of a_mu a_nu derivatives of
-      (Q, Q_x1 .. Q_xn), which is sum_r hessian[(mu, nu)][r] * C[r, tau-1];
-      it is only ever needed contracted with a gradient, inside
-      ``transfer``.
+    the a_mu are the n+1 ``parameters``.  The unit minor D^mu_[l] replaces
+    the mu-th column by the unit column with 1 in position 1+l (1-based;
+    the x_l derivative row); it is the cofactor C[l, mu-1] of the table C
+    of ``SeriesMatrix.cofactors`` (0-based), read by ``unit``.  The unit
+    minors of one l are the coefficients of the field
+    X_l = sum_mu D^mu_[l] d/da_mu, which is delta times d/d(y_{x^l}) at
+    fixed x, y and other y_x.
     """
 
     delta: TruncatedSeries
     cofactor: dict
-    hessian: dict
     matrix: SeriesMatrix
     parameters: tuple
 
     def unit(self, mu: int, l: int) -> TruncatedSeries:
         return self.cofactor[(l, mu - 1)]
 
+    def _apply(self, l: int, gradient, order: int) -> TruncatedSeries:
+        """X_l of the series with parameter gradient ``gradient``, summed
+        from the zero of ``order``."""
+        return sum((self.unit(mu, l) * d for mu, d in enumerate(gradient, 1)
+                    if not d.is_zero() and not self.unit(mu, l).is_zero()),
+                   TruncatedSeries.zero(self.delta.context, order))
+
+    @cached_property
+    def _delta_fields(self) -> dict:
+        """{l: X_l delta}, at delta's order less one."""
+        gradient = [self.delta.partial(a) for a in self.parameters]
+        return {l: self._apply(l, gradient, self.delta.order - 1)
+                for l in range(1, len(self.parameters))}
+
     def transfer(self, t: TruncatedSeries) -> dict:
         """The Cramer jet transfer of t, cleared of denominators.
 
         Returns the table {(l1, l2): series} for 1 <= l1 <= l2 <= n of
 
+            delta * X_l1(X_l2 t) - (X_l1 delta) * (X_l2 t),
+
+        which by the chain rule through d/d(y_{x^l}) = delta^-1 X_l is
+        delta^3 d^2 G / d(y_{x^l1}) d(y_{x^l2}) for the G(x, y, y_x) equal
+        to t under y = Q, y_x = Q_x, written back in (x, a).  This is the
+        paper's double sum
+
             sum_{mu,nu} D^mu_[l1] D^nu_[l2]
                 { delta * t_{mu nu} - sum_tau D^tau_[mu nu] * t_tau }
 
-        with subscripts on t its derivatives in the parameters, D^mu_[l]
-        the unit minors and D^tau_[mu nu] the second minors.  Divided by
-        delta^3 this is d^2 G / d(y_{x^l1}) d(y_{x^l2}) for the G(x, y, y_x)
-        equal to t under y = Q, y_x = Q_x, written back in (x, a).
+        with the second minors D^tau_[mu nu], which replace the tau-th
+        column by the a_mu a_nu derivatives of (Q, Q_x1 .. Q_xn).
 
-        The second-minor sum is sum_r H_{mu nu}[r] * w_r with H the Hessian
-        column and w_r = sum_tau C[r, tau-1] * t_tau, computed once per t.
-        The sum over r keeps zero Hessian entries, so that its guaranteed
-        order is the minimum over the whole column.
-
-        With B[mu, nu] the brace and U[mu, l] = D^mu_[l], the table is
-        T = U^T V with V = B U: n (n+1)^2 + (n+1) n(n+1)/2 products with
-        every unit minor nonzero (150 at n = 4), each cut at the brace's
-        order.  Every unit minor has delta's order and every brace of one t
-        one order, at most delta's, so every V and every term has the brace
-        order: skipping a zero unit minor or a zero V moves no order, and
-        every sum starts from the zero of that order.
+        Each X_l t and its parameter gradient are built once, X_l delta
+        once per family.  Every entry has the order min(delta.order - 1,
+        t.order - 2), and every product is cut at it, but those of X_l t:
+        it is built one degree higher for its gradient, then cut before it
+        meets X_l1 delta.  A t whose parameter derivatives all vanish
+        transfers to 0 at min(delta.order, t.order - 2), the order of the
+        double sum, whose second-minor terms vanish with t_tau.
         """
-        size = len(self.parameters)
-        first = [t.partial(a) for a in self.parameters]
-        nonzero = [(c, d) for c, d in enumerate(first) if not d.is_zero()]
-        weights = [
-            reduce(add, (self.cofactor[(r, c)] * d for c, d in nonzero))
-            for r in range(size)
-        ] if nonzero else []
-        brace = {}
-        for (mu, nu), column in self.hessian.items():
-            value = self.delta * first[mu - 1].partial(self.parameters[nu - 1])
-            for h, w in zip(column, weights):
-                value = value - h * w
-            brace[(mu, nu)] = brace[(nu, mu)] = value
-        zero = TruncatedSeries.zero(self.delta.context, brace[(1, 1)].order)
-        mus, columns = range(1, size + 1), range(1, size)
-        units = {l: [(mu, self.unit(mu, l)) for mu in mus if not self.unit(mu, l).is_zero()]
-                 for l in columns}
-        v = {(mu, l): sum((u * brace[(mu, nu)] for nu, u in units[l]), zero)
-             for l in columns for mu in mus}
-        return {
-            (l1, l2): sum((u * v[(mu, l2)] for mu, u in units[l1] if not v[(mu, l2)].is_zero()),
-                          zero)
-            for l1 in columns for l2 in columns if l1 <= l2
-        }
+        params, columns = self.parameters, range(1, len(self.parameters))
+        first = [t.partial(a) for a in params]
+        if all(d.is_zero() for d in first):
+            zero = TruncatedSeries.zero(self.delta.context, min(self.delta.order, t.order - 2))
+            return {(l1, l2): zero for l2 in columns for l1 in range(1, l2 + 1)}
+        order = min(self.delta.order - 1, t.order - 2)
+        table = {}
+        for l2 in columns:
+            pushed = self._apply(l2, first, order + 1)
+            gradient = [pushed.partial(a) for a in params]
+            pushed = pushed.truncate(order)
+            for l1 in range(1, l2 + 1):
+                table[(l1, l2)] = (self.delta * self._apply(l1, gradient, order)
+                                   - self._delta_fields[l1] * pushed)
+        return table
 
 
 def _fundamental_matrix(q: TruncatedSeries, x_names, a_names) -> SeriesMatrix:
@@ -234,11 +233,5 @@ def jacobian_minor_family(q: TruncatedSeries, x_names, a_names) -> MinorFamily:
     """
     matrix = _fundamental_matrix(q, x_names, a_names)
     delta, cofactor = matrix.cofactors()
-    size = len(a_names)
-    hessian = {
-        (mu, nu): tuple(row[mu - 1].partial(a_names[nu - 1]) for row in matrix.entries)
-        for mu in range(1, size + 1)
-        for nu in range(mu, size + 1)
-    }
-    return MinorFamily(delta=delta, cofactor=cofactor, hessian=hessian,
-                       matrix=matrix, parameters=tuple(a_names))
+    return MinorFamily(delta=delta, cofactor=cofactor, matrix=matrix,
+                       parameters=tuple(a_names))

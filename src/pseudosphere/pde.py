@@ -168,8 +168,8 @@ def derive_associated_system(obj) -> PdeSystem:
     Deriving to order d needs the series to order d + 2.  The elimination
     inverts the Jacobian of (Q, Q_x) in the parameters at 0, a model's
     Levi matrix and a fundamental solution's rank condition, so it is the
-    Levi check: the minors, which need the series to order 3, are not
-    built here.
+    Levi check: the minors, whose transfer needs the series to order 3,
+    are not built here.
     """
     try:
         return _eliminate(*_roles(obj))
@@ -239,12 +239,12 @@ def jet_transfer_second(sol, t: TruncatedSeries, l1: int, l2: int) -> TruncatedS
 
     For T(x, a, b) corresponding to G(x, y, y_x) under y = Q, y_x = Q_x,
     computes d^2 G / d(y_{x^l1}) d(y_{x^l2}) expressed back in (x, a, b):
-    the Cramer transfer (``MinorFamily.transfer``) of T through the minors
-    of the fundamental determinant box of Q, divided by box^3.  This reads
-    one entry of the transfer table; a caller who needs every (l1, l2)
-    calls ``fundamental_minors(sol).transfer(t)`` once instead.  A model
-    is accepted as its own fundamental solution Q = theta, if it is
-    Levi-nondegenerate.
+    the chain-rule transfer (``MinorFamily.transfer``) of T along the
+    unit-minor fields of the fundamental determinant box of Q, over box^3.
+    This reads one entry of the transfer table; a caller who needs every
+    (l1, l2) calls ``fundamental_minors(sol).transfer(t)`` once instead.
+    A model is accepted as its own fundamental solution Q = theta, if it
+    is Levi-nondegenerate.
     """
     n = sol.n
     if not (1 <= l1 <= n and 1 <= l2 <= n):

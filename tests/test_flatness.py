@@ -14,6 +14,7 @@ from pseudosphere.errors import InsufficientOrderError, LeviDegenerateError
 from pseudosphere.scalars import gaussian
 
 from conftest import (
+    COEFF_POOL,
     heisenberg_model,
     heisenberg_theta,
     random_gaussian,
@@ -327,48 +328,70 @@ def random_graph_model(rng, n, order):
     return ps.from_graph(random_graph(rng, n, order), n, order)
 
 
-@settings(max_examples=25, deadline=None)
+def random_solution(rng, n, order):
+    """A fundamental solution Q = -b + x.a plus 1-4 random terms of degree
+    3-4, each with some x and some parameter, so that the minors vary with
+    x, a and b; unlike a model's theta, Q obeys no reality condition."""
+    fctx = ps.fundamental_context(n)
+    monos = [e for e in itertools.product(range(5), repeat=fctx.arity)
+             if 3 <= sum(e) <= 4 and any(e[:n]) and any(e[n:])]
+    q = ps.parse_series(" + ".join(["-b"] + [f"x{k}*a{k}" for k in range(1, n + 1)]),
+                        fctx, order)
+    extra = {rng.choice(monos): rng.choice(COEFF_POOL) for _ in range(rng.randint(1, 4))}
+    return ps.FundamentalSolution(n, q + ps.TruncatedSeries(fctx, order, extra))
+
+
+@settings(max_examples=30, deadline=None)
 @given(
-    st.sampled_from([(2, "rigid"), (2, "graph"), (3, "rigid"), (3, "graph"), (4, "rigid")]),
+    st.sampled_from([(2, "rigid"), (2, "graph"), (2, "solution"), (3, "rigid"),
+                     (3, "graph"), (3, "solution"), (4, "rigid")]),
     st.sampled_from(["theta_zz", "random", "parameter_free", "zero"]),
     st.integers(-1, 2),
     st.randoms(use_true_random=False),
 )
 @example((4, "rigid"), "random", 1, random.Random(4))
 @example((4, "rigid"), "zero", 0, random.Random(4))
+@example((2, "solution"), "random", 0, random.Random(0))
 def test_transfer_matches_replaced_column_minors(shape, t_kind, t_shift, rng):
     # n = 4 at order 6 is the shape of the pipeline-n4 benchmark inputs; an
     # exactly zero t is what most of their transfers read, theta_{z_a z_b}
-    # of a rigid cubic perturbation
+    # of a rigid cubic perturbation.  A fundamental solution's fields X_l
+    # do not commute, which tells the two factors of the chain rule's
+    # correction term (X_l1 delta) * X_l2 t apart.
     n, kind = shape
     order = 5 if n == 3 else 6
-    if kind == "rigid":
-        model = rigid_perturbation_model(rng, n, order)
+    if kind == "solution":
+        obj = random_solution(rng, n, order)
+        series = obj.q
     else:
-        model = random_graph_model(rng, n, order)
-    family = ps.minors(model)
+        make = rigid_perturbation_model if kind == "rigid" else random_graph_model
+        obj = make(rng, n, order)
+        series = obj.theta
+    family = ps.minors(obj)
+    ctx = series.context
     if t_kind == "theta_zz":
-        a, b = sorted(rng.choice(range(1, n + 1)) for _ in range(2))
-        t = model.theta.partial(f"z{a}").partial(f"z{b}")
+        a, b = sorted(rng.choice(ctx.names[:n]) for _ in range(2))
+        t = series.partial(a).partial(b)
     elif t_kind == "zero":
-        t = ps.TruncatedSeries.zero(model.context, order + t_shift)
+        t = ps.TruncatedSeries.zero(ctx, order + t_shift)
     else:
-        t = random_series(rng, model.context, order + t_shift, degree=4)
+        t = random_series(rng, ctx, order + t_shift, degree=4)
         if t_kind == "parameter_free":
             t = ps.TruncatedSeries(
-                model.context, t.order, {e: c for e, c in t.terms.items() if not any(e[n:])}
+                t.context, t.order, {e: c for e, c in t.terms.items() if not any(e[n:])}
             )
     assert_same_series_tables(family.transfer(t), reference_transfer(family, t))
 
 
 def test_transfer_order_counts_zero_column_entries():
     # theta_{z_k z1b z1b} vanishes identically while theta_{z1b z1b} does
-    # not: the zero entries have the lower guaranteed order, and it bounds
-    # the transfer's order as it does the replaced matrix's determinant
+    # not: the zero entries of this a_1 a_1 column have the lower guaranteed
+    # order, one below delta's, and it bounds the replaced matrix's
+    # determinant as delta's parameter gradient bounds the transfer
     theta = ps.parse_series("-wb + z1*z1b + z2*z2b + z1^3 + z1b^3", CTX, 6)
     model = ps.make_model(2, theta, 6)
     family = ps.minors(model)
-    col = family.hessian[(1, 1)]
+    col = [row[0].partial("z1b") for row in family.matrix.entries]
     assert not col[0].is_zero() and col[1].is_zero() and col[2].is_zero()
     assert col[1].order < col[0].order
     for t in (
@@ -405,10 +428,9 @@ def spied_transfers(monkeypatch):
 
 
 def test_transfer_forms_no_product_of_two_unit_minors(monkeypatch):
-    # V[mu, l2] = sum_nu D^nu_[l2] * brace, then D^mu_[l1] * V[mu, l2]:
-    # every product has a brace or a V as a factor and is cut at the
-    # brace's order; the product of two unit minors alone would be formed
-    # at the cofactor order, two degrees above it
+    # every product has a parameter derivative of t, of X_l2 t or of delta,
+    # or delta, or X_l1 delta, as a factor; the product of two unit minors
+    # alone would be formed at the cofactor order, above the entry order
     for family, t, table, operands in spied_transfers(monkeypatch):
         units = {id(u) for u in family.cofactor.values()}
         assert any(id(a) in units for a, _ in operands)
@@ -417,42 +439,51 @@ def test_transfer_forms_no_product_of_two_unit_minors(monkeypatch):
 
 
 def test_transfer_multiplies_each_unit_minor_column_once(monkeypatch):
-    # the count of the eager pass, from the pattern of nonzero unit minors
-    # and of nonzero V: every brace once, every V[mu, l] once over the live
-    # nu of l, then one product per live mu of l1 whose V[mu, l2] is
-    # nonzero in each entry (l1, l2)
+    # the count of the chain rule, from the pattern of nonzero unit minors
+    # and of nonzero parameter derivatives: X_l t once per l, one product
+    # per live mu of l whose t_mu is nonzero; X_l delta once per family,
+    # likewise; then per entry (l1, l2) one product per live mu of l1
+    # whose d(X_l2 t)/da_mu is nonzero, delta * X_l1 X_l2 t and
+    # (X_l1 delta) * X_l2 t.  With every unit minor and derivative nonzero
+    # that is n(n+1)(n+5)/2 per t (90 at n = 4), and n(n+1) per family.
     skipped = 0
     for family, t, table, operands in spied_transfers(monkeypatch):
-        size = len(family.parameters)
-        mus, columns = range(1, size + 1), range(1, size)
-        live = {l: [mu for mu in mus if not family.unit(mu, l).is_zero()] for l in columns}
+        params = family.parameters
+        size = len(params)
+        columns = range(1, size)
+        live = {l: [mu for mu in range(1, size + 1) if not family.unit(mu, l).is_zero()]
+                for l in columns}
         assert all(live.values())
-        braces = {(mu, nu): reference_brace(family, t, mu, nu) for mu in mus for nu in mus}
-        zero_v = {(mu, l) for l in columns for mu in mus
-                  if sum((family.unit(nu, l) * braces[mu, nu] for nu in live[l]),
-                         start=0).is_zero()}
-        terms = {(l1, l2): [mu for mu in live[l1] if (mu, l2) not in zero_v]
-                 for l1 in columns for l2 in columns if l1 <= l2}
-        firsts = sum(not t.partial(a).is_zero() for a in family.parameters)
-        weights = size * firsts
-        brace_products = len(family.hessian) * (1 + size * bool(firsts))
-        contractions = (size * sum(len(live[l]) for l in columns)
-                        + sum(len(mus) for mus in terms.values()))
-        double_sum = 2 * sum(len(live[l1]) * len(live[l2])
-                             for l1 in columns for l2 in columns if l1 <= l2)
-        assert len(operands) == weights + brace_products + contractions
-        assert contractions < double_sum
+
+        def terms(l, series):
+            """The (mu, d series/da_mu) of X_l series that are products."""
+            gradient = [series.partial(a) for a in params]
+            return [(mu, gradient[mu - 1]) for mu in live[l]
+                    if not gradient[mu - 1].is_zero()]
+
+        def along(l, series):
+            return sum((family.unit(mu, l) * d for mu, d in terms(l, series)),
+                       start=ps.TruncatedSeries.zero(t.context, t.order))
+
+        pushed = {l: along(l, t) for l in columns}
+        entries = [(l1, l2) for l1 in columns for l2 in columns if l1 <= l2]
+        per_t = (sum(len(terms(l, t)) for l in columns)
+                 + sum(len(terms(l1, pushed[l2])) + 2 for l1, l2 in entries))
+        per_family = sum(len(terms(l, family.delta)) for l in columns)
+        n = size - 1
+        assert len(operands) == per_t + per_family
+        assert per_t <= n * (n + 1) * (n + 5) // 2 and per_family <= n * (n + 1)
         assert_same_series_tables(table, reference_transfer(family, t))
-        skipped += sum(len(live[l1]) - len(mus) for (l1, _), mus in terms.items())
-    # the rigid n = 4 model has zero V, whose products are skipped
+        skipped += n * (n + 1) * (n + 5) // 2 - per_t
+    # the rigid n = 4 model has zero unit minors, whose products are skipped
     assert skipped
 
 
 def test_transfer_of_a_vanishing_delta_is_zero_at_the_sum_order():
     # delta vanishes identically, and so does every unit minor of l = 1,
-    # so the entries with l1 = 1 have no term; each is the zero series of
-    # the order the double sum has without its skips: t has order 3, so
-    # every brace has order 1, below the unit minors' order 3
+    # so X_1 is the zero field; every entry is the zero series of the
+    # entry order min(delta.order - 1, t.order - 2): t has order 3, so
+    # that is 1, below the unit minors' order 3
     theta = ps.parse_series("-wb + z1*z1b", CTX, 5)
     family = ps.jacobian_minor_family(theta, ["z1", "z2"], ["z1b", "z2b", "wb"])
     assert family.delta.is_zero()
@@ -467,9 +498,9 @@ def test_transfer_of_a_vanishing_delta_is_zero_at_the_sum_order():
 
 def test_transfer_of_a_column_without_unit_minors_is_zero_at_the_sum_order():
     # only D^1_[1] is nonzero, so l = 1 has a live unit minor and l = 2
-    # none: every V[mu, 2] is an empty sum, and (1, 2) and (2, 2) are the
-    # zero series of the double sum's order, the brace's order 2 below the
-    # unit minors' 4; (1, 1) has its one term, which is zero of order 2
+    # none: X_2 t is an empty sum, and (1, 2) and (2, 2) are the zero
+    # series of the entry order, 2 below the unit minors' 4; (1, 1) has
+    # its terms, which cancel to zero of order 2
     theta = ps.parse_series("-wb + z2*z2b", CTX, 6)
     family = ps.jacobian_minor_family(theta, ["z1", "z2"], ["z1b", "z2b", "wb"])
     assert [mu for mu in (1, 2, 3) if not family.unit(mu, 1).is_zero()] == [1]

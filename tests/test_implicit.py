@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 import pseudosphere as ps
 import pseudosphere.implicit as implicit_module
 from pseudosphere import TruncatedSeries, VariableContext
-from pseudosphere.errors import InsufficientOrderError, SingularJacobianError
+from pseudosphere.errors import InsufficientOrderError, SingularJacobianError, UnknownVariableError
 from pseudosphere.scalars import ONE, ZERO
 
 from conftest import COEFF_POOL, heisenberg_theta, random_gaussian, random_series
@@ -93,6 +93,16 @@ def test_repeated_unknown_names_rejected():
         ps.solve_formal_system([eq, eq], ["u", "u"])
     with pytest.raises(ValueError, match="duplicate variable names"):
         ps.solve_implicit([eq, eq], ["u", "u"], ["t1", "t2"])
+
+
+def test_unknown_outside_the_context_is_named():
+    # an unknown the equations do not contain would give the Jacobian a
+    # zero column; both solvers name it instead
+    eq = ps.parse_series("u + p*u", VariableContext(("p", "u")), 4)
+    with pytest.raises(UnknownVariableError, match="'q'"):
+        ps.solve_formal_system([eq], ["q"])
+    with pytest.raises(UnknownVariableError, match="'q'"):
+        ps.solve_implicit([eq], ["q"], ["t"])
 
 
 def test_implicit_system_in_different_contexts_rejected():

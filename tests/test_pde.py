@@ -292,11 +292,6 @@ def test_theta_is_its_own_fundamental_solution(make):
     assert family.cofactor.keys() == box.cofactor.keys()
     for key in box.cofactor:
         assert_renamed(family.cofactor[key], box.cofactor[key])
-    assert family.hessian.keys() == box.hessian.keys()
-    for key in box.hessian:
-        assert len(family.hessian[key]) == len(box.hessian[key]) == n + 1
-        for mine, theirs in zip(family.hessian[key], box.hessian[key]):
-            assert_renamed(mine, theirs)
 
     theta = model.theta
     z1 = TruncatedSeries.variable(theta.context, model.order + 2, "z1")
@@ -340,8 +335,8 @@ def test_both_exported_names_share_one_family_and_one_elimination(as_solution, m
 
 
 def test_recovery_from_an_order_two_solution_builds_no_minors(monkeypatch):
-    # the minors need Q to order 3 (its Hessian column q_{x a a}); the
-    # order-0 system does not, and the rank condition was checked on Q
+    # the transfer needs Q to order 3 (the parameter gradient of delta);
+    # the order-0 system does not, and the rank condition was checked on Q
     import pseudosphere.hypersurface as hypersurface
 
     built = []
@@ -353,8 +348,8 @@ def test_recovery_from_an_order_two_solution_builds_no_minors(monkeypatch):
 
 def test_order_two_model_derives_the_system_of_its_theta_as_a_solution():
     # the order-0 system reads theta only to order 2, below the order 3 the
-    # Levi minors' Hessian columns need; the elimination's own Jacobian at
-    # 0 is the Levi matrix, so it is the Levi check
+    # Levi minors' transfer needs; the elimination's own Jacobian at 0 is
+    # the Levi matrix, so it is the Levi check
     theta = ps.parse_series("-wb + z1*z1b - z2*z2b + z1^2 + z1b^2", CTX, 2)
     derived = ps.derive_associated_system(ps.make_model(2, theta, 2))
     sol = ps.FundamentalSolution(2, theta.rename_context(FCTX))

@@ -271,31 +271,25 @@ MUTANTS = [
         "killed",
     ),
     Mutant(
-        "zero-hessian-entries-skipped", "matrices.py",
-        "for h, w in zip(column, weights):\n",
-        "for h, w in ((h, w) for h, w in zip(column, weights) if not h.is_zero()):\n",
-        ("tests/test_flatness.py::test_transfer_order_counts_zero_column_entries",),
-        "killed",
-    ),
-    Mutant(
-        "transfer-zero-one-long", "matrices.py",
-        "zero = TruncatedSeries.zero(self.delta.context, brace[(1, 1)].order)",
-        "zero = TruncatedSeries.zero(self.delta.context, brace[(1, 1)].order + 1)",
+        "transfer-order-one-long", "matrices.py",
+        "order = min(self.delta.order - 1, t.order - 2)",
+        "order = min(self.delta.order - 1, t.order - 2) + 1",
         ("tests/test_flatness.py::test_transfer_of_a_vanishing_delta_is_zero_at_the_sum_order",
-         "tests/test_flatness.py::test_transfer_of_a_column_without_unit_minors_is_zero_at_the_sum_order"),
+         "tests/test_flatness.py::test_transfer_of_a_column_without_unit_minors_is_zero_at_the_sum_order",
+         "tests/test_flatness.py::test_transfer_matches_replaced_column_minors"),
         "killed",
     ),
     Mutant(
-        "transfer-zero-v-multiplied", "matrices.py",
-        "for mu, u in units[l1] if not v[(mu, l2)].is_zero())",
-        "for mu, u in units[l1])",
-        ("tests/test_flatness.py::test_transfer_multiplies_each_unit_minor_column_once",),
+        "transfer-parameter-free-zero-below-delta", "matrices.py",
+        "min(self.delta.order, t.order - 2)",
+        "min(self.delta.order - 1, t.order - 2)",
+        ("tests/test_flatness.py::test_transfer_matches_replaced_column_minors",),
         "killed",
     ),
     Mutant(
-        "transfer-v-column-l1", "matrices.py",
-        "u * v[(mu, l2)]",
-        "u * v[(mu, l1)]",
+        "transfer-correction-l1-l2-swapped", "matrices.py",
+        "- self._delta_fields[l1] * pushed)",
+        "- self._delta_fields[l2] * self._apply(l1, first, order))",
         ("tests/test_flatness.py::test_transfer_matches_replaced_column_minors",),
         "killed",
     ),
