@@ -85,7 +85,7 @@ _INPUT_ERRORS = (InputError, UnsupportedDimensionError, NormalizationError,
 # the Levi matrix and the elimination differentiate theta, and the tensor
 # checks add one certified degree.
 _LOWEST_ORDER_MODEL = {
-    "reality": 1, "transform": 1, "derive-pde": 2, "levi": 3, "signature": 3,
+    "reality": 1, "transform": 1, "derive-pde": 2, "levi": 2, "signature": 2,
     "integrability": 3, "pseudosphericality": 5, "cross-check": 5,
 }
 _LOWEST_ORDER_SYSTEM = {"integrability": 1, "pseudosphericality": 2}

@@ -6,13 +6,18 @@ Two independent routes compute the same obstruction:
   jets of the defining series theta, the chain rule along the fields of
   the Levi determinant's Cramer unit minors, cleared of denominators;
 * the transported route derives the associated second-order PDE system
-  by formal elimination, applies the trace-adjusted second-derivative
-  test for equivalence to the straight system y'' = 0, and pulls the
-  result back into the (z, zb, wb) chart, scaling by the cube of the
-  Levi determinant.
+  by formal elimination, takes its second y_x-derivatives, the raw data
+  of the test for equivalence to the straight system y'' = 0, and pulls
+  them back into the (z, zb, wb) chart, scaling by the cube of the Levi
+  determinant.
 
-Agreement of the two routes, coefficient by coefficient, is the central
-correctness property and is exposed as :func:`cross_check`.
+Each route ends in one table of raw second derivatives, and one trace
+adjustment turns such a table into the tensor.  Agreement of the two
+routes, coefficient by coefficient, is the central correctness property
+and is exposed as :func:`cross_check`.  It compares the raw tables
+first: since the adjustment is linear and exact, equal tables give the
+direct tensor on both sides, and only tables that differ are adjusted a
+second time and compared component by component.
 """
 
 from __future__ import annotations
@@ -89,10 +94,11 @@ class FlatnessTensor:
         return PseudosphericalVerdict(witness is None, self.certified_order, witness)
 
 
-def _assemble_trace_adjusted(n: int, raw) -> dict:
-    """Combine raw second-derivative data into the trace-adjusted tensor.
+def _assemble_trace_adjusted(n: int, raw: dict) -> dict:
+    """Combine a raw second-derivative table into the trace-adjusted tensor.
 
-    ``raw(a, b, l1, l2)`` must be symmetric in (a, b) and in (l1, l2).
+    ``raw`` maps each (a, b, l1, l2) with a <= b and l1 <= l2 to a
+    series; it stands for a table symmetric in (a, b) and in (l1, l2).
     Each single trace T_{k,l} = sum_l' raw(l', k, l', l) is formed once,
     already weighted by 1/(n+2), and the double trace is the sum of those
     weighted diagonal traces times 1/(n+1).  The output subtracts the four
@@ -100,15 +106,9 @@ def _assemble_trace_adjusted(n: int, raw) -> dict:
     weights are exactly what makes every contraction sum_k W_{k,k2,k,l2}
     vanish.
     """
-    cache = {}
 
     def s(a, b, l1, l2):
-        key = (min(a, b), max(a, b), min(l1, l2), max(l1, l2))
-        value = cache.get(key)
-        if value is None:
-            value = raw(*key)
-            cache[key] = value
-        return value
+        return raw[(min(a, b), max(a, b), min(l1, l2), max(l1, l2))]
 
     w = Fraction(1, n + 2)
     trace = {
@@ -141,6 +141,19 @@ def _assemble_trace_adjusted(n: int, raw) -> dict:
     return components
 
 
+def _jet_table(system: PdeSystem) -> dict:
+    """{(a, b, l1, l2): d^2 F_ab / d(y_{x^l1}) d(y_{x^l2})} for a <= b and
+    l1 <= l2, each first y_x-derivative of F_ab formed once."""
+    n = system.n
+    table = {}
+    for a, b in system.component_keys():
+        firsts = [system.component(a, b).partial(f"yx{l}") for l in range(1, n + 1)]
+        for l1 in range(1, n + 1):
+            for l2 in range(l1, n + 1):
+                table[(a, b, l1, l2)] = firsts[l1 - 1].partial(f"yx{l2}")
+    return table
+
+
 def hachtroudi_tensor(system: PdeSystem) -> FlatnessTensor:
     """Trace-adjusted second y_x-derivatives of a second-order system.
 
@@ -148,14 +161,26 @@ def hachtroudi_tensor(system: PdeSystem) -> FlatnessTensor:
     to y_{x^k1 x^k2} = 0 under point transformations.
     """
     n = system.n
-
-    def raw(a, b, l1, l2):
-        return system.component(a, b).partial(f"yx{l1}").partial(f"yx{l2}")
-
-    components = _assemble_trace_adjusted(n, raw)
+    components = _assemble_trace_adjusted(n, _jet_table(system))
     return FlatnessTensor(
         n=n, certified_order=system.order - 2, components=components
     )
+
+
+@per_model
+def _direct_table(model: HypersurfaceModel) -> dict:
+    """{(a, b, l1, l2): the Cramer transfer (``MinorFamily.transfer``) of
+    theta_{z_a z_b}, entry (l1, l2)} for a <= b and l1 <= l2."""
+    family = minors(model)
+    theta, z_names, _ = _roles(model)
+    n = model.n
+    table = {}
+    for a in range(1, n + 1):
+        for b in range(a, n + 1):
+            transfer = family.transfer(theta.partial(z_names[a - 1]).partial(z_names[b - 1]))
+            for (l1, l2), entry in transfer.items():
+                table[(a, b, l1, l2)] = entry
+    return table
 
 
 @per_model
@@ -173,16 +198,7 @@ def main_theorem_tensor(model: HypersurfaceModel) -> FlatnessTensor:
         raise InsufficientOrderError(
             f"theta order {model.order} < 4: certified order would be negative"
         )
-    family = minors(model)
-    theta, z_names, _ = _roles(model)
-    transfers = {
-        (a, b): family.transfer(theta.partial(z_names[a - 1]).partial(z_names[b - 1]))
-        for a in range(1, n + 1)
-        for b in range(a, n + 1)
-    }
-    components = _assemble_trace_adjusted(
-        n, lambda a, b, l1, l2: transfers[(a, b)][(l1, l2)]
-    )
+    components = _assemble_trace_adjusted(n, _direct_table(model))
     return FlatnessTensor(
         n=n, certified_order=model.order - 4, components=components
     )
@@ -203,20 +219,26 @@ def cross_check(model: HypersurfaceModel) -> CrossCheckReport:
     """Compare the direct tensor against the transported PDE-side tensor.
 
     The transported route derives the associated system by implicit
-    elimination, takes its trace-adjusted tensor in the jet chart,
+    elimination, takes the raw table of its second y_x-derivatives,
     substitutes y = theta and y_{x^k} = theta_{z_k}, and scales by the
     cube of the Levi determinant.  Both routes must agree exactly up to
     the common certified order.
 
-    Each transported component keeps the order of its pulled-back
-    component, model.order - 4 for the derived system, which is below
-    delta's model.order - 2.  So delta is cut to the highest pulled order
-    before it is cubed: the degrees above it would be dropped by every
-    product anyway.
+    The raw tables are compared first.  Entry by entry, the transported
+    table is the direct one, the Cramer transfer of theta_{z_a z_b}; when
+    every entry agrees in its terms and its order, the transported
+    components are the direct tensor's, since the trace adjustment is
+    linear and exact.  Only otherwise is the transported table
+    trace-adjusted and compared component by component.
+
+    Each transported entry keeps the order of its pulled-back entry,
+    model.order - 4 for the derived system, which is below delta's
+    model.order - 2.  So delta is cut to the highest pulled order before
+    it is cubed: the degrees above it would be dropped by every product
+    anyway.
     """
     direct = main_theorem_tensor(model)
-    system = derive_associated_system(model)
-    jet_tensor = hachtroudi_tensor(system)
+    jets = _jet_table(derive_associated_system(model))
 
     theta, z_names, _ = _roles(model)
     ctx = theta.context
@@ -225,31 +247,34 @@ def cross_check(model: HypersurfaceModel) -> CrossCheckReport:
         assignment[f"x{k}"] = TruncatedSeries.variable(ctx, theta.order, z)
         assignment[f"yx{k}"] = theta.partial(z)
 
-    keys = list(jet_tensor.components)
-    pulled = _compose([jet_tensor.components[key] for key in keys], assignment, ctx)
+    pulled = _compose(list(jets.values()), assignment, ctx)
     delta = minors(model).delta.truncate(max(s.order for s in pulled))
     delta_cubed = delta * delta * delta
-    transported = {key: delta_cubed * series for key, series in zip(keys, pulled)}
+    table = {key: delta_cubed * series for key, series in zip(jets, pulled)}
 
     mismatches = []
-    orders = [direct.certified_order]
-    for key in direct.component_keys():
-        diff = direct.components[key] - transported[key]
-        orders.append(transported[key].order)
-        if diff.is_zero():
-            continue
-        exps, _ = diff.first_term()
-        mismatches.append(
-            (
-                key,
-                diff.monomial_text(exps),
-                direct.components[key].coefficient(exps),
-                transported[key].coefficient(exps),
+    if all(table[key] == entry and table[key].order == entry.order
+           for key, entry in _direct_table(model).items()):
+        transported = dict(direct.components)
+    else:
+        transported = _assemble_trace_adjusted(model.n, table)
+        for key in direct.component_keys():
+            diff = direct.components[key] - transported[key]
+            if diff.is_zero():
+                continue
+            exps, _ = diff.first_term()
+            mismatches.append(
+                (
+                    key,
+                    diff.monomial_text(exps),
+                    direct.components[key].coefficient(exps),
+                    transported[key].coefficient(exps),
+                )
             )
-        )
     return CrossCheckReport(
         ok=not mismatches,
-        certified_order=min(orders),
+        certified_order=min([direct.certified_order]
+                            + [series.order for series in transported.values()]),
         mismatches=tuple(mismatches),
         direct=direct,
         transported=transported,

@@ -241,7 +241,7 @@ def test_exit_one_on_witness_with_huge_coefficient(capsys):
     ["derive-pde", "--n", "2", "--order", "6", "--graph", "x1^2+y1^2+x2^2+y2^2+i*v"],
     ["check", "--n", "2", "--order", "5", "--f", "3,3=x1"],
     ["check", "--n", "2", "--order", "5", "--theta", HEIS + " + 3^10000*z1"],
-    ["levi", "--n", "2", "--order", "2", "--theta=" + HEIS],
+    ["levi", "--n", "2", "--order", "1", "--theta=" + HEIS],
     ["derive-pde", "--n", "2", "--order", "1", "--theta=" + HEIS],
     ["check", "--n", "2", "--order", "2", "--theta=" + HEIS, "--checks", "integrability"],
     ["check", "--n", "2", "--order", "1", "--f", "1,1=x2"],
@@ -305,11 +305,11 @@ MAP = ["--map-z", "1=z1", "--map-z", "2=z2", "--map-w", "w"]
     (["reality", "--theta", HEIS], 1),
     (["transform", "--theta", HEIS] + MAP, 1),
     (["derive-pde", "--theta", HEIS], 2),
-    (["levi", "--theta", HEIS], 3),
+    (["levi", "--theta", HEIS], 2),
     (["integrability", "--theta", HEIS], 3),
     (["curvature", "--theta", HEIS], 5),
     (["check", "--theta", HEIS, "--checks", "reality"], 1),
-    (["check", "--theta", HEIS, "--checks", "levi"], 3),
+    (["check", "--theta", HEIS, "--checks", "levi"], 2),
     (["check", "--graph", "x1^2 + y1^2 + x2^2 + y2^2", "--checks", "integrability"], 3),
     (["check", "--theta", HEIS], 5),
     (["integrability", "--f", "1,1=x2"], 1),
@@ -335,7 +335,7 @@ GRAPH = "x1^2 + y1^2 + x2^2 + y2^2"
     (["--theta", HEIS, "--checks", "reality"],
      {"kind": "theta", "theta_text": HEIS, "checks": ("reality",)}, 1),
     (["--theta", HEIS, "--checks", "levi"],
-     {"kind": "theta", "theta_text": HEIS, "checks": ("levi",)}, 3),
+     {"kind": "theta", "theta_text": HEIS, "checks": ("levi",)}, 2),
     (["--graph", GRAPH, "--checks", "integrability"],
      {"kind": "graph", "graph_text": GRAPH, "checks": ("integrability",)}, 3),
     (["--theta", HEIS], {"kind": "theta", "theta_text": HEIS}, 5),

@@ -176,15 +176,8 @@ def test_trace_adjustment_matches_the_scalar_formula(n, rng):
     for _ in range(3):
         raw = {k: random_gaussian(rng) if rng.random() < 0.8 else gaussian(0) for k in keys}
         orders = {k: rng.randint(2, 5) for k in keys}
-        calls = []
-
-        def entry(a, b, l1, l2):
-            calls.append((a, b, l1, l2))
-            key = (a, b, l1, l2)
-            return ps.TruncatedSeries.constant(ctx, orders[key], raw[key])
-
-        components = flatness_module._assemble_trace_adjusted(n, entry)
-        assert sorted(calls) == keys  # each raw entry is read once
+        table = {k: ps.TruncatedSeries.constant(ctx, orders[k], raw[k]) for k in keys}
+        components = flatness_module._assemble_trace_adjusted(n, table)
         want = trace_adjusted_reference(n, raw)
         assert components.keys() == want.keys()
         for key, (value, read) in want.items():
@@ -692,6 +685,86 @@ def test_cross_check_order_is_bounded_by_a_shorter_derived_system():
     assert report.direct.certified_order == 3
     assert report.certified_order == 2
     assert_transported_is_the_uncut_delta_cube(model, report)
+
+
+def test_cross_check_order_is_bounded_when_the_raw_tables_differ_only_in_order():
+    # the flat model with its derived system planted one order short: both
+    # raw tables are zero, the direct one at order 3 and the transported
+    # one at order 2, so they differ only in order, and the lower order
+    # bounds the certified one and every transported component
+    model = heisenberg_model(2, 7)
+    system = ps.derive_associated_system(model)
+    short = system.order - 1
+    components = {key: system.component(*key).truncate(short)
+                  for key in system.component_keys()}
+    model._memo[pde_module.derive_associated_system.__wrapped__] = PdeSystem(
+        2, short, components
+    )
+    assert all(entry.is_zero() and entry.order == 3
+               for entry in flatness_module._direct_table(model).values())
+    report = ps.cross_check(model)
+    assert report.ok
+    assert report.certified_order == 2
+    assert all(series.is_zero() for series in report.transported.values())
+    assert {series.order for series in report.transported.values()} == {2}
+
+
+def test_cross_check_adjusts_no_table_when_the_raw_tables_agree(monkeypatch):
+    # the direct tensor is memoized, and agreeing raw tables make the
+    # transported components the direct ones without a second adjustment
+    model = rigid_perturbation_model(random.Random(7), 4, 6)
+    ps.main_theorem_tensor(model)
+    calls = []
+    assemble = flatness_module._assemble_trace_adjusted
+
+    def counted(n, raw):
+        calls.append(n)
+        return assemble(n, raw)
+
+    monkeypatch.setattr(flatness_module, "_assemble_trace_adjusted", counted)
+    report = ps.cross_check(model)
+    assert report.ok
+    assert not report.direct.is_zero()
+    assert calls == []
+    assert_same_series_tables(report.transported, report.direct.components)
+
+
+def assert_direct_table_is_the_pulled_back_jet_table(model):
+    """Entry by entry, the direct table is delta^3 times the derived
+    system's second y_x-derivative pulled back by (x, y, y_x) = (z, theta,
+    theta_z), in terms and order: the identity that lets cross_check
+    compare the two routes before the trace adjustment.  Returns the
+    number of nonzero entries."""
+    theta, ctx, n = model.theta, model.context, model.n
+    system = ps.derive_associated_system(model)
+    assignment = {"y": theta}
+    for k in range(1, n + 1):
+        assignment[f"x{k}"] = ps.TruncatedSeries.variable(ctx, theta.order, f"z{k}")
+        assignment[f"yx{k}"] = theta.partial(f"z{k}")
+    delta_cubed = ps.minors(model).delta ** 3
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
+    table = flatness_module._direct_table(model)
+    assert sorted(table) == sorted(p + q for p in pairs for q in pairs)
+    for (a, b, l1, l2), entry in table.items():
+        jet = system.component(a, b).partial(f"yx{l1}").partial(f"yx{l2}")
+        want = delta_cubed * jet.substitute(assignment, ctx)
+        assert entry == want, (a, b, l1, l2)
+        assert entry.order == want.order, (a, b, l1, l2)
+    return sum(not entry.is_zero() for entry in table.values())
+
+
+@pytest.mark.parametrize("n, order", [(2, 7), (3, 6), (4, 6)])
+def test_direct_table_is_the_pulled_back_jet_table_on_rigid_models(n, order, rng):
+    nonzero = [assert_direct_table_is_the_pulled_back_jet_table(
+                   rigid_perturbation_model(rng, n, order))
+               for _ in range(2)]
+    assert any(nonzero)
+
+
+def test_direct_table_is_the_pulled_back_jet_table_on_the_target_graph():
+    phi = ps.parse_series("x1^2 + y1^2 + x2^2 + y2^2 + v*x1^2 + x1^2*x2^2",
+                          ps.graph_context(2), 8)
+    assert assert_direct_table_is_the_pulled_back_jet_table(ps.from_graph(phi, 2, 8))
 
 
 def assert_transported_is_the_uncut_delta_cube(model, report):

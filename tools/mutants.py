@@ -84,9 +84,18 @@ MUTANTS = [
     ),
     Mutant(
         "cross-check-order-line-dropped", "flatness.py",
-        "        orders.append(transported[key].order)\n",
-        "",
-        ("tests/test_flatness.py::test_cross_check_order_is_bounded_by_a_shorter_derived_system",),
+        "        certified_order=min([direct.certified_order]\n"
+        "                            + [series.order for series in transported.values()]),\n",
+        "        certified_order=direct.certified_order,\n",
+        ("tests/test_flatness.py::test_cross_check_order_is_bounded_by_a_shorter_derived_system",
+         "tests/test_flatness.py::test_cross_check_order_is_bounded_when_the_raw_tables_differ_only_in_order"),
+        "killed",
+    ),
+    Mutant(
+        "cross-check-raw-order-ignored", "flatness.py",
+        "    if all(table[key] == entry and table[key].order == entry.order\n",
+        "    if all(table[key] == entry\n",
+        ("tests/test_flatness.py::test_cross_check_order_is_bounded_when_the_raw_tables_differ_only_in_order",),
         "killed",
     ),
     Mutant(
@@ -129,6 +138,14 @@ MUTANTS = [
         '"pseudosphericality": 5, "cross-check": 5',
         '"pseudosphericality": 4, "cross-check": 4',
         ("tests/test_cli.py::test_order_below_a_commands_lowest_names_that_order",),
+        "killed",
+    ),
+    Mutant(
+        "levi-lowest-order-one-short", "cli.py",
+        '"levi": 2,',
+        '"levi": 1,',
+        ("tests/test_cli.py::test_order_below_a_commands_lowest_names_that_order[levi]",
+         "tests/test_cli.py::test_order_below_a_commands_lowest_names_that_order[check-levi]"),
         "killed",
     ),
     Mutant(
