@@ -16,12 +16,22 @@ agrees with u* through degree 2k + 1, because its error is quadratic in
 u - u*.  A step from k to N <= 2k + 1 therefore needs E(u) only through
 degree N and J^-1 only through degree M = N - k - 1: every product with
 E(u) adds at least k + 1 to the degree, so what J^-1 holds above M lands
-above N.  J^-1 is the adjugate of J (one cofactor table) over its
-determinant, a unit exactly when J is invertible at the origin.  The
-precisions run 1, ..., floor(n/4), floor(n/2), n, and each satisfies
-N <= 2k + 1 over the one before, so a solve to order n evaluates each
-equation floor(log2 n) + 1 times.  A step whose M equals the previous
-step's reuses that J^-1: it was built from the iterate's terms of degree
+above N.  The precisions run 1, ..., floor(n/4), floor(n/2), n, and each
+satisfies N <= 2k + 1 over the one before, so a solve to order n
+evaluates each equation floor(log2 n) + 1 times.
+
+J^-1 is the adjugate of J, the transposed cofactor table, over det J, a
+unit exactly when J is invertible at the origin.  Both are polynomials in
+the entries of J(p, u), and composition is a ring homomorphism, so
+det J(u) and the cofactors of J(u) are det J and the cofactors of J
+composed with the iterate.  One table (det J, cofactors) in (p, u) is
+therefore built per solve and composed with the iterate at each step, cut
+to degree M first; no matrix is expanded per step.  A caller that holds
+the table already hands it over: the elimination of the parameters of a
+fundamental solution reads the Levi minors (``pde``).  Otherwise the one
+expansion of the partials dE_i/du_j, through the largest M of the solve,
+n - n//2 - 1, builds it.  A step whose M equals the previous step's
+reuses that J^-1: it was built from the iterate's terms of degree
 <= M <= k, which no later step changes.
 
 The order stays sound: the iterate is a polynomial, so its residual is
@@ -55,6 +65,15 @@ def solve_formal_system(equations, unknowns):
     Returns {unknown: series in the parameter context}, guaranteed to the
     lowest order among the equations.
     """
+    return _newton(equations, unknowns)
+
+
+def _newton(equations, unknowns, jacobian=None):
+    """``solve_formal_system`` with J^-1 read from ``jacobian``, the pair
+    (det J, cofactor table of J) of ``SeriesMatrix.cofactors`` for
+    J = dE/du in its own context, whose names other than the unknowns are
+    parameters, passed through by name; each must hold the degrees
+    through n - n//2 - 1.  None builds the table from the equations."""
     equations = list(equations)
     unknowns = list(unknowns)
     if len(equations) != len(unknowns):
@@ -75,13 +94,23 @@ def solve_formal_system(equations, unknowns):
         if eq.constant_term():
             raise ValueError(f"equation {i} does not vanish at the origin")
 
-    # dE_i/du_j through the largest degree of J^-1 needed, n - n//2 - 1; at
-    # n = 0 there is no linear part, and ``partial`` raises InsufficientOrderError
-    cut = n - n // 2
-    partials = [[eq.truncate(cut).partial(u) for u in unknowns] for eq in equations]
+    if jacobian is None:
+        # dE_i/du_j through the largest degree of J^-1 needed; at n = 0
+        # there is no linear part, and ``partial`` raises InsufficientOrderError
+        cut = n - n // 2
+        jacobian = SeriesMatrix(
+            [[eq.truncate(cut).partial(u) for u in unknowns] for eq in equations]
+        ).cofactors()
+    det, cofactor = jacobian
+    if not det.constant_term():
+        raise SingularJacobianError(
+            "constant Jacobian in the unknowns is singular at the origin"
+        )
+    size = len(unknowns)
+    # det, then the cofactors row by row
+    table = [det] + [cofactor[(i, j)] for i in range(size) for j in range(size)]
     precisions = [n >> s for s in reversed(range(n.bit_length()))]  # 1, ..., n//2, n
 
-    size = len(unknowns)
     # the iterates as (denominator, grades) storages, exact through degree k
     iterate = [(1, {}) for _ in unknowns]
     k = 0
@@ -92,22 +121,13 @@ def solve_formal_system(equations, unknowns):
         residuals = _compose(equations, point, out_ctx)
         if top - k - 1 != low:
             low = top - k - 1
-            point = {u: s.truncate(low) for u, s in point.items()}
-            # a zero partial adds no monomial to the walk and comes back as
+            # a zero entry adds no monomial to the walk and comes back as
             # zero of order low
-            entries = _compose([d for row in partials for d in row], point, out_ctx)
-            det, cofactor = SeriesMatrix(
-                [entries[i * size:(i + 1) * size] for i in range(size)]
-            ).cofactors()
-            if not det.constant_term():
-                raise SingularJacobianError(
-                    "constant Jacobian in the unknowns is singular at the origin"
-                )
-            det_inv = det.invert_unit()
+            det_at, *entries = _compose([s.truncate(low) for s in table], point, out_ctx)
+            det_inv = det_at.invert_unit()
             # J^-1 is the adjugate, the transposed cofactor table, over det J
-            inverse = [[_product(det_inv._den, det_inv._grades,
-                                 cofactor[(i, j)]._den, cofactor[(i, j)]._grades, low)
-                        for i in range(size)] for j in range(size)]
+            inverse = [[_product(det_inv._den, det_inv._grades, c._den, c._grades, low)
+                        for c in entries[j::size]] for j in range(size)]
         for j, (den, grades) in enumerate(iterate):
             for (dv, v), r in zip(inverse[j], residuals):
                 if v and r._grades:
@@ -135,6 +155,12 @@ def solve_implicit(system, unknowns, targets):
 
     an exact identity through that order.
     """
+    return solve_formal_system(_target_equations(system, unknowns, targets), unknowns)
+
+
+def _target_equations(system, unknowns, targets):
+    """The equations system_i - t_i of ``solve_implicit``, in the context
+    (params, targets, unknowns), each at the system's lowest order."""
     system = list(system)
     unknowns = list(unknowns)
     targets = list(targets)
@@ -153,9 +179,8 @@ def solve_implicit(system, unknowns, targets):
     # each equation re-indexed into (params, targets, unknowns): a target
     # is no variable of the system
     sources = [ctx.index(name) if name in ctx else None for name in ext_ctx.names]
-    equations = [
+    return [
         eq.truncate(n)._embedded(ext_ctx, sources)
         - TruncatedSeries.variable(ext_ctx, n, t)
         for eq, t in zip(system, targets)
     ]
-    return solve_formal_system(equations, unknowns)

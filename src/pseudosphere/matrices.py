@@ -4,14 +4,15 @@ Every determinant is a Laplace expansion along the first column, memoized
 over (row set, column set) pairs.  One such expansion of a square matrix
 yields its determinant and all of its cofactors at once, and every Cramer
 unit minor is a cofactor, so no replaced matrix is ever expanded on its
-own; the jet transfer needs no other minor (``MinorFamily``).  The matrices
-here have side n+1 for CR dimension n, small enough that the expansion
-beats fraction-free elimination and needs no unit pivots.  The same
-expansion decides every other determinant question over Q(i): the rank
-condition at the origin is the determinant of a matrix of order-0
-series, and the signature of a Hermitian form is read off its
-characteristic polynomial, the determinant of a matrix of series in one
-variable.
+own; the jet transfer needs no other minor (``MinorFamily``), and the
+elimination's Newton solve reads its inverse Jacobian off the same table
+(``pde``).  The matrices here have side n+1 for CR dimension n, small
+enough that the expansion beats fraction-free elimination and needs no
+unit pivots.  The same expansion decides every other determinant question
+over Q(i): the rank condition at the origin is the determinant of a
+matrix of order-0 series, and the signature of a Hermitian form is read
+off its characteristic polynomial, the determinant of a matrix of series
+in one variable.
 
 The memo is a plain dict passed down the recursion, not held by a closure
 that refers to itself: such a cycle keeps every expansion's minors alive

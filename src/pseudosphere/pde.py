@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import LeviDegenerateError, RankConditionError, SingularJacobianError
+from .errors import RankConditionError
 from .hypersurface import _roles, minors, per_model
-from .implicit import solve_implicit
+from .implicit import _newton, _target_equations
 from .matrices import _fundamental_matrix
 from .series import TruncatedSeries, VariableContext, _compose
 
@@ -128,15 +128,17 @@ class FundamentalSolution:
         return self.q.order
 
 
-def _eliminate(q: TruncatedSeries, x_names, parameters) -> PdeSystem:
+def _eliminate(q: TruncatedSeries, x_names, parameters, family) -> PdeSystem:
     """The second-order system solved by the family y = q(x, parameters).
 
     Solves {y = q, y_{x^k} = q_{x^k}} for the parameters as series in
     (x, y, y_x), substitutes them into all the pure second derivatives
     q_{x^k1 x^k2} in one composition, in the solver's own context, and
-    renames the result into ``pde_context(n)``.  The caller guarantees
-    that the constant Jacobian of (q, q_x) in the parameters is
-    invertible.  Deriving to order d needs q to order d + 2.
+    renames the result into ``pde_context(n)``.  ``family`` is q's minor
+    family: the Jacobian of (q, q_x) in the parameters is its matrix, so
+    Newton's J^-1 reads its delta and cofactor table, in (x, parameters),
+    composed with each iterate; the x pass through by name.  Deriving to
+    order d needs q to order d + 2.
 
     The system has order d = q.order - 2, the order of the second
     derivatives, so the parameters are solved to order d only (to 1 when
@@ -144,14 +146,16 @@ def _eliminate(q: TruncatedSeries, x_names, parameters) -> PdeSystem:
     though q_x would allow d + 1: the solution has no constant term, so
     the composition's terms through degree d read only the solution's
     terms through degree d.  The dropped degree is the costliest step of
-    the Newton lift.
+    the Newton lift.  The family holds delta and the cofactors at order
+    d, above the largest degree of J^-1 the solve reads.
     """
     n = len(x_names)
     order = q.order - 2
     firsts = [q.partial(x) for x in x_names]
     system = [s.truncate(max(order, 1)) for s in [q] + firsts]
     targets = ["y"] + [f"yx{k}" for k in range(1, n + 1)]
-    solution = solve_implicit(system, parameters, targets)
+    solution = _newton(_target_equations(system, parameters, targets), parameters,
+                       (family.delta, family.cofactor))
     jet_ctx = solution[parameters[-1]].context  # (x1..xn, y, yx1..yxn)
     out_ctx = pde_context(n)
     keys = [(k1, k2) for k1 in range(1, n + 1) for k2 in range(k1, n + 1)]
@@ -166,15 +170,13 @@ def derive_associated_system(obj) -> PdeSystem:
     """The second-order system solved by a model's theta or by Q.
 
     Deriving to order d needs the series to order d + 2.  The elimination
-    inverts the Jacobian of (Q, Q_x) in the parameters at 0, a model's
-    Levi matrix and a fundamental solution's rank condition, so it is the
-    Levi check: the minors, whose transfer needs the series to order 3,
-    are not built here.
+    inverts the Jacobian of (Q, Q_x) in the parameters, a model's Levi
+    matrix and a fundamental solution's fundamental matrix, so it reads
+    the memoized Levi minors, ``minors(obj)``, and builds them for the
+    object when nothing has yet; their check is the Levi check, and a
+    degenerate model raises LeviDegenerateError there.
     """
-    try:
-        return _eliminate(*_roles(obj))
-    except SingularJacobianError:
-        raise LeviDegenerateError("Levi determinant vanishes at the origin") from None
+    return _eliminate(*_roles(obj), minors(obj))
 
 
 recover_system_from_solution = derive_associated_system
@@ -252,11 +254,15 @@ def jet_transfer_second(sol, t: TruncatedSeries, l1: int, l2: int) -> TruncatedS
     if t.context != _roles(sol)[0].context:
         raise ValueError("t must live in the (x, a, b) context of Q")
     entry = minors(sol).transfer(t)[(min(l1, l2), max(l1, l2))]
-    return entry * _inverse_box_cubed(sol)
+    # an exactly-zero entry keeps its own order, which may be box's
+    return entry if entry.is_zero() else entry * _inverse_box_cubed(sol)
 
 
 @per_model
 def _inverse_box_cubed(sol) -> TruncatedSeries:
-    """box^-3 for the fundamental determinant box of Q."""
-    inv_box = minors(sol).delta.invert_unit()
+    """box^-3 for the fundamental determinant box of Q, at box.order - 1:
+    a nonzero transfer entry has order min(box.order - 1, t.order - 2),
+    so a product with it drops every degree above."""
+    box = minors(sol).delta
+    inv_box = box.truncate(box.order - 1).invert_unit()
     return inv_box * inv_box * inv_box

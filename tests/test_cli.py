@@ -16,6 +16,7 @@ from pseudosphere.cli import (
     report_passed,
     run,
 )
+from pseudosphere.matrices import SeriesMatrix
 
 from conftest import readme_block
 
@@ -155,7 +156,7 @@ def test_run_all_checks_builds_each_levi_object_once(monkeypatch, kind, text):
     import pseudosphere.hypersurface as hypersurface
     import pseudosphere.pde as pde
 
-    calls = {"minors": 0, "implicit": 0}
+    calls = {"minors": 0, "implicit": 0, "cofactors": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -165,12 +166,14 @@ def test_run_all_checks_builds_each_levi_object_once(monkeypatch, kind, text):
 
     monkeypatch.setattr(hypersurface, "jacobian_minor_family",
                         counted("minors", hypersurface.jacobian_minor_family))
-    monkeypatch.setattr(pde, "solve_implicit", counted("implicit", pde.solve_implicit))
+    monkeypatch.setattr(pde, "_newton", counted("implicit", pde._newton))
+    monkeypatch.setattr(SeriesMatrix, "cofactors", counted("cofactors", SeriesMatrix.cofactors))
     job = JobSpec(n=2, order=6, kind=kind, checks=ALL_CHECKS, **{f"{kind}_text": text})
     report = run(job)
     assert report["cross_check"] == "pass"
     assert report["integrability"] == "pass"
-    assert calls == {"minors": 1, "implicit": 1}
+    # the Levi minors' one table; a graph's solve for w expands its own 1x1
+    assert calls == {"minors": 1, "implicit": 1, "cofactors": 1 if kind == "theta" else 2}
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import pseudosphere as ps
 import pseudosphere.implicit as implicit_module
-from pseudosphere import TruncatedSeries, VariableContext
+from pseudosphere import SeriesMatrix, TruncatedSeries, VariableContext
 from pseudosphere.errors import InsufficientOrderError, SingularJacobianError, UnknownVariableError
 from pseudosphere.scalars import ONE, ZERO
 
@@ -273,8 +273,8 @@ def test_residual_evaluations_grow_with_log_order(order, monkeypatch):
         ps.parse_series("u1 - p - u1*u2 + p*u2^2", ctx, order),
         ps.parse_series("2*u2 + u1 - p^2 + u1^3", ctx, order),
     ]
-    calls = []
-    compose = implicit_module._compose
+    calls, expanded = [], []
+    compose, cofactors = implicit_module._compose, SeriesMatrix.cofactors
 
     def counted(series_list, *args, **kwargs):
         # one evaluation of an equation is one appearance in a composed list
@@ -282,11 +282,20 @@ def test_residual_evaluations_grow_with_log_order(order, monkeypatch):
         calls.extend(s for s in series_list if any(s is eq for eq in equations))
         return compose(series_list, *args, **kwargs)
 
+    def counted_cofactors(self):
+        expanded.append(self)
+        return cofactors(self)
+
     monkeypatch.setattr(implicit_module, "_compose", counted)
+    monkeypatch.setattr(SeriesMatrix, "cofactors", counted_cofactors)
     solution = ps.solve_formal_system(equations, ["u1", "u2"])
     for eq in equations:
         # floor(log2 order) + 1 evaluations, where one per degree took order
         assert sum(call is eq for call in calls) == order.bit_length()
+    # one cofactor table of J per solve, composed with each iterate: no
+    # Newton step expands a matrix
+    assert len(expanded) == 1
     monkeypatch.undo()
     expected = reference_solve(equations, ["u1", "u2"])
     assert solution == expected
+    assert [s.order for s in solution.values()] == [s.order for s in expected.values()]

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pseudosphere as ps
-from pseudosphere import PdeSystem, TruncatedSeries, pde as pde_module
+from pseudosphere import PdeSystem, SeriesMatrix, TruncatedSeries, pde as pde_module
 from pseudosphere.errors import InsufficientOrderError, LeviDegenerateError, RankConditionError
+from pseudosphere.matrices import jacobian_minor_family
 from pseudosphere.scalars import ONE
 
 from conftest import (
@@ -245,11 +246,12 @@ def test_elimination_solves_to_the_kept_order_only(make, monkeypatch):
 
     def spy(system, unknowns, targets):
         solved.extend(eq.order for eq in system)
-        return solve_implicit(system, unknowns, targets)
+        return target_equations(system, unknowns, targets)
 
-    solve_implicit = pde_module.solve_implicit
-    monkeypatch.setattr(pde_module, "solve_implicit", spy)
-    got = pde_module._eliminate(q, x_names, parameters)
+    target_equations = pde_module._target_equations
+    monkeypatch.setattr(pde_module, "_target_equations", spy)
+    family = jacobian_minor_family(q, x_names, parameters)
+    got = pde_module._eliminate(q, x_names, parameters, family)
     # the solver reads the Jacobian off the linear part, so it never goes below 1
     assert solved == [max(q.order - 2, 1)] * (n + 1)
     assert got.order == want.order == q.order - 2
@@ -319,12 +321,12 @@ def test_both_exported_names_share_one_family_and_one_elimination(as_solution, m
 
     def counted_solve(*args):
         solved.append(args)
-        return solve_implicit(*args)
+        return newton(*args)
 
     jacobian_minor_family = hypersurface.jacobian_minor_family
-    solve_implicit = pde_module.solve_implicit
+    newton = pde_module._newton
     monkeypatch.setattr(hypersurface, "jacobian_minor_family", counted_family)
-    monkeypatch.setattr(pde_module, "solve_implicit", counted_solve)
+    monkeypatch.setattr(pde_module, "_newton", counted_solve)
     model = rigid_perturbation_model(random.Random(5), 2, 6)
     obj = ps.FundamentalSolution(2, model.theta.rename_context(FCTX)) if as_solution else model
     family = ps.fundamental_minors(obj)
@@ -334,22 +336,41 @@ def test_both_exported_names_share_one_family_and_one_elimination(as_solution, m
     assert len(built) == len(solved) == 1
 
 
-def test_recovery_from_an_order_two_solution_builds_no_minors(monkeypatch):
-    # the transfer needs Q to order 3 (the parameter gradient of delta);
-    # the order-0 system does not, and the rank condition was checked on Q
-    import pseudosphere.hypersurface as hypersurface
+@pytest.mark.parametrize("as_solution", [False, True], ids=["model", "solution"])
+def test_every_reader_of_the_levi_minors_shares_one_cofactor_table(as_solution, monkeypatch):
+    # the elimination's Newton steps read J^-1 off the Levi minors, so one
+    # expansion per object serves the derivation, levi, the tensor and the
+    # cross-check, whichever runs first; derive-pde alone builds the family
+    expanded = []
 
-    built = []
-    monkeypatch.setattr(hypersurface, "jacobian_minor_family", lambda *args: built.append(args))
-    sol = ps.FundamentalSolution(2, ps.parse_series("-b + x1*a1 + x2*a2 + x1^2*a1", FCTX, 2))
-    system = ps.recover_system_from_solution(sol)
-    assert system.order == 0 and not built
+    def counted(self):
+        expanded.append(self)
+        return cofactors(self)
+
+    cofactors = SeriesMatrix.cofactors
+    monkeypatch.setattr(SeriesMatrix, "cofactors", counted)
+    model = rigid_perturbation_model(random.Random(5), 2, 6)
+    if as_solution:
+        sol = ps.FundamentalSolution(2, model.theta.rename_context(FCTX))
+        ps.recover_system_from_solution(sol)
+        assert len(expanded) == 1
+        t = ps.parse_series("a1*a2 + b*x1", FCTX, 6)
+        ps.jet_transfer_second(sol, t, 1, 2)
+        assert ps.fundamental_minors(sol).matrix is expanded[0]
+    else:
+        ps.derive_associated_system(model)
+        assert len(expanded) == 1
+        ps.levi(model)
+        ps.main_theorem_tensor(model)
+        assert ps.cross_check(model).ok
+        assert ps.minors(model).matrix is expanded[0]
+    assert len(expanded) == 1
 
 
 def test_order_two_model_derives_the_system_of_its_theta_as_a_solution():
-    # the order-0 system reads theta only to order 2, below the order 3 the
-    # Levi minors' transfer needs; the elimination's own Jacobian at 0 is
-    # the Levi matrix, so it is the Levi check
+    # the order-0 system reads theta only to order 2; the elimination's
+    # Jacobian is the Levi matrix, whose minors an order-2 theta gives at
+    # order 0, and their check is the Levi check
     theta = ps.parse_series("-wb + z1*z1b - z2*z2b + z1^2 + z1b^2", CTX, 2)
     derived = ps.derive_associated_system(ps.make_model(2, theta, 2))
     sol = ps.FundamentalSolution(2, theta.rename_context(FCTX))
@@ -484,6 +505,28 @@ def test_jet_transfer_inverts_the_box_once(monkeypatch):
     for l1, l2 in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 1)]:
         ps.jet_transfer_second(sol, t, l1, l2)
     assert len(calls) == 1
+
+
+def test_jet_transfer_against_the_uncut_cube():
+    # box^-3 is cubed at box.order - 1, the order of every nonzero transfer
+    # entry of a t of order >= box.order + 1; an exactly-zero entry keeps
+    # its own order, box.order for a parameter-free t of order >= box.order + 2
+    q = ps.parse_series("-b + x1*a1 + x2*a2 + x1^2*a1^2 + x1*x2*b + a1*x2^3", FCTX, 8)
+    sol = ps.FundamentalSolution(2, q)
+    box = ps.fundamental_minors(sol).delta
+    inv_box = box.invert_unit()
+    uncut = inv_box * inv_box * inv_box
+    nonzero = 0
+    for t_order in (box.order + 1, box.order + 2, box.order + 3):
+        for text in ("a1*a2 + b*x1 + a1^3*x2 + b^2*x2^2", "x1^2 + x2"):
+            t = ps.parse_series(text, FCTX, t_order)
+            for (l1, l2), entry in ps.fundamental_minors(sol).transfer(t).items():
+                want = entry * uncut
+                got = ps.jet_transfer_second(sol, t, l1, l2)
+                assert got == want and got.order == want.order, (text, t_order, l1, l2)
+                nonzero += not got.is_zero()
+    assert nonzero == 9
+
 
 def test_fundamental_determinant_matches_levi_determinant():
     # with Q := theta and (a, b) := (zb, wb), the fundamental determinant

@@ -172,21 +172,6 @@ MUTANTS = [
         "killed",
     ),
     Mutant(
-        "minors-built-for-every-object", "pde.py",
-        "    try:\n        return _eliminate(*_roles(obj))\n",
-        "    minors(obj)\n    try:\n        return _eliminate(*_roles(obj))\n",
-        ("tests/test_pde.py::test_recovery_from_an_order_two_solution_builds_no_minors",
-         "tests/test_pde.py::test_order_two_model_derives_the_system_of_its_theta_as_a_solution"),
-        "killed",
-    ),
-    Mutant(
-        "levi-check-mapping-dropped", "pde.py",
-        "except SingularJacobianError:",
-        "except LeviDegenerateError:",
-        ("tests/test_pde.py::test_degenerate_model_rejected",),
-        "killed",
-    ),
-    Mutant(
         "minors-levi-check-dropped", "hypersurface.py",
         '    if not family.delta.constant_term():\n'
         '        raise LeviDegenerateError("Levi determinant vanishes at the origin")\n',
@@ -282,9 +267,32 @@ MUTANTS = [
     ),
     Mutant(
         "inverse-jacobian-one-short", "implicit.py",
-        "cofactor[(i, j)]._den, cofactor[(i, j)]._grades, low)",
-        "cofactor[(i, j)]._den, cofactor[(i, j)]._grades, low - 1)",
+        "c._den, c._grades, low)",
+        "c._den, c._grades, low - 1)",
         ("tests/test_implicit.py",),
+        "killed",
+    ),
+    Mutant(
+        "jacobian-table-cut-one-short", "implicit.py",
+        "[s.truncate(low) for s in table]",
+        "[s.truncate(max(low - 1, 0)) for s in table]",
+        ("tests/test_implicit.py",
+         "tests/test_pde.py::test_elimination_solves_to_the_kept_order_only"),
+        "killed",
+    ),
+    Mutant(
+        "adjugate-untransposed", "implicit.py",
+        "for c in entries[j::size]]",
+        "for c in entries[j * size:(j + 1) * size]]",
+        ("tests/test_implicit.py",
+         "tests/test_pde.py::test_elimination_solves_to_the_kept_order_only"),
+        "killed",
+    ),
+    Mutant(
+        "box-cube-cut-one-short", "pde.py",
+        "box.truncate(box.order - 1)",
+        "box.truncate(box.order - 2)",
+        ("tests/test_pde.py::test_jet_transfer_against_the_uncut_cube",),
         "killed",
     ),
     Mutant(
