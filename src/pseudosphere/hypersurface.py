@@ -263,8 +263,9 @@ def minors(obj) -> MinorFamily:
 
     Row convention: first row dtheta/d(tbar), then one row of mixed
     second derivatives per z_k; columns ordered (z1b..znb, wb).  Raises
-    LeviDegenerateError when the determinant vanishes at the origin, which
-    a fundamental solution's rank condition already excludes.
+    LeviDegenerateError when the determinant vanishes at the origin: this
+    is the Levi check, and a fundamental solution's rank condition, which
+    its construction maps to RankConditionError.
     """
     family = jacobian_minor_family(*_roles(obj))
     if not family.delta.constant_term():

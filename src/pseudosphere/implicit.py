@@ -1,8 +1,12 @@
 """Formal implicit solving by Newton-Hensel lifting.
 
-Given equations E_i(p, u) = 0 whose constant terms vanish and whose
-Jacobian in the unknowns u is invertible at the origin, there is a unique
-tuple of formal series u(p) with u(0) = 0 solving the system.
+Given equations E_i(p, u) = t_i whose left sides vanish at the origin
+and whose Jacobian in the unknowns u is invertible there, there is a
+unique tuple of formal series u(p, t) with u(0) = 0 solving the system.
+The targets t_i are fresh variables of the solution's context (p, t),
+none of the equations': the equations are composed in their own context
+(p, u), and each step subtracts t_i from residual i.  The targets do not
+enter J = dE/du.  With no targets this is E(p, u) = 0, solved for u(p).
 
 The solver lifts the precision by Newton's method with precision
 doubling (Brent & Kung, "Fast algorithms for manipulating formal power
@@ -68,12 +72,15 @@ def solve_formal_system(equations, unknowns):
     return _newton(equations, unknowns)
 
 
-def _newton(equations, unknowns, jacobian=None):
-    """``solve_formal_system`` with J^-1 read from ``jacobian``, the pair
-    (det J, cofactor table of J) of ``SeriesMatrix.cofactors`` for
-    J = dE/du in its own context, whose names other than the unknowns are
-    parameters, passed through by name; each must hold the degrees
-    through n - n//2 - 1.  None builds the table from the equations."""
+def _newton(equations, unknowns, jacobian=None, targets=()):
+    """Solve E_i(p, u) = t_i for u as series in (p, t), the parameters
+    followed by ``targets``, one fresh name per equation or none at all.
+
+    J^-1 is read from ``jacobian``, the pair (det J, cofactor table of J)
+    of ``SeriesMatrix.cofactors`` for J = dE/du in the equations' context,
+    whose names other than the unknowns are parameters, passed through by
+    name; each must hold the degrees through n - n//2 - 1.  None builds
+    the table from the equations."""
     equations = list(equations)
     unknowns = list(unknowns)
     if len(equations) != len(unknowns):
@@ -87,7 +94,7 @@ def _newton(equations, unknowns, jacobian=None):
         ctx.index(u)
 
     params = [name for name in ctx.names if name not in set(unknowns)]
-    out_ctx = VariableContext(params)
+    out_ctx = VariableContext(params + list(targets))
 
     n = min(eq.order for eq in equations)
     for i, eq in enumerate(equations):
@@ -119,6 +126,8 @@ def _newton(equations, unknowns, jacobian=None):
         point = {u: TruncatedSeries._valid(out_ctx, top, *storage)
                  for u, storage in zip(unknowns, iterate)}
         residuals = _compose(equations, point, out_ctx)
+        for i, t in enumerate(targets):
+            residuals[i] = residuals[i] - TruncatedSeries.variable(out_ctx, top, t)
         if top - k - 1 != low:
             low = top - k - 1
             # a zero entry adds no monomial to the walk and comes back as
@@ -149,38 +158,19 @@ def solve_implicit(system, unknowns, targets):
     system's context raises UnknownVariableError.  Preconditions: the
     system components vanish at the origin and the Jacobian in the
     unknowns is invertible there.  The returned series satisfy the
-    system identically to the guaranteed order, which makes the round trip
+    system identically to the guaranteed order, the system's lowest,
+    which makes the round trip
 
         system_i(p, u(p, t)) == t_i
 
     an exact identity through that order.
     """
-    return solve_formal_system(_target_equations(system, unknowns, targets), unknowns)
-
-
-def _target_equations(system, unknowns, targets):
-    """The equations system_i - t_i of ``solve_implicit``, in the context
-    (params, targets, unknowns), each at the system's lowest order."""
     system = list(system)
-    unknowns = list(unknowns)
     targets = list(targets)
     if len(system) != len(targets):
         raise ValueError(f"{len(system)} equations for {len(targets)} targets")
     ctx = _context(system)
-    for u in unknowns:
-        ctx.index(u)
     for t in targets:
         if t in ctx:
             raise ValueError(f"target name {t!r} already used in the context")
-
-    n = min(eq.order for eq in system)
-    params = [name for name in ctx.names if name not in set(unknowns)]
-    ext_ctx = VariableContext(params + targets + unknowns)
-    # each equation re-indexed into (params, targets, unknowns): a target
-    # is no variable of the system
-    sources = [ctx.index(name) if name in ctx else None for name in ext_ctx.names]
-    return [
-        eq.truncate(n)._embedded(ext_ctx, sources)
-        - TruncatedSeries.variable(ext_ctx, n, t)
-        for eq, t in zip(system, targets)
-    ]
+    return _newton(system, unknowns, targets=targets)

@@ -8,11 +8,11 @@ own; the jet transfer needs no other minor (``MinorFamily``), and the
 elimination's Newton solve reads its inverse Jacobian off the same table
 (``pde``).  The matrices here have side n+1 for CR dimension n, small
 enough that the expansion beats fraction-free elimination and needs no
-unit pivots.  The same expansion decides every other determinant question
-over Q(i): the rank condition at the origin is the determinant of a
-matrix of order-0 series, and the signature of a Hermitian form is read
-off its characteristic polynomial, the determinant of a matrix of series
-in one variable.
+unit pivots.  A fundamental solution's rank condition at the origin is
+the Levi check, the constant term of the family's determinant.  The same
+expansion decides every other determinant question over Q(i): the
+signature of a Hermitian form is read off its characteristic polynomial,
+the determinant of a matrix of series in one variable.
 
 The memo is a plain dict passed down the recursion, not held by a closure
 that refers to itself: such a cycle keeps every expansion's minors alive

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import RankConditionError
-from .hypersurface import _roles, minors, per_model
-from .implicit import _newton, _target_equations
-from .matrices import _fundamental_matrix
+from .errors import LeviDegenerateError, RankConditionError
+from .hypersurface import _checked_input, _roles, minors, per_model
+from .implicit import _newton
 from .series import TruncatedSeries, VariableContext, _compose
 
 
@@ -87,9 +86,11 @@ class FundamentalSolution:
 
     ``normalized`` records whether Q(0,a,b) = -b and dQ/dx^k(0,a,b) = a^k
     hold exactly, i.e. whether the parameters are the standard initial
-    conditions.  The rank condition itself is mandatory.  Objects derived
-    from Q by the ``per_model`` functions are kept in the memo, as for a
-    ``HypersurfaceModel``.
+    conditions.  The rank condition itself is mandatory: it is the Levi
+    check of Q's minor family, ``minors(self)``, which construction
+    therefore builds, and a determinant vanishing at 0 raises
+    RankConditionError.  Objects derived from Q by the ``per_model``
+    functions are kept in the memo, as for a ``HypersurfaceModel``.
     """
 
     n: int
@@ -98,15 +99,14 @@ class FundamentalSolution:
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        ctx = fundamental_context(self.n)
-        if self.q.context != ctx:
-            raise ValueError(f"Q must live in context {ctx.names}")
-        # the rank condition reads Q to order 2, where the matrix is constant
-        jac = _fundamental_matrix(self.q.truncate(2), *_roles(self)[1:])
-        if not jac.determinant().constant_term():
+        # a model's input checks: n >= 2, the context, then order >= 1
+        _checked_input(self.n, self.q, None, "Q", fundamental_context)
+        try:
+            minors(self)
+        except LeviDegenerateError:
             raise RankConditionError(
                 "the map (a, b) -> (Q, Q_x)(0, a, b) is rank-deficient at 0"
-            )
+            ) from None
         object.__setattr__(self, "normalized", self._is_normalized())
 
     def _is_normalized(self) -> bool:
@@ -131,9 +131,11 @@ class FundamentalSolution:
 def _eliminate(q: TruncatedSeries, x_names, parameters, family) -> PdeSystem:
     """The second-order system solved by the family y = q(x, parameters).
 
-    Solves {y = q, y_{x^k} = q_{x^k}} for the parameters as series in
-    (x, y, y_x), substitutes them into all the pure second derivatives
-    q_{x^k1 x^k2} in one composition, in the solver's own context, and
+    Solves {q = y, q_{x^k} = y_{x^k}} for the parameters as series in
+    (x, y, y_x): the equations stay in q's own context, and the targets
+    y, yx1..yxn are the fresh variables of the solution's.  It then
+    substitutes the solution into all the pure second derivatives
+    q_{x^k1 x^k2} in one composition, in the solver's context, and
     renames the result into ``pde_context(n)``.  ``family`` is q's minor
     family: the Jacobian of (q, q_x) in the parameters is its matrix, so
     Newton's J^-1 reads its delta and cofactor table, in (x, parameters),
@@ -154,8 +156,7 @@ def _eliminate(q: TruncatedSeries, x_names, parameters, family) -> PdeSystem:
     firsts = [q.partial(x) for x in x_names]
     system = [s.truncate(max(order, 1)) for s in [q] + firsts]
     targets = ["y"] + [f"yx{k}" for k in range(1, n + 1)]
-    solution = _newton(_target_equations(system, parameters, targets), parameters,
-                       (family.delta, family.cofactor))
+    solution = _newton(system, parameters, (family.delta, family.cofactor), targets)
     jet_ctx = solution[parameters[-1]].context  # (x1..xn, y, yx1..yxn)
     out_ctx = pde_context(n)
     keys = [(k1, k2) for k1 in range(1, n + 1) for k2 in range(k1, n + 1)]
@@ -172,9 +173,10 @@ def derive_associated_system(obj) -> PdeSystem:
     Deriving to order d needs the series to order d + 2.  The elimination
     inverts the Jacobian of (Q, Q_x) in the parameters, a model's Levi
     matrix and a fundamental solution's fundamental matrix, so it reads
-    the memoized Levi minors, ``minors(obj)``, and builds them for the
-    object when nothing has yet; their check is the Levi check, and a
-    degenerate model raises LeviDegenerateError there.
+    the memoized Levi minors, ``minors(obj)``: a fundamental solution
+    built them at construction, and a model builds them here when nothing
+    has yet; their check is the Levi check, and a degenerate model raises
+    LeviDegenerateError there.
     """
     return _eliminate(*_roles(obj), minors(obj))
 

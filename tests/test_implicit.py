@@ -1,6 +1,7 @@
 """Formal implicit solving: hand-checked models and round-trip identities."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -91,7 +92,7 @@ def test_repeated_unknown_names_rejected():
     eq = ps.parse_series("u + p*u", ctx, 4)
     with pytest.raises(ValueError, match="repeated unknown names"):
         ps.solve_formal_system([eq, eq], ["u", "u"])
-    with pytest.raises(ValueError, match="duplicate variable names"):
+    with pytest.raises(ValueError, match="repeated unknown names"):
         ps.solve_implicit([eq, eq], ["u", "u"], ["t1", "t2"])
 
 
@@ -150,6 +151,43 @@ def test_round_trip_random_instances(rng):
             back = eq.substitute(assignment, target_context=out_ctx)
             target = TruncatedSeries.variable(out_ctx, back.order, t)
             assert back.agrees_with(target), f"trial {trial} failed"
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+@pytest.mark.parametrize("params", [(), ("p1",), ("p1", "p2")])
+def test_solve_implicit_is_the_target_system_in_one_context(params, order):
+    # the reference builds system_i - t_i by hand in (p, t, u), where each
+    # target is a variable of the equations, and solves that with t as
+    # parameters; solve_implicit composes the system in its own (p, u)
+    rng = random.Random(100 * order + len(params))
+    unknowns, targets = ["u1", "u2"], ["t1", "t2"]
+    ctx = VariableContext(list(params) + unknowns)
+    ext_ctx = VariableContext(list(params) + targets + unknowns)
+    width = len(params)
+    while True:
+        jac = [[random_gaussian(rng, span=2) for _ in range(2)] for _ in range(2)]
+        if jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]:
+            break
+    system = []
+    for i, row in enumerate(jac):
+        # random terms of degree 1 to 3, with the linear part in u set to jac
+        terms = dict(random_series(rng, ctx, order + i, max_terms=5, degree=3).terms)
+        terms.pop((0,) * ctx.arity, None)
+        for j, c in enumerate(row):
+            terms[(0,) * (width + j) + (1,) + (0,) * (1 - j)] = c
+        system.append(TruncatedSeries(ctx, order + i, terms))
+    by_hand = [
+        TruncatedSeries(ext_ctx, eq.order, {
+            exps[:width] + (0, 0) + exps[width:]: c for exps, c in eq.terms.items()
+        }) - TruncatedSeries.variable(ext_ctx, eq.order, t)
+        for eq, t in zip(system, targets)
+    ]
+    want = ps.solve_formal_system(by_hand, unknowns)
+    got = ps.solve_implicit(system, unknowns, targets)
+    for u in unknowns:
+        assert got[u].context.names == want[u].context.names == tuple(params) + tuple(targets)
+        assert got[u] == want[u]
+        assert got[u].order == want[u].order == order
 
 
 def test_solve_formal_system_quadratic():

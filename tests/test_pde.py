@@ -8,7 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 import pseudosphere as ps
 from pseudosphere import PdeSystem, SeriesMatrix, TruncatedSeries, pde as pde_module
-from pseudosphere.errors import InsufficientOrderError, LeviDegenerateError, RankConditionError
+from pseudosphere.errors import (
+    InsufficientOrderError,
+    LeviDegenerateError,
+    RankConditionError,
+    UnsupportedDimensionError,
+)
 from pseudosphere.matrices import jacobian_minor_family
 from pseudosphere.scalars import ONE
 
@@ -244,12 +249,12 @@ def test_elimination_solves_to_the_kept_order_only(make, monkeypatch):
     want = full_order_elimination(q, x_names, parameters)
     solved = []
 
-    def spy(system, unknowns, targets):
-        solved.extend(eq.order for eq in system)
-        return target_equations(system, unknowns, targets)
+    def spy(equations, unknowns, jacobian=None, targets=()):
+        solved.extend(eq.order for eq in equations)
+        return newton(equations, unknowns, jacobian, targets)
 
-    target_equations = pde_module._target_equations
-    monkeypatch.setattr(pde_module, "_target_equations", spy)
+    newton = pde_module._newton
+    monkeypatch.setattr(pde_module, "_newton", spy)
     family = jacobian_minor_family(q, x_names, parameters)
     got = pde_module._eliminate(q, x_names, parameters, family)
     # the solver reads the Jacobian off the linear part, so it never goes below 1
@@ -389,6 +394,18 @@ def test_rank_condition_enforced():
     # the fundamental determinant is 2*a2 + ..., rank-deficient only at 0
     with pytest.raises(RankConditionError):
         ps.FundamentalSolution(2, ps.parse_series("-b + x1*a1 + x2*a2^2", FCTX, 5))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_fundamental_solution_needs_n_at_least_two(n):
+    # n = 1 is out of scope, as for a model; the dimension is checked before
+    # the context and the rank condition
+    fctx = ps.fundamental_context(n)
+    q = -TruncatedSeries.variable(fctx, 5, "b")
+    if n:
+        q = q + ps.parse_series("x1*a1", fctx, 5)
+    with pytest.raises(UnsupportedDimensionError, match="got " + str(n)):
+        ps.FundamentalSolution(n, q)
 
 
 def test_rank_condition_needs_order_two():

@@ -289,6 +289,13 @@ MUTANTS = [
         "killed",
     ),
     Mutant(
+        "target-residual-order-one-short", "implicit.py",
+        "TruncatedSeries.variable(out_ctx, top, t)",
+        "TruncatedSeries.variable(out_ctx, top - 1, t)",
+        ("tests/test_implicit.py::test_round_trip_random_instances",),
+        "killed",
+    ),
+    Mutant(
         "box-cube-cut-one-short", "pde.py",
         "box.truncate(box.order - 1)",
         "box.truncate(box.order - 2)",
