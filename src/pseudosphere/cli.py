@@ -158,7 +158,9 @@ def _parse(text, context, order):
 
 def _load(job: JobSpec):
     """Build a validated job's input: the PdeSystem for kind "pde", otherwise
-    the model (parsing and reality verification happen here)."""
+    the model.  Parsing happens here, and so does the reality check of a
+    given theta; a graph's model is real by construction once its
+    coefficients are checked real."""
     if job.kind == "pde":
         ctx = pde_context(job.n)
         components = {
@@ -437,7 +439,7 @@ def cmd_transform(args, model, values):
         "n": image.n,
         "order_certified": image.order,
         "theta": image.theta.__str__(brief_str),
-        "reality": "pass",  # re-verified during model construction
+        "reality": "pass",  # the image of a real model is real by construction
     }
     return payload, [f"theta' = {payload['theta']}"], True
 

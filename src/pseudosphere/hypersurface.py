@@ -2,10 +2,12 @@
 
 A hypersurface through the origin is stored via its complex graphing
 series theta in the variables (z1..zn, z1b..znb, wb), normalized so that
-theta = -wb + (terms of degree >= 2).  Construction verifies the two
-conjugate functional identities that make the single complex equation
-w = theta(z, zb, wb) cut out one real hypersurface; inputs failing them
-are rejected rather than repaired.
+theta = -wb + (terms of degree >= 2).  A theta given from outside must
+pass the two conjugate functional identities that make the single complex
+equation w = theta(z, zb, wb) cut out one real hypersurface; inputs
+failing them are rejected rather than repaired.  A theta the library
+solves for, from a real graph or through a holomorphic map, satisfies
+them by construction and is checked for its normalization alone.
 """
 
 from __future__ import annotations
@@ -128,14 +130,9 @@ def _checked_input(n: int, series: TruncatedSeries, order, name: str, context_of
     return series.truncate(order)
 
 
-def make_model(n: int, theta: TruncatedSeries, order: int | None = None) -> HypersurfaceModel:
-    """Validate and wrap a defining series.
-
-    Checks, in this sequence: the dimension bound n >= 2, the canonical
-    context, order >= 1, the normalization theta = -wb + O(2), and both
-    reality identities through the guaranteed order.
-    """
-    theta = _checked_input(n, theta, order, "theta", canonical_context)
+def _normalized_model(n: int, theta: TruncatedSeries) -> HypersurfaceModel:
+    """``theta`` wrapped as a model, after checking the normalization
+    theta = -wb + O(2)."""
     if theta.constant_term():
         raise NormalizationError("theta has a nonzero constant term")
     for name in theta.context.names:
@@ -145,8 +142,17 @@ def make_model(n: int, theta: TruncatedSeries, order: int | None = None) -> Hype
             raise NormalizationError(
                 f"linear part must be exactly -wb; coefficient of {name} is {brief_str(coeff)}"
             )
+    return HypersurfaceModel(n=n, theta=theta)
 
-    model = HypersurfaceModel(n=n, theta=theta)
+
+def make_model(n: int, theta: TruncatedSeries, order: int | None = None) -> HypersurfaceModel:
+    """Validate and wrap a defining series given from outside.
+
+    Checks, in this sequence: the dimension bound n >= 2, the canonical
+    context, order >= 1, the normalization theta = -wb + O(2), and both
+    reality identities through the guaranteed order.
+    """
+    model = _normalized_model(n, _checked_input(n, theta, order, "theta", canonical_context))
     report = check_reality(model)
     if not report.ok:
         raise RealityError(
@@ -196,15 +202,20 @@ def check_reality(model: HypersurfaceModel) -> RealityReport:
 
 
 def _solved_model(n: int, equation: TruncatedSeries) -> HypersurfaceModel:
-    """The validated model w = theta(z, zb, wb) that solves ``equation`` = 0,
-    an equation in (z1..zn, z1b..znb, wb, w)."""
+    """The model w = theta(z, zb, wb) that solves ``equation`` = 0, an
+    equation in (z1..zn, z1b..znb, wb, w) of order >= 1 and n >= 2.
+
+    The equation is real by construction, a real graph or the image of a
+    real model under a holomorphic map, so theta satisfies the reality
+    identities and only its normalization is checked: a map can break that.
+    """
     try:
         theta = solve_formal_system([equation], ["w"])["w"]
     except SingularJacobianError as exc:
         raise NotGraphableError(
             "image hypersurface is not graphable over the canonical axes"
         ) from exc
-    return make_model(n, theta)
+    return _normalized_model(n, theta)
 
 
 def from_graph(phi: TruncatedSeries, n: int, order: int | None = None) -> HypersurfaceModel:
@@ -213,7 +224,8 @@ def from_graph(phi: TruncatedSeries, n: int, order: int | None = None) -> Hypers
     phi must be real-valued (all coefficients real) with phi(0) = 0 and
     dphi(0) = 0.  Writing u = (w + wb)/2, x = (z + zb)/2, y = (z - zb)/2i,
     v = (w - wb)/2i and solving for w yields theta; the result satisfies
-    the reality identities by construction, which make_model re-verifies.
+    the reality identities by construction, so only its normalization is
+    checked.
     """
     phi = _checked_input(n, phi, order, "phi", graph_context)
     order = phi.order
@@ -320,9 +332,9 @@ def apply_biholomorphism(model: HypersurfaceModel, zmaps, wmap) -> HypersurfaceM
     image equation is obtained by substituting the formal inverse into
     w = theta, written in the image's own (z, zb, wb, w); ``_solved_model``,
     the step that also ends ``from_graph``, solves it for the new vertical
-    variable and re-validates the result, so a map that destroys the
-    normalization or the graph property raises rather than returning a
-    broken model.
+    variable and checks the result's normalization, so a map that destroys
+    the normalization or the graph property raises rather than returning a
+    broken model.  The image of a real model is real by construction.
     """
     n = model.n
     mctx = map_context(n)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import LeviDegenerateError, RankConditionError
+from .errors import LeviDegenerateError, RankConditionError, UnsupportedDimensionError
 from .hypersurface import _checked_input, _roles, minors, per_model
 from .implicit import _newton
 from .series import TruncatedSeries, VariableContext, _compose
@@ -46,7 +46,7 @@ class PdeSystem:
 
     def __init__(self, n: int, order: int, components):
         if n < 2:
-            raise ValueError(f"need n >= 2, got {n}")
+            raise UnsupportedDimensionError(f"CR dimension must be >= 2, got {n}")
         self.n = n
         self.order = min([order] + [series.order for series in components.values()])
         self.context = pde_context(n)

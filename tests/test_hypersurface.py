@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import pseudosphere as ps
-from pseudosphere import TruncatedSeries
+from pseudosphere import TruncatedSeries, hypersurface
 from pseudosphere.errors import (
     InsufficientOrderError,
     LeviDegenerateError,
@@ -473,3 +473,23 @@ def test_from_graph_outputs_pass_reality(rng):
         assert ps.check_reality(m).ok
         image = ps.apply_biholomorphism(m, *random_nonreal_map(rng, 2, 5))
         assert ps.check_reality(image).ok
+
+
+def test_reality_is_checked_only_where_theta_is_given(monkeypatch, rng):
+    # make_model checks the theta it is given; from_graph and
+    # apply_biholomorphism solve for a theta that is real by construction,
+    # which test_from_graph_outputs_pass_reality pins, and check no reality
+    checked = []
+    check_reality = hypersurface.check_reality
+
+    def spy(model):
+        checked.append(model)
+        return check_reality(model)
+
+    monkeypatch.setattr(hypersurface, "check_reality", spy)
+    quartic = model_from("-wb + z1*z1b + z2*z2b + z1^2*z1b^2", order=5)
+    assert checked == [quartic]
+    graphed = ps.from_graph(random_graph(rng, 2, 5), 2, 5)
+    for model in (quartic, graphed):
+        ps.apply_biholomorphism(model, *random_nonreal_map(rng, 2, 5))
+    assert checked == [quartic]

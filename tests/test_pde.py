@@ -408,6 +408,13 @@ def test_fundamental_solution_needs_n_at_least_two(n):
         ps.FundamentalSolution(n, q)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_pde_system_needs_n_at_least_two(n):
+    # the same error as every other entry point below dimension 2
+    with pytest.raises(UnsupportedDimensionError, match="got " + str(n)):
+        PdeSystem(n, 5, {})
+
+
 def test_rank_condition_needs_order_two():
     # Q_x of an order-1 Q has order 0, so its x-a terms are not known
     flat = "-b + x1*a1 + x2*a2"

@@ -179,7 +179,18 @@ MUTANTS = [
         ("tests/test_pde.py::test_degenerate_model_rejected",),
         "killed",
     ),
-    # -- reality of the models the library builds ---------------------
+    # -- normalization and reality of the models the library solves for ---
+    # a map can break a solved theta's normalization, so that check stays
+    Mutant(
+        "solved-model-normalization-dropped", "hypersurface.py",
+        "    return _normalized_model(n, theta)\n",
+        "    return HypersurfaceModel(n=n, theta=theta)\n",
+        ("tests/test_hypersurface.py::test_normalization_breaking_map_rejected",),
+        "killed",
+    ),
+    # a solved theta is real by construction and is not re-checked at run
+    # time, so these two are killed by the test's own check_reality
+    # assertion, not by a RealityError from the library
     Mutant(
         "graph-y-without-one-over-i", "hypersurface.py",
         'assignment[f"y{k}"] = (zk - zkb).scale(minus_half_i)',

@@ -11,10 +11,15 @@ and 48 screen benchmark inputs (``perfbench/inputs.py``) of seeds 1 and
 * the ``cli.run`` report of the benchmark's job (``perfbench/worker.py``),
   with the witness on and ``timings_ms`` removed, once for the input's own
   checks and once for all of them;
-* each component of the derived system, with its ``.order``.
+* each component of the derived system, with its ``.order``;
+* for a graph input, whether ``check_reality`` passes on its model.
 
-It then prints two fixed ``apply_biholomorphism`` images and one fixed
-three-unknown ``solve_implicit`` solution, with their orders.
+It then prints two fixed ``apply_biholomorphism`` images, each with whether
+``check_reality`` passes on it, and one fixed three-unknown
+``solve_implicit`` solution, with their orders.  The library builds the
+models of graph inputs and the images real by construction and checks no
+reality on them at run time; the script exits 1 when one of them is not
+real.
 
     python3 tools/reports.py > reports.txt
 
@@ -56,8 +61,8 @@ def _model(case):
     return ps.make_model(case.n, theta, case.order)
 
 
-def _system_lines(case):
-    system = ps.derive_associated_system(_model(case))
+def _system_lines(model):
+    system = ps.derive_associated_system(model)
     lines = [f"  order {system.order}"]
     for key in system.component_keys():
         component = system.component(*key)
@@ -66,8 +71,9 @@ def _system_lines(case):
 
 
 def _transported():
-    """Two models through maps with nonlinear and non-real terms."""
-    lines = []
+    """Two (n, image) pairs: models through maps with nonlinear and non-real
+    terms."""
+    images = []
     for n, order, theta, zmaps, wmap in (
         (2, 4, "-wb + z1*z1b + z2*z2b + z1^2*z1b^2",
          ["z1 + i*z1*w", "z2"], "w + (1/2*i)*z1^2"),
@@ -79,8 +85,15 @@ def _transported():
         image = ps.apply_biholomorphism(
             model, [ps.parse_series(z, mctx, order) for z in zmaps],
             ps.parse_series(wmap, mctx, order))
-        lines.append(f"transform n={n} order {image.order}: {image.theta}")
-    return lines
+        images.append((n, image))
+    return images
+
+
+def _print_reality(label, model) -> bool:
+    """Print and return whether ``model`` passes ``check_reality``."""
+    ok = ps.check_reality(model).ok
+    print(f"{label} real {ok}")
+    return ok
 
 
 def _implicit():
@@ -99,6 +112,7 @@ def _implicit():
 
 
 def main() -> int:
+    real = True
     for workload, count in COUNTS.items():
         for seed in SEEDS:
             cases = itertools.islice(generate(workload, seed), count)
@@ -106,12 +120,18 @@ def main() -> int:
                 head = f"{workload} seed {seed} #{index}"
                 print(f"{head} own {_report(case)}")
                 print(f"{head} all {_report(replace(case, checks=ALL_CHECKS))}")
+                model = _model(case)
                 print(f"{head} system")
-                for line in _system_lines(case):
+                for line in _system_lines(model):
                     print(line)
-    for line in _transported() + _implicit():
+                if case.kind == "graph":
+                    real &= _print_reality(head, model)
+    for n, image in _transported():
+        print(f"transform n={n} order {image.order}: {image.theta}")
+        real &= _print_reality(f"transform n={n}", image)
+    for line in _implicit():
         print(line)
-    return 0
+    return 0 if real else 1
 
 
 if __name__ == "__main__":
