@@ -175,9 +175,9 @@ def _direct_table(model: HypersurfaceModel) -> dict:
     theta, z_names, _ = _roles(model)
     n = model.n
     table = {}
-    for a in range(1, n + 1):
+    for a, first in enumerate((theta.partial(z) for z in z_names), 1):
         for b in range(a, n + 1):
-            transfer = family.transfer(theta.partial(z_names[a - 1]).partial(z_names[b - 1]))
+            transfer = family.transfer(first.partial(z_names[b - 1]))
             for (l1, l2), entry in transfer.items():
                 table[(a, b, l1, l2)] = entry
     return table

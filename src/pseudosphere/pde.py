@@ -184,20 +184,29 @@ def derive_associated_system(obj) -> PdeSystem:
 recover_system_from_solution = derive_associated_system
 
 
+def _total_derivatives(system: PdeSystem, g: TruncatedSeries, ks) -> dict:
+    """{k: D_k g for k in ks}, forming g's y- and y_x-partials once."""
+    dy = g.partial("y")
+    dyx = [(l, d) for l in range(1, system.n + 1) if not (d := g.partial(f"yx{l}")).is_zero()]
+    totals = {}
+    for k in ks:
+        out = g.partial(f"x{k}") + TruncatedSeries.variable(system.context, g.order, f"yx{k}") * dy
+        for l, d in dyx:
+            out = out + system.component(k, l) * d
+        totals[k] = out
+    return totals
+
+
 def total_derivative(system: PdeSystem, k: int, g: TruncatedSeries) -> TruncatedSeries:
-    """D_k g = dg/dx^k + y_{x^k} dg/dy + sum_l F_{k,l} dg/d(y_{x^l})."""
+    """D_k g = dg/dx^k + y_{x^k} dg/dy + sum_l F_{k,l} dg/d(y_{x^l}).
+
+    The one-k call of ``_total_derivatives``.
+    """
     if not 1 <= k <= system.n:
         raise ValueError(f"index {k} out of range 1..{system.n}")
     if g.context != system.context:
         raise ValueError("g must live in the system's jet context")
-    out = g.partial(f"x{k}")
-    out = out + TruncatedSeries.variable(system.context, g.order, f"yx{k}") * g.partial("y")
-    for l in range(1, system.n + 1):
-        dg = g.partial(f"yx{l}")
-        if dg.is_zero():
-            continue
-        out = out + system.component(k, l) * dg
-    return out
+    return _total_derivatives(system, g, [k])[k]
 
 
 @dataclass(frozen=True)
@@ -210,24 +219,21 @@ class IntegrabilityReport:
 def check_complete_integrability(system: PdeSystem) -> IntegrabilityReport:
     """Verify D_{k3} F_{k1,k2} == D_{k2} F_{k1,k3} for all index triples.
 
-    Each D_k F_{i,j} is computed once per k and unordered {i, j}, though
-    several triples read it.
+    Each stored component F_{i,j} is differentiated once in y and in each
+    y_x, by one ``_total_derivatives`` call that forms D_k F_{i,j} for
+    every k but k = i = j: since k2 < k3, no triple reads D_k F_{k,k}.
+    The triples read that table.
     """
     failures = []
     checked = system.order - 1
-    derivatives = {}
-
-    def derivative(k, i, j):
-        key = (k, min(i, j), max(i, j))
-        value = derivatives.get(key)
-        if value is None:
-            value = derivatives[key] = total_derivative(system, k, system.component(i, j))
-        return value
-
+    totals = {(i, j): _total_derivatives(system, system.component(i, j),
+                                         [k for k in range(1, system.n + 1) if not i == j == k])
+              for i, j in system.component_keys()}
     for k1 in range(1, system.n + 1):
         for k2 in range(1, system.n + 1):
             for k3 in range(k2 + 1, system.n + 1):
-                diff = derivative(k3, k1, k2) - derivative(k2, k1, k3)
+                diff = (totals[min(k1, k2), max(k1, k2)][k3]
+                        - totals[min(k1, k3), max(k1, k3)][k2])
                 if diff.is_zero():
                     continue
                 exps, coeff = diff.first_term()

@@ -7,7 +7,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pseudosphere as ps
 from pseudosphere.cli import (
+    _LOWEST_ORDER_MODEL,
+    _LOWEST_ORDER_SYSTEM,
     ALL_CHECKS,
     InputError,
     JobSpec,
@@ -16,6 +19,7 @@ from pseudosphere.cli import (
     report_passed,
     run,
 )
+from pseudosphere.errors import InsufficientOrderError
 from pseudosphere.matrices import SeriesMatrix
 
 from conftest import readme_block
@@ -359,6 +363,58 @@ def test_run_below_a_checks_lowest_order_raises_the_command_line_message(
     report = run(JobSpec(n=2, order=lowest, **fields))
     expected = ["integrability"] if report["integrability"] == "fail" else []
     assert [error["code"] for error in report["errors"]] == expected
+
+
+def _heis(order):
+    return ps.make_model(2, ps.parse_series(HEIS, ps.canonical_context(2), order))
+
+
+def _system(order):
+    return ps.PdeSystem(2, order, {(1, 1): ps.parse_series("x2", ps.pde_context(2), order)})
+
+
+def _identity_map(order):
+    z1, z2, w = (ps.parse_series(v, ps.map_context(2), order) for v in ("z1", "z2", "w"))
+    return [z1, z2], w
+
+
+# each entry of the command line's lowest-order tables, as the library
+# stage it runs from the input text on
+TABLES = {
+    "model": (_LOWEST_ORDER_MODEL, {
+        "reality": lambda order: ps.check_reality(_heis(order)),
+        "transform": lambda order: ps.apply_biholomorphism(_heis(order), *_identity_map(order)),
+        "derive-pde": lambda order: ps.derive_associated_system(_heis(order)),
+        "levi": lambda order: ps.levi(_heis(order)),
+        "signature": lambda order: ps.levi(_heis(order)).signature,
+        "integrability": lambda order: ps.check_complete_integrability(
+            ps.derive_associated_system(_heis(order))),
+        "pseudosphericality": lambda order: ps.is_pseudospherical(_heis(order)),
+        "cross-check": lambda order: ps.cross_check(_heis(order)),
+    }),
+    "system": (_LOWEST_ORDER_SYSTEM, {
+        "integrability": lambda order: ps.check_complete_integrability(_system(order)),
+        "pseudosphericality": lambda order: ps.hachtroudi_tensor(_system(order)),
+    }),
+}
+
+
+@pytest.mark.parametrize("kind, name", [
+    (kind, name) for kind, (table, _) in TABLES.items() for name in table
+])
+def test_lowest_order_is_the_librarys(kind, name):
+    # a guard against drift: each entry's library stage runs at the
+    # table's order and raises one below it, so the command line neither
+    # refuses an order the library answers nor lets through one it cannot
+    table, stages = TABLES[kind]
+    lowest = table[name]
+    if kind == "model" and name in ("pseudosphericality", "cross-check"):
+        # the library's fourth-order jets, plus one certified degree
+        assert lowest == 5
+        lowest = 4
+    stages[name](lowest)
+    with pytest.raises(InsufficientOrderError):
+        stages[name](lowest - 1)
 
 
 @pytest.mark.parametrize("argv, order", [

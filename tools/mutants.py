@@ -110,8 +110,8 @@ MUTANTS = [
     ),
     Mutant(
         "total-derivative-variable-one-short", "pde.py",
-        'TruncatedSeries.variable(system.context, g.order, f"yx{k}")',
-        'TruncatedSeries.variable(system.context, g.order - 1, f"yx{k}")',
+        'TruncatedSeries.variable(system.context, g.order, f"yx{k}") * dy',
+        'TruncatedSeries.variable(system.context, g.order - 1, f"yx{k}") * dy',
         ("tests/test_pde.py", "tests/test_flatness.py"),
         "equivalent: the product with g.partial('y'), of order g.order - 1, "
         "has order g.order - 1 with either factor order, and the sum takes "
@@ -130,6 +130,17 @@ MUTANTS = [
         "delta = minors(model).delta.truncate(max(s.order for s in pulled))",
         "delta = minors(model).delta.truncate(max(s.order for s in pulled) - 1)",
         ("tests/test_flatness.py::test_transported_route_is_the_uncut_delta_cube_on_a_graph",),
+        "killed",
+    ),
+    # -- the totals the integrability check forms ---------------------
+    # only D_k F_{k,k} goes unread by the triples; skipping every k = i
+    # leaves D_1 F_{1,2}, which the triple (1, 1, 2) reads, never formed
+    Mutant(
+        "integrability-skip-rule-narrowed", "pde.py",
+        "if not i == j == k]",
+        "if k != i]",
+        ("tests/test_pde.py::test_derived_systems_are_integrable",
+         "tests/test_pde.py::test_integrability_differentiates_each_component_once"),
         "killed",
     ),
     # -- the lowest --order of an input -------------------------------
