@@ -8,16 +8,24 @@ tightest, then ``* /``, then ``+ -``; the binary operators associate to
 the left.  Rationals are written as quotients, e.g. ``3/2``.
 
 Parsing evaluates directly: each rule of the Pratt parser returns the
-exact series of the text it consumed, and no syntax tree is built.  The
-whole text is tokenized first, so an unknown character is reported
-before anything is evaluated; an unknown variable or a non-unit divisor
-is reported where it is met, before any later syntax error.
+exact value of the text it consumed, and no syntax tree is built.  A
+text without variables evaluates to a scalar: literals and ``i`` are
+Q(i) scalars, and a series first appears at the first variable, so a
+value is wrapped as a series once, not once per literal.  Mixed operands
+meet through the operators the two types share (a product with a scalar
+is a scaling), and ``parse_series`` wraps a scalar result as a constant
+series.  The series order is checked where a literal or a variable is
+read, as the series constructors check it.  The whole text is tokenized
+first, so an unknown character is reported before anything is
+evaluated; an unknown variable or a non-unit divisor is reported where
+it is met, before any later syntax error.
 
 Evaluation has input budgets, each a ParseError that names its limit: an
 integer literal has at most ``_MAX_LITERAL_BITS`` bits, an exponent is at
-most ``_MAX_EXPONENT``, and no series the parser evaluates, the squares
-of a power included, has a numerator or denominator of more than
-``_MAX_COEFFICIENT_BITS`` bits.  They bound the work of any text, also
+most ``_MAX_EXPONENT``, and no value the parser evaluates, scalar or
+series, the squares of a power included, has a numerator or denominator
+of more than ``_MAX_COEFFICIENT_BITS`` bits; a scalar counts as its
+constant series.  They bound the work of any text, also
 the well-formed prefix that a malformed text evaluates before its syntax
 error is found.
 """
@@ -27,8 +35,8 @@ from __future__ import annotations
 import operator
 
 from .errors import NonUnitError, ParseError
-from .scalars import I as IMAG_UNIT, MESSAGE_BITS, ONE
-from .series import TruncatedSeries, VariableContext
+from .scalars import I as IMAG_UNIT, MESSAGE_BITS, ONE, GaussianRational, _bits, _coerce
+from .series import TruncatedSeries, VariableContext, _check_order
 
 # Input budgets.  A literal prints back in full (see scalars.brief_str); the
 # coefficient budget holds 3^300000 but not the 2^(2^20) that the exponent
@@ -81,7 +89,11 @@ def _tokenize(text: str):
 # Pratt parser, evaluating as it parses
 
 
-def _divide(numerator: TruncatedSeries, denominator: TruncatedSeries) -> TruncatedSeries:
+def _divide(numerator, denominator):
+    if denominator.__class__ is GaussianRational:
+        if not denominator:
+            raise NonUnitError("division by a series with zero constant term")
+        return numerator * (ONE / denominator)
     if not denominator.constant_term():
         raise NonUnitError("division by a series with zero constant term")
     return numerator * denominator.invert_unit()
@@ -119,46 +131,53 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {found}", token[2])
         return token
 
-    def parse_expression(self, min_precedence=0) -> TruncatedSeries:
-        series = self.parse_prefix()
+    def parse_expression(self, min_precedence=0):
+        """The scalar or series of the expression at the current token."""
+        value = self.parse_prefix()
         while True:
             kind, _, position = self.peek()
             precedence = _BINARY_PRECEDENCE.get(kind)
             if precedence is None or precedence < min_precedence:
-                return series
+                return value
             self.advance()
             if kind == "^":
-                series = self.power(series, self.parse_exponent(), position)
+                value = self.power(value, self.parse_exponent(), position)
                 continue
             # left associative: the right operand binds one level tighter
             right = self.parse_expression(precedence + 1)
-            series = _budgeted(_BINARY_OPERATION[kind](series, right), position)
+            value = _budgeted(_BINARY_OPERATION[kind](value, right), position)
 
-    def power(self, base, exponent, position) -> TruncatedSeries:
-        """base ** exponent by repeated squaring, each step within budget."""
-        result = TruncatedSeries.constant(self.context, self.order, ONE)
+    def power(self, base, exponent, position):
+        """base ** exponent by repeated squaring, each step within budget.
+
+        The first factor is taken as it is, not multiplied into 1: it is
+        the base or one of its squares, each within budget already."""
+        result = None
         while exponent:
             if exponent & 1:
-                result = _budgeted(result * base, position)
+                result = base if result is None else _budgeted(result * base, position)
             exponent >>= 1
             if exponent:
                 base = _budgeted(base * base, position)
-        return result
+        return ONE if result is None else result
 
-    def parse_prefix(self) -> TruncatedSeries:
+    def parse_prefix(self):
         kind, value, position = self.advance()
         if kind == "int":
-            return TruncatedSeries.constant(self.context, self.order, _integer(value, position))
+            value = _integer(value, position)
+            _check_order(self.order)
+            return _coerce(value)
         if kind == "ident":
             if value == "i":
-                return TruncatedSeries.constant(self.context, self.order, IMAG_UNIT)
+                _check_order(self.order)
+                return IMAG_UNIT
             return TruncatedSeries.variable(self.context, self.order, value)
         if kind == "-":
             return -self.parse_expression(_UNARY_MINUS_PRECEDENCE)
         if kind == "(":
-            series = self.parse_expression()
+            value = self.parse_expression()
             self.expect(")")
-            return series
+            return value
         found = "end of expression" if kind == "end" else f"token {value!r}"
         raise ParseError(f"unexpected {found}", position)
 
@@ -193,16 +212,16 @@ def _integer(digits: str, position: int) -> int:
     return value
 
 
-def _budgeted(series: TruncatedSeries, position: int) -> TruncatedSeries:
-    """``series``, after checking the coefficient budget at the operator
-    at ``position``."""
-    bits = series._bits()
+def _budgeted(value, position: int):
+    """``value``, a scalar or a series, after checking the coefficient
+    budget at the operator at ``position``."""
+    bits = _bits(value) if value.__class__ is GaussianRational else value._bits()
     if bits > _MAX_COEFFICIENT_BITS:
         raise ParseError(
             f"a coefficient of {bits} bits exceeds the limit of "
             f"{_MAX_COEFFICIENT_BITS} bits", position
         )
-    return series
+    return value
 
 
 def parse_series(text: str, context: VariableContext, order: int) -> TruncatedSeries:
@@ -210,8 +229,10 @@ def parse_series(text: str, context: VariableContext, order: int) -> TruncatedSe
     ``order``.  Raises ParseError (with the 0-based position),
     UnknownVariableError or NonUnitError."""
     parser = _Parser(text, context, order)
-    series = parser.parse_expression()
-    kind, value, position = parser.peek()
+    value = parser.parse_expression()
+    kind, token, position = parser.peek()
     if kind != "end":
-        raise ParseError(f"unexpected trailing token {value!r}", position)
-    return series
+        raise ParseError(f"unexpected trailing token {token!r}", position)
+    if value.__class__ is GaussianRational:
+        return TruncatedSeries.constant(context, order, value)
+    return value

@@ -172,10 +172,10 @@ def _direct_table(model: HypersurfaceModel) -> dict:
     """{(a, b, l1, l2): the Cramer transfer (``MinorFamily.transfer``) of
     theta_{z_a z_b}, entry (l1, l2)} for a <= b and l1 <= l2."""
     family = minors(model)
-    theta, z_names, _ = _roles(model)
+    _, z_names, _ = _roles(model)
     n = model.n
     table = {}
-    for a, first in enumerate((theta.partial(z) for z in z_names), 1):
+    for a, first in enumerate(family.firsts, 1):
         for b in range(a, n + 1):
             transfer = family.transfer(first.partial(z_names[b - 1]))
             for (l1, l2), entry in transfer.items():
@@ -243,9 +243,9 @@ def cross_check(model: HypersurfaceModel) -> CrossCheckReport:
     theta, z_names, _ = _roles(model)
     ctx = theta.context
     assignment = {"y": theta}
-    for k, z in enumerate(z_names, 1):
+    for k, (z, first) in enumerate(zip(z_names, minors(model).firsts), 1):
         assignment[f"x{k}"] = TruncatedSeries.variable(ctx, theta.order, z)
-        assignment[f"yx{k}"] = theta.partial(z)
+        assignment[f"yx{k}"] = first
 
     pulled = _compose(list(jets.values()), assignment, ctx)
     delta = minors(model).delta.truncate(max(s.order for s in pulled))

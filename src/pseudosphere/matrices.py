@@ -14,7 +14,12 @@ expansion decides every other determinant question over Q(i): the
 signature of a Hermitian form is read off its characteristic polynomial,
 the determinant of a matrix of series in one variable.
 
-The memo is a plain dict passed down the recursion, not held by a closure
+The memo holds storages, the (denominator, grades) pairs of the series
+kernels, not series: each sub-minor is the sum of its entry-times-minor
+products, formed by ``series._product`` and ``series._add`` with zero
+entries and zero sub-minors skipped, and only the outputs (the
+determinant and each cofactor) are wrapped as series, each once.  The
+memo is a plain dict passed down the recursion, not held by a closure
 that refers to itself: such a cycle keeps every expansion's minors alive
 until the cyclic garbage collector runs, whereas the dict is freed as
 soon as the expansion returns.
@@ -27,7 +32,7 @@ from functools import cached_property
 
 from .errors import ContextMismatchError
 from .scalars import ONE
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _add, _negated, _product
 
 
 class SeriesMatrix:
@@ -65,7 +70,7 @@ class SeriesMatrix:
 
     def determinant(self) -> TruncatedSeries:
         full, memo = self._expansion()
-        return self._minor(memo, full, full)
+        return self._series(self._minor(memo, full, full))
 
     def cofactors(self):
         """``(det, table)`` from one shared expansion, where ``table[(r, c)]``
@@ -76,32 +81,46 @@ class SeriesMatrix:
         table = {}
         for r in full:
             for c in full:
-                sub = self._minor(memo, full[:r] + full[r + 1 :], full[:c] + full[c + 1 :])
-                table[(r, c)] = -sub if (r + c) % 2 else sub
-        return self._minor(memo, full, full), table
+                d, grades = self._minor(memo, full[:r] + full[r + 1 :], full[:c] + full[c + 1 :])
+                table[(r, c)] = self._series((d, _negated(grades) if (r + c) % 2 else grades))
+        return self._series(self._minor(memo, full, full)), table
 
     def _expansion(self):
         """The index tuple of the square matrix and a fresh memo for
-        ``_minor`` that holds the empty minor, 1."""
+        ``_minor`` that holds the storage of the empty minor, 1."""
         if self.rows != self.cols:
             raise ValueError(f"determinant of a {self.rows}x{self.cols} matrix")
         one = TruncatedSeries.constant(self.context, self.order, ONE)
-        return tuple(range(self.rows)), {((), ()): one}
+        return tuple(range(self.rows)), {((), ()): (one._den, one._grades)}
 
-    def _minor(self, memo, rows, cols) -> TruncatedSeries:
-        """The determinant of the submatrix on the index tuples ``rows`` and
-        ``cols``, expanded along its first column; ``memo`` maps each
-        (rows, cols) pair already expanded to its value."""
+    def _series(self, storage) -> TruncatedSeries:
+        """The series of an expansion's storage, at the matrix order."""
+        return TruncatedSeries._valid(self.context, self.order, *storage)
+
+    def _minor(self, memo, rows, cols):
+        """The storage of the determinant of the submatrix on the index
+        tuples ``rows`` and ``cols``, expanded along its first column;
+        ``memo`` maps each (rows, cols) pair already expanded to its
+        storage.
+
+        Every product is cut at ``self.order``.  That is the order the
+        expansion on series had, min(entry.order, minor.order), since every
+        entry has at least the matrix order and every memoized minor has
+        exactly it; and sums at equal orders cut nothing.
+        """
         key = (rows, cols)
         value = memo.get(key)
         if value is None:
-            value = TruncatedSeries.zero(self.context, self.order)
+            value = (1, {})
             for pos, r in enumerate(rows):
                 entry = self.entries[r][cols[0]]
-                if entry.is_zero():
+                if not entry._grades:
                     continue
-                term = entry * self._minor(memo, rows[:pos] + rows[pos + 1 :], cols[1:])
-                value = value - term if pos % 2 else value + term
+                d, grades = self._minor(memo, rows[:pos] + rows[pos + 1 :], cols[1:])
+                if not grades:
+                    continue
+                term = _product(entry._den, entry._grades, d, grades, self.order)
+                value = _add(*value, *term, -1 if pos % 2 else 1)
             memo[key] = value
         return value
 
@@ -150,12 +169,18 @@ class MinorFamily:
     minors of one l are the coefficients of the field
     X_l = sum_mu D^mu_[l] d/da_mu, which is delta times d/d(y_{x^l}) at
     fixed x, y and other y_x.
+
+    ``firsts`` holds (Q_x1 .. Q_xn), the first partials in the base
+    variables that the rows after the first differentiate; the
+    elimination, the direct tensor and ``cross_check`` read them here
+    instead of forming them again.
     """
 
     delta: TruncatedSeries
     cofactor: dict
     matrix: SeriesMatrix
     parameters: tuple
+    firsts: tuple
 
     def unit(self, mu: int, l: int) -> TruncatedSeries:
         return self.cofactor[(l, mu - 1)]
@@ -217,13 +242,14 @@ class MinorFamily:
         return table
 
 
-def _fundamental_matrix(q: TruncatedSeries, x_names, a_names) -> SeriesMatrix:
+def _fundamental_matrix(q: TruncatedSeries, x_names, a_names):
     """The matrix with first row (q_a) and then one row (q_{x_k a}) per
-    base variable x_k, over the n+1 parameters a."""
+    base variable x_k, over the n+1 parameters a, and the tuple of the
+    q_{x_k}."""
     if len(a_names) != len(x_names) + 1:
         raise ValueError(f"expected {len(x_names) + 1} parameter names, got {len(a_names)}")
-    rows = [q] + [q.partial(x) for x in x_names]
-    return SeriesMatrix([[row.partial(a) for a in a_names] for row in rows])
+    firsts = tuple(q.partial(x) for x in x_names)
+    return SeriesMatrix([[row.partial(a) for a in a_names] for row in (q, *firsts)]), firsts
 
 
 def jacobian_minor_family(q: TruncatedSeries, x_names, a_names) -> MinorFamily:
@@ -232,7 +258,7 @@ def jacobian_minor_family(q: TruncatedSeries, x_names, a_names) -> MinorFamily:
     ``x_names`` are the n base variables, ``a_names`` the n+1 parameters
     (last one playing the role of the transversal constant).
     """
-    matrix = _fundamental_matrix(q, x_names, a_names)
+    matrix, firsts = _fundamental_matrix(q, x_names, a_names)
     delta, cofactor = matrix.cofactors()
     return MinorFamily(delta=delta, cofactor=cofactor, matrix=matrix,
-                       parameters=tuple(a_names))
+                       parameters=tuple(a_names), firsts=firsts)

@@ -137,10 +137,10 @@ def _eliminate(q: TruncatedSeries, x_names, parameters, family) -> PdeSystem:
     substitutes the solution into all the pure second derivatives
     q_{x^k1 x^k2} in one composition, in the solver's context, and
     renames the result into ``pde_context(n)``.  ``family`` is q's minor
-    family: the Jacobian of (q, q_x) in the parameters is its matrix, so
-    Newton's J^-1 reads its delta and cofactor table, in (x, parameters),
-    composed with each iterate; the x pass through by name.  Deriving to
-    order d needs q to order d + 2.
+    family, which holds the q_x (``firsts``): the Jacobian of (q, q_x) in
+    the parameters is its matrix, so Newton's J^-1 reads its delta and
+    cofactor table, in (x, parameters), composed with each iterate; the x
+    pass through by name.  Deriving to order d needs q to order d + 2.
 
     The system has order d = q.order - 2, the order of the second
     derivatives, so the parameters are solved to order d only (to 1 when
@@ -153,7 +153,7 @@ def _eliminate(q: TruncatedSeries, x_names, parameters, family) -> PdeSystem:
     """
     n = len(x_names)
     order = q.order - 2
-    firsts = [q.partial(x) for x in x_names]
+    firsts = list(family.firsts)
     system = [s.truncate(max(order, 1)) for s in [q] + firsts]
     targets = ["y"] + [f"yx{k}" for k in range(1, n + 1)]
     solution = _newton(system, parameters, (family.delta, family.cofactor), targets)

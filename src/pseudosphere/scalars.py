@@ -203,6 +203,12 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
+def _bits(value: GaussianRational) -> int:
+    """The largest bit length of the integers of a scalar's triple, which
+    is the bit count of its constant series (``TruncatedSeries._bits``)."""
+    return max(value._a.bit_length(), value._b.bit_length(), value._d.bit_length())
+
+
 # Printing an integer of more than a few thousand digits is slow, and past
 # the interpreter's digit limit (4300 by default) it raises ValueError.
 MESSAGE_BITS = 4096
@@ -215,7 +221,7 @@ def brief_str(value) -> str:
     ``value`` is a scalar, an ``int`` or a ``Fraction``.
     """
     value = _coerce(value)
-    bits = max(value._a.bit_length(), value._b.bit_length(), value._d.bit_length())
+    bits = _bits(value)
     if bits <= MESSAGE_BITS:
         return str(value)
     return f"<number with a {bits}-bit part>"

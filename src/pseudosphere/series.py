@@ -221,6 +221,12 @@ def _product(dl, left, dr, right, limit):
     return _closed(dl * dr, acc)
 
 
+def _negated(grades):
+    """The grades of the negated storage; the denominator is kept."""
+    return {degree: {k: (-a, -b) for k, (a, b) in terms.items()}
+            for degree, terms in grades.items()}
+
+
 def _add(da, a, db, b, sign):
     """The storage of a + sign * b (sign is 1 or -1) over the lcm d of the
     two denominators.
@@ -583,10 +589,7 @@ class TruncatedSeries:
     __hash__ = None  # mutable-ish payload, keep unhashable
 
     def __neg__(self):
-        return TruncatedSeries._valid(self.context, self.order, self._den, {
-            degree: {k: (-a, -b) for k, (a, b) in terms.items()}
-            for degree, terms in self._grades.items()
-        })
+        return TruncatedSeries._valid(self.context, self.order, self._den, _negated(self._grades))
 
     def _lift(self, other):
         """A non-series operand as the constant series of self's context

@@ -8,7 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 import pseudosphere as ps
 from pseudosphere import TruncatedSeries
-from pseudosphere.errors import NonUnitError, ParseError, UnknownVariableError
+from pseudosphere.errors import (
+    InsufficientOrderError,
+    NonUnitError,
+    ParseError,
+    UnknownVariableError,
+)
 from pseudosphere.scalars import I, GaussianRational
 
 CTX = ps.canonical_context(2)
@@ -171,3 +176,193 @@ def test_parenthesized_text_round_trip(drawn):
     assert parsed.order == expected.order
     printed = ps.parse_series(str(expected), CTX, ORDER)
     assert printed == expected
+
+
+# ----------------------------------------------------------------------
+# parity: the outcome of a text at each order, as a value or an error
+
+PARITY_ORDERS = (6, 17, -1, 0, 1)
+TOO_HIGH = (ValueError, "series order 17 exceeds the packing limit 16")
+NEGATIVE = (InsufficientOrderError, "series order must be >= 0, got -1")
+NON_UNIT = (NonUnitError, "division by a series with zero constant term")
+
+
+def _budget(bits, position):
+    return (ParseError, f"a coefficient of {bits} bits exceeds the limit of 1048576 bits "
+                        f"(at position {position})")
+
+
+def _after_a_read(error):
+    """The outcomes of a text that reads a literal or a variable before it
+    raises ``error``: that read checks the order, so 17 and -1 raise first."""
+    return (error, TOO_HIGH, NEGATIVE, error, error)
+
+
+def _at_every_order(error):
+    """The outcomes of a text that raises ``error`` before any read."""
+    return (error,) * len(PARITY_ORDERS)
+
+
+def _values(*values):
+    """The outcomes of a text whose values at orders 6, 0 and 1 print as
+    ``values``."""
+    at_6, at_0, at_1 = values
+    return ((at_6, 6), TOO_HIGH, NEGATIVE, (at_0, 0), (at_1, 1))
+
+
+UNKNOWN_Q1 = (UnknownVariableError, "variable 'q1' not in context ('z1', 'z2', 'z1b', 'z2b', 'wb')")
+PARITY_TABLE = [
+    ("1/0", _after_a_read(NON_UNIT)),
+    ("z1/0", _after_a_read(NON_UNIT)),
+    ("(1-1)^0", _values("1", "1", "1")),
+    ("0^0", _values("1", "1", "1")),
+    ("2^1048576", _after_a_read(_budget(1048577, 1))),
+    ("2^1048577", _after_a_read(
+        (ParseError, "exponent 1048577 exceeds the limit of 1048576 (at position 2)"))),
+    ("(2^1000)^1100", _after_a_read(_budget(1100001, 8))),
+    ("i/(1-1)", _after_a_read(NON_UNIT)),
+    (")", _at_every_order((ParseError, "unexpected token ')' (at position 0)"))),
+    ("1+", _after_a_read((ParseError, "unexpected end of expression (at position 2)"))),
+    ("--1", _values("1", "1", "1")),
+    ("1/2/2", _values("1/4", "1/4", "1/4")),
+    ("z1^17", _values("0", "0", "0")),
+    ("-i^2", _values("1", "1", "1")),
+    ("3/2 + 1/2*i", _values("(3/2 + 1/2*i)", "(3/2 + 1/2*i)", "(3/2 + 1/2*i)")),
+    ("i*i", _values("-1", "-1", "-1")),
+    ("0", _values("0", "0", "0")),
+    ("1/(1-z1)", _values("1 + z1 + z1^2 + z1^3 + z1^4 + z1^5 + z1^6", "1", "1 + z1")),
+    ("z1/(2 - z1)", _values(
+        "1/2*z1 + 1/4*z1^2 + 1/8*z1^3 + 1/16*z1^4 + 1/32*z1^5 + 1/64*z1^6", "0", "1/2*z1")),
+    ("(1+i)^5/(1-i)", _values("-4*i", "-4*i", "-4*i")),
+    ("2*z1 - 2*z1", _values("0", "0", "0")),
+    ("1 + q1", _after_a_read(UNKNOWN_Q1)),
+    ("z1 - 1/z1", _after_a_read(NON_UNIT)),
+    ("(1 + z1)^3 - 1", _values("3*z1 + 3*z1^2 + z1^3", "0", "3*z1")),
+    ("2 @ 1", _at_every_order((ParseError, "unknown character '@' (at position 2)"))),
+    ("9" * 1300, _at_every_order(
+        (ParseError, "integer literal of 1300 digits exceeds the limit of 4096 bits "
+                     "(at position 0)"))),
+    ("0*z1 + 5", _values("5", "5", "5")),
+    ("(2/3 - i)*(z1 + 1/2)^2", _values(
+        "(1/6 - 1/4*i) + (2/3 - i)*z1 + (2/3 - i)*z1^2", "(1/6 - 1/4*i)",
+        "(1/6 - 1/4*i) + (2/3 - i)*z1")),
+]
+
+
+@pytest.mark.parametrize(
+    "text, outcomes", PARITY_TABLE,
+    ids=[text if len(text) < 40 else f"{len(text)}-digit literal" for text, _ in PARITY_TABLE],
+)
+def test_parity_table(text, outcomes):
+    for order, expected in zip(PARITY_ORDERS, outcomes):
+        if isinstance(expected[0], str):
+            parsed = value(text, order)
+            assert (str(parsed), parsed.order) == expected, (text, order)
+            # the storage is the canonical one of its terms
+            assert parsed == TruncatedSeries(CTX, parsed.order, parsed.terms), (text, order)
+            continue
+        kind, message = expected
+        with pytest.raises(kind) as excinfo:
+            value(text, order)
+        assert type(excinfo.value) is kind, (text, order)
+        assert str(excinfo.value) == message, (text, order)
+        if kind is ParseError:
+            assert message.endswith(f"(at position {excinfo.value.position})"), (text, order)
+
+
+# ----------------------------------------------------------------------
+# parity property: a random expression tree, printed with the fewest
+# parentheses its precedence needs (and some spare ones), parses to the
+# value of the tree evaluated on series, every literal a constant series,
+# or raises the error that evaluation raises
+
+_ATOM, _POWER, _PRODUCT, _NEGATION, _SUM = 40, 30, 20, 15, 10
+_PRECEDENCE = {"+": _SUM, "-": _SUM, "*": _PRODUCT, "/": _PRODUCT}
+
+
+@st.composite
+def expression_trees(draw, depth=0):
+    kinds = ["literal", "i", "var"] + (["neg", "binary", "pow"] if depth < 4 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "literal":
+        return ("literal", draw(st.integers(0, 12)))
+    if kind == "i":
+        return ("i",)
+    if kind == "var":
+        return ("var", draw(st.sampled_from(list(CTX.names))))
+    if kind == "neg":
+        return ("neg", draw(expression_trees(depth + 1)))
+    if kind == "pow":
+        return ("pow", draw(expression_trees(depth + 1)), draw(st.integers(0, 3)))
+    symbol = draw(st.sampled_from("+-*/"))
+    return (symbol, draw(expression_trees(depth + 1)), draw(expression_trees(depth + 1)))
+
+
+def _render(tree, draw_paren):
+    """(text, precedence) of a tree, with the parentheses that precedence
+    and left associativity need, and a spare pair wherever ``draw_paren()``.
+    A negation's operand runs on over * and /, so a negation takes the
+    precedence between + and *."""
+    kind = tree[0]
+    if kind in ("literal", "var"):
+        text, precedence = str(tree[1]), _ATOM
+    elif kind == "i":
+        text, precedence = "i", _ATOM
+    elif kind == "neg":
+        body, inner = _render(tree[1], draw_paren)
+        text, precedence = "-" + (body if inner >= _NEGATION else f"({body})"), _NEGATION
+    elif kind == "pow":
+        base, inner = _render(tree[1], draw_paren)
+        if inner < _POWER:
+            base = f"({base})"
+        text, precedence = f"{base}^{tree[2]}", _POWER
+    else:
+        precedence = _PRECEDENCE[kind]
+        left, left_precedence = _render(tree[1], draw_paren)
+        right, right_precedence = _render(tree[2], draw_paren)
+        if left_precedence < precedence:
+            left = f"({left})"
+        if right_precedence <= precedence:
+            right = f"({right})"
+        text = f"{left} {kind} {right}"
+    if draw_paren():
+        return f"({text})", _ATOM
+    return text, precedence
+
+
+def _evaluate(tree, order):
+    """The value of a tree on series: every literal and i a constant series."""
+    kind = tree[0]
+    if kind == "literal":
+        return TruncatedSeries.constant(CTX, order, tree[1])
+    if kind == "i":
+        return TruncatedSeries.constant(CTX, order, I)
+    if kind == "var":
+        return TruncatedSeries.variable(CTX, order, tree[1])
+    if kind == "neg":
+        return -_evaluate(tree[1], order)
+    if kind == "pow":
+        return _evaluate(tree[1], order) ** tree[2]
+    left = _evaluate(tree[1], order)
+    right = _evaluate(tree[2], order)
+    if kind != "/":
+        return _BINARY[kind](left, right)
+    if not right.constant_term():
+        raise NonUnitError("division by a series with zero constant term")
+    return left * right.invert_unit()
+
+
+@settings(max_examples=150, deadline=None)
+@given(expression_trees(), st.integers(0, 3), st.data())
+def test_expression_tree_parity(tree, order, data):
+    text, _ = _render(tree, lambda: data.draw(st.integers(0, 3)) == 0)
+    try:
+        expected = _evaluate(tree, order)
+    except NonUnitError as error:
+        with pytest.raises(NonUnitError) as excinfo:
+            ps.parse_series(text, CTX, order)
+        assert str(excinfo.value) == str(error)
+        return
+    parsed = ps.parse_series(text, CTX, order)
+    assert parsed == expected, text
+    assert parsed.order == expected.order, text

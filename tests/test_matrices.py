@@ -1,5 +1,6 @@
 """Determinants of series matrices and the column-exchange identity."""
 
+import itertools
 import random
 
 import pytest
@@ -100,6 +101,70 @@ def test_adjugate_identity_for_size_five(rng):
     # a cofactor is the determinant of the matrix with a unit column
     unit = [TruncatedSeries.constant(ctx, 3, ONE if r == 2 else ZERO) for r in range(5)]
     assert m.with_column(4, unit).determinant() == cofactor[(2, 4)]
+
+
+def leibniz(entries, ctx, order):
+    """The permutation sum of a square list of series rows, from the zero
+    and the constant 1 of ``order``; the empty matrix gives 1."""
+    total = TruncatedSeries.zero(ctx, order)
+    for perm in itertools.permutations(range(len(entries))):
+        term = TruncatedSeries.constant(ctx, order, ONE)
+        for row, col in enumerate(perm):
+            term = term * entries[row][col]
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def _reference_matrix(rng, size, shape):
+    """Entries in (u, v) with Gaussian coefficients over 1, 2 and 3, at
+    orders 2 to 4 (so the expansion cuts the higher ones), a quarter of
+    them 0; ``shape`` adds a zero row, a zero column, or a last column
+    proportional to the one before it, so that every sub-minor on those
+    two columns vanishes."""
+    ctx = VariableContext(("u", "v"))
+    monomials = [e for e in itertools.product(range(5), repeat=2) if sum(e) <= 4]
+    entries = []
+    for _ in range(size):
+        row = []
+        for _ in range(size):
+            order = rng.choice([2, 3, 4])
+            terms = {} if rng.random() < 0.25 else {
+                rng.choice(monomials): random_gaussian(rng) for _ in range(rng.randint(1, 4))}
+            row.append(TruncatedSeries(ctx, order, terms))
+        entries.append(row)
+    zero = TruncatedSeries.zero(ctx, 3)
+    if shape == "zero-row":
+        entries[rng.randrange(size)] = [zero] * size
+    elif shape == "zero-column":
+        column = rng.randrange(size)
+        for row in entries:
+            row[column] = zero
+    elif shape == "vanishing-minors":
+        factor = random_gaussian(rng) or GaussianRational(1, 1)
+        for row in entries:
+            row[-1] = row[-2].scale(factor)
+    return SeriesMatrix(entries), ctx
+
+
+@pytest.mark.parametrize("size, shape", [
+    (size, shape) for size in range(1, 6)
+    for shape in ("random", "zero-row", "zero-column", "vanishing-minors")
+    if size > 1 or shape != "vanishing-minors"])
+def test_expansion_matches_the_permutation_sum(size, shape):
+    rng = random.Random(size * 10 + len(shape))
+    m, ctx = _reference_matrix(rng, size, shape)
+    expected = leibniz(m.entries, ctx, m.order)
+    delta, cofactor = m.cofactors()
+    for det in (m.determinant(), delta):
+        assert det == expected
+        assert det.order == expected.order == m.order
+    assert sorted(cofactor) == [(r, c) for r in range(size) for c in range(size)]
+    for (r, c), entry in cofactor.items():
+        sub = [row[:c] + row[c + 1:] for i, row in enumerate(m.entries) if i != r]
+        minor = leibniz(sub, ctx, m.order)
+        assert entry == (-minor if (r + c) % 2 else minor), (r, c)
+        assert entry.order == m.order, (r, c)
 
 
 def test_plucker_trivial_two_by_two():

@@ -288,6 +288,13 @@ MUTANTS = [
         "killed",
     ),
     Mutant(
+        "laplace-limit-one-short", "matrices.py",
+        "entry._grades, d, grades, self.order)",
+        "entry._grades, d, grades, self.order - 1)",
+        ("tests/test_matrices.py::test_expansion_matches_the_permutation_sum",),
+        "killed",
+    ),
+    Mutant(
         "inverse-jacobian-one-short", "implicit.py",
         "c._den, c._grades, low)",
         "c._den, c._grades, low - 1)",
@@ -345,6 +352,14 @@ MUTANTS = [
         "- self._delta_fields[l1] * pushed)",
         "- self._delta_fields[l2] * self._apply(l1, first, order))",
         ("tests/test_flatness.py::test_transfer_matches_replaced_column_minors",),
+        "killed",
+    ),
+    # -- the parser's coefficient budget on scalars -------------------
+    Mutant(
+        "parse-scalar-budget-skipped", "expressions.py",
+        "bits = _bits(value) if value.__class__ is GaussianRational else value._bits()",
+        "bits = 0 if value.__class__ is GaussianRational else value._bits()",
+        ("tests/test_expressions.py::test_parity_table[2^1048576]",),
         "killed",
     ),
     # -- zero operands ------------------------------------------------
