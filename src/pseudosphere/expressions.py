@@ -27,7 +27,10 @@ series, the squares of a power included, has a numerator or denominator
 of more than ``_MAX_COEFFICIENT_BITS`` bits; a scalar counts as its
 constant series.  They bound the work of any text, also
 the well-formed prefix that a malformed text evaluates before its syntax
-error is found.
+error is found.  Each value carries its bit count: a product or a power
+is measured, while a sum carries the bound bits(a) + bits(b) + 1 and is
+measured only when that bound passes the budget, so a k-term sum is not
+measured k times.
 """
 
 from __future__ import annotations
@@ -132,48 +135,55 @@ class _Parser:
         return token
 
     def parse_expression(self, min_precedence=0):
-        """The scalar or series of the expression at the current token."""
-        value = self.parse_prefix()
+        """The scalar or series of the expression at the current token, and
+        a bound on its bit count within the coefficient budget."""
+        value, bits = self.parse_prefix()
         while True:
             kind, _, position = self.peek()
             precedence = _BINARY_PRECEDENCE.get(kind)
             if precedence is None or precedence < min_precedence:
-                return value
+                return value, bits
             self.advance()
             if kind == "^":
-                value = self.power(value, self.parse_exponent(), position)
+                value, bits = self.power(value, bits, self.parse_exponent(), position)
                 continue
             # left associative: the right operand binds one level tighter
-            right = self.parse_expression(precedence + 1)
-            value = _budgeted(_BINARY_OPERATION[kind](value, right), position)
+            right, right_bits = self.parse_expression(precedence + 1)
+            # a sum's bit count is at most bits + right_bits + 1
+            bound = bits + right_bits + 1 if kind in "+-" else None
+            value, bits = _budgeted(_BINARY_OPERATION[kind](value, right), position, bound)
 
-    def power(self, base, exponent, position):
-        """base ** exponent by repeated squaring, each step within budget.
+    def power(self, base, bits, exponent, position):
+        """base ** exponent by repeated squaring, each step within budget,
+        and its bit count, where ``bits`` is the base's.
 
         The first factor is taken as it is, not multiplied into 1: it is
         the base or one of its squares, each within budget already."""
         result = None
         while exponent:
             if exponent & 1:
-                result = base if result is None else _budgeted(result * base, position)
+                result, result_bits = ((base, bits) if result is None
+                                       else _budgeted(result * base, position))
             exponent >>= 1
             if exponent:
-                base = _budgeted(base * base, position)
-        return ONE if result is None else result
+                base, bits = _budgeted(base * base, position)
+        return (ONE, 1) if result is None else (result, result_bits)
 
     def parse_prefix(self):
+        """The value of the prefix at the current token and its bit count."""
         kind, value, position = self.advance()
         if kind == "int":
-            value = _integer(value, position)
+            value = _coerce(_integer(value, position))
             _check_order(self.order)
-            return _coerce(value)
+            return value, _bits(value)
         if kind == "ident":
             if value == "i":
                 _check_order(self.order)
-                return IMAG_UNIT
-            return TruncatedSeries.variable(self.context, self.order, value)
+                return IMAG_UNIT, 1
+            return TruncatedSeries.variable(self.context, self.order, value), 1
         if kind == "-":
-            return -self.parse_expression(_UNARY_MINUS_PRECEDENCE)
+            value, bits = self.parse_expression(_UNARY_MINUS_PRECEDENCE)
+            return -value, bits
         if kind == "(":
             value = self.parse_expression()
             self.expect(")")
@@ -212,16 +222,24 @@ def _integer(digits: str, position: int) -> int:
     return value
 
 
-def _budgeted(value, position: int):
-    """``value``, a scalar or a series, after checking the coefficient
-    budget at the operator at ``position``."""
+def _budgeted(value, position: int, bound=None):
+    """``value``, a scalar or a series, and its bit count, after checking
+    the coefficient budget at the operator at ``position``.
+
+    ``bound``, when given, is an upper bound on the bit count, and stands
+    for it while it is within the budget; only a bound past the budget, or
+    none, has the value measured, which visits all of its terms.  So a
+    k-term sum, whose bound is the operands' counts plus one, visits no
+    term of its partial sums until that bound passes the budget."""
+    if bound is not None and bound <= _MAX_COEFFICIENT_BITS:
+        return value, bound
     bits = _bits(value) if value.__class__ is GaussianRational else value._bits()
     if bits > _MAX_COEFFICIENT_BITS:
         raise ParseError(
             f"a coefficient of {bits} bits exceeds the limit of "
             f"{_MAX_COEFFICIENT_BITS} bits", position
         )
-    return value
+    return value, bits
 
 
 def parse_series(text: str, context: VariableContext, order: int) -> TruncatedSeries:
@@ -229,7 +247,7 @@ def parse_series(text: str, context: VariableContext, order: int) -> TruncatedSe
     ``order``.  Raises ParseError (with the 0-based position),
     UnknownVariableError or NonUnitError."""
     parser = _Parser(text, context, order)
-    value = parser.parse_expression()
+    value, _ = parser.parse_expression()
     kind, token, position = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing token {token!r}", position)

@@ -172,14 +172,10 @@ def _direct_table(model: HypersurfaceModel) -> dict:
     """{(a, b, l1, l2): the Cramer transfer (``MinorFamily.transfer``) of
     theta_{z_a z_b}, entry (l1, l2)} for a <= b and l1 <= l2."""
     family = minors(model)
-    _, z_names, _ = _roles(model)
-    n = model.n
     table = {}
-    for a, first in enumerate(family.firsts, 1):
-        for b in range(a, n + 1):
-            transfer = family.transfer(first.partial(z_names[b - 1]))
-            for (l1, l2), entry in transfer.items():
-                table[(a, b, l1, l2)] = entry
+    for (a, b), second in family.seconds.items():
+        for (l1, l2), entry in family.transfer(second).items():
+            table[(a, b, l1, l2)] = entry
     return table
 
 

@@ -38,6 +38,14 @@ n - n//2 - 1, builds it.  A step whose M equals the previous step's
 reuses that J^-1: it was built from the iterate's terms of degree
 <= M <= k, which no later step changes.
 
+Both compositions of a step, the equations' and the table's, assign the
+iterate to the unknowns only.  The parameters p pass through by name,
+so ``series._compose`` walks the unknowns alone: a monomial's p
+exponents shift the keys of its unknowns' image, and monomials that
+differ only in p share that image.  The update sum_i (J^-1)_ji E_i of
+unknown j is one call of the product loop ``series._products``: its
+products, one per equation, go into one accumulator, normalized once.
+
 The order stays sound: the iterate is a polynomial, so its residual is
 exact at any order, and the result claims order n only after the last
 step has made it agree with u* through degree n.
@@ -47,7 +55,7 @@ from __future__ import annotations
 
 from .errors import SingularJacobianError
 from .matrices import SeriesMatrix
-from .series import TruncatedSeries, VariableContext, _add, _compose, _product
+from .series import TruncatedSeries, VariableContext, _add, _compose, _product, _products
 
 
 def _context(equations):
@@ -137,12 +145,10 @@ def _newton(equations, unknowns, jacobian=None, targets=()):
             # J^-1 is the adjugate, the transposed cofactor table, over det J
             inverse = [[_product(det_inv._den, det_inv._grades, c._den, c._grades, low)
                         for c in entries[j::size]] for j in range(size)]
-        for j, (den, grades) in enumerate(iterate):
-            for (dv, v), r in zip(inverse[j], residuals):
-                if v and r._grades:
-                    den, grades = _add(den, grades, *_product(
-                        dv, v, r._den, r._grades, top), -1)
-            iterate[j] = (den, grades)
+        for j, storage in enumerate(iterate):
+            step = _products([(1, dv, v, r._den, r._grades)
+                              for (dv, v), r in zip(inverse[j], residuals)], top)
+            iterate[j] = _add(*storage, *step, -1)
         k = top
 
     return {u: TruncatedSeries._valid(out_ctx, n, *storage)

@@ -15,14 +15,15 @@ signature of a Hermitian form is read off its characteristic polynomial,
 the determinant of a matrix of series in one variable.
 
 The memo holds storages, the (denominator, grades) pairs of the series
-kernels, not series: each sub-minor is the sum of its entry-times-minor
-products, formed by ``series._product`` and ``series._add`` with zero
-entries and zero sub-minors skipped, and only the outputs (the
-determinant and each cofactor) are wrapped as series, each once.  The
-memo is a plain dict passed down the recursion, not held by a closure
-that refers to itself: such a cycle keeps every expansion's minors alive
-until the cyclic garbage collector runs, whereas the dict is freed as
-soon as the expansion returns.
+kernels, not series: each sub-minor is the signed sum of its
+entry-times-minor products, formed by one call of the product loop
+``series._products``, which sums them in one accumulator and normalizes
+once; zero entries are left out of the list, and the loop skips zero
+sub-minors.  Only the outputs (the determinant and each cofactor) are
+wrapped as series, each once.  The memo is a plain dict passed down the
+recursion, not held by a closure that refers to itself: such a cycle
+keeps every expansion's minors alive until the cyclic garbage collector
+runs, whereas the dict is freed as soon as the expansion returns.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from functools import cached_property
 
 from .errors import ContextMismatchError
 from .scalars import ONE
-from .series import TruncatedSeries, _add, _negated, _product
+from .series import TruncatedSeries, _negated, _products, _sum_of_products
 
 
 class SeriesMatrix:
@@ -103,7 +104,7 @@ class SeriesMatrix:
         ``memo`` maps each (rows, cols) pair already expanded to its
         storage.
 
-        Every product is cut at ``self.order``.  That is the order the
+        The sum is cut at ``self.order``.  That is the order the
         expansion on series had, min(entry.order, minor.order), since every
         entry has at least the matrix order and every memoized minor has
         exactly it; and sums at equal orders cut nothing.
@@ -111,17 +112,13 @@ class SeriesMatrix:
         key = (rows, cols)
         value = memo.get(key)
         if value is None:
-            value = (1, {})
+            products = []
             for pos, r in enumerate(rows):
                 entry = self.entries[r][cols[0]]
-                if not entry._grades:
-                    continue
-                d, grades = self._minor(memo, rows[:pos] + rows[pos + 1 :], cols[1:])
-                if not grades:
-                    continue
-                term = _product(entry._den, entry._grades, d, grades, self.order)
-                value = _add(*value, *term, -1 if pos % 2 else 1)
-            memo[key] = value
+                if entry._grades:
+                    products.append((-1 if pos % 2 else 1, entry._den, entry._grades,
+                                     *self._minor(memo, rows[:pos] + rows[pos + 1 :], cols[1:])))
+            value = memo[key] = _products(products, self.order)
         return value
 
 
@@ -171,9 +168,10 @@ class MinorFamily:
     fixed x, y and other y_x.
 
     ``firsts`` holds (Q_x1 .. Q_xn), the first partials in the base
-    variables that the rows after the first differentiate; the
-    elimination, the direct tensor and ``cross_check`` read them here
-    instead of forming them again.
+    variables ``bases`` that the rows after the first differentiate;
+    ``seconds`` the pure second partials Q_{x_a x_b}, a <= b, each formed
+    from ``firsts`` once.  The elimination, the direct tensor and
+    ``cross_check`` read them here instead of forming them again.
     """
 
     delta: TruncatedSeries
@@ -181,16 +179,26 @@ class MinorFamily:
     matrix: SeriesMatrix
     parameters: tuple
     firsts: tuple
+    bases: tuple
 
     def unit(self, mu: int, l: int) -> TruncatedSeries:
         return self.cofactor[(l, mu - 1)]
 
     def _apply(self, l: int, gradient, order: int) -> TruncatedSeries:
-        """X_l of the series with parameter gradient ``gradient``, summed
-        from the zero of ``order``."""
-        return sum((self.unit(mu, l) * d for mu, d in enumerate(gradient, 1)
-                    if not d.is_zero() and not self.unit(mu, l).is_zero()),
-                   TruncatedSeries.zero(self.delta.context, order))
+        """X_l of the series with parameter gradient ``gradient``, at the
+        lowest of ``order`` and the orders of its products, one per mu
+        whose unit minor and derivative are both nonzero."""
+        return _sum_of_products(self.delta.context, order, [
+            (1, self.unit(mu, l), d) for mu, d in enumerate(gradient, 1)
+            if d._grades and self.unit(mu, l)._grades])
+
+    @cached_property
+    def seconds(self) -> dict:
+        """{(a, b): Q_{x_a x_b}} for 1 <= a <= b <= n, with a the outer
+        index."""
+        return {(a, b): first.partial(self.bases[b - 1])
+                for a, first in enumerate(self.firsts, 1)
+                for b in range(a, len(self.firsts) + 1)}
 
     @cached_property
     def _delta_fields(self) -> dict:
@@ -237,8 +245,9 @@ class MinorFamily:
             gradient = [pushed.partial(a) for a in params]
             pushed = pushed.truncate(order)
             for l1 in range(1, l2 + 1):
-                table[(l1, l2)] = (self.delta * self._apply(l1, gradient, order)
-                                   - self._delta_fields[l1] * pushed)
+                table[(l1, l2)] = _sum_of_products(self.delta.context, order, [
+                    (1, self.delta, self._apply(l1, gradient, order)),
+                    (-1, self._delta_fields[l1], pushed)])
         return table
 
 
@@ -261,4 +270,4 @@ def jacobian_minor_family(q: TruncatedSeries, x_names, a_names) -> MinorFamily:
     matrix, firsts = _fundamental_matrix(q, x_names, a_names)
     delta, cofactor = matrix.cofactors()
     return MinorFamily(delta=delta, cofactor=cofactor, matrix=matrix,
-                       parameters=tuple(a_names), firsts=firsts)
+                       parameters=tuple(a_names), firsts=firsts, bases=tuple(x_names))

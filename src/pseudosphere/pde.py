@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .errors import LeviDegenerateError, RankConditionError, UnsupportedDimensionError
 from .hypersurface import _checked_input, _roles, minors, per_model
 from .implicit import _newton
-from .series import TruncatedSeries, VariableContext, _compose
+from .series import TruncatedSeries, VariableContext, _compose, _sum_of_products
 
 
 def pde_context(n: int) -> VariableContext:
@@ -137,10 +137,12 @@ def _eliminate(q: TruncatedSeries, x_names, parameters, family) -> PdeSystem:
     substitutes the solution into all the pure second derivatives
     q_{x^k1 x^k2} in one composition, in the solver's context, and
     renames the result into ``pde_context(n)``.  ``family`` is q's minor
-    family, which holds the q_x (``firsts``): the Jacobian of (q, q_x) in
-    the parameters is its matrix, so Newton's J^-1 reads its delta and
-    cofactor table, in (x, parameters), composed with each iterate; the x
-    pass through by name.  Deriving to order d needs q to order d + 2.
+    family, which holds the q_x (``firsts``) and the q_{x^k1 x^k2}
+    (``seconds``): the Jacobian of (q, q_x) in the parameters is its
+    matrix, so Newton's J^-1 reads its delta and cofactor table, in
+    (x, parameters), composed with each iterate.  In every composition
+    the x pass through by name, so they are key offsets of the images,
+    never multiplied out.  Deriving to order d needs q to order d + 2.
 
     The system has order d = q.order - 2, the order of the second
     derivatives, so the parameters are solved to order d only (to 1 when
@@ -159,10 +161,9 @@ def _eliminate(q: TruncatedSeries, x_names, parameters, family) -> PdeSystem:
     solution = _newton(system, parameters, (family.delta, family.cofactor), targets)
     jet_ctx = solution[parameters[-1]].context  # (x1..xn, y, yx1..yxn)
     out_ctx = pde_context(n)
-    keys = [(k1, k2) for k1 in range(1, n + 1) for k2 in range(k1, n + 1)]
-    seconds = [firsts[k1 - 1].partial(x_names[k2 - 1]) for k1, k2 in keys]
+    seconds = family.seconds
     components = {key: f.rename_context(out_ctx)
-                  for key, f in zip(keys, _compose(seconds, solution, jet_ctx))}
+                  for key, f in zip(seconds, _compose(seconds.values(), solution, jet_ctx))}
     return PdeSystem(n, order, components)
 
 
@@ -185,16 +186,13 @@ recover_system_from_solution = derive_associated_system
 
 
 def _total_derivatives(system: PdeSystem, g: TruncatedSeries, ks) -> dict:
-    """{k: D_k g for k in ks}, forming g's y- and y_x-partials once."""
+    """{k: D_k g for k in ks}, forming g's y- and y_x-partials once; the
+    products of each D_k g are summed in one pass of the product loop."""
     dy = g.partial("y")
     dyx = [(l, d) for l in range(1, system.n + 1) if not (d := g.partial(f"yx{l}")).is_zero()]
-    totals = {}
-    for k in ks:
-        out = g.partial(f"x{k}") + TruncatedSeries.variable(system.context, g.order, f"yx{k}") * dy
-        for l, d in dyx:
-            out = out + system.component(k, l) * d
-        totals[k] = out
-    return totals
+    return {k: g.partial(f"x{k}") + _sum_of_products(system.context, g.order, [
+        (1, TruncatedSeries.variable(system.context, g.order, f"yx{k}"), dy),
+        *((1, system.component(k, l), d) for l, d in dyx)]) for k in ks}
 
 
 def total_derivative(system: PdeSystem, k: int, g: TruncatedSeries) -> TruncatedSeries:

@@ -27,6 +27,15 @@ one storage, and ``==`` compares it structurally.  Coefficients as
 :class:`GaussianRational` (``terms``, ``coefficient``, ``first_term``,
 ``__str__``) are built on demand.
 
+Kernels.  Products and compositions each have one loop on the storage.
+``_products`` sums a list of signed products in one accumulator over the
+lcm of their denominators and normalizes once; a single product, a
+Laplace sub-minor and any other sum of products are its calls.
+``_compose`` walks only the source variables that are really
+substituted: a variable that passes through by name, or that is
+assigned a bare target variable, shifts the keys and degrees of the
+images it meets and is never multiplied out.
+
 Two rules make a zero series cost no more than a call.  A product with
 an empty operand is the empty series of the lower operand order: every
 term of the true product lies above that order, and nothing is claimed
@@ -186,39 +195,74 @@ def _closed(d, acc):
     return d // g, grades
 
 
-def _product(dl, left, dr, right, limit):
-    """The storage of the product of two storages through degree ``limit``.
+def _products(products, limit):
+    """The storage of the sum of sign * left * right over ``products``, a
+    list of (sign, dl, left, dr, right) with sign 1 or -1 and two storages,
+    through degree ``limit``.
 
-    This is the one Cauchy-product loop.  The caller vouches for the limit:
-    ``__mul__`` passes the smaller operand order; a caller that knows the
-    valuation of a factor may pass more (see ``implicit``).
+    This is the one Cauchy-product loop; ``_product`` is its one-term
+    case.  The caller vouches for the limit: ``__mul__`` passes the
+    smaller operand order; a caller that knows the valuation of a factor
+    may pass more (see ``implicit``).
 
-    Only degree pairs within the limit are walked, and a product key is
-    one integer addition.  The Gaussian-integer products of each key are
-    summed into a list, and the result is brought to canonical form once
-    over dl * dr.  A one-term operand takes the same loop: its products
-    fall on distinct keys, so nothing accumulates and no sum is zero.
+    Every product is summed into one accumulator over d, the lcm of the
+    dl * dr of the products with no empty operand: the numerators of the
+    left operand are multiplied by sign * d / (dl * dr) first, where that
+    is not 1.  Only degree pairs within the limit are walked, and a
+    product key is one integer addition.  The result is brought to
+    canonical form once, over d, by one ``_closed`` pass, where a sum of
+    products one at a time would form and normalize each product and each
+    partial sum.  A one-term operand takes the same loop: its products
+    fall on distinct keys, so nothing accumulates within its product.
     """
+    d = 1
+    for _, dl, left, dr, right in products:
+        if left and right:
+            d = lcm(d, dl * dr)
     acc = {}
-    for degree_l, terms_l in left.items():
-        room = limit - degree_l
-        for degree_r, terms_r in right.items():
-            if degree_r > room:
-                continue
-            degree = degree_l + degree_r
-            sums = acc.get(degree)
-            if sums is None:
-                sums = acc[degree] = {}
-            for kl, (a1, b1) in terms_l.items():
-                for kr, (a2, b2) in terms_r.items():
-                    k = kl + kr
-                    v = sums.get(k)
-                    if v is None:
-                        sums[k] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
-                    else:
-                        v[0] += a1 * a2 - b1 * b2
-                        v[1] += a1 * b2 + b1 * a2
-    return _closed(dl * dr, acc)
+    for sign, dl, left, dr, right in products:
+        if not left or not right:
+            continue
+        m = sign * (d // (dl * dr))
+        if m != 1:
+            left = {degree: {k: (a * m, b * m) for k, (a, b) in terms.items()}
+                    for degree, terms in left.items() if degree <= limit}
+        for degree_l, terms_l in left.items():
+            room = limit - degree_l
+            for degree_r, terms_r in right.items():
+                if degree_r > room:
+                    continue
+                degree = degree_l + degree_r
+                sums = acc.get(degree)
+                if sums is None:
+                    sums = acc[degree] = {}
+                for kl, (a1, b1) in terms_l.items():
+                    for kr, (a2, b2) in terms_r.items():
+                        k = kl + kr
+                        v = sums.get(k)
+                        if v is None:
+                            sums[k] = [a1 * a2 - b1 * b2, a1 * b2 + b1 * a2]
+                        else:
+                            v[0] += a1 * a2 - b1 * b2
+                            v[1] += a1 * b2 + b1 * a2
+    return _closed(d, acc)
+
+
+def _product(dl, left, dr, right, limit):
+    """The storage of the product of two storages through degree ``limit``:
+    ``_products`` on the one product."""
+    return _products(((1, dl, left, dr, right),), limit)
+
+
+def _sum_of_products(context, order, products):
+    """The series of the sum of sign * a * b over ``products``, a list of
+    (sign, a, b) with a and b series of ``context``, at the lowest of
+    ``order`` and the orders of every a and b: ``_products`` through that
+    order.  The caller vouches for the contexts."""
+    for _, a, b in products:
+        order = min(order, a.order, b.order)
+    return TruncatedSeries._valid(context, order, *_products(
+        [(sign, a._den, a._grades, b._den, b._grades) for sign, a, b in products], order))
 
 
 def _negated(grades):
@@ -280,18 +324,28 @@ def _compose(series_list, assignment, target_context=None):
     among the assigned values; its monomials of higher degree are skipped,
     since their images have a valuation above that order.
 
-    The assignment is validated once, and each value's list of powers is
-    built lazily, once per call.  The kept monomials of all the series
-    are then walked once, in the order of their keys, which is
-    lexicographic, so monomials that agree on their leading exponents are
-    neighbours; the first field where a key differs from the one before
-    is read off the highest bit of their xor.  A stack holds the prefix
-    products value_0^e_0 * ... * value_i^e_i of the current monomial, one
-    entry per nonzero exponent, so at most one per source variable.  A
-    monomial pops the entries past the first position where it differs
-    from the one before and multiplies out only the rest; a monomial that
-    several series share has its image computed once.  Products are cut
-    at the highest output order, and a lower output reads only its part.
+    Only the substituted source variables are walked.  A variable that
+    passes through to the same-named target variable, or that is assigned
+    a bare target variable (the storage (1, {1: {key: (1, 0)}})), maps
+    each exponent e to e times one target key of degree 1: its exponents
+    become a key offset and a degree shift of the monomial's image, and
+    are never multiplied out.  Monomials that differ only in those
+    exponents share one image, the image of their substituted part.
+
+    The assignment is validated once, and each walked value's list of
+    powers is built lazily, once per call.  The substituted parts of the
+    kept monomials of all the series are then walked once, in the order of
+    their keys, which is lexicographic, so parts that agree on their
+    leading exponents are neighbours; the first field where a key differs
+    from the one before is read off the highest bit of their xor.  A stack
+    holds the prefix products value_0^e_0 * ... * value_i^e_i of the
+    current part, one entry per nonzero exponent, so at most one per
+    walked variable.  A part pops the entries past the first position
+    where it differs from the one before and multiplies out only the rest.
+    Products are cut at the highest output order.  An image is scattered
+    into output j once per monomial that uses it: shifted by the
+    monomial's offset and degree shift, and cut at output j's order less
+    that shift.
 
     Output j is summed as numerators: series j's own denominator is
     factored out, and each image is brought over the running lcm of the
@@ -330,45 +384,65 @@ def _compose(series_list, assignment, target_context=None):
               for s in series_list]
     limit = max(orders)
 
-    # per context variable: its assigned series, or its field's shift in
-    # the target context (which raises here for an unknown pass-through name)
+    # per source variable: its field's shift, and either the target key of
+    # degree 1 its exponent multiplies (a pass-through name, which raises
+    # here when the target lacks it, or a bare variable) or its value
+    shifts = source_context._shifts
     target_shifts = target_context._shifts
-    sources = [
-        assignment[name] if name in assignment
-        else target_shifts[target_context.index(name)]
-        for name in source_context.names
-    ]
-    powers = [None] * len(sources)  # powers[i][k - 1]: the storage of value_i^k
+    offsets = []  # (field shift, target key of degree 1)
+    walked = {}  # position: the assigned series
+    mask = 0  # the fields of the walked variables
+    for i, name in enumerate(source_context.names):
+        value = assignment.get(name)
+        if value is None:
+            offsets.append((shifts[i], 1 << target_shifts[target_context.index(name)]))
+            continue
+        grades = value._grades
+        if value._den == 1 and len(grades) == 1 and len(grades.get(1, ())) == 1:
+            (unit, pair), = grades[1].items()
+            if pair == (1, 0):
+                offsets.append((shifts[i], unit))
+                continue
+        walked[i] = value
+        mask |= _MASK << shifts[i]
+    powers = {}  # powers[i][k - 1]: the storage of value_i^k
 
     def power(i, k):
-        cache = powers[i]
+        cache = powers.get(i)
         if cache is None:
-            source = sources[i]
-            if isinstance(source, TruncatedSeries):
-                base = _cut(source._den, source._grades, limit)
-            else:
-                base = (1, {1: {1 << source: (1, 0)}})
-            cache = powers[i] = [base]
+            value = walked[i]
+            cache = powers[i] = [_cut(value._den, value._grades, limit)]
         while len(cache) < k:
             cache.append(_product(*cache[-1], *cache[0], limit))
         return cache[k - 1]
 
-    # every kept monomial, with the (output, numerator) triples that use it
+    # per substituted part: the (output, offset, shift, numerator) of every
+    # kept monomial that has it
     uses = {}
+    moved = {}  # the (offset, shift) of each part off the walk
     for j, (s, order) in enumerate(zip(series_list, orders)):
         for degree, terms in s._grades.items():
             if degree <= order:
                 for key, (a, b) in terms.items():
-                    entry = uses.get(key)
+                    part = key & mask
+                    rest = key ^ part
+                    move = moved.get(rest)
+                    if move is None:
+                        offset = shift = 0
+                        for field, unit in offsets:
+                            e = (rest >> field) & _MASK
+                            offset += e * unit
+                            shift += e
+                        move = moved[rest] = (offset, shift)
+                    entry = uses.get(part)
                     if entry is None:
-                        uses[key] = [(j, a, b)]
+                        uses[part] = [(j, *move, a, b)]
                     else:
-                        entry.append((j, a, b))
+                        entry.append((j, *move, a, b))
 
     # per output: [lcm of the images' denominators, {degree: {key: [a, b]}}]
     outs = [[1, {}] for _ in series_list]
     one = (1, {0: {0: (1, 0)}})
-    shifts = source_context._shifts
     width = _FIELD * len(shifts)
     stack = []  # (position, prefix product storage through that position)
     previous = None
@@ -389,7 +463,7 @@ def _compose(series_list, assignment, target_context=None):
             stack.append((i, image))
         previous = key
         di, grades = one if image is None else image
-        for j, ca, cb in uses[key]:
+        for j, offset, shift, ca, cb in uses[key]:
             out = outs[j]
             den = out[0]
             if den % di:
@@ -403,17 +477,18 @@ def _compose(series_list, assignment, target_context=None):
             m = den // di
             ca *= m
             cb *= m
-            cut = orders[j]
+            cut = orders[j] - shift
             acc = out[1]
             for degree, terms in grades.items():
                 if degree > cut:
                     continue
-                sums = acc.get(degree)
+                sums = acc.get(degree + shift)
                 if sums is None:
-                    sums = acc[degree] = {}
+                    sums = acc[degree + shift] = {}
                 for k, (a, b) in terms.items():
                     x = ca * a - cb * b
                     y = ca * b + cb * a
+                    k += offset
                     v = sums.get(k)
                     if v is None:
                         sums[k] = [x, y]

@@ -1,5 +1,6 @@
 """Expression grammar: precedence, associativity, errors, round trips."""
 
+import itertools
 import operator
 from fractions import Fraction
 
@@ -268,6 +269,30 @@ def test_parity_table(text, outcomes):
         assert str(excinfo.value) == message, (text, order)
         if kind is ParseError:
             assert message.endswith(f"(at position {excinfo.value.position})"), (text, order)
+
+
+def test_a_long_sum_visits_each_term_a_bounded_number_of_times(monkeypatch):
+    # a sum's bit count is bounded by its operands' counts plus one, so the
+    # coefficient budget measures no partial sum of a 200-term sum while
+    # that bound is within it: the terms that _bits visits grow linearly
+    # with the number of terms, where measuring every partial sum visits
+    # k(k + 1)/2 of them
+    monomials = [e for e in itertools.product(range(7), repeat=CTX.arity) if sum(e) <= 6]
+    terms = {e: GaussianRational(k % 7 + 1, k % 3) for k, e in enumerate(monomials[:200])}
+    text = " + ".join(f"({c.re} + {c.im}*i)*{TruncatedSeries.zero(CTX, 6).monomial_text(e)}"
+                      for e, c in terms.items())
+    visits = []
+    measure = TruncatedSeries._bits
+
+    def spy(self):
+        visits.append(sum(len(t) for t in self._grades.values()))
+        return measure(self)
+
+    monkeypatch.setattr(TruncatedSeries, "_bits", spy)
+    parsed = value(text, 6)
+    monkeypatch.undo()
+    assert parsed == TruncatedSeries(CTX, 6, terms)
+    assert sum(visits) <= 10 * len(terms)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Flatness tensors: direct formula, minors, verdicts, two-route checks."""
 
+import collections
 import itertools
 import math
 import random
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import pseudosphere as ps
 from pseudosphere import PdeSystem, flatness as flatness_module, pde as pde_module
+from pseudosphere import series as series_module
 from pseudosphere.errors import InsufficientOrderError, LeviDegenerateError
 from pseudosphere.scalars import gaussian
 
@@ -397,12 +399,14 @@ def test_transfer_order_counts_zero_column_entries():
 
 
 def spied_transfers(monkeypatch):
-    """(family, t, table, operands of every product inside ``transfer``)
-    for the target graph at order 8 and a rigid n = 4 model at order 6,
-    the shape of the pipeline-n4 benchmark inputs."""
+    """(family, t, table, the operand grades of every product inside
+    ``transfer``) for the target graph at order 8 and a rigid n = 4 model
+    at order 6, the shape of the pipeline-n4 benchmark inputs.  Every
+    product of the transfer is an operand pair of a call of the one
+    product loop, ``series._products``, which the spy records."""
     graph = ps.parse_series("x1^2 + y1^2 + x2^2 + y2^2 + v*x1^2 + x1^2*x2^2",
                             ps.graph_context(2), 8)
-    mul = ps.TruncatedSeries.__mul__
+    loop = series_module._products
     for model in (ps.from_graph(graph, 2, 8),
                   rigid_perturbation_model(random.Random(7), 4, 6)):
         family = ps.minors(model)
@@ -410,11 +414,12 @@ def spied_transfers(monkeypatch):
             "z1b^2 + z1*wb", model.context, model.order - 2)
         operands = []
 
-        def spy(a, b):
-            operands.append((a, b))
-            return mul(a, b)
+        def spy(products, limit):
+            products = list(products)
+            operands.extend((left, right) for _, _, left, _, right in products)
+            return loop(products, limit)
 
-        monkeypatch.setattr(ps.TruncatedSeries, "__mul__", spy)
+        monkeypatch.setattr(series_module, "_products", spy)
         table = family.transfer(t)
         monkeypatch.undo()
         yield family, t, table, operands
@@ -423,9 +428,10 @@ def spied_transfers(monkeypatch):
 def test_transfer_forms_no_product_of_two_unit_minors(monkeypatch):
     # every product has a parameter derivative of t, of X_l2 t or of delta,
     # or delta, or X_l1 delta, as a factor; the product of two unit minors
-    # alone would be formed at the cofactor order, above the entry order
+    # alone would be formed at the cofactor order, above the entry order.
+    # A series shares its grades with the storage the loop multiplies.
     for family, t, table, operands in spied_transfers(monkeypatch):
-        units = {id(u) for u in family.cofactor.values()}
+        units = {id(u._grades) for u in family.cofactor.values()}
         assert any(id(a) in units for a, _ in operands)
         assert not any(id(a) in units and id(b) in units for a, b in operands)
         assert_same_series_tables(table, reference_transfer(family, t))
@@ -439,6 +445,8 @@ def test_transfer_multiplies_each_unit_minor_column_once(monkeypatch):
     # whose d(X_l2 t)/da_mu is nonzero, delta * X_l1 X_l2 t and
     # (X_l1 delta) * X_l2 t.  With every unit minor and derivative nonzero
     # that is n(n+1)(n+5)/2 per t (90 at n = 4), and n(n+1) per family.
+    # A product is one operand pair handed to the product loop; the two
+    # of an entry are handed over even when one operand is zero.
     skipped = 0
     for family, t, table, operands in spied_transfers(monkeypatch):
         params = family.parameters
@@ -470,6 +478,29 @@ def test_transfer_multiplies_each_unit_minor_column_once(monkeypatch):
         skipped += n * (n + 1) * (n + 5) // 2 - per_t
     # the rigid n = 4 model has zero unit minors, whose products are skipped
     assert skipped
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_each_second_partial_of_theta_is_formed_once(n, monkeypatch):
+    # the elimination, the direct table and the cross-check read every
+    # theta_{z_a z_b}, a <= b, off the minor family, which forms it once
+    # from theta_{z_a}: one z_b-derivative of each first partial per b >= a
+    model = rigid_perturbation_model(random.Random(n), n, 6)
+    family = ps.minors(model)
+    firsts = {id(first): a for a, first in enumerate(family.firsts, 1)}
+    z_names = model.theta.context.names[:n]
+    calls = collections.Counter()
+    partial = ps.TruncatedSeries.partial
+
+    def spy(self, name):
+        if id(self) in firsts:
+            calls[firsts[id(self)], name] += 1
+        return partial(self, name)
+
+    monkeypatch.setattr(ps.TruncatedSeries, "partial", spy)
+    assert ps.cross_check(model).ok
+    assert calls == collections.Counter(
+        {(a, z_names[b - 1]): 1 for a in range(1, n + 1) for b in range(a, n + 1)})
 
 
 def test_transfer_of_a_vanishing_delta_is_zero_at_the_sum_order():

@@ -17,7 +17,7 @@ from pseudosphere.errors import (
 )
 from pseudosphere import series as series_module
 from pseudosphere.scalars import ONE, ZERO, GaussianRational
-from pseudosphere.series import _MAX_ORDER, _compose, _product
+from pseudosphere.series import _MAX_ORDER, _compose, _product, _sum_of_products
 
 from conftest import COEFF_POOL, heisenberg_theta, random_series
 
@@ -495,6 +495,43 @@ def test_add_into_with_a_factor_matches_the_scalar_loop(acc, terms, factor, canc
     assert_canonical_storage(out)
 
 
+@st.composite
+def product_operands(draw):
+    """A series over (u, v, w) of order 0..6, empty in about one draw of
+    four, with coefficients over coprime denominators or that cancel."""
+    size = draw(st.sampled_from([0, 1, 2, 4]))
+    terms = draw(st.dictionaries(KERNEL_EXPONENTS,
+                                 st.sampled_from(COPRIME_POOL + CANCELLING_POOL),
+                                 min_size=size, max_size=size))
+    return TruncatedSeries(UVW, draw(st.integers(0, 6)), terms)
+
+
+SIGNED_PRODUCTS = st.lists(
+    st.tuples(st.sampled_from([1, -1]), product_operands(), product_operands()), max_size=4)
+X_THIRD = as_series({(1, 0, 0): THIRD})
+Y_FIFTH = as_series({(0, 1, 0): FIFTH, (0, 0, 2): ONE})
+
+
+@settings(max_examples=200, deadline=None)
+@given(SIGNED_PRODUCTS, st.integers(0, 6))
+@example([], 3)
+# two products over the coprime denominators 3 and 15, and the same
+# product with both signs, which cancels
+@example([(1, X_THIRD, X_THIRD), (-1, X_THIRD, Y_FIFTH)], 2)
+@example([(1, X_THIRD, Y_FIFTH), (-1, Y_FIFTH, X_THIRD)], 4)
+def test_fused_products_match_the_sum_of_single_products(products, order):
+    # one accumulator over the lcm of the dl * dr, normalized once, holds
+    # the storage of the sum of the single products, each formed by ``*``
+    # at its own order, from the zero of ``order``
+    fused = _sum_of_products(UVW, order, products)
+    expected = TruncatedSeries.zero(UVW, order)
+    for sign, a, b in products:
+        expected = expected + a * b if sign > 0 else expected - a * b
+    assert (fused._den, fused._grades) == (expected._den, expected._grades)
+    assert fused.order == expected.order
+    assert_canonical_storage(fused)
+
+
 # ----------------------------------------------------------------------
 # substitute against a naive composition
 
@@ -610,6 +647,62 @@ def test_compose_matches_naive_composition_of_each_series(family, assigned, data
                   for name in sorted(assigned) + ["idle"]}
     results = _compose(family, assignment, TARGET)
     assert len(results) == len(family)
+    for s, result in zip(family, results):
+        expected = naive_compose(s, assignment, TARGET)
+        assert result == expected
+        assert result.order == expected.order
+        assert_valid(result)
+
+
+@st.composite
+def mixed_values(draw, lowest_order=1):
+    """A value in TARGET: a bare target variable (of any order from
+    ``lowest_order``), which the walk makes a key offset, or a series that
+    must still be walked: a variable times 2, a variable plus a term of
+    degree 2, or a random series."""
+    kind = draw(st.sampled_from(["bare", "bare", "twice", "plus-square", "series"]))
+    order = draw(st.integers(lowest_order, 5))
+    var = TruncatedSeries.variable(TARGET, order, draw(st.sampled_from(TARGET.names)))
+    if kind == "bare":
+        return var
+    if kind == "twice":
+        return var.scale(2)
+    if kind == "plus-square":
+        other = TruncatedSeries.variable(TARGET, order, draw(st.sampled_from(TARGET.names)))
+        return var + other * other
+    return draw(target_series(lowest_order=lowest_order))
+
+
+S_BARE = TruncatedSeries.variable(TARGET, 5, "s")
+S_BARE_LOW = TruncatedSeries.variable(TARGET, 1, "s")
+U_AND_SQUARE = (TruncatedSeries.variable(TARGET, 5, "u")
+                + TruncatedSeries(TARGET, 5, {(0, 0, 0, 2, 0): ONE}))  # u + t^2
+UVW_FAMILY = [
+    TruncatedSeries(SOURCE, 4, {(1, 1, 1, 0): ONE, (2, 0, 1, 0): THIRD, (0, 2, 0, 0): ONE}),
+    TruncatedSeries(SOURCE, 2, {(1, 1, 0, 0): FIFTH, (0, 0, 2, 0): ONE}),
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(source_family(), st.dictionaries(st.sampled_from(["u", "v", "w"]), mixed_values()),
+       mixed_values())
+# u and v both onto the target's s; w passes through
+@example(UVW_FAMILY, {"u": S_BARE, "v": S_BARE}, S_BARE)
+# a bare variable of order 1 below the other value's order 5 caps every output
+@example(UVW_FAMILY, {"u": S_BARE_LOW, "v": U_AND_SQUARE}, S_BARE)
+# walked values: twice a variable, and a variable plus a square; w passes through
+@example(UVW_FAMILY, {"u": S_BARE.scale(2), "v": U_AND_SQUARE}, S_BARE)
+# at order 2, u*v and v*w keep only the degree-1 part of v's image: the
+# bare u and the pass-through w each add a degree
+@example([TruncatedSeries(SOURCE, 2, {(1, 0, 1, 0): ONE, (1, 1, 0, 0): ONE})],
+         {"u": S_BARE, "v": U_AND_SQUARE}, S_BARE)
+@example([TruncatedSeries(SOURCE, 2, {(0, 1, 1, 0): ONE})], {"v": U_AND_SQUARE}, S_BARE)
+def test_compose_with_offsets_matches_naive_composition(family, assignment, idle):
+    # pass-through names and bare variables become key offsets and degree
+    # shifts of the walked part's image; each output is still the naive
+    # composition of its own series, cut at its own order
+    assignment = dict(assignment, idle=idle)
+    results = _compose(family, assignment, TARGET)
     for s, result in zip(family, results):
         expected = naive_compose(s, assignment, TARGET)
         assert result == expected

@@ -110,12 +110,13 @@ MUTANTS = [
     ),
     Mutant(
         "total-derivative-variable-one-short", "pde.py",
-        'TruncatedSeries.variable(system.context, g.order, f"yx{k}") * dy',
-        'TruncatedSeries.variable(system.context, g.order - 1, f"yx{k}") * dy',
+        'TruncatedSeries.variable(system.context, g.order, f"yx{k}"), dy)',
+        'TruncatedSeries.variable(system.context, g.order - 1, f"yx{k}"), dy)',
         ("tests/test_pde.py", "tests/test_flatness.py"),
-        "equivalent: the product with g.partial('y'), of order g.order - 1, "
-        "has order g.order - 1 with either factor order, and the sum takes "
-        "the minimum with g.partial(f'x{k}'), also of order g.order - 1",
+        "equivalent: the sum of products takes the lowest of its operands' "
+        "orders, and its operand g.partial('y') has order g.order - 1, so "
+        "it has order g.order - 1 with either variable order; the total "
+        "takes the minimum with g.partial(f'x{k}'), also of order g.order - 1",
     ),
     # -- the order cuts that drop unused degrees ----------------------
     Mutant(
@@ -256,7 +257,15 @@ MUTANTS = [
         "room = limit - degree_l",
         "room = limit - 1 - degree_l",
         ("tests/test_series.py::test_product_terms_match_the_scalar_loop",
+         "tests/test_series.py::test_fused_products_match_the_sum_of_single_products",
          "tests/test_series_reference.py::test_operations_match_the_reference_series"),
+        "killed",
+    ),
+    Mutant(
+        "fused-multiplier-dropped", "series.py",
+        "m = sign * (d // (dl * dr))",
+        "m = sign",
+        ("tests/test_series.py::test_fused_products_match_the_sum_of_single_products",),
         "killed",
     ),
     Mutant(
@@ -264,6 +273,13 @@ MUTANTS = [
         "                if degree > cut:\n",
         "                if degree > cut + 1:\n",
         ("tests/test_series.py::test_compose_cuts_each_output_at_its_own_order",),
+        "killed",
+    ),
+    Mutant(
+        "compose-offset-cut-unshifted", "series.py",
+        "cut = orders[j] - shift",
+        "cut = orders[j]",
+        ("tests/test_series.py::test_compose_with_offsets_matches_naive_composition",),
         "killed",
     ),
     Mutant(
@@ -289,8 +305,8 @@ MUTANTS = [
     ),
     Mutant(
         "laplace-limit-one-short", "matrices.py",
-        "entry._grades, d, grades, self.order)",
-        "entry._grades, d, grades, self.order - 1)",
+        "_products(products, self.order)",
+        "_products(products, self.order - 1)",
         ("tests/test_matrices.py::test_expansion_matches_the_permutation_sum",),
         "killed",
     ),
@@ -349,8 +365,8 @@ MUTANTS = [
     ),
     Mutant(
         "transfer-correction-l1-l2-swapped", "matrices.py",
-        "- self._delta_fields[l1] * pushed)",
-        "- self._delta_fields[l2] * self._apply(l1, first, order))",
+        "(-1, self._delta_fields[l1], pushed)",
+        "(-1, self._delta_fields[l2], self._apply(l1, first, order))",
         ("tests/test_flatness.py::test_transfer_matches_replaced_column_minors",),
         "killed",
     ),
