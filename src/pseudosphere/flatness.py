@@ -12,7 +12,14 @@ Two independent routes compute the same obstruction:
   determinant.
 
 Each route ends in one table of raw second derivatives, and one trace
-adjustment turns such a table into the tensor.  Agreement of the two
+adjustment turns such a table into the tensor.  The adjustment is one
+integer weight map per n, built once: with L = (n+1)(n+2), each
+component is (1/L) sum_R c_R raw_R over the raw entries R its formula
+reads, with weight L on its own entry, -(n+1) on each entry of a single
+trace it subtracts and +1 on each entry of a double trace it adds.  Only
+the nonzero raw entries are scattered through the map, and each
+component has the lowest order of every raw entry it reads, zero ones
+included.  Agreement of the two
 routes, coefficient by coefficient, is the central correctness property
 and is exposed as :func:`cross_check`.  It compares the raw tables
 first: since the adjustment is linear and exact, equal tables give the
@@ -22,14 +29,16 @@ second time and compared component by component.
 
 from __future__ import annotations
 
+import collections
+import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
 
 from .errors import InsufficientOrderError
 from .hypersurface import HypersurfaceModel, _roles, minors, per_model
 from .pde import PdeSystem, derive_associated_system
 from .scalars import GaussianRational, brief_str
-from .series import TruncatedSeries, _compose
+from .series import TruncatedSeries, _compose, _products
 
 
 @dataclass(frozen=True)
@@ -94,60 +103,99 @@ class FlatnessTensor:
         return PseudosphericalVerdict(witness is None, self.certified_order, witness)
 
 
+@cache
+def _trace_map(n: int) -> tuple:
+    """The trace adjustment at n as integer weights over L = (n+1)(n+2).
+
+    Returns (``columns``, ``reads``).  ``reads`` maps each component key
+    K = (k1, k2, l1, l2), k1 <= k2 and l1 <= l2, to the raw keys R its
+    formula reads; ``columns`` maps each raw key R to the pairs (K, the
+    one-term constant storage of c_{K,R}) of the components it reaches,
+    so that W_K = (1/L) sum_R c_{K,R} raw_R.  Each entry has weight L on
+    its own component, each entry of a single trace the component
+    subtracts has -(n+1), and each entry of a double trace it adds has +1.
+    No weight cancels to 0 for any n from 2 to 8 (see the tests), so the
+    raw keys K reads are the support of its weights.
+    """
+    idx = range(1, n + 1)
+    denominator = (n + 1) * (n + 2)
+
+    def key(a, b, l1, l2):
+        return (min(a, b), max(a, b), min(l1, l2), max(l1, l2))
+
+    columns, reads = {}, {}
+    for k1, k2, l1, l2 in itertools.product(idx, repeat=4):
+        if k1 > k2 or l1 > l2:
+            continue
+        weights = collections.Counter({(k1, k2, l1, l2): denominator})
+        for delta, (k, l) in ((k1 == l1, (k2, l2)), (k1 == l2, (k2, l1)),
+                              (k2 == l1, (k1, l2)), (k2 == l2, (k1, l1))):
+            if delta:
+                for m in idx:
+                    weights[key(m, k, m, l)] -= n + 1
+        pair = (k1 == l1 and k2 == l2) + (k2 == l1 and k1 == l2)
+        if pair:
+            for m, l in itertools.product(idx, repeat=2):
+                weights[key(m, l, m, l)] += pair
+        reads[(k1, k2, l1, l2)] = tuple(weights)
+        for r, c in weights.items():
+            columns.setdefault(r, []).append(((k1, k2, l1, l2), {0: {0: (c, 0)}}))
+    return {r: tuple(reached) for r, reached in columns.items()}, reads
+
+
 def _assemble_trace_adjusted(n: int, raw: dict) -> dict:
     """Combine a raw second-derivative table into the trace-adjusted tensor.
 
     ``raw`` maps each (a, b, l1, l2) with a <= b and l1 <= l2 to a
     series; it stands for a table symmetric in (a, b) and in (l1, l2).
-    Each single trace T_{k,l} = sum_l' raw(l', k, l', l) is formed once,
-    already weighted by 1/(n+2), and the double trace is the sum of those
-    weighted diagonal traces times 1/(n+1).  The output subtracts the four
-    single traces and adds the double trace once per Kronecker term; those
-    weights are exactly what makes every contraction sum_k W_{k,k2,k,l2}
-    vanish.
+    Component K is (1/L) sum_R c_{K,R} raw_R with the integer weights of
+    ``_trace_map(n)``, L = (n+1)(n+2): the table minus the four single
+    traces, each weighted 1/(n+2), plus the double trace, weighted
+    1/((n+1)(n+2)), once per Kronecker term; those weights are exactly
+    what makes every contraction sum_k W_{k,k2,k,l2} vanish.
+
+    Only the nonzero raw entries are scattered to the components they
+    reach, each with its weight as a one-term constant storage over L, and
+    each reached component is one ``series._products`` call.  A component's
+    order is the lowest order of every raw entry it reads, zero entries
+    included; a component that no nonzero entry reaches is the zero series
+    of that order; when every raw entry has one order, that is the order
+    of every component.
     """
-
-    def s(a, b, l1, l2):
-        return raw[(min(a, b), max(a, b), min(l1, l2), max(l1, l2))]
-
-    w = Fraction(1, n + 2)
-    trace = {
-        (k, l): sum((s(lp, k, lp, l) for lp in range(2, n + 1)), s(1, k, 1, l)).scale(w)
-        for k in range(1, n + 1)
-        for l in range(1, n + 1)
-    }
-    double = sum((trace[(lp, lp)] for lp in range(2, n + 1)), trace[(1, 1)])
-    double = double.scale(Fraction(1, n + 1))
-
+    columns, reads = _trace_map(n)
+    denominator = (n + 1) * (n + 2)
+    products = {}
+    for r, series in raw.items():
+        if series._grades:
+            den, grades = series._den, series._grades
+            for k, c in columns[r]:
+                products.setdefault(k, []).append((1, denominator, c, den, grades))
+    context = next(iter(raw.values())).context
+    low = min(series.order for series in raw.values())
+    even = all(series.order == low for series in raw.values())
     components = {}
-    for k1 in range(1, n + 1):
-        for k2 in range(k1, n + 1):
-            for l1 in range(1, n + 1):
-                for l2 in range(l1, n + 1):
-                    comp = s(k1, k2, l1, l2)
-                    if k1 == l1:
-                        comp = comp - trace[(k2, l2)]
-                    if k1 == l2:
-                        comp = comp - trace[(k2, l1)]
-                    if k2 == l1:
-                        comp = comp - trace[(k1, l2)]
-                    if k2 == l2:
-                        comp = comp - trace[(k1, l1)]
-                    if k1 == l1 and k2 == l2:
-                        comp = comp + double
-                    if k2 == l1 and k1 == l2:
-                        comp = comp + double
-                    components[(k1, k2, l1, l2)] = comp
+    for k, keys in reads.items():
+        order = low if even else min(raw[r].order for r in keys)
+        terms = products.get(k)
+        components[k] = TruncatedSeries._valid(
+            context, order, *(_products(terms, order) if terms else (1, {})))
     return components
 
 
 def _jet_table(system: PdeSystem) -> dict:
     """{(a, b, l1, l2): d^2 F_ab / d(y_{x^l1}) d(y_{x^l2})} for a <= b and
-    l1 <= l2, each first y_x-derivative of F_ab formed once."""
+    l1 <= l2, from the system's memoized first y_x-partials.  A zero F_ab
+    gives zero entries at its order - 2, and no partial is formed."""
     n = system.n
+    partials = system._yx_partials
     table = {}
     for a, b in system.component_keys():
-        firsts = [system.component(a, b).partial(f"yx{l}") for l in range(1, n + 1)]
+        firsts = partials.get((a, b))
+        if firsts is None:
+            zero = TruncatedSeries.zero(system.context, system.component(a, b).order - 2)
+            table.update(((a, b, l1, l2), zero)
+                         for l1 in range(1, n + 1) for l2 in range(l1, n + 1))
+            continue
         for l1 in range(1, n + 1):
             for l2 in range(l1, n + 1):
                 table[(a, b, l1, l2)] = firsts[l1 - 1].partial(f"yx{l2}")
@@ -161,6 +209,10 @@ def hachtroudi_tensor(system: PdeSystem) -> FlatnessTensor:
     to y_{x^k1 x^k2} = 0 under point transformations.
     """
     n = system.n
+    if system.order < 2:
+        raise InsufficientOrderError(
+            f"system order {system.order} < 2: certified order would be negative"
+        )
     components = _assemble_trace_adjusted(n, _jet_table(system))
     return FlatnessTensor(
         n=n, certified_order=system.order - 2, components=components

@@ -15,6 +15,7 @@ fundamental determinant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import LeviDegenerateError, RankConditionError, UnsupportedDimensionError
 from .hypersurface import _checked_input, _roles, minors, per_model
@@ -72,6 +73,15 @@ class PdeSystem:
 
     def component(self, k1: int, k2: int) -> TruncatedSeries:
         return self._components[(min(k1, k2), max(k1, k2))]
+
+    @cached_property
+    def _yx_partials(self) -> dict:
+        """{(k1, k2): (dF/d(y_{x^1}), ..., dF/d(y_{x^n}))} for each nonzero
+        stored component F, formed once and read by both the integrability
+        totals and the flatness tensor's jet table."""
+        names = [f"yx{l}" for l in range(1, self.n + 1)]
+        return {key: tuple(f.partial(name) for name in names)
+                for key, f in self._components.items() if not f.is_zero()}
 
     def component_keys(self):
         return sorted(self._components)
@@ -185,11 +195,15 @@ def derive_associated_system(obj) -> PdeSystem:
 recover_system_from_solution = derive_associated_system
 
 
-def _total_derivatives(system: PdeSystem, g: TruncatedSeries, ks) -> dict:
-    """{k: D_k g for k in ks}, forming g's y- and y_x-partials once; the
-    products of each D_k g are summed in one pass of the product loop."""
+def _total_derivatives(system: PdeSystem, g: TruncatedSeries, firsts, ks) -> dict:
+    """{k: D_k g for k in ks}, given ``firsts``, g's partials in yx1..yxn,
+    and forming g's y-partial once; the products of each D_k g are summed
+    in one pass of the product loop.  A zero g has every total zero at
+    g.order - 1, the order the formula gives, and ``firsts`` is not read."""
     dy = g.partial("y")
-    dyx = [(l, d) for l in range(1, system.n + 1) if not (d := g.partial(f"yx{l}")).is_zero()]
+    if g.is_zero():
+        return dict.fromkeys(ks, dy)
+    dyx = [(l, d) for l, d in enumerate(firsts, 1) if not d.is_zero()]
     return {k: g.partial(f"x{k}") + _sum_of_products(system.context, g.order, [
         (1, TruncatedSeries.variable(system.context, g.order, f"yx{k}"), dy),
         *((1, system.component(k, l), d) for l, d in dyx)]) for k in ks}
@@ -204,7 +218,8 @@ def total_derivative(system: PdeSystem, k: int, g: TruncatedSeries) -> Truncated
         raise ValueError(f"index {k} out of range 1..{system.n}")
     if g.context != system.context:
         raise ValueError("g must live in the system's jet context")
-    return _total_derivatives(system, g, [k])[k]
+    firsts = [g.partial(f"yx{l}") for l in range(1, system.n + 1)]
+    return _total_derivatives(system, g, firsts, [k])[k]
 
 
 @dataclass(frozen=True)
@@ -217,14 +232,16 @@ class IntegrabilityReport:
 def check_complete_integrability(system: PdeSystem) -> IntegrabilityReport:
     """Verify D_{k3} F_{k1,k2} == D_{k2} F_{k1,k3} for all index triples.
 
-    Each stored component F_{i,j} is differentiated once in y and in each
-    y_x, by one ``_total_derivatives`` call that forms D_k F_{i,j} for
-    every k but k = i = j: since k2 < k3, no triple reads D_k F_{k,k}.
+    Each stored component F_{i,j} is differentiated once in y, by one
+    ``_total_derivatives`` call that forms D_k F_{i,j} for every k but
+    k = i = j: since k2 < k3, no triple reads D_k F_{k,k}.  Its y_x-partials
+    are the system's memoized ones, which the flatness tensor reads too.
     The triples read that table.
     """
     failures = []
     checked = system.order - 1
-    totals = {(i, j): _total_derivatives(system, system.component(i, j),
+    partials = system._yx_partials
+    totals = {(i, j): _total_derivatives(system, system.component(i, j), partials.get((i, j)),
                                          [k for k in range(1, system.n + 1) if not i == j == k])
               for i, j in system.component_keys()}
     for k1 in range(1, system.n + 1):

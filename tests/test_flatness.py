@@ -115,6 +115,64 @@ def test_random_systems_match_oracle(rng):
             )
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_jet_table_of_zero_components_is_the_formulas(n, monkeypatch):
+    # zero F_ab give zero rows at the order the second partials give, and
+    # no partial of theirs is formed; the nonzero one's rows are its
+    # second partials
+    ctx = ps.pde_context(n)
+    system = PdeSystem(n, 4, {(1, 2): ps.parse_series("yx1^2*yx2 + y*yx1", ctx, 4)})
+    want = {(a, b, l1, l2): system.component(a, b).partial(f"yx{l1}").partial(f"yx{l2}")
+            for a, b in system.component_keys()
+            for l1 in range(1, n + 1) for l2 in range(l1, n + 1)}
+    zero = {id(system.component(*key)) for key in system.component_keys()
+            if system.component(*key).is_zero()}
+    differentiated = []
+    partial = ps.TruncatedSeries.partial
+
+    def spy(self, name):
+        differentiated.append(id(self) in zero)
+        return partial(self, name)
+
+    monkeypatch.setattr(ps.TruncatedSeries, "partial", spy)
+    table = flatness_module._jet_table(system)
+    assert table.keys() == want.keys()
+    for key, series in want.items():
+        assert table[key] == series, key
+        assert table[key].order == series.order == 2, key
+    assert differentiated and not any(differentiated)
+
+
+@pytest.mark.parametrize("texts", [{}, {(1, 2): "yx1^2"}], ids=["zero", "nonzero"])
+def test_tensor_of_a_system_below_order_two_names_its_order(texts):
+    # the same error whether the first component is zero or not
+    with pytest.raises(InsufficientOrderError, match="system order 1 < 2"):
+        ps.hachtroudi_tensor(pde(texts, order=1))
+
+
+def test_integrability_and_the_tensor_share_the_first_yx_partials(monkeypatch):
+    # each nonzero F's first y_x-partials are formed once for both readers
+    n = 3
+    rng = random.Random(5)
+    ctx = ps.pde_context(n)
+    system = PdeSystem(n, 4, {key: random_series(rng, ctx, 4, max_terms=3, degree=3)
+                              for key in ((1, 1), (1, 3), (2, 3))})
+    stored = {id(system.component(*key)) for key in system.component_keys()}
+    calls = collections.Counter()
+    partial = ps.TruncatedSeries.partial
+
+    def spy(self, name):
+        if id(self) in stored:
+            calls[id(self), name] += 1
+        return partial(self, name)
+
+    monkeypatch.setattr(ps.TruncatedSeries, "partial", spy)
+    ps.check_complete_integrability(system)
+    ps.hachtroudi_tensor(system)
+    yx = [count for (_, name), count in calls.items() if name.startswith("yx")]
+    assert len(yx) == 3 * n and set(yx) == {1}
+
+
 def test_trace_free_identity_random_systems(rng):
     for _ in range(10):
         components = {
@@ -189,6 +247,124 @@ def test_trace_adjustment_matches_the_scalar_formula(n, rng):
         tensor = ps.FlatnessTensor(n, 0, components)
         for k2, l2 in itertools.product(range(1, n + 1), repeat=2):
             assert tensor.contract(k2, l2).is_zero(), (k2, l2)
+
+
+def chained_trace_adjusted(n, raw):
+    """The trace adjustment as a chain of series sums and scalings: each
+    single trace T_{k,l} = sum_l' raw(l', k, l', l) formed once, weighted
+    by 1/(n+2), and the double trace, the sum of the weighted diagonal
+    traces times 1/(n+1); the table minus the four single traces plus the
+    double trace once per Kronecker term.  The reference for the integer
+    weight map of ``flatness._assemble_trace_adjusted``."""
+
+    def s(a, b, l1, l2):
+        return raw[(min(a, b), max(a, b), min(l1, l2), max(l1, l2))]
+
+    w = Fraction(1, n + 2)
+    trace = {
+        (k, l): sum((s(lp, k, lp, l) for lp in range(2, n + 1)), s(1, k, 1, l)).scale(w)
+        for k in range(1, n + 1)
+        for l in range(1, n + 1)
+    }
+    double = sum((trace[(lp, lp)] for lp in range(2, n + 1)), trace[(1, 1)])
+    double = double.scale(Fraction(1, n + 1))
+
+    components = {}
+    for k1 in range(1, n + 1):
+        for k2 in range(k1, n + 1):
+            for l1 in range(1, n + 1):
+                for l2 in range(l1, n + 1):
+                    comp = s(k1, k2, l1, l2)
+                    if k1 == l1:
+                        comp = comp - trace[(k2, l2)]
+                    if k1 == l2:
+                        comp = comp - trace[(k2, l1)]
+                    if k2 == l1:
+                        comp = comp - trace[(k1, l2)]
+                    if k2 == l2:
+                        comp = comp - trace[(k1, l1)]
+                    if k1 == l1 and k2 == l2:
+                        comp = comp + double
+                    if k2 == l1 and k1 == l2:
+                        comp = comp + double
+                    components[(k1, k2, l1, l2)] = comp
+    return components
+
+
+# coefficients over coprime denominators, so the weights' sums run over
+# lcms that are no power of 2
+COPRIME_POOL = [gaussian(Fraction(a, d), Fraction(b, d)) for a, b, d in
+                ((1, 0, 3), (-2, 1, 5), (0, 3, 7), (4, -1, 11), (1, 1, 1), (-1, 2, 13))]
+
+
+def random_raw_table(rng, n, kind, low_zero):
+    """A raw table at n over (u, v): entries of orders 3 to 5, all zero
+    (``kind`` "zero"), one nonzero ("single"), about one in ten nonzero
+    ("sparse") or nine in ten ("dense"); with ``low_zero`` one zero entry
+    has an order below every other entry's."""
+    ctx = ps.VariableContext(("u", "v"))
+    keys = [k for k in itertools.product(range(1, n + 1), repeat=4)
+            if k[0] <= k[1] and k[2] <= k[3]]
+    chance = {"zero": 0, "single": 0, "sparse": 0.1, "dense": 0.9}[kind]
+    table = {}
+    for key in keys:
+        order = rng.randint(3, 5)
+        if rng.random() < chance:
+            pool = rng.choice([COEFF_POOL, COPRIME_POOL])
+            table[key] = random_series(rng, ctx, order, max_terms=4, pool=pool)
+        else:
+            table[key] = ps.TruncatedSeries.zero(ctx, order)
+    if kind == "single":
+        key = rng.choice(keys)
+        table[key] = random_series(rng, ctx, table[key].order, max_terms=4, pool=COPRIME_POOL)
+    if low_zero:
+        table[rng.choice(keys)] = ps.TruncatedSeries.zero(ctx, 2)
+    return table
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([2, 3, 4, 5]),
+       kind=st.sampled_from(["zero", "single", "sparse", "dense"]),
+       low_zero=st.booleans(),
+       rng=st.randoms(use_true_random=False))
+@example(n=2, kind="zero", low_zero=False, rng=random.Random(0))
+@example(n=3, kind="zero", low_zero=True, rng=random.Random(0))
+@example(n=4, kind="single", low_zero=False, rng=random.Random(0))
+@example(n=2, kind="single", low_zero=True, rng=random.Random(1))
+@example(n=3, kind="dense", low_zero=True, rng=random.Random(2))
+@example(n=4, kind="sparse", low_zero=True, rng=random.Random(3))
+def test_trace_map_matches_the_chained_adjustment(n, kind, low_zero, rng):
+    # every component, in its storage and its order, is the chained
+    # reference's, and every contraction of the result vanishes
+    raw = random_raw_table(rng, n, kind, low_zero)
+    got = flatness_module._assemble_trace_adjusted(n, raw)
+    want = chained_trace_adjusted(n, raw)
+    assert got.keys() == want.keys()
+    for key, series in want.items():
+        assert got[key] == series, key
+        assert got[key].order == series.order, key
+    tensor = ps.FlatnessTensor(n, 0, got)
+    for k2, l2 in itertools.product(range(1, n + 1), repeat=2):
+        assert tensor.contract(k2, l2).is_zero(), (k2, l2)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_trace_map_weights_are_nonzero_on_the_entries_each_component_reads(n):
+    # the raw keys each component reads are those of the displayed formula,
+    # no weight cancels to 0, and the map is built once per n
+    columns, reads = flatness_module._trace_map(n)
+    keys = [k for k in itertools.product(range(1, n + 1), repeat=4)
+            if k[0] <= k[1] and k[2] <= k[3]]
+    want = trace_adjusted_reference(n, dict.fromkeys(keys, 0))
+    assert {k: set(r) for k, r in reads.items()} == {k: read for k, (_, read) in want.items()}
+    scattered = collections.defaultdict(set)
+    for r, reached in columns.items():
+        for k, storage in reached:
+            (c, im), = storage[0].values()
+            assert c and not im, (k, r)
+            scattered[k].add(r)
+    assert scattered == {k: set(r) for k, r in reads.items()}
+    assert flatness_module._trace_map(n) is flatness_module._trace_map(n)
 
 
 # ----------------------------------------------------------------------

@@ -104,6 +104,54 @@ def test_total_derivative_formula():
     assert ps.total_derivative(zero_system, 1, x2).is_zero()
 
 
+def literal_total_derivative(system, k, g):
+    """D_k g from its displayed formula, one plain series operation per
+    term; a y_x-partial of g that is exactly 0 contributes no term."""
+    yxk = TruncatedSeries.variable(system.context, g.order, f"yx{k}")
+    total = g.partial(f"x{k}") + yxk * g.partial("y")
+    for l in range(1, system.n + 1):
+        d = g.partial(f"yx{l}")
+        if not d.is_zero():
+            total = total + system.component(k, l) * d
+    return total
+
+
+@pytest.mark.parametrize("order", [1, 2, 5])
+def test_total_derivative_of_zero_is_the_formulas(order):
+    # a zero g has every total zero at g.order - 1, the formula's order,
+    # on a zero system and on one with nonzero components of lower order
+    for system in (PdeSystem(2, 5, {}), PdeSystem(2, 3, {(1, 2): p("y + yx1^2", order=3)})):
+        g = TruncatedSeries.zero(PCTX, order)
+        for k in (1, 2):
+            got = ps.total_derivative(system, k, g)
+            want = literal_total_derivative(system, k, g)
+            assert got == want and got.is_zero()
+            assert got.order == want.order == order - 1
+
+
+def test_integrability_forms_no_partial_of_a_zero_component_but_in_y(monkeypatch):
+    # four of the six components are zero: each is differentiated in y
+    # only, and the report is the one of every total derived anew
+    system = PdeSystem(3, 4, {(1, 2): p("x3*yx1 + y^2", order=4, ctx=ps.pde_context(3)),
+                              (3, 3): p("yx2*yx3", order=4, ctx=ps.pde_context(3))})
+    want = naive_integrability_failures(system)
+    zero = {id(system.component(*key)) for key in system.component_keys()
+            if system.component(*key).is_zero()}
+    names = set()
+    partial = TruncatedSeries.partial
+
+    def spy(self, name):
+        if id(self) in zero:
+            names.add(name)
+        return partial(self, name)
+
+    monkeypatch.setattr(TruncatedSeries, "partial", spy)
+    report = ps.check_complete_integrability(system)
+    assert names == {"y"}
+    assert want and report.failures == want
+    assert report.checked_order == 3
+
+
 def test_zero_system_is_integrable():
     assert ps.check_complete_integrability(PdeSystem(2, 5, {})).ok
 

@@ -483,6 +483,8 @@ def test_product_terms_match_the_scalar_loop(operands, limit):
 @example({(0, 0, 1): THIRD}, {(1, 0, 0): FIFTH, (0, 1, 0): ONE}, THIRD, [True] + [False] * 5)
 # (1 + i)/6 + (1 - i)/2 * 1/3 = 1/3: a sum over one denominator that reduces
 @example({(1, 0, 0): COPRIME_POOL[5]}, {(1, 0, 0): THIRD}, COPRIME_POOL[4], [False] * 6)
+# u/3 - (2/15)*v: the left numerators are brought over the lcm 15
+@example({(1, 0, 0): THIRD}, {(0, 1, 0): FIFTH}, THIRD, [False] * 6)
 def test_add_into_with_a_factor_matches_the_scalar_loop(acc, terms, factor, cancels):
     # a flagged term of ``terms`` meets -factor * itself in ``acc``
     for (e, c), cancel in zip(terms.items(), cancels):

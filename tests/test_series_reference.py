@@ -10,7 +10,7 @@ over a new common denominator and the canonical form has work to do.
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pseudosphere as ps
 from pseudosphere import TruncatedSeries, VariableContext
@@ -158,6 +158,9 @@ def without_constant(series):
 @settings(max_examples=150, deadline=None)
 @given(pooled_series(), pooled_series(), st.sampled_from(COPRIME_POOL),
        st.integers(0, 4), st.integers(0, 3))
+# (1 - i)/2 * u twice: its sum and its square each have a common factor 2
+@example(TruncatedSeries(UVW, 2, {(1, 0, 0): COPRIME_POOL[4]}),
+         TruncatedSeries(UVW, 2, {(1, 0, 0): COPRIME_POOL[4]}), COPRIME_POOL[0], 0, 2)
 def test_operations_match_the_reference_series(a, b, c, cut, k):
     ra, rb = RefSeries.of(a), RefSeries.of(b)
     assert_same(a * b, ra * rb)
