@@ -32,6 +32,7 @@ from .scalars import GaussianRational, ONE, ZERO, brief_str, gaussian
 from .series import TruncatedSeries, VariableContext
 
 
+@functools.cache
 def canonical_context(n: int) -> VariableContext:
     """(z1..zn, z1b..znb, wb): holomorphic, conjugate, conjugate-vertical."""
     names = [f"z{k}" for k in range(1, n + 1)]
@@ -40,6 +41,7 @@ def canonical_context(n: int) -> VariableContext:
     return VariableContext(names)
 
 
+@functools.cache
 def conjugate_context(n: int) -> VariableContext:
     names = [f"z{k}" for k in range(1, n + 1)]
     names += [f"z{k}b" for k in range(1, n + 1)]
@@ -47,6 +49,7 @@ def conjugate_context(n: int) -> VariableContext:
     return VariableContext(names)
 
 
+@functools.cache
 def graph_context(n: int) -> VariableContext:
     """(x1..xn, y1..yn, v): real coordinates of a graphed hypersurface."""
     names = [f"x{k}" for k in range(1, n + 1)]
@@ -55,6 +58,7 @@ def graph_context(n: int) -> VariableContext:
     return VariableContext(names)
 
 
+@functools.cache
 def map_context(n: int) -> VariableContext:
     """(z1..zn, w): source coordinates of a holomorphic point map."""
     return VariableContext([f"z{k}" for k in range(1, n + 1)] + ["w"])

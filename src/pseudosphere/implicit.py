@@ -38,13 +38,18 @@ n - n//2 - 1, builds it.  A step whose M equals the previous step's
 reuses that J^-1: it was built from the iterate's terms of degree
 <= M <= k, which no later step changes.
 
-Both compositions of a step, the equations' and the table's, assign the
-iterate to the unknowns only.  The parameters p pass through by name,
-so ``series._compose`` walks the unknowns alone: a monomial's p
-exponents shift the keys of its unknowns' image, and monomials that
-differ only in p share that image.  The update sum_i (J^-1)_ji E_i of
-unknown j is one call of the product loop ``series._products``: its
-products, one per equation, go into one accumulator, normalized once.
+Each step is one walk of ``series._compose``: the equations and, when
+J^-1 is renewed, det J and the cofactors that are not zero through
+degree M, under one assignment of the iterate to the unknowns.  The
+parameters p pass through by name, so the walk covers the unknowns
+alone: a monomial's p exponents shift the keys of its unknowns' image,
+and monomials that differ only in p, or that the equations and the table
+share, share that image.  A cofactor that is zero through degree M stays
+absent from J^-1: it forms no product with det^-1, and no update reads
+it.  The update sum_i (J^-1)_ji E_i of unknown j is one call of the
+product loop ``series._products`` on its products with a nonzero entry
+and a nonzero residual, one per equation at most, summed into one
+accumulator and normalized once; with none, the iterate is kept.
 
 The order stays sound: the iterate is a polynomial, so its residual is
 exact at any order, and the result claims order n only after the last
@@ -122,8 +127,6 @@ def _newton(equations, unknowns, jacobian=None, targets=()):
             "constant Jacobian in the unknowns is singular at the origin"
         )
     size = len(unknowns)
-    # det, then the cofactors row by row
-    table = [det] + [cofactor[(i, j)] for i in range(size) for j in range(size)]
     precisions = [n >> s for s in reversed(range(n.bit_length()))]  # 1, ..., n//2, n
 
     # the iterates as (denominator, grades) storages, exact through degree k
@@ -133,22 +136,33 @@ def _newton(equations, unknowns, jacobian=None, targets=()):
     for top in precisions:
         point = {u: TruncatedSeries._valid(out_ctx, top, *storage)
                  for u, storage in zip(unknowns, iterate)}
-        residuals = _compose(equations, point, out_ctx)
+        walked = list(equations)
+        renew = top - k - 1 != low
+        if renew:
+            low = top - k - 1
+            # det, then the cofactors that are not zero through degree low
+            entries = [(key, c.truncate(low)) for key, c in cofactor.items()]
+            entries = [(key, c) for key, c in entries if c._grades]
+            walked += [det.truncate(low)] + [c for _, c in entries]
+        images = _compose(walked, point, out_ctx)
+        residuals = images[:size]
         for i, t in enumerate(targets):
             residuals[i] = residuals[i] - TruncatedSeries.variable(out_ctx, top, t)
-        if top - k - 1 != low:
-            low = top - k - 1
-            # a zero entry adds no monomial to the walk and comes back as
-            # zero of order low
-            det_at, *entries = _compose([s.truncate(low) for s in table], point, out_ctx)
-            det_inv = det_at.invert_unit()
-            # J^-1 is the adjugate, the transposed cofactor table, over det J
-            inverse = [[_product(det_inv._den, det_inv._grades, c._den, c._grades, low)
-                        for c in entries[j::size]] for j in range(size)]
+        if renew:
+            det_inv = images[size].invert_unit()
+            # J^-1 is the adjugate, the transposed cofactor table, over det
+            # J: inverse[j] holds (i, its entry (j, i)) for each cofactor
+            # (i, j) that is not zero
+            inverse = [[] for _ in unknowns]
+            for ((i, j), _), c in zip(entries, images[size + 1:]):
+                if c._grades:
+                    inverse[j].append((i, _product(det_inv._den, det_inv._grades,
+                                                   c._den, c._grades, low)))
         for j, storage in enumerate(iterate):
-            step = _products([(1, dv, v, r._den, r._grades)
-                              for (dv, v), r in zip(inverse[j], residuals)], top)
-            iterate[j] = _add(*storage, *step, -1)
+            step = [(1, *entry, r._den, r._grades)
+                    for i, entry in inverse[j] if (r := residuals[i])._grades]
+            if step:
+                iterate[j] = _add(*storage, *_products(step, top), -1)
         k = top
 
     return {u: TruncatedSeries._valid(out_ctx, n, *storage)

@@ -18,8 +18,11 @@ The memo holds storages, the (denominator, grades) pairs of the series
 kernels, not series: each sub-minor is the signed sum of its
 entry-times-minor products, formed by one call of the product loop
 ``series._products``, which sums them in one accumulator and normalizes
-once; zero entries are left out of the list, and the loop skips zero
-sub-minors.  Only the outputs (the determinant and each cofactor) are
+once.  A zero entry or a zero sub-minor leaves its product out of the
+list, and a minor with no product left is the empty storage, with no
+call of the loop: of the Levi matrix of a rigid model at n = 4, with
+most entries and many sub-minors exactly 0, that is about half the
+minors.  Only the outputs (the determinant and each cofactor) are
 wrapped as series, each once.  The memo is a plain dict passed down the
 recursion, not held by a closure that refers to itself: such a cycle
 keeps every expansion's minors alive until the cyclic garbage collector
@@ -116,9 +119,10 @@ class SeriesMatrix:
             for pos, r in enumerate(rows):
                 entry = self.entries[r][cols[0]]
                 if entry._grades:
-                    products.append((-1 if pos % 2 else 1, entry._den, entry._grades,
-                                     *self._minor(memo, rows[:pos] + rows[pos + 1 :], cols[1:])))
-            value = memo[key] = _products(products, self.order)
+                    sub = self._minor(memo, rows[:pos] + rows[pos + 1 :], cols[1:])
+                    if sub[1]:
+                        products.append((-1 if pos % 2 else 1, entry._den, entry._grades, *sub))
+            value = memo[key] = _products(products, self.order) if products else (1, {})
         return value
 
 
@@ -231,10 +235,13 @@ class MinorFamily:
         it is built one degree higher for its gradient, then cut before it
         meets X_l1 delta.  A t whose parameter derivatives all vanish
         transfers to 0 at min(delta.order, t.order - 2), the order of the
-        double sum, whose second-minor terms vanish with t_tau.
+        double sum, whose second-minor terms vanish with t_tau.  A zero t
+        does so without forming its n+1 partials; one of order 0 still
+        raises in ``partial``, as every t of order 0 does, and one of order
+        1 raises for the negative order.
         """
         params, columns = self.parameters, range(1, len(self.parameters))
-        first = [t.partial(a) for a in params]
+        first = [t.partial(a) for a in params] if t._grades or not t.order else ()
         if all(d.is_zero() for d in first):
             zero = TruncatedSeries.zero(self.delta.context, min(self.delta.order, t.order - 2))
             return {(l1, l2): zero for l2 in columns for l1 in range(1, l2 + 1)}

@@ -15,7 +15,7 @@ fundamental determinant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import LeviDegenerateError, RankConditionError, UnsupportedDimensionError
 from .hypersurface import _checked_input, _roles, minors, per_model
@@ -23,6 +23,7 @@ from .implicit import _newton
 from .series import TruncatedSeries, VariableContext, _compose, _sum_of_products
 
 
+@cache
 def pde_context(n: int) -> VariableContext:
     names = [f"x{k}" for k in range(1, n + 1)]
     names.append("y")
@@ -30,6 +31,7 @@ def pde_context(n: int) -> VariableContext:
     return VariableContext(names)
 
 
+@cache
 def fundamental_context(n: int) -> VariableContext:
     """(x1..xn, a1..an, b): the base variables, then the parameters of Q."""
     return VariableContext([f"x{k}" for k in range(1, n + 1)]
@@ -144,7 +146,7 @@ def _eliminate(q: TruncatedSeries, x_names, parameters, family) -> PdeSystem:
     Solves {q = y, q_{x^k} = y_{x^k}} for the parameters as series in
     (x, y, y_x): the equations stay in q's own context, and the targets
     y, yx1..yxn are the fresh variables of the solution's.  It then
-    substitutes the solution into all the pure second derivatives
+    substitutes the solution into the nonzero pure second derivatives
     q_{x^k1 x^k2} in one composition, in the solver's context, and
     renames the result into ``pde_context(n)``.  ``family`` is q's minor
     family, which holds the q_x (``firsts``) and the q_{x^k1 x^k2}
@@ -171,9 +173,13 @@ def _eliminate(q: TruncatedSeries, x_names, parameters, family) -> PdeSystem:
     solution = _newton(system, parameters, (family.delta, family.cofactor), targets)
     jet_ctx = solution[parameters[-1]].context  # (x1..xn, y, yx1..yxn)
     out_ctx = pde_context(n)
-    seconds = family.seconds
-    components = {key: f.rename_context(out_ctx)
-                  for key, f in zip(seconds, _compose(seconds.values(), solution, jet_ctx))}
+    # a zero second derivative is not composed: the system's default zero
+    # component has the order d its composition would have had
+    seconds = {key: f for key, f in family.seconds.items() if f._grades}
+    components = {}
+    if seconds:
+        images = _compose(seconds.values(), solution, jet_ctx)
+        components = {key: f.rename_context(out_ctx) for key, f in zip(seconds, images)}
     return PdeSystem(n, order, components)
 
 

@@ -36,14 +36,21 @@ substituted: a variable that passes through by name, or that is
 assigned a bare target variable, shifts the keys and degrees of the
 images it meets and is never multiplied out.
 
-Two rules make a zero series cost no more than a call.  A product with
+Three rules make a zero series cost no more than a call.  A product with
 an empty operand is the empty series of the lower operand order: every
 term of the true product lies above that order, and nothing is claimed
-beyond it.  A sum or difference with an empty operand is the other
-operand itself (negated in ``empty - b``), cut to the lower order when
-the orders differ.  Series are
-immutable by convention, and so are the per-degree dicts, which
-operations share between series instead of copying.
+beyond it; a sum of products with no product of two nonzero operands
+(``_sum_of_products``) makes no call of the product loop.  A sum or
+difference with an empty operand is the other operand itself (negated
+in ``empty - b``), cut to the lower order when the orders differ.  A
+composition walks no monomial of an empty member, builds its images only
+through the highest order of a nonzero member, and gives an empty member
+the empty series of its output order, the lower of its own order and
+the lowest assigned order, with no normalizing pass.  Callers that hold
+lists with many zero members (``implicit``, ``pde``, ``flatness``) leave
+them out of the list altogether.  Series are immutable by convention,
+and so are the per-degree dicts, which operations share between series
+instead of copying.
 """
 
 from __future__ import annotations
@@ -257,10 +264,13 @@ def _product(dl, left, dr, right, limit):
 def _sum_of_products(context, order, products):
     """The series of the sum of sign * a * b over ``products``, a list of
     (sign, a, b) with a and b series of ``context``, at the lowest of
-    ``order`` and the orders of every a and b: ``_products`` through that
-    order.  The caller vouches for the contexts."""
+    ``order`` and the orders of every a and b, zero ones included:
+    ``_products`` through that order, and no call when no product has two
+    nonzero operands.  The caller vouches for the contexts."""
     for _, a, b in products:
         order = min(order, a.order, b.order)
+    if not any(a._grades and b._grades for _, a, b in products):
+        return TruncatedSeries._valid(context, order, 1, {})
     return TruncatedSeries._valid(context, order, *_products(
         [(sign, a._den, a._grades, b._den, b._grades) for sign, a, b in products], order))
 
@@ -322,7 +332,9 @@ def _compose(series_list, assignment, target_context=None):
     context, and the assignment follows ``substitute``'s rules.  Output j
     is guaranteed to the smaller of series j's order and the lowest order
     among the assigned values; its monomials of higher degree are skipped,
-    since their images have a valuation above that order.
+    since their images have a valuation above that order.  An output that
+    no image reaches, that of a zero series among them, is the zero series
+    of that order, formed with no normalizing pass.
 
     Only the substituted source variables are walked.  A variable that
     passes through to the same-named target variable, or that is assigned
@@ -342,10 +354,10 @@ def _compose(series_list, assignment, target_context=None):
     current part, one entry per nonzero exponent, so at most one per
     walked variable.  A part pops the entries past the first position
     where it differs from the one before and multiplies out only the rest.
-    Products are cut at the highest output order.  An image is scattered
-    into output j once per monomial that uses it: shifted by the
-    monomial's offset and degree shift, and cut at output j's order less
-    that shift.
+    Products are cut at the highest order of an output with a nonzero
+    series.  An image is scattered into output j once per monomial that
+    uses it: shifted by the monomial's offset and degree shift, and cut at
+    output j's order less that shift.
 
     Output j is summed as numerators: series j's own denominator is
     factored out, and each image is brought over the running lcm of the
@@ -382,7 +394,8 @@ def _compose(series_list, assignment, target_context=None):
             value_order = s.order
     orders = [s.order if value_order is None else min(s.order, value_order)
               for s in series_list]
-    limit = max(orders)
+    # a zero series reads no image, so it does not raise the images' cut
+    limit = max((order for s, order in zip(series_list, orders) if s._grades), default=0)
 
     # per source variable: its field's shift, and either the target key of
     # degree 1 its exponent multiplies (a pass-through name, which raises
@@ -496,7 +509,8 @@ def _compose(series_list, assignment, target_context=None):
                         v[0] += x
                         v[1] += y
     return [
-        TruncatedSeries._valid(target_context, order, *_closed(s._den * den, acc))
+        TruncatedSeries._valid(target_context, order,
+                               *(_closed(s._den * den, acc) if acc else (1, {})))
         for s, order, (den, acc) in zip(series_list, orders, outs)
     ]
 

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import pseudosphere as ps
 from pseudosphere import PdeSystem, flatness as flatness_module, pde as pde_module
+from pseudosphere import cli, implicit as implicit_module, matrices as matrices_module
 from pseudosphere import series as series_module
 from pseudosphere.errors import InsufficientOrderError, LeviDegenerateError
 from pseudosphere.scalars import gaussian
@@ -27,6 +28,9 @@ from conftest import (
 
 CTX = ps.canonical_context(2)
 PCTX = ps.pde_context(2)
+# the rigid n = 4 model of the CI, the shape of the pipeline-n4 benchmark
+# inputs: a cubic perturbation of a quadric of signature (3, 1)
+RIGID_N4 = "-wb + z1*z1b + z2*z2b + z3*z3b - z4*z4b + z3*z1b*z4b + z1*z4*z3b"
 
 
 def pde(texts, n=2, order=5):
@@ -696,6 +700,38 @@ def test_transfer_of_a_vanishing_delta_is_zero_at_the_sum_order():
         assert series.is_zero() and series.order == 1, key
 
 
+@pytest.mark.parametrize("order", range(4))
+def test_transfer_of_a_zero_t_forms_no_partial(order, monkeypatch):
+    # a zero t transfers to the zero table at min(delta.order, t.order - 2)
+    # without one parameter partial; below order 2 it raises what the
+    # formula raises: ``partial`` refuses order 0, and order 1 gives the
+    # entries a negative order
+    model = rigid_perturbation_model(random.Random(4), 4, 6)
+    family = ps.minors(model)
+    assert family.delta.order == 4
+    t = ps.TruncatedSeries.zero(model.context, order)
+    formed = []
+    partial = ps.TruncatedSeries.partial
+
+    def spy(self, name):
+        formed.append(name)
+        return partial(self, name)
+
+    monkeypatch.setattr(ps.TruncatedSeries, "partial", spy)
+    if order < 2:
+        message = "guaranteed order 0" if order == 0 else "got -1"
+        with pytest.raises(InsufficientOrderError, match=message):
+            family.transfer(t)
+        return
+    table = family.transfer(t)
+    assert formed == []
+    monkeypatch.undo()
+    assert len(table) == 10
+    for key, series in table.items():
+        assert series.is_zero() and series.order == order - 2, key
+    assert_same_series_tables(table, reference_transfer(family, t))
+
+
 def test_transfer_of_a_column_without_unit_minors_is_zero_at_the_sum_order():
     # only D^1_[1] is nonzero, so l = 1 has a live unit minor and l = 2
     # none: X_2 t is an empty sum, and (1, 2) and (2, 2) are the zero
@@ -934,6 +970,102 @@ def test_cross_check_adjusts_no_table_when_the_raw_tables_agree(monkeypatch):
     assert not report.direct.is_zero()
     assert calls == []
     assert_same_series_tables(report.transported, report.direct.components)
+
+
+def test_pull_back_gives_each_zero_jet_the_order_of_its_composition():
+    # jets of orders on either side of the lowest assigned order, 3: a
+    # zero jet of order 5 is cut to 3, one of order 1 keeps it, as the
+    # composition and the product with the uncut delta cube give them;
+    # delta is cut to 3 before it is cubed
+    jet_ctx = ps.pde_context(2)
+    theta = ps.parse_series("-wb + z1*z1b + z2*z2b + z1^2*z1b^2", CTX, 6)
+    delta = ps.parse_series("1 + z1*z1b + wb^2", CTX, 6)
+    assignment = {"y": theta.truncate(4), "x1": ps.TruncatedSeries.variable(CTX, 6, "z1"),
+                  "x2": ps.TruncatedSeries.variable(CTX, 6, "z2"),
+                  "yx1": theta.partial("z1").truncate(3), "yx2": theta.partial("z2")}
+    jets = {
+        "zero above": ps.TruncatedSeries.zero(jet_ctx, 5),
+        "nonzero": ps.parse_series("yx1^2 + x1*y", jet_ctx, 2),
+        "zero below": ps.TruncatedSeries.zero(jet_ctx, 1),
+        "nonzero above": ps.parse_series("yx2*x2 - y^2", jet_ctx, 6),
+    }
+    table = flatness_module._pulled_back(jets, assignment, delta)
+    assert list(table) == list(jets)
+    for key, jet in jets.items():
+        want = delta**3 * jet.substitute(assignment, CTX)
+        assert table[key] == want, key
+        assert table[key].order == want.order, key
+    assert [table[key].order for key in jets] == [3, 2, 1, 3]
+
+
+def test_cross_check_pulls_back_only_the_nonzero_jets(monkeypatch):
+    # the CI's rigid n = 4 model: most jets are 0, and each transported
+    # entry, zero or not, is delta^3 times its jet composed, in terms and
+    # order, though only the nonzero jets are composed and multiplied
+    theta = ps.parse_series(RIGID_N4, ps.canonical_context(4), 6)
+    model = ps.make_model(4, theta, 6)
+    jets = flatness_module._jet_table(ps.derive_associated_system(model))
+    composed, tables = [], []
+    compose, pulled_back = flatness_module._compose, flatness_module._pulled_back
+
+    def spy_compose(series_list, *args):
+        composed.extend(series_list)
+        return compose(series_list, *args)
+
+    def spy_pulled_back(*args):
+        tables.append(pulled_back(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(flatness_module, "_compose", spy_compose)
+    monkeypatch.setattr(flatness_module, "_pulled_back", spy_pulled_back)
+    assert ps.cross_check(model).ok
+    monkeypatch.undo()
+    zero = [key for key, jet in jets.items() if jet.is_zero()]
+    assert 0 < len(zero) < len(jets)
+    assert len(composed) == len(jets) - len(zero)
+    (table,) = tables
+    assignment = {"y": theta}
+    for k in range(1, 5):
+        assignment[f"x{k}"] = ps.TruncatedSeries.variable(theta.context, 6, f"z{k}")
+        assignment[f"yx{k}"] = theta.partial(f"z{k}")
+    delta_cubed = ps.minors(model).delta ** 3
+    for key, jet in jets.items():
+        want = delta_cubed * jet.substitute(assignment, theta.context)
+        assert table[key] == want, key
+        assert table[key].order == want.order, key
+
+
+def test_no_zero_operand_reaches_a_kernel_on_a_rigid_n4_model(monkeypatch):
+    # every check of the CI's rigid n = 4 model: the Laplace memo, Newton's
+    # table and update, the elimination's last composition, the transfer
+    # and the pull-back leave their zero series out, so no zero series is
+    # composed, and every call of the product loop has a product of two
+    # nonzero operands
+    zeros, dead = [], []
+    compose, products = series_module._compose, series_module._products
+
+    def spy_compose(series_list, *args):
+        series_list = list(series_list)
+        zeros.extend(s for s in series_list if s.is_zero())
+        return compose(series_list, *args)
+
+    def spy_products(terms, limit):
+        terms = list(terms)
+        if not any(left and right for _, _, left, _, right in terms):
+            dead.append(terms)
+        return products(terms, limit)
+
+    for module in (series_module, matrices_module, implicit_module, pde_module, flatness_module):
+        if hasattr(module, "_compose"):
+            monkeypatch.setattr(module, "_compose", spy_compose)
+        if hasattr(module, "_products"):
+            monkeypatch.setattr(module, "_products", spy_products)
+    report = cli.run(cli.JobSpec(n=4, order=6, kind="theta", theta_text=RIGID_N4,
+                                 checks=cli.ALL_CHECKS, witness=True))
+    assert (report["integrability"], report["cross_check"], report["pseudospherical"]) == (
+        "pass", "pass", "NonVanishing(component=(1, 1, 1, 1), monomial=1, coefficient=-8/15)")
+    assert zeros == []
+    assert dead == []
 
 
 def assert_direct_table_is_the_pulled_back_jet_table(model):

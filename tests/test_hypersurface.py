@@ -76,6 +76,17 @@ def test_dimension_guard():
         ps.make_model(1, ps.parse_series("-wb + z1*z1b", ps.canonical_context(1), 4), 4)
 
 
+@pytest.mark.parametrize("context_of", [
+    ps.canonical_context, conjugate_context, ps.graph_context, ps.map_context,
+    ps.pde_context, ps.fundamental_context])
+def test_each_context_is_one_object_per_n(context_of):
+    # series of one n share their context object, so the context check of
+    # every operation between them is an identity test
+    for n in (2, 3, 4):
+        assert context_of(n) is context_of(n)
+        assert context_of(n) is not context_of(n + 1)
+
+
 # ----------------------------------------------------------------------
 # conjugation and reality
 

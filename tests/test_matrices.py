@@ -121,7 +121,9 @@ def _reference_matrix(rng, size, shape):
     orders 2 to 4 (so the expansion cuts the higher ones), a quarter of
     them 0; ``shape`` adds a zero row, a zero column, or a last column
     proportional to the one before it, so that every sub-minor on those
-    two columns vanishes."""
+    two columns vanishes, or keeps the entries on the pattern of zeros of
+    a rigid n = 4 Levi matrix only (``SPARSE``), where more than half of
+    the sub-minors vanish."""
     ctx = VariableContext(("u", "v"))
     monomials = [e for e in itertools.product(range(5), repeat=2) if sum(e) <= 4]
     entries = []
@@ -144,12 +146,24 @@ def _reference_matrix(rng, size, shape):
         factor = random_gaussian(rng) or GaussianRational(1, 1)
         for row in entries:
             row[-1] = row[-2].scale(factor)
+    elif shape == "sparse":
+        for r, row in enumerate(entries):
+            for c in range(size):
+                if not SPARSE[r][c]:
+                    row[c] = TruncatedSeries.zero(ctx, row[c].order)
+                elif row[c].is_zero():
+                    row[c] = TruncatedSeries(ctx, row[c].order, {(1, 0): ONE})
     return SeriesMatrix(entries), ctx
+
+
+# the zero pattern of the Levi matrix of -wb + z1*z1b + z2*z2b + z3*z3b -
+# z4*z4b + z3*z1b*z4b + z1*z4*z3b at order 6: 54 of its 101 minors vanish
+SPARSE = ((1, 1, 1, 1, 1), (1, 0, 1, 0, 0), (0, 1, 0, 0, 0), (1, 0, 1, 1, 0), (0, 0, 1, 1, 0))
 
 
 @pytest.mark.parametrize("size, shape", [
     (size, shape) for size in range(1, 6)
-    for shape in ("random", "zero-row", "zero-column", "vanishing-minors")
+    for shape in ("random", "zero-row", "zero-column", "vanishing-minors", "sparse")
     if size > 1 or shape != "vanishing-minors"])
 def test_expansion_matches_the_permutation_sum(size, shape):
     rng = random.Random(size * 10 + len(shape))

@@ -725,6 +725,37 @@ def test_compose_cuts_each_output_at_its_own_order():
     assert_valid(cut)
 
 
+S_TWICE_TWO = TruncatedSeries.variable(TARGET, 2, "s").scale(2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.just([]), source_family()),
+       st.lists(st.integers(0, 4), min_size=1, max_size=3),
+       st.dictionaries(st.sampled_from(["u", "v", "w"]), mixed_values()), mixed_values())
+# zero members of order 4 and 1 on either side of the lowest assigned order,
+# 2, among two nonzero ones: the first is cut to 2, the second keeps 1
+@example(UVW_FAMILY, [4, 1], {"u": S_TWICE_TWO, "v": U_AND_SQUARE}, S_BARE)
+# a list of zero members only walks nothing
+@example([], [3, 0], {"u": S_TWICE_TWO}, S_BARE_LOW)
+def test_compose_gives_each_zero_member_the_zero_of_its_output_order(
+        family, zero_orders, assignment, idle):
+    # a zero member is not walked: its output is the zero series of the
+    # smaller of its order and the lowest assigned order, as the naive
+    # composition gives it, and the other outputs are as without it
+    assignment = dict(assignment, idle=idle)
+    zeros = [TruncatedSeries.zero(SOURCE, order) for order in zero_orders]
+    mixed = zeros[:1] + family + zeros[1:]
+    results = _compose(mixed, assignment, TARGET)
+    assert len(results) == len(mixed)
+    for s, result in zip(mixed, results):
+        expected = naive_compose(s, assignment, TARGET)
+        assert result == expected
+        assert result.order == expected.order
+        assert_valid(result)
+    if family:
+        assert _compose(family, assignment, TARGET) == results[1:len(family) + 1]
+
+
 def test_compose_rejects_an_empty_or_mixed_list():
     u = TruncatedSeries.variable(TARGET, 3, "s")
     with pytest.raises(ValueError):

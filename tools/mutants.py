@@ -98,15 +98,14 @@ MUTANTS = [
         ("tests/test_flatness.py::test_cross_check_order_is_bounded_when_the_raw_tables_differ_only_in_order",),
         "killed",
     ),
+    # a zero second derivative is not composed, so a flat model hands
+    # PdeSystem no component, and the argument alone is the system's order
     Mutant(
         "eliminate-system-order-plus-one", "pde.py",
         "return PdeSystem(n, order, components)",
         "return PdeSystem(n, order + 1, components)",
-        ("tests/test_pde.py", "tests/test_flatness.py"),
-        "equivalent: every component is a composition of a second derivative "
-        "of order q.order - 2 with a solution of order at least that, so it "
-        "has order q.order - 2, and PdeSystem takes the lowest of its "
-        "argument and the components' orders",
+        ("tests/test_pde.py::test_heisenberg_system_is_zero",),
+        "killed",
     ),
     Mutant(
         "total-derivative-variable-one-short", "pde.py",
@@ -128,8 +127,8 @@ MUTANTS = [
     ),
     Mutant(
         "delta-cut-one-short", "flatness.py",
-        "delta = minors(model).delta.truncate(max(s.order for s in pulled))",
-        "delta = minors(model).delta.truncate(max(s.order for s in pulled) - 1)",
+        "delta = delta.truncate(max(orders.values()))",
+        "delta = delta.truncate(max(orders.values()) - 1)",
         ("tests/test_flatness.py::test_transported_route_is_the_uncut_delta_cube_on_a_graph",),
         "killed",
     ),
@@ -344,16 +343,16 @@ MUTANTS = [
     ),
     Mutant(
         "jacobian-table-cut-one-short", "implicit.py",
-        "[s.truncate(low) for s in table]",
-        "[s.truncate(max(low - 1, 0)) for s in table]",
+        "entries = [(key, c.truncate(low)) for key, c in cofactor.items()]",
+        "entries = [(key, c.truncate(max(low - 1, 0))) for key, c in cofactor.items()]",
         ("tests/test_implicit.py",
          "tests/test_pde.py::test_elimination_solves_to_the_kept_order_only"),
         "killed",
     ),
     Mutant(
         "adjugate-untransposed", "implicit.py",
-        "for c in entries[j::size]]",
-        "for c in entries[j * size:(j + 1) * size]]",
+        "inverse[j].append((i, _product(",
+        "inverse[i].append((j, _product(",
         ("tests/test_implicit.py",
          "tests/test_pde.py::test_elimination_solves_to_the_kept_order_only"),
         "killed",
@@ -416,6 +415,29 @@ MUTANTS = [
         "return a if a.order <= b.order else a.truncate(b.order)",
         "return a",
         ("tests/test_series.py::test_ring_operations_match_dict_arithmetic",),
+        "killed",
+    ),
+    # a zero operand is left out of a kernel's work, and its output keeps
+    # the order the kernel would have given it
+    Mutant(
+        "compose-zero-output-at-its-own-order", "series.py",
+        "TruncatedSeries._valid(target_context, order,\n",
+        "TruncatedSeries._valid(target_context, order if acc else s.order,\n",
+        ("tests/test_series.py::test_compose_gives_each_zero_member_the_zero_of_its_output_order",),
+        "killed",
+    ),
+    Mutant(
+        "pulled-back-zero-at-the-jet-order", "flatness.py",
+        "orders = {key: min(jet.order, low) for key, jet in jets.items()}",
+        "orders = {key: jet.order for key, jet in jets.items()}",
+        ("tests/test_flatness.py::test_pull_back_gives_each_zero_jet_the_order_of_its_composition",),
+        "killed",
+    ),
+    Mutant(
+        "transfer-zero-table-one-long", "matrices.py",
+        "min(self.delta.order, t.order - 2)",
+        "min(self.delta.order, t.order - 1)",
+        ("tests/test_flatness.py::test_transfer_of_a_zero_t_forms_no_partial",),
         "killed",
     ),
 ]

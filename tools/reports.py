@@ -4,7 +4,8 @@
 Two commits whose outputs are byte-identical compute the same reports,
 systems, transported models and implicit solutions on these inputs; a
 refactor that claims to keep the behaviour diffs this output against the
-commit before it.  The inputs are the first 12 pipeline-n4, 9 nonrigid-n2
+commit before it, and ``tools/golden.py`` checks it, one record per
+input, against the committed ``tools/reports.golden``.  The inputs are the first 12 pipeline-n4, 9 nonrigid-n2
 and 48 screen benchmark inputs (``perfbench/inputs.py``) of seeds 1 and
 2.  For each input it prints:
 
