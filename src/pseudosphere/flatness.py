@@ -19,7 +19,8 @@ reads, with weight L on its own entry, -(n+1) on each entry of a single
 trace it subtracts and +1 on each entry of a double trace it adds.  Only
 the nonzero raw entries are scattered through the map, and each
 component has the lowest order of every raw entry it reads, zero ones
-included.  Agreement of the two
+included; a component that one nonzero entry reaches is that entry,
+scaled, with no product formed.  Agreement of the two
 routes, coefficient by coefficient, is the central correctness property
 and is exposed as :func:`cross_check`.  It compares the raw tables
 first: since the adjustment is linear and exact, equal tables give the
@@ -40,6 +41,7 @@ from __future__ import annotations
 import collections
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 
 from .errors import InsufficientOrderError
@@ -163,30 +165,40 @@ def _assemble_trace_adjusted(n: int, raw: dict) -> dict:
     what makes every contraction sum_k W_{k,k2,k,l2} vanish.
 
     Only the nonzero raw entries are scattered to the components they
-    reach, each with its weight as a one-term constant storage over L, and
-    each reached component is one ``series._products`` call.  A component's
-    order is the lowest order of every raw entry it reads, zero entries
-    included; a component that no nonzero entry reaches is the zero series
-    of that order; when every raw entry has one order, that is the order
-    of every component.
+    reach.  A component's order is the lowest order of every raw entry it
+    reads, zero entries included; a component that no nonzero entry
+    reaches is the zero series of that order; when every raw entry has one
+    order, that is the order of every component.  A component that one
+    nonzero entry reaches is that entry cut to the component's order and
+    scaled by c/L, with no product formed; when c = L it is the entry
+    itself.  A component that several reach is one ``series._products``
+    call, each weight a one-term constant storage over L.
     """
     columns, reads = _trace_map(n)
     denominator = (n + 1) * (n + 2)
-    products = {}
+    reached = {}
     for r, series in raw.items():
         if series._grades:
-            den, grades = series._den, series._grades
-            for k, c in columns[r]:
-                products.setdefault(k, []).append((1, denominator, c, den, grades))
+            for k, weight in columns[r]:
+                reached.setdefault(k, []).append((weight, series))
     context = next(iter(raw.values())).context
     low = min(series.order for series in raw.values())
     even = all(series.order == low for series in raw.values())
     components = {}
     for k, keys in reads.items():
         order = low if even else min(raw[r].order for r in keys)
-        terms = products.get(k)
-        components[k] = TruncatedSeries._valid(
-            context, order, *(_products(terms, order) if terms else (1, {})))
+        weighted = reached.get(k)
+        if weighted is None:
+            components[k] = TruncatedSeries.zero(context, order)
+        elif len(weighted) == 1:
+            (weight, series), = weighted
+            c = weight[0][0][0]
+            entry = series.truncate(order)
+            components[k] = entry if c == denominator else entry.scale(Fraction(c, denominator))
+        else:
+            components[k] = TruncatedSeries._valid(context, order, *_products(
+                [(1, denominator, weight, series._den, series._grades)
+                 for weight, series in weighted], order))
     return components
 
 
@@ -275,15 +287,16 @@ def _pulled_back(jets: dict, assignment: dict, delta: TruncatedSeries) -> dict:
     """{key: delta^3 * (jet composed with ``assignment``)} over ``jets``,
     a table of series in one context, whose images live in delta's.
 
-    Each entry has the order of the composition, min(jet order, lowest
-    assigned order), since delta is cut to the highest such order before
-    it is cubed: the degrees above it would be dropped by every product
-    anyway.  Only the nonzero jets are composed and multiplied; a zero
-    jet's entry is the zero series of that order.  The cut is taken over
-    every jet, zero ones included, so a delta below it raises
-    InsufficientOrderError whatever the jets hold.
+    Each entry has the order of its product, the lowest of the jet's
+    order, the lowest assigned order and delta's order, since delta is cut
+    to the highest such order before it is cubed: the degrees above it
+    would be dropped by every product anyway.  So a table longer than
+    delta allows is pulled back at delta's order, and the routes compare
+    at the common order.  Only the nonzero jets are composed and
+    multiplied; a zero jet's entry is the zero series of that order.  The
+    cut is taken over every jet, zero ones included.
     """
-    low = min(value.order for value in assignment.values())
+    low = min([delta.order] + [value.order for value in assignment.values()])
     orders = {key: min(jet.order, low) for key, jet in jets.items()}
     delta = delta.truncate(max(orders.values()))
     zeros = {order: TruncatedSeries.zero(delta.context, order) for order in set(orders.values())}

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .implicit import solve_formal_system, solve_implicit
 from .matrices import MinorFamily, SeriesMatrix, jacobian_minor_family
-from .scalars import GaussianRational, ONE, ZERO, brief_str, gaussian
+from .scalars import GaussianRational, ZERO, brief_str, gaussian
 from .series import TruncatedSeries, VariableContext
 
 
@@ -121,7 +121,7 @@ def _checked_input(n: int, series: TruncatedSeries, order, name: str, context_of
     if n < 2:
         raise UnsupportedDimensionError(f"CR dimension must be >= 2, got {n}")
     ctx = context_of(n)
-    if series.context != ctx:
+    if series.context is not ctx and series.context != ctx:
         raise ValueError(
             f"{name} must live in context {ctx.names}, got {series.context.names}"
         )
@@ -289,24 +289,30 @@ def minors(obj) -> MinorFamily:
     return family
 
 
+# The one variable of every characteristic polynomial hermitian_signature forms.
+_T = VariableContext(["t"])
+
+
 def hermitian_signature(matrix) -> tuple:
     """Exact signature (positives, negatives) of a nondegenerate Hermitian
     matrix H over Q(i), by Descartes' rule of signs on p(t) = det(tI - H).
 
     Every root of p is a real eigenvalue of H, so the positive ones are
     counted exactly by the sign changes of p's coefficients (zeros
-    skipped); when p(0) = det(-H) is nonzero the rest are negative.
+    skipped); when p(0) = det(-H) is nonzero the rest are negative.  Each
+    entry of tI - H is built as its storage over the one context of t: the
+    constant -h, and on the diagonal t over the same denominator.
     """
     n = len(matrix)
     for j in range(n):
         for k in range(n):
             if matrix[j][k].conjugate() != matrix[k][j]:
                 raise ValueError("matrix is not Hermitian")
-    ctx = VariableContext(["t"])
-    p = SeriesMatrix(
-        [[TruncatedSeries(ctx, n, {(1,): ONE, (0,): -h} if j == k else {(0,): -h})
-          for k, h in enumerate(row)] for j, row in enumerate(matrix)]
-    ).determinant()
+    rows = [[TruncatedSeries.constant(_T, n, -h) for h in row] for row in matrix]
+    for j, row in enumerate(rows):
+        c = row[j]
+        row[j] = TruncatedSeries._valid(_T, n, c._den, {**c._grades, 1: {1: (c._den, 0)}})
+    p = SeriesMatrix(rows).determinant()
     if not p.constant_term():
         raise LeviDegenerateError("Hermitian form is degenerate")
     signs = [c.re > 0 for c in (p.coefficient((k,)) for k in range(n + 1)) if c]

@@ -69,7 +69,7 @@ def _context(equations):
         raise ValueError("no equations to solve")
     ctx = equations[0].context
     for eq in equations:
-        if eq.context != ctx:
+        if eq.context is not ctx and eq.context != ctx:
             raise ValueError("equations live in different contexts")
     return ctx
 

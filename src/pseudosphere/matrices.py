@@ -18,9 +18,10 @@ The memo holds storages, the (denominator, grades) pairs of the series
 kernels, not series: each sub-minor is the signed sum of its
 entry-times-minor products, formed by one call of the product loop
 ``series._products``, which sums them in one accumulator and normalizes
-once.  A zero entry or a zero sub-minor leaves its product out of the
-list, and a minor with no product left is the empty storage, with no
-call of the loop: of the Levi matrix of a rigid model at n = 4, with
+once; a 1 x 1 minor is its entry, cut to the matrix order, with no
+product formed.  A zero entry or a zero sub-minor leaves its product out
+of the list, and a minor with no product left is the empty storage, with
+no call of the loop: of the Levi matrix of a rigid model at n = 4, with
 most entries and many sub-minors exactly 0, that is about half the
 minors.  Only the outputs (the determinant and each cofactor) are
 wrapped as series, each once.  The memo is a plain dict passed down the
@@ -36,7 +37,7 @@ from functools import cached_property
 
 from .errors import ContextMismatchError
 from .scalars import ONE
-from .series import TruncatedSeries, _negated, _products, _sum_of_products
+from .series import TruncatedSeries, _cut, _negated, _products, _sum_of_products
 
 
 class SeriesMatrix:
@@ -55,7 +56,7 @@ class SeriesMatrix:
         ctx = entries[0][0].context
         for row in entries:
             for e in row:
-                if e.context != ctx:
+                if e.context is not ctx and e.context != ctx:
                     raise ContextMismatchError("matrix entries share no common context")
         self.entries = entries
         self.context = ctx
@@ -114,7 +115,11 @@ class SeriesMatrix:
         """
         key = (rows, cols)
         value = memo.get(key)
-        if value is None:
+        if value is None and len(rows) == 1:
+            # the entry itself: its product with the empty minor, 1
+            entry = self.entries[rows[0]][cols[0]]
+            value = memo[key] = _cut(entry._den, entry._grades, self.order)
+        elif value is None:
             products = []
             for pos, r in enumerate(rows):
                 entry = self.entries[r][cols[0]]

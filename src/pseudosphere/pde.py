@@ -57,7 +57,7 @@ class PdeSystem:
         for (k1, k2), series in components.items():
             if not (1 <= k1 <= n and 1 <= k2 <= n):
                 raise ValueError(f"component index {(k1, k2)} out of range")
-            if series.context != self.context:
+            if series.context is not self.context and series.context != self.context:
                 raise ValueError(
                     f"component {(k1, k2)} must live in {self.context.names}"
                 )

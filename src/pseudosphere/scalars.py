@@ -15,8 +15,10 @@ unit's constant term, coefficients read out).  Only this module knows
 the storage format; other modules use the operators and the ``re``/``im``
 properties.  The one exception is the series storage, which keeps
 Gaussian-integer numerators over one denominator per series: it reads
-the triples of the scalars it is given, and ``_reduced`` turns a
-numerator pair over its denominator back into a scalar.
+the triples of the scalars it is given (the series constructors, and the
+parser, which builds the storage of a sum from its scalars and terms),
+and ``_reduced`` turns a numerator pair over its denominator back into a
+scalar.
 """
 
 from __future__ import annotations

@@ -30,7 +30,10 @@ one storage, and ``==`` compares it structurally.  Coefficients as
 Kernels.  Products and compositions each have one loop on the storage.
 ``_products`` sums a list of signed products in one accumulator over the
 lcm of their denominators and normalizes once; a single product, a
-Laplace sub-minor and any other sum of products are its calls.
+Laplace sub-minor and any other sum of products are its calls.  It
+scales each left numerator as it reads it, and its closing pass
+(``_closed``) drops the zero sums and divides only where the common
+factor is not 1.
 ``_compose`` walks only the source variables that are really
 substituted: a variable that passes through by name, or that is
 assigned a bare target variable, shifts the keys and degrees of the
@@ -124,7 +127,8 @@ class VariableContext:
         return iter(self.names)
 
     def __eq__(self, other):
-        return isinstance(other, VariableContext) and self.names == other.names
+        return other is self or (
+            isinstance(other, VariableContext) and self.names == other.names)
 
     def __hash__(self):
         return hash(self.names)
@@ -191,12 +195,16 @@ def _cut(d, grades, order):
 def _closed(d, acc):
     """The canonical storage of a kernel accumulator {degree: {key: [a, b]}}
     over d: zero sums dropped and the common factor g divided out, in one
-    pass after the gcd (zero sums leave the gcd as it is).  The one loop
-    serves g = 1 too, where the division leaves every numerator as it is."""
+    pass after the gcd (zero sums leave the gcd as it is).  Where g is 1,
+    which is most often, the pass only drops the zero sums and divides
+    nothing."""
     g = 1 if d == 1 else _common(d, acc)
     grades = {}
     for degree, sums in acc.items():
-        kept = {k: (a // g, b // g) for k, (a, b) in sums.items() if a or b}
+        if g == 1:
+            kept = {k: (a, b) for k, (a, b) in sums.items() if a or b}
+        else:
+            kept = {k: (a // g, b // g) for k, (a, b) in sums.items() if a or b}
         if kept:
             grades[degree] = kept
     return d // g, grades
@@ -213,13 +221,13 @@ def _products(products, limit):
     may pass more (see ``implicit``).
 
     Every product is summed into one accumulator over d, the lcm of the
-    dl * dr of the products with no empty operand: the numerators of the
-    left operand are multiplied by sign * d / (dl * dr) first, where that
-    is not 1.  Only degree pairs within the limit are walked, and a
-    product key is one integer addition.  The result is brought to
-    canonical form once, over d, by one ``_closed`` pass, where a sum of
-    products one at a time would form and normalize each product and each
-    partial sum.  A one-term operand takes the same loop: its products
+    dl * dr of the products with no empty operand: each numerator of the
+    left operand is multiplied by m = sign * d / (dl * dr) as it is read,
+    where m is not 1, so no scaled copy of the operand is built.  Only
+    degree pairs within the limit are walked, and a product key is one
+    integer addition.  The result is brought to canonical form once, over
+    d, by one ``_closed`` pass, where a sum of products one at a time would
+    form and normalize each product and each partial sum.  A one-term operand takes the same loop: its products
     fall on distinct keys, so nothing accumulates within its product.
     """
     d = 1
@@ -231,9 +239,7 @@ def _products(products, limit):
         if not left or not right:
             continue
         m = sign * (d // (dl * dr))
-        if m != 1:
-            left = {degree: {k: (a * m, b * m) for k, (a, b) in terms.items()}
-                    for degree, terms in left.items() if degree <= limit}
+        scaled = m != 1
         for degree_l, terms_l in left.items():
             room = limit - degree_l
             for degree_r, terms_r in right.items():
@@ -244,6 +250,9 @@ def _products(products, limit):
                 if sums is None:
                     sums = acc[degree] = {}
                 for kl, (a1, b1) in terms_l.items():
+                    if scaled:
+                        a1 *= m
+                        b1 *= m
                     for kr, (a2, b2) in terms_r.items():
                         k = kl + kr
                         v = sums.get(k)
@@ -381,7 +390,7 @@ def _compose(series_list, assignment, target_context=None):
             raise ValueError("empty assignment requires an explicit target context")
     value_order = None  # the lowest order among the assigned values
     for name, s in assignment.items():
-        if s.context != target_context:
+        if s.context is not target_context and s.context != target_context:
             raise ContextMismatchError(
                 f"assignment for {name!r} lives in {s.context.names}, "
                 f"expected {target_context.names}"
@@ -672,8 +681,8 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (self.context == other.context and self._den == other._den
-                and self._grades == other._grades)
+        return ((self.context is other.context or self.context == other.context)
+                and self._den == other._den and self._grades == other._grades)
 
     __hash__ = None  # mutable-ish payload, keep unhashable
 

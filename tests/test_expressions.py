@@ -5,7 +5,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pseudosphere as ps
 from pseudosphere import TruncatedSeries
@@ -247,6 +247,21 @@ PARITY_TABLE = [
     ("(2/3 - i)*(z1 + 1/2)^2", _values(
         "(1/6 - 1/4*i) + (2/3 - i)*z1 + (2/3 - i)*z1^2", "(1/6 - 1/4*i)",
         "(1/6 - 1/4*i) + (2/3 - i)*z1")),
+    # a monomial above the order is 0, in a sum too, and cancelling
+    # monomials leave nothing
+    ("z1^3*z2^4 + z1", _values("z1", "0", "z1")),
+    ("-z1*z1b + z1b*z1", _values("0", "0", "0")),
+    # a monomial power past the coefficient budget raises at its ^, unless
+    # its square lies above the order
+    ("(2^524288*z1)^2", (_budget(1048577, 13), TOO_HIGH, NEGATIVE, ("0", 0), ("0", 1))),
+    # a sum whose bound passes the budget is measured at that operator: it
+    # raises where the sum passes the budget, and goes on where it does not
+    ("2^1048575*z1 + 2^1048575*z1",
+     (_budget(1048577, 13), TOO_HIGH, NEGATIVE, ("0", 0), _budget(1048577, 13))),
+    ("2^1048575*z1 - 2^1048575*z1 + 1", _values("1", "1", "1")),
+    # so is a product of scalars and monomials
+    ("2^1048575*2*z1", _after_a_read(_budget(1048577, 9))),
+    ("2^1048575*z1*(2*z2)", (_budget(1048577, 12), TOO_HIGH, NEGATIVE, ("0", 0), ("0", 1))),
 ]
 
 
@@ -390,4 +405,101 @@ def test_expression_tree_parity(tree, order, data):
         return
     parsed = ps.parse_series(text, CTX, order)
     assert parsed == expected, text
+    assert parsed.order == expected.order, text
+
+
+# ----------------------------------------------------------------------
+# polynomial parity: a +/- chain of monomials in the shape of the
+# benchmark inputs, such as (1/2*i)*z1*z2b^2, with an occasional
+# parenthesized sum among the factors, parses to the chain evaluated with
+# the series operators, in storage and order
+
+_COEFFICIENTS = [
+    ("3", GaussianRational(3)),
+    ("(-1)", GaussianRational(-1)),
+    ("(1/2*i)", GaussianRational(0, Fraction(1, 2))),
+    ("(-1/2*i)", GaussianRational(0, Fraction(-1, 2))),
+    ("(1/4)", GaussianRational(Fraction(1, 4))),
+    ("(2/3 - 1/5*i)", GaussianRational(Fraction(2, 3), Fraction(-1, 5))),
+    ("i", I),
+]
+# parenthesized sums among the factors, and their series at an order
+_SUMS = {
+    "(1 - z2)": lambda order: (TruncatedSeries.constant(CTX, order, 1)
+                               - TruncatedSeries.variable(CTX, order, "z2")),
+    "(z1 + 1/3)": lambda order: (TruncatedSeries.variable(CTX, order, "z1")
+                                 + TruncatedSeries.constant(CTX, order, Fraction(1, 3))),
+}
+
+
+def _factor(name, exponent):
+    return name if exponent == 1 else f"{name}^{exponent}"
+
+
+@st.composite
+def polynomials(draw):
+    """A list of (sign, coefficient or None, factors): each factor a
+    (variable, exponent) pair or the text of a parenthesized sum."""
+    factor = st.one_of(st.tuples(st.sampled_from(CTX.names), st.integers(1, 4)),
+                       st.sampled_from(sorted(_SUMS)))
+    return draw(st.lists(st.tuples(st.sampled_from("+-"),
+                                   st.none() | st.sampled_from(_COEFFICIENTS),
+                                   st.lists(factor, max_size=3)),
+                         min_size=1, max_size=8))
+
+
+def _polynomial_text(polynomial):
+    pieces = []
+    for sign, coefficient, factors in polynomial:
+        texts = [] if coefficient is None else [coefficient[0]]
+        texts += [f if isinstance(f, str) else _factor(*f) for f in factors]
+        term = "*".join(texts) or "1"
+        pieces.append(("-" if sign == "-" else "") + term if not pieces else f"{sign} {term}")
+    return " ".join(pieces)
+
+
+def _polynomial_series(polynomial, order):
+    """The chain on series: every coefficient a constant series, every
+    variable power a power of the variable, summed left to right."""
+    total = None
+    for sign, coefficient, factors in polynomial:
+        term = TruncatedSeries.constant(CTX, order, 1 if coefficient is None else coefficient[1])
+        for f in factors:
+            term = term * (_SUMS[f](order) if isinstance(f, str)
+                           else TruncatedSeries.variable(CTX, order, f[0]) ** f[1])
+        if total is None:
+            total = -term if sign == "-" else term
+        else:
+            total = total + term if sign == "+" else total - term
+    return total
+
+
+_BENCHMARK_SHAPED = [
+    ("+", ("(-1)", GaussianRational(-1)), [("wb", 1)]),
+    ("+", None, [("z2", 1), ("z2b", 1)]),
+    ("+", _COEFFICIENTS[2], [("z2", 1), ("z1b", 1), ("z2b", 1)]),
+    ("+", _COEFFICIENTS[3], [("z1", 1), ("z2", 1), ("z2b", 2)]),
+    ("+", _COEFFICIENTS[4], [("z1", 1), ("z2", 1), ("z1b", 1), ("z2b", 1)]),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomials(), st.integers(0, 6))
+# the benchmark's shape, with its quartic term at and above the order
+@example(_BENCHMARK_SHAPED, 4)
+@example(_BENCHMARK_SHAPED, 3)
+# cancelling monomials, written in two variable orders
+@example([("+", _COEFFICIENTS[2], [("z1", 1), ("z2b", 2)]),
+          ("-", _COEFFICIENTS[2], [("z2b", 2), ("z1", 1)])], 6)
+# a monomial above the order next to one within it, and a power of one
+@example([("-", None, [("z1", 4)]), ("+", _COEFFICIENTS[0], [("z2", 2), ("z2", 1)])], 3)
+# scalars only, cancelling, and a scalar next to monomials and a sum
+@example([("+", _COEFFICIENTS[0], []), ("-", _COEFFICIENTS[0], [])], 2)
+@example([("+", _COEFFICIENTS[4], []), ("+", None, [("z1", 1)]),
+          ("-", _COEFFICIENTS[5], ["(1 - z2)", ("z1b", 2)])], 4)
+def test_polynomial_text_parity(polynomial, order):
+    text = _polynomial_text(polynomial)
+    expected = _polynomial_series(polynomial, order)
+    parsed = ps.parse_series(text, CTX, order)
+    assert (parsed._den, parsed._grades) == (expected._den, expected._grades), text
     assert parsed.order == expected.order, text

@@ -352,6 +352,55 @@ def test_trace_map_matches_the_chained_adjustment(n, kind, low_zero, rng):
         assert tensor.contract(k2, l2).is_zero(), (k2, l2)
 
 
+def products_path_trace_adjusted(n, raw):
+    """The trace adjustment with every reached component one call of the
+    product loop, the single-weight ones included: each weight a one-term
+    constant storage over L, cut at the lowest order the component reads."""
+    columns, reads = flatness_module._trace_map(n)
+    denominator = (n + 1) * (n + 2)
+    context = next(iter(raw.values())).context
+    products = collections.defaultdict(list)
+    for r, series in raw.items():
+        if not series.is_zero():
+            for k, weight in columns[r]:
+                products[k].append((1, denominator, weight, series._den, series._grades))
+    components = {}
+    for k, keys in reads.items():
+        order = min(raw[r].order for r in keys)
+        components[k] = ps.TruncatedSeries._valid(
+            context, order, *series_module._products(products[k], order))
+    return components
+
+
+@pytest.mark.parametrize("n, kind, seed", [(2, "dense", 0), (3, "sparse", 1),
+                                           (4, "sparse", 0), (5, "sparse", 3)])
+def test_single_weight_components_match_the_products_path(n, kind, seed):
+    # a component that one nonzero raw entry reaches is that entry scaled by
+    # c/L, or the entry itself where c = L, with no product formed; on
+    # tables of uneven orders it is the product loop's, in storage and
+    # order, also where its order is below its entry's
+    raw = random_raw_table(random.Random(seed), n, kind, low_zero=True)
+    got = flatness_module._assemble_trace_adjusted(n, raw)
+    want = products_path_trace_adjusted(n, raw)
+    assert got.keys() == want.keys()
+    for key, series in want.items():
+        assert (got[key]._den, got[key]._grades) == (series._den, series._grades), key
+        assert got[key].order == series.order, key
+    columns, reads = flatness_module._trace_map(n)
+    denominator = (n + 1) * (n + 2)
+    reached = collections.defaultdict(list)
+    for r, series in raw.items():
+        if not series.is_zero():
+            for k, weight in columns[r]:
+                reached[k].append((weight[0][0][0], series))
+    singles = [(k, *entries[0]) for k, entries in reached.items() if len(entries) == 1]
+    # weight L falls only on a component that reads no other entry, so such
+    # a component has its entry's order
+    assert all(reads[k] == (k,) for k, c, _ in singles if c == denominator)
+    assert any(c == denominator for _, c, _ in singles)
+    assert any(c != denominator and got[k].order < entry.order for k, c, entry in singles)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_trace_map_weights_are_nonzero_on_the_entries_each_component_reads(n):
     # the raw keys each component reads are those of the displayed formula,
@@ -930,6 +979,23 @@ def test_cross_check_order_is_bounded_by_a_shorter_derived_system():
     assert_transported_is_the_uncut_delta_cube(model, report)
 
 
+def test_cross_check_compares_a_longer_derived_system_at_the_common_order():
+    # the correct derived system of the same theta at order 11 (system
+    # order 9), planted in an order-7 model's memo: its jets, of order 7,
+    # outlast delta's order 5, so each pulled-back entry is capped at
+    # delta's order and the routes agree at the common order, where an
+    # uncapped cut of delta would raise
+    text = "-wb + z1*z1b + z2*z2b + z1^2*z1b^2"
+    longer = ps.derive_associated_system(ps.make_model(2, ps.parse_series(text, CTX, 11), 11))
+    assert longer.order == 9
+    model = ps.make_model(2, ps.parse_series(text, CTX, 7), 7)
+    model._memo[pde_module.derive_associated_system.__wrapped__] = longer
+    report = ps.cross_check(model)
+    assert report.ok
+    assert report.certified_order == 3
+    assert {series.order for series in report.transported.values()} == {5}
+
+
 def test_cross_check_order_is_bounded_when_the_raw_tables_differ_only_in_order():
     # the flat model with its derived system planted one order short: both
     # raw tables are zero, the direct one at order 3 and the transported
@@ -1066,6 +1132,25 @@ def test_no_zero_operand_reaches_a_kernel_on_a_rigid_n4_model(monkeypatch):
         "pass", "pass", "NonVanishing(component=(1, 1, 1, 1), monomial=1, coefficient=-8/15)")
     assert zeros == []
     assert dead == []
+
+
+def test_no_context_is_compared_by_name_with_itself_on_a_rigid_n4_model(monkeypatch):
+    # every check of the CI's rigid n = 4 model: the context comparisons of
+    # the series, the system, the matrices and the composition test
+    # identity first, so no call of VariableContext.__eq__ compares the
+    # name tuples of one context object with themselves
+    same = []
+    equal = series_module.VariableContext.__eq__
+
+    def spy(self, other):
+        same.append(other is self)
+        return equal(self, other)
+
+    monkeypatch.setattr(series_module.VariableContext, "__eq__", spy)
+    report = cli.run(cli.JobSpec(n=4, order=6, kind="theta", theta_text=RIGID_N4,
+                                 checks=cli.ALL_CHECKS, witness=True))
+    assert (report["integrability"], report["cross_check"]) == ("pass", "pass")
+    assert not any(same)
 
 
 def assert_direct_table_is_the_pulled_back_jet_table(model):

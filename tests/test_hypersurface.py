@@ -283,6 +283,53 @@ def test_hermitian_signature_cases():
         hermitian_signature([[one, i], [i, one]])  # not Hermitian
 
 
+def test_characteristic_matrix_is_the_constructor_built_one(monkeypatch):
+    # tI - H is built as storages over one context of t: each entry and
+    # the characteristic polynomial are, in storage and order, those of the
+    # matrix the validating constructor builds on a fresh context, on
+    # random Hermitian matrices of sides 1 to 6, degenerate ones included
+    built = []
+    original = hypersurface.SeriesMatrix
+
+    class Spy(original):
+        def determinant(self):
+            built.append((self, super().determinant()))
+            return built[-1][1]
+
+    monkeypatch.setattr(hypersurface, "SeriesMatrix", Spy)
+    rng = random.Random(5)
+    diagonal = [0, 1, -1, Fraction(2, 3), Fraction(-1, 5)]
+    off = [gaussian(0), gaussian(1), gaussian(-2), gaussian(Fraction(1, 3), 1),
+           gaussian(0, Fraction(-1, 2)), gaussian(Fraction(5, 7))]
+    contexts = set()
+    for n in range(1, 7):
+        for _ in range(4):
+            h = [[gaussian(rng.choice(diagonal)) if j == k else None for k in range(n)]
+                 for j in range(n)]
+            for j, k in itertools.combinations(range(n), 2):
+                h[j][k] = rng.choice(off)
+                h[k][j] = h[j][k].conjugate()
+            fresh = ps.VariableContext(["t"])
+            want = original(
+                [[TruncatedSeries(fresh, n, {(1,): 1, (0,): -x} if j == k else {(0,): -x})
+                  for k, x in enumerate(row)] for j, row in enumerate(h)])
+            want_p = want.determinant()
+            try:
+                signature = hermitian_signature(h)
+            except LeviDegenerateError:
+                signature = None
+            (matrix, p), = built
+            built.clear()
+            contexts.add(id(matrix.context))
+            for row, want_row in zip(matrix.entries, want.entries):
+                for got, entry in zip(row, want_row):
+                    assert (got._den, got._grades, got.order) == (
+                        entry._den, entry._grades, entry.order)
+            assert (p._den, p._grades, p.order) == (want_p._den, want_p._grades, want_p.order)
+            assert (signature is None) == (not want_p.constant_term())
+    assert len(contexts) == 1
+
+
 small_gaussians = st.builds(gaussian, st.integers(-2, 2), st.integers(-2, 2))
 
 

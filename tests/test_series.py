@@ -791,3 +791,20 @@ def test_substitute_rejects_context_mismatch():
     with pytest.raises(ContextMismatchError):
         s.substitute({"u": TruncatedSeries.variable(TARGET, 3, "s"),
                       "v": TruncatedSeries.variable(other, 3, "s")})
+
+
+def test_a_context_equals_itself_without_reading_its_names():
+    # identity comes first: a context whose names cannot be compared still
+    # equals itself, and another context with the same names equals it
+    class Incomparable(tuple):
+        def __eq__(self, other):
+            raise AssertionError("names compared")
+
+        __hash__ = tuple.__hash__
+
+    context = VariableContext(("u", "v"))
+    context.names = Incomparable(context.names)
+    assert context == context
+    assert not context != context
+    assert VariableContext(("u", "v")) == VariableContext(("u", "v"))
+    assert VariableContext(("u", "v")) != VariableContext(("v", "u"))

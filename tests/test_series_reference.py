@@ -16,7 +16,7 @@ import pseudosphere as ps
 from pseudosphere import TruncatedSeries, VariableContext
 from pseudosphere.errors import InsufficientOrderError, NonUnitError
 from pseudosphere.scalars import ONE, ZERO
-from pseudosphere.series import _MAX_ORDER, _compose
+from pseudosphere.series import _MAX_ORDER, _compose, _products
 
 UVW = VariableContext(("u", "v", "w"))
 PQ = VariableContext(("p", "q"))
@@ -197,3 +197,33 @@ def test_composition_matches_the_reference_series(a, x, y, b):
 @given(pooled_series())
 def test_str_round_trips_through_the_parser_on_coprime_denominators(s):
     assert ps.parse_series(str(s), UVW, s.order) == s
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([1, -1]), pooled_series(), pooled_series()),
+                min_size=1, max_size=3),
+       st.integers(0, 4))
+# one product with sign -1 over the denominators 3 and 5, then two whose
+# dl * dr are 21 and 11, so each left numerator is scaled by its own
+# sign * lcm / (dl * dr)
+@example([(-1, TruncatedSeries(UVW, 3, {(1, 0, 0): COPRIME_POOL[0]}),
+           TruncatedSeries(UVW, 3, {(0, 1, 0): COPRIME_POOL[1], (0, 0, 0): ONE}))], 3)
+@example([(1, TruncatedSeries(UVW, 4, {(1, 0, 0): COPRIME_POOL[0], (0, 1, 1): ONE}),
+           TruncatedSeries(UVW, 4, {(0, 0, 1): COPRIME_POOL[2]})),
+          (-1, TruncatedSeries(UVW, 4, {(2, 0, 0): COPRIME_POOL[3]}),
+           TruncatedSeries(UVW, 4, {(0, 0, 0): ONE, (0, 1, 0): COPRIME_POOL[7]}))], 2)
+def test_signed_products_over_unequal_denominators_match_the_reference(products, limit):
+    # the product loop on storages: the sum of sign * left * right through
+    # ``limit``, the left operands left as they were
+    left_before = [(a._den, dict(a._grades)) for _, a, _ in products]
+    den, grades = _products([(sign, a._den, a._grades, b._den, b._grades)
+                             for sign, a, b in products], limit)
+    assert [(a._den, a._grades) for _, a, _ in products] == left_before
+    want = RefSeries(UVW, limit, {})
+    for sign, a, b in products:
+        # the loop cuts at the limit the caller vouches for, not at the
+        # operand orders
+        product = RefSeries(UVW, limit, a.terms) * RefSeries(UVW, limit, b.terms)
+        want = want + product if sign > 0 else want - product
+    assert_same(TruncatedSeries._valid(UVW, limit, den, grades),
+                RefSeries(UVW, limit, want.terms))

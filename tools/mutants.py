@@ -440,6 +440,55 @@ MUTANTS = [
         ("tests/test_flatness.py::test_transfer_of_a_zero_t_forms_no_partial",),
         "killed",
     ),
+    # -- one-pass parsing, closing and scaling ------------------------
+    # a component that one raw entry reaches has the lowest order of every
+    # entry it reads, not the order of the entry it scales
+    Mutant(
+        "trace-single-weight-at-entry-order", "flatness.py",
+        "entry = series.truncate(order)",
+        "entry = series",
+        ("tests/test_flatness.py::test_single_weight_components_match_the_products_path",),
+        "killed",
+    ),
+    Mutant(
+        "parse-monomial-kept-above-order", "expressions.py",
+        "if degree > self.order or not coefficient:",
+        "if not coefficient:",
+        ("tests/test_expressions.py::test_parity_table[z1^3*z2^4 + z1]",
+         "tests/test_expressions.py::test_polynomial_text_parity"),
+        "killed",
+    ),
+    Mutant(
+        "parse-sum-past-the-budget-unmeasured", "expressions.py",
+        "value, bits = _budgeted(self.closed(operands), position)",
+        "value = self.closed(operands)",
+        ("tests/test_expressions.py::test_parity_table[2^1048575*z1 + 2^1048575*z1]",),
+        "killed",
+    ),
+    Mutant(
+        "parse-product-past-the-budget-unmeasured", "expressions.py",
+        "if value.__class__ is TruncatedSeries or bits > _MAX_COEFFICIENT_BITS:",
+        "if value.__class__ is TruncatedSeries:",
+        ("tests/test_expressions.py::test_parity_table[2^1048575*2*z1]",),
+        "killed",
+    ),
+    # a pulled-back entry has at most delta's order, so a derived system
+    # longer than delta allows is compared at the common order
+    Mutant(
+        "pulled-back-uncapped-by-delta", "flatness.py",
+        "low = min([delta.order] + [value.order for value in assignment.values()])",
+        "low = min(value.order for value in assignment.values())",
+        ("tests/test_flatness.py::test_cross_check_compares_a_longer_derived_system_at_the_common_order",),
+        "killed",
+    ),
+    # a 1 x 1 minor is its entry cut to the matrix order
+    Mutant(
+        "minor-one-by-one-uncut", "matrices.py",
+        "value = memo[key] = _cut(entry._den, entry._grades, self.order)",
+        "value = memo[key] = (entry._den, entry._grades)",
+        ("tests/test_matrices.py::test_expansion_matches_the_permutation_sum",),
+        "killed",
+    ),
 ]
 
 
