@@ -2,17 +2,21 @@
 """Print every report and derived object of a fixed set of inputs, as text.
 
 Two commits whose outputs are byte-identical compute the same reports,
-systems, transported models and implicit solutions on these inputs; a
-refactor that claims to keep the behaviour diffs this output against the
-commit before it, and ``tools/golden.py`` checks it, one record per
-input, against the committed ``tools/reports.golden``.  The inputs are the first 12 pipeline-n4, 9 nonrigid-n2
-and 48 screen benchmark inputs (``perfbench/inputs.py``) of seeds 1 and
-2.  For each input it prints:
+systems, tensors, transported models and implicit solutions on these
+inputs; a refactor that claims to keep the behaviour diffs this output
+against the commit before it, and ``tools/golden.py`` checks it, one
+record per input, against the committed ``tools/reports.golden``.  The
+inputs are the first 12 pipeline-n4, 9 nonrigid-n2 and 48 screen
+benchmark inputs (``perfbench/inputs.py``) of seeds 1 and 2.  For each
+input it prints:
 
 * the ``cli.run`` report of the benchmark's job (``perfbench/worker.py``),
   with the witness on and ``timings_ms`` removed, once for the input's own
   checks and once for all of them;
 * each component of the derived system, with its ``.order``;
+* the ``main_theorem_tensor`` certified order and each of its components,
+  then the ``cross_check`` certified order and each transported component,
+  each component with its key and ``.order``, in sorted key order;
 * for a graph input, whether ``check_reality`` passes on its model.
 
 It then prints two fixed ``apply_biholomorphism`` images, each with whether
@@ -71,6 +75,19 @@ def _system_lines(model):
     return lines
 
 
+def _tensor_lines(model):
+    direct, report = ps.main_theorem_tensor(model), ps.cross_check(model)
+    lines = [f"  tensor certified {direct.certified_order}"]
+    for key in direct.component_keys():
+        component = direct.components[key]
+        lines.append(f"  W{key} order {component.order}: {component}")
+    lines.append(f"  cross_check certified {report.certified_order}")
+    for key in sorted(report.transported):
+        component = report.transported[key]
+        lines.append(f"  T{key} order {component.order}: {component}")
+    return lines
+
+
 def _transported():
     """Two (n, image) pairs: models through maps with nonlinear and non-real
     terms."""
@@ -123,7 +140,7 @@ def main() -> int:
                 print(f"{head} all {_report(replace(case, checks=ALL_CHECKS))}")
                 model = _model(case)
                 print(f"{head} system")
-                for line in _system_lines(model):
+                for line in _system_lines(model) + _tensor_lines(model):
                     print(line)
                 if case.kind == "graph":
                     real &= _print_reality(head, model)
