@@ -4,9 +4,11 @@
 The direct route evaluates a fourth-order expression in the jets of
 theta, assembled from Cramer minors of the Levi determinant.  The
 transported route derives the associated second-order PDE system by
-formal elimination, applies the trace-adjusted flatness test there, and
-pulls the result back.  They must agree coefficient by coefficient; the
-comparison runs below on a curved model and on a disguised flat one.
+formal elimination, takes the second y_x-derivatives that the flatness
+test reads there, and pulls them back.  The two raw tables must agree
+coefficient by coefficient, and then the trace-adjusted tensor is the
+same on both routes; the comparison runs below on a curved model and on
+a disguised flat one.
 """
 
 import pseudosphere as ps

@@ -269,6 +269,12 @@ def run(job: JobSpec) -> dict:
             result = timed("cross_check", lambda: cross_check(loaded))
             report["cross_check"] = "pass" if result.ok else "fail"
             orders.append(result.certified_order)
+            report["errors"] += [
+                {"code": "cross_check",
+                 "message": f"raw {key} at {monomial}: "
+                            f"direct {brief_str(direct)}, transported {brief_str(transported)}"}
+                for key, monomial, direct, transported in result.mismatches
+            ]
     except LeviDegenerateError as exc:
         # every stage below needs the Levi family; the first to build it fails
         report["levi_nondegenerate"] = False

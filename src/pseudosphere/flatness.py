@@ -22,18 +22,19 @@ component has the lowest order of every raw entry it reads, zero ones
 included; a component that one nonzero entry reaches is that entry,
 scaled, with no product formed.  Agreement of the two
 routes, coefficient by coefficient, is the central correctness property
-and is exposed as :func:`cross_check`.  It compares the raw tables
-first: since the adjustment is linear and exact, equal tables give the
-direct tensor on both sides, and only tables that differ are adjusted a
-second time and compared component by component.
+and is exposed as :func:`cross_check`.  On the solution submanifold each
+transported raw entry is exactly the direct one, so the routes meet
+before the trace adjustment: :func:`cross_check` compares the two raw
+tables entry by entry at one common order, and the adjustment, linear
+and exact, runs once, on the direct side only.
 
 Most raw entries of a rigid model are exactly 0: on the first 12
 pipeline-n4 benchmark inputs of seed 1 (n = 4, so 100 entries per
 table), 94 entries of each table are 0 on average.  A zero theta_{z_a z_b}
 transfers to the zero table without a partial (``MinorFamily.transfer``),
 and ``cross_check`` pulls back and multiplies by delta^3 only the
-nonzero jets; a zero jet's transported entry is the zero series of the
-order its composition would have had.
+nonzero jets; every zero jet's transported entry is one zero series of
+the common order.
 """
 
 from __future__ import annotations
@@ -274,37 +275,40 @@ def main_theorem_tensor(model: HypersurfaceModel) -> FlatnessTensor:
 
 @dataclass(frozen=True)
 class CrossCheckReport:
-    """Coefficientwise comparison of the two tensor routes."""
+    """Coefficientwise comparison of the two routes' raw tables.
+
+    ``mismatches`` holds one ((a, b, l1, l2), monomial text, direct
+    coefficient, transported coefficient) per raw entry where the routes
+    differ, at the first monomial of their difference.  When there is
+    none, ``transported`` maps each component key to the direct
+    component cut to ``certified_order``, which the routes then share;
+    otherwise no transported tensor is formed and it is empty.
+    """
 
     ok: bool
     certified_order: int
-    mismatches: tuple  # of (component, monomial_text, direct, transported)
+    mismatches: tuple  # of (raw key, monomial_text, direct, transported)
     direct: FlatnessTensor
-    transported: dict  # component key -> series
+    transported: dict  # component key -> series; empty when not ok
 
 
-def _pulled_back(jets: dict, assignment: dict, delta: TruncatedSeries) -> dict:
-    """{key: delta^3 * (jet composed with ``assignment``)} over ``jets``,
-    a table of series in one context, whose images live in delta's.
+def _pulled_back(jets: dict, assignment: dict, delta: TruncatedSeries, order: int) -> dict:
+    """{key: delta^3 * (jet composed with ``assignment``)} at ``order``
+    over ``jets``, a table of series in one context, whose images live in
+    delta's; ``order`` is at most every jet's, every assigned value's and
+    delta's order.
 
-    Each entry has the order of its product, the lowest of the jet's
-    order, the lowest assigned order and delta's order, since delta is cut
-    to the highest such order before it is cubed: the degrees above it
-    would be dropped by every product anyway.  So a table longer than
-    delta allows is pulled back at delta's order, and the routes compare
-    at the common order.  Only the nonzero jets are composed and
-    multiplied; a zero jet's entry is the zero series of that order.  The
-    cut is taken over every jet, zero ones included.
+    Delta is cut to ``order`` and cubed once, and only the nonzero jets
+    are composed, each cut to ``order`` first: the degrees above it would
+    be dropped by every product anyway.  Every zero jet's entry is one
+    shared zero series of ``order``.
     """
-    low = min([delta.order] + [value.order for value in assignment.values()])
-    orders = {key: min(jet.order, low) for key, jet in jets.items()}
-    delta = delta.truncate(max(orders.values()))
-    zeros = {order: TruncatedSeries.zero(delta.context, order) for order in set(orders.values())}
-    table = {key: zeros[order] for key, order in orders.items()}
+    table = dict.fromkeys(jets, TruncatedSeries.zero(delta.context, order))
     live = [key for key, jet in jets.items() if jet._grades]
     if live:
+        delta = delta.truncate(order)
         delta_cubed = delta * delta * delta
-        pulled = _compose([jets[key] for key in live], assignment, delta.context)
+        pulled = _compose([jets[key].truncate(order) for key in live], assignment, delta.context)
         table.update((key, delta_cubed * series) for key, series in zip(live, pulled))
     return table
 
@@ -315,56 +319,46 @@ def cross_check(model: HypersurfaceModel) -> CrossCheckReport:
     The transported route derives the associated system by implicit
     elimination, takes the raw table of its second y_x-derivatives,
     substitutes y = theta and y_{x^k} = theta_{z_k}, and scales by the
-    cube of the Levi determinant.  Both routes must agree exactly up to
-    the common certified order.
+    cube of the Levi determinant.  On the solution submanifold that is
+    exactly the direct raw table, the Cramer transfer of theta_{z_a z_b},
+    so the two raw tables are compared entry by entry, before any trace
+    adjustment, and a difference is named at its raw entry.
 
-    The raw tables are compared first.  Entry by entry, the transported
-    table is the direct one, the Cramer transfer of theta_{z_a z_b}; when
-    every entry agrees in its terms and its order, the transported
-    components are the direct tensor's, since the trace adjustment is
-    linear and exact.  Only otherwise is the transported table
-    trace-adjusted and compared component by component.
-
-    Each transported entry keeps the order of its pulled-back entry,
-    model.order - 4 for the derived system, which is below delta's
-    model.order - 2.  So delta is cut to the highest pulled order before
-    it is cubed: the degrees above it would be dropped by every product
-    anyway.
+    Everything is read at one order, the lowest of every direct raw
+    entry, every jet, every assigned value and delta: the pull-back is
+    formed at it, the tables are compared through it, and it is the
+    certified order.  When the tables agree, the transported components
+    are the direct tensor's cut to it, since the adjustment is linear and
+    exact; otherwise the report lists the differing entries and forms no
+    transported tensor.
     """
     direct = main_theorem_tensor(model)
+    raw = _direct_table(model)
     jets = _jet_table(derive_associated_system(model))
 
+    family = minors(model)
     theta, z_names, _ = _roles(model)
     assignment = {"y": theta}
-    for k, (z, first) in enumerate(zip(z_names, minors(model).firsts), 1):
+    for k, (z, first) in enumerate(zip(z_names, family.firsts), 1):
         assignment[f"x{k}"] = TruncatedSeries.variable(theta.context, theta.order, z)
         assignment[f"yx{k}"] = first
-    table = _pulled_back(jets, assignment, minors(model).delta)
+    order = min(series.order for series in itertools.chain(
+        raw.values(), jets.values(), assignment.values(), [family.delta]))
+    table = _pulled_back(jets, assignment, family.delta, order)
 
     mismatches = []
-    if all(table[key] == entry and table[key].order == entry.order
-           for key, entry in _direct_table(model).items()):
-        transported = dict(direct.components)
-    else:
-        transported = _assemble_trace_adjusted(model.n, table)
-        for key in direct.component_keys():
-            diff = direct.components[key] - transported[key]
-            if diff.is_zero():
-                continue
-            exps, _ = diff.first_term()
-            mismatches.append(
-                (
-                    key,
-                    diff.monomial_text(exps),
-                    direct.components[key].coefficient(exps),
-                    transported[key].coefficient(exps),
-                )
-            )
+    for key, series in raw.items():
+        entry, pulled = series.truncate(order), table[key]
+        if entry != pulled:
+            exps, _ = (entry - pulled).first_term()
+            mismatches.append((key, entry.monomial_text(exps),
+                               entry.coefficient(exps), pulled.coefficient(exps)))
+    transported = {} if mismatches else {
+        key: series.truncate(order) for key, series in direct.components.items()}
     return CrossCheckReport(
         ok=not mismatches,
-        certified_order=min([direct.certified_order]
-                            + [series.order for series in transported.values()]),
-        mismatches=tuple(mismatches),
+        certified_order=order,
+        mismatches=tuple(sorted(mismatches)),
         direct=direct,
         transported=transported,
     )

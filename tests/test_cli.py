@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pseudosphere as ps
+from pseudosphere import flatness
 from pseudosphere.cli import (
     _LOWEST_ORDER_MODEL,
     _LOWEST_ORDER_SYSTEM,
@@ -936,3 +937,27 @@ def test_input_budgets_hold_at_their_limits(capsys):
     assert code == 0 and not err
     with pytest.raises(InputError, match="--order 17 exceeds the limit of 16"):
         run(JobSpec(n=2, order=17, kind="theta", theta_text=HEIS))
+
+
+def test_check_names_each_raw_entry_where_the_routes_differ(monkeypatch, capsys):
+    # a derived system perturbed by yx1^2*yx2^2 in F[1,1], planted in the
+    # transported route: check exits 1, and each raw entry where the routes
+    # differ is an error line with its monomial and both coefficients
+    derive = flatness.derive_associated_system
+
+    def perturbed(model):
+        system = derive(model)
+        components = {key: system.component(*key) for key in system.component_keys()}
+        components[(1, 1)] += ps.parse_series("yx1^2*yx2^2", ps.pde_context(2), system.order)
+        return ps.PdeSystem(2, system.order, components)
+
+    monkeypatch.setattr(flatness, "derive_associated_system", perturbed)
+    flags = ["--n", "2", "--order", "7", "--theta", QUARTIC, "--checks", "cross-check"]
+    code, out, _ = invoke(["check"] + flags, capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert "cross_check: fail" in lines
+    assert "error[cross_check]: raw (1, 1, 1, 1) at z2b^2: direct 0, transported -2" in lines
+    _, out, _ = invoke(["check", "--json"] + flags, capsys)
+    errors = json.loads(out)["errors"]
+    assert errors and {error["code"] for error in errors} == {"cross_check"}

@@ -1,6 +1,7 @@
 """Flatness tensors: direct formula, minors, verdicts, two-route checks."""
 
 import collections
+import dataclasses
 import itertools
 import math
 import random
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import pseudosphere as ps
 from pseudosphere import PdeSystem, flatness as flatness_module, pde as pde_module
 from pseudosphere import cli, implicit as implicit_module, matrices as matrices_module
-from pseudosphere import series as series_module
+from pseudosphere import hypersurface as hypersurface_module, series as series_module
 from pseudosphere.errors import InsufficientOrderError, LeviDegenerateError
 from pseudosphere.scalars import gaussian
 
@@ -942,7 +943,9 @@ def test_tensor_at_the_origin_is_the_chern_moser_closed_form(n, positive, data):
 
 def test_cross_check_reports_a_perturbed_transported_route():
     # the oracle's failure path: a wrong derived system, planted in the
-    # model's memo, must make the two routes disagree
+    # model's memo, must make the two routes disagree; the first mismatch
+    # names the raw entry, the monomial and both raw coefficients, and no
+    # transported tensor is formed
     theta = ps.parse_series("-wb + z1*z1b + z2*z2b + z1^2*z1b^2", CTX, 7)
     model = ps.make_model(2, theta, 7)
     system = ps.derive_associated_system(model)
@@ -954,9 +957,44 @@ def test_cross_check_reports_a_perturbed_transported_route():
     report = ps.cross_check(model)
     assert not report.ok
     assert report.certified_order == 3
-    assert report.mismatches[0] == (
-        (1, 1, 1, 1), "z2b^2", gaussian(0), gaussian(Fraction(-1, 3))
-    )
+    assert report.mismatches[0] == ((1, 1, 1, 1), "z2b^2", gaussian(0), gaussian(-2))
+    assert report.transported == {}
+
+
+# n = 2 graphs at order 8: the CI's order-10 target, a signature (1, 1)
+# quadric with a quartic, and a cubic in z1 and y2
+PLANTED_GRAPHS = [
+    "x1^2 + y1^2 + x2^2 + y2^2 + v*x1^2 + x1^2*x2^2",
+    "x1^2 + y1^2 - x2^2 - y2^2 + v*x1*y1 + x1^4",
+    "x1^2 + y1^2 + x2^2 + y2^2 + v*y2^2 + x1^3*y2",
+]
+PLANTED_DEFECTS = {
+    "cofactors doubled": lambda family: dataclasses.replace(
+        family, cofactor={key: c.scale(2) for key, c in family.cofactor.items()}),
+    "delta doubled": lambda family: dataclasses.replace(family, delta=family.delta.scale(2)),
+    "cofactors transposed": lambda family: dataclasses.replace(
+        family, cofactor={(j, i): c for (i, j), c in family.cofactor.items()}),
+}
+
+
+@pytest.mark.parametrize("defect", list(PLANTED_DEFECTS))
+@pytest.mark.parametrize("graph", PLANTED_GRAPHS)
+def test_cross_check_fails_on_a_planted_minor_family(graph, defect):
+    # a wrong Levi minor family, planted in the model's memo before either
+    # route reads it, makes the raw tables differ; the first mismatch is a
+    # raw entry of the direct table, with that entry's coefficient at its
+    # monomial, and no transported tensor is formed
+    model = ps.from_graph(ps.parse_series(graph, ps.graph_context(2), 8), 2, 8)
+    model._memo[hypersurface_module.minors.__wrapped__] = PLANTED_DEFECTS[defect](
+        ps.minors(model))
+    report = ps.cross_check(model)
+    assert not report.ok
+    assert report.transported == {}
+    key, monomial, direct, transported = report.mismatches[0]
+    raw = flatness_module._direct_table(model)
+    assert key in raw
+    (exps,) = ps.parse_series(monomial, CTX, 8).terms
+    assert raw[key].coefficient(exps) == direct != transported
 
 
 def test_cross_check_order_is_bounded_by_a_shorter_derived_system():
@@ -982,10 +1020,11 @@ def test_cross_check_order_is_bounded_by_a_shorter_derived_system():
 def test_cross_check_compares_a_longer_derived_system_at_the_common_order():
     # the correct derived system of the same theta at order 11 (system
     # order 9), planted in an order-7 model's memo: its jets, of order 7,
-    # outlast delta's order 5, so each pulled-back entry is capped at
-    # delta's order and the routes agree at the common order, where an
-    # uncapped cut of delta would raise
-    text = "-wb + z1*z1b + z2*z2b + z1^2*z1b^2"
+    # outlast delta's order 5 and the direct entries' order 3, so the jets
+    # are pulled back at the common order 3, and the routes agree there;
+    # the cubic terms give the pulled-back entries terms of degree 4,
+    # which a comparison past the common order would read
+    text = "-wb + z1*z1b + z2*z2b + z1^2*z1b^2 + z1*z2b^2 + z2^2*z1b"
     longer = ps.derive_associated_system(ps.make_model(2, ps.parse_series(text, CTX, 11), 11))
     assert longer.order == 9
     model = ps.make_model(2, ps.parse_series(text, CTX, 7), 7)
@@ -993,7 +1032,7 @@ def test_cross_check_compares_a_longer_derived_system_at_the_common_order():
     report = ps.cross_check(model)
     assert report.ok
     assert report.certified_order == 3
-    assert {series.order for series in report.transported.values()} == {5}
+    assert {series.order for series in report.transported.values()} == {3}
 
 
 def test_cross_check_order_is_bounded_when_the_raw_tables_differ_only_in_order():
@@ -1020,9 +1059,19 @@ def test_cross_check_order_is_bounded_when_the_raw_tables_differ_only_in_order()
 
 def test_cross_check_adjusts_no_table_when_the_raw_tables_agree(monkeypatch):
     # the direct tensor is memoized, and agreeing raw tables make the
-    # transported components the direct ones without a second adjustment
+    # transported components the direct ones without a second adjustment;
+    # raw tables that differ, through a wrong derived system planted in a
+    # second model's memo, are compared raw and adjusted nowhere either
     model = rigid_perturbation_model(random.Random(7), 4, 6)
+    planted = rigid_perturbation_model(random.Random(7), 4, 6)
+    system = ps.derive_associated_system(planted)
+    components = {key: system.component(*key) for key in system.component_keys()}
+    components[(1, 2)] += ps.parse_series("yx1^2*yx3^2", ps.pde_context(4), system.order)
+    planted._memo[pde_module.derive_associated_system.__wrapped__] = PdeSystem(
+        4, system.order, components
+    )
     ps.main_theorem_tensor(model)
+    ps.main_theorem_tensor(planted)
     calls = []
     assemble = flatness_module._assemble_trace_adjusted
 
@@ -1036,13 +1085,17 @@ def test_cross_check_adjusts_no_table_when_the_raw_tables_agree(monkeypatch):
     assert not report.direct.is_zero()
     assert calls == []
     assert_same_series_tables(report.transported, report.direct.components)
+    wrong = ps.cross_check(planted)
+    assert not wrong.ok
+    assert wrong.mismatches[0][0] == (1, 2, 1, 1)
+    assert wrong.transported == {}
+    assert calls == []
 
 
 def test_pull_back_gives_each_zero_jet_the_order_of_its_composition():
-    # jets of orders on either side of the lowest assigned order, 3: a
-    # zero jet of order 5 is cut to 3, one of order 1 keeps it, as the
-    # composition and the product with the uncut delta cube give them;
-    # delta is cut to 3 before it is cubed
+    # one order, 2, at most every jet's, assigned value's and delta's: each
+    # entry, zero or not, is the uncut delta cube times its jet composed,
+    # cut to 2, and every zero jet, of order 5 or 2, shares one zero series
     jet_ctx = ps.pde_context(2)
     theta = ps.parse_series("-wb + z1*z1b + z2*z2b + z1^2*z1b^2", CTX, 6)
     delta = ps.parse_series("1 + z1*z1b + wb^2", CTX, 6)
@@ -1052,16 +1105,17 @@ def test_pull_back_gives_each_zero_jet_the_order_of_its_composition():
     jets = {
         "zero above": ps.TruncatedSeries.zero(jet_ctx, 5),
         "nonzero": ps.parse_series("yx1^2 + x1*y", jet_ctx, 2),
-        "zero below": ps.TruncatedSeries.zero(jet_ctx, 1),
+        "zero at": ps.TruncatedSeries.zero(jet_ctx, 2),
         "nonzero above": ps.parse_series("yx2*x2 - y^2", jet_ctx, 6),
     }
-    table = flatness_module._pulled_back(jets, assignment, delta)
+    table = flatness_module._pulled_back(jets, assignment, delta, 2)
     assert list(table) == list(jets)
     for key, jet in jets.items():
-        want = delta**3 * jet.substitute(assignment, CTX)
+        want = (delta**3 * jet.substitute(assignment, CTX)).truncate(2)
         assert table[key] == want, key
-        assert table[key].order == want.order, key
-    assert [table[key].order for key in jets] == [3, 2, 1, 3]
+        assert table[key].order == 2, key
+    assert table["zero above"] is table["zero at"]
+    assert not table["nonzero above"].is_zero()
 
 
 def test_cross_check_pulls_back_only_the_nonzero_jets(monkeypatch):

@@ -82,21 +82,32 @@ MUTANTS = [
          "tests/test_flatness.py::test_transfer_order_counts_zero_column_entries"),
         "killed",
     ),
+    # cross_check reads everything at one order: a derived system one
+    # order short bounds it, and the routes are compared through it only
     Mutant(
-        "cross-check-order-line-dropped", "flatness.py",
-        "        certified_order=min([direct.certified_order]\n"
-        "                            + [series.order for series in transported.values()]),\n",
-        "        certified_order=direct.certified_order,\n",
+        "cross-check-order-ignores-jets", "flatness.py",
+        "raw.values(), jets.values(), assignment.values(), [family.delta]))",
+        "raw.values(), assignment.values(), [family.delta]))",
         ("tests/test_flatness.py::test_cross_check_order_is_bounded_by_a_shorter_derived_system",
          "tests/test_flatness.py::test_cross_check_order_is_bounded_when_the_raw_tables_differ_only_in_order"),
         "killed",
     ),
     Mutant(
-        "cross-check-raw-order-ignored", "flatness.py",
-        "    if all(table[key] == entry and table[key].order == entry.order\n",
-        "    if all(table[key] == entry\n",
-        ("tests/test_flatness.py::test_cross_check_order_is_bounded_when_the_raw_tables_differ_only_in_order",),
+        "cross-check-compared-one-past-the-order", "flatness.py",
+        "table = _pulled_back(jets, assignment, family.delta, order)",
+        "table = _pulled_back(jets, assignment, family.delta, order + 1)",
+        ("tests/test_flatness.py::test_cross_check_compares_a_longer_derived_system_at_the_common_order",),
         "killed",
+    ),
+    Mutant(
+        "cross-check-order-ignores-delta", "flatness.py",
+        "raw.values(), jets.values(), assignment.values(), [family.delta]))",
+        "raw.values(), jets.values(), assignment.values()))",
+        ("tests/test_flatness.py",),
+        "equivalent: every direct raw entry is a Cramer transfer, whose order "
+        "is at most delta's (MinorFamily.transfer), so the raw entries bound "
+        "the order by delta's already; delta stays in the minimum so that "
+        "the pull-back's bound is read off its own operands",
     ),
     # a zero second derivative is not composed, so a flat model hands
     # PdeSystem no component, and the argument alone is the system's order
@@ -127,8 +138,8 @@ MUTANTS = [
     ),
     Mutant(
         "delta-cut-one-short", "flatness.py",
-        "delta = delta.truncate(max(orders.values()))",
-        "delta = delta.truncate(max(orders.values()) - 1)",
+        "delta = delta.truncate(order)",
+        "delta = delta.truncate(order - 1)",
         ("tests/test_flatness.py::test_transported_route_is_the_uncut_delta_cube_on_a_graph",),
         "killed",
     ),
@@ -428,8 +439,8 @@ MUTANTS = [
     ),
     Mutant(
         "pulled-back-zero-at-the-jet-order", "flatness.py",
-        "orders = {key: min(jet.order, low) for key, jet in jets.items()}",
-        "orders = {key: jet.order for key, jet in jets.items()}",
+        "table = dict.fromkeys(jets, TruncatedSeries.zero(delta.context, order))",
+        "table = {key: TruncatedSeries.zero(delta.context, jet.order) for key, jet in jets.items()}",
         ("tests/test_flatness.py::test_pull_back_gives_each_zero_jet_the_order_of_its_composition",),
         "killed",
     ),
@@ -470,15 +481,6 @@ MUTANTS = [
         "if value.__class__ is TruncatedSeries or bits > _MAX_COEFFICIENT_BITS:",
         "if value.__class__ is TruncatedSeries:",
         ("tests/test_expressions.py::test_parity_table[2^1048575*2*z1]",),
-        "killed",
-    ),
-    # a pulled-back entry has at most delta's order, so a derived system
-    # longer than delta allows is compared at the common order
-    Mutant(
-        "pulled-back-uncapped-by-delta", "flatness.py",
-        "low = min([delta.order] + [value.order for value in assignment.values()])",
-        "low = min(value.order for value in assignment.values())",
-        ("tests/test_flatness.py::test_cross_check_compares_a_longer_derived_system_at_the_common_order",),
         "killed",
     ),
     # a 1 x 1 minor is its entry cut to the matrix order
