@@ -962,7 +962,7 @@ def test_cross_check_reports_a_perturbed_transported_route():
 
 
 # n = 2 graphs at order 8: the CI's order-10 target, a signature (1, 1)
-# quadric with a quartic, and a cubic in z1 and y2
+# quadric with v*x1*y1 + x1^4, and a definite one with v*y2^2 + x1^3*y2
 PLANTED_GRAPHS = [
     "x1^2 + y1^2 + x2^2 + y2^2 + v*x1^2 + x1^2*x2^2",
     "x1^2 + y1^2 - x2^2 - y2^2 + v*x1*y1 + x1^4",
