@@ -11,7 +11,9 @@ curvature      main theorem tensor of a model, Hachtroudi tensor of a system
 transform      transport a model through a point map
 
 Input is one set of ``key = value`` pairs: the ``--input`` lines, then
-the flags (``--f K1,K2=E`` is ``f[K1,K2] = E``), so flags win.
+the flags (``--f K1,K2=E`` is ``f[K1,K2] = E``), so a flag wins over
+the same key in the file.  They give one input: ``theta``, ``graph`` or
+the ``f[k1,k2]`` components, and two of these are an input error.
 ``reality``, ``levi``, ``integrability`` and ``curvature`` are views of
 the ``check`` report: each runs its own checks and prints their fields.
 ``reality``, ``levi``, ``derive-pde`` and ``transform`` need a model;
@@ -19,9 +21,9 @@ the ``check`` report: each runs its own checks and prints their fields.
 
 Exit status: 0 when every requested check passes (an order-qualified
 vanishing verdict counts as a pass), 1 when a check fails or the tensor
-does not vanish, 2 for input or usage errors, malformed expressions and
-maps, a map whose image is no graph over the canonical axes and a
-``--checks`` list that leaves nothing to run among them.
+does not vanish, 2 for input or usage errors, two inputs, malformed
+expressions and maps, a map whose image is no graph over the canonical
+axes and a ``--checks`` list that leaves nothing to run among them.
 """
 
 from __future__ import annotations
@@ -364,12 +366,12 @@ def _resolve(args):
             index, _, expr = entry.partition("=")
             _assign(values, f"{key}[{index}]", expr)
 
-    if values.get("graph"):
-        kind = "graph"
-    elif values.get("theta") or not values["f"]:
-        kind = "theta"
-    else:
-        kind = "pde"
+    given = [key for key in ("theta", "graph") if values.get(key)]
+    given += [f"f[{k1},{k2}]" for k1, k2 in values["f"]][:1]
+    if len(given) > 1:
+        raise InputError(f"{given[0]} and {given[1]} are both given; "
+                         "give one of theta, graph and f[k1,k2]")
+    kind = "graph" if values.get("graph") else "pde" if values["f"] else "theta"
     if kind == "pde" and args.needs_model:
         raise InputError(f"{args.command} needs --theta or --graph")
     checks = values.get("checks", ALL_CHECKS if kind == "pde" else DEFAULT_CHECKS)

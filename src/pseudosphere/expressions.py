@@ -15,12 +15,12 @@ scalars, variables and their powers stays one term: a Q(i) coefficient,
 a packed key and a degree, multiplied with no series formed; a term
 above the order, or with coefficient 0, is the zero series of that
 order.  A ``+``/``-`` chain collects its operands and closes once: a
-chain of scalars into their sum, any other into one storage, its
-numerators summed over the lcm of their denominators and normalized by
-one ``series._closed`` pass, where a chain of k operands summed one at a
-time would build and normalize k - 1 series.  Anything else (a term
-times a series, a quotient by a series, a power of a series) goes
-through the series operators, with a term as its one-term series.
+chain of scalars into their sum, any other into one storage, by one
+call of the weighted-sum loop ``series._combination``, where a chain of
+k operands summed one at a time would build and normalize k - 1 series.
+Anything else (a term times a series, a quotient by a series, a power
+of a series) goes through the series operators, with a term as its
+one-term series.
 ``parse_series`` wraps a scalar or term result as a series.  The series
 order is checked where a literal or a variable is read, as the series
 constructors check it.  The whole text is tokenized first, so an
@@ -48,11 +48,9 @@ measured there, as it would be had each sum been formed.
 
 from __future__ import annotations
 
-from math import lcm
-
 from .errors import NonUnitError, ParseError
 from .scalars import I as IMAG_UNIT, MESSAGE_BITS, ONE, GaussianRational, _bits, _coerce
-from .series import TruncatedSeries, VariableContext, _check_order, _closed
+from .series import TruncatedSeries, VariableContext, _check_order, _combination
 
 # Input budgets.  A literal prints back in full (see scalars.brief_str); the
 # coefficient budget holds 3^300000 but not the 2^(2^20) that the exponent
@@ -204,33 +202,14 @@ class _Parser:
 
     def closed(self, operands):
         """The sum of sign * value over ``operands``: a scalar when every
-        value is one, else the series of one storage over the lcm of the
-        denominators, closed by one ``_closed`` pass."""
+        value is one, else the series of one ``_combination`` call."""
         if all(value.__class__ is GaussianRational for _, value in operands):
             total = operands[0][1]
             for sign, value in operands[1:]:
                 total = total + value if sign > 0 else total - value
             return total
-        storages = [(sign, *self.storage(value)) for sign, value in operands]
-        d = 1
-        for _, den, _ in storages:
-            if d % den:
-                d = lcm(d, den)
-        acc = {}
-        for sign, den, grades in storages:
-            m = sign * (d // den)
-            for degree, terms in grades.items():
-                sums = acc.get(degree)
-                if sums is None:
-                    sums = acc[degree] = {}
-                for k, (a, b) in terms.items():
-                    v = sums.get(k)
-                    if v is None:
-                        sums[k] = [a * m, b * m]
-                    else:
-                        v[0] += a * m
-                        v[1] += b * m
-        return TruncatedSeries._valid(self.context, self.order, *_closed(d, acc))
+        return TruncatedSeries._valid(self.context, self.order, *_combination(
+            [(sign, *self.storage(value)) for sign, value in operands], self.order))
 
     def term(self, coefficient, key, degree):
         """The term coefficient * x^key of ``degree``, or the zero series of

@@ -17,12 +17,13 @@ integer weight map per n, built once: with L = (n+1)(n+2), each
 component is (1/L) sum_R c_R raw_R over the raw entries R its formula
 reads, with weight L on its own entry, -(n+1) on each entry of a single
 trace it subtracts and +1 on each entry of a double trace it adds.  Only
-the nonzero raw entries are scattered through the map, and each
-component has the lowest order of every raw entry it reads, zero ones
-included; a component that one nonzero entry reaches is that entry,
-scaled, with no product formed.  Agreement of the two
-routes, coefficient by coefficient, is the central correctness property
-and is exposed as :func:`cross_check`.  On the solution submanifold each
+the nonzero raw entries are scattered through the map, every component
+has one order, the lowest of the table, zero entries included, and
+every component is formed on one path: one weighted sum
+(``series._combination``) of the nonzero entries that reach it, or the
+zero series where none does.  Agreement of the two routes, coefficient
+by coefficient, is the central correctness property and is exposed as
+:func:`cross_check`.  On the solution submanifold each
 transported raw entry is exactly the direct one, so the routes meet
 before the trace adjustment: :func:`cross_check` compares the two raw
 tables entry by entry at one common order, and the adjustment, linear
@@ -42,14 +43,13 @@ from __future__ import annotations
 import collections
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 from .errors import InsufficientOrderError
 from .hypersurface import HypersurfaceModel, _roles, minors, per_model
 from .pde import PdeSystem, derive_associated_system
 from .scalars import GaussianRational, brief_str
-from .series import TruncatedSeries, _compose, _products
+from .series import TruncatedSeries, _combination, _compose
 
 
 @dataclass(frozen=True)
@@ -115,30 +115,28 @@ class FlatnessTensor:
 
 
 @cache
-def _trace_map(n: int) -> tuple:
+def _trace_map(n: int) -> dict:
     """The trace adjustment at n as integer weights over L = (n+1)(n+2).
 
-    Returns (``columns``, ``reads``).  ``reads`` maps each component key
-    K = (k1, k2, l1, l2), k1 <= k2 and l1 <= l2, to the raw keys R its
-    formula reads; ``columns`` maps each raw key R to the pairs (K, the
-    one-term constant storage of c_{K,R}) of the components it reaches,
-    so that W_K = (1/L) sum_R c_{K,R} raw_R.  Each entry has weight L on
-    its own component, each entry of a single trace the component
-    subtracts has -(n+1), and each entry of a double trace it adds has +1.
-    No weight cancels to 0 for any n from 2 to 8 (see the tests), so the
-    raw keys K reads are the support of its weights.
+    Maps each raw key R = (a, b, l1, l2), a <= b and l1 <= l2, to the pairs
+    (K, c_{K,R}) of the components K it reaches, so that W_K = (1/L) sum_R
+    c_{K,R} raw_R.  Each component has weight L on its own entry, each
+    entry of a single trace it subtracts has -(n+1), and each entry of a
+    double trace it adds has +1, summed where an entry is several of
+    these.  No weight cancels to 0 for any n from 2 to 8 (see the tests),
+    so the raw keys that reach K are those its formula reads, K among
+    them.
     """
     idx = range(1, n + 1)
-    denominator = (n + 1) * (n + 2)
 
     def key(a, b, l1, l2):
         return (min(a, b), max(a, b), min(l1, l2), max(l1, l2))
 
-    columns, reads = {}, {}
+    columns = {}
     for k1, k2, l1, l2 in itertools.product(idx, repeat=4):
         if k1 > k2 or l1 > l2:
             continue
-        weights = collections.Counter({(k1, k2, l1, l2): denominator})
+        weights = collections.Counter({(k1, k2, l1, l2): (n + 1) * (n + 2)})
         for delta, (k, l) in ((k1 == l1, (k2, l2)), (k1 == l2, (k2, l1)),
                               (k2 == l1, (k1, l2)), (k2 == l2, (k1, l1))):
             if delta:
@@ -148,10 +146,9 @@ def _trace_map(n: int) -> tuple:
         if pair:
             for m, l in itertools.product(idx, repeat=2):
                 weights[key(m, l, m, l)] += pair
-        reads[(k1, k2, l1, l2)] = tuple(weights)
         for r, c in weights.items():
-            columns.setdefault(r, []).append(((k1, k2, l1, l2), {0: {0: (c, 0)}}))
-    return {r: tuple(reached) for r, reached in columns.items()}, reads
+            columns.setdefault(r, []).append(((k1, k2, l1, l2), c))
+    return {r: tuple(reached) for r, reached in columns.items()}
 
 
 def _assemble_trace_adjusted(n: int, raw: dict) -> dict:
@@ -163,44 +160,27 @@ def _assemble_trace_adjusted(n: int, raw: dict) -> dict:
     ``_trace_map(n)``, L = (n+1)(n+2): the table minus the four single
     traces, each weighted 1/(n+2), plus the double trace, weighted
     1/((n+1)(n+2)), once per Kronecker term; those weights are exactly
-    what makes every contraction sum_k W_{k,k2,k,l2} vanish.
+    what makes every contraction sum_k W_{k,k2,k,l2} vanish.  The
+    components have the raw table's keys, since each reads its own entry.
 
-    Only the nonzero raw entries are scattered to the components they
-    reach.  A component's order is the lowest order of every raw entry it
-    reads, zero entries included; a component that no nonzero entry
-    reaches is the zero series of that order; when every raw entry has one
-    order, that is the order of every component.  A component that one
-    nonzero entry reaches is that entry cut to the component's order and
-    scaled by c/L, with no product formed; when c = L it is the entry
-    itself.  A component that several reach is one ``series._products``
-    call, each weight a one-term constant storage over L.
+    Every component has one order, the lowest of the table, zero entries
+    included.  Only the nonzero raw entries are scattered to the
+    components they reach; a component that some reach is one
+    ``series._combination`` call over L, and every other component is one
+    shared zero series of that order.
     """
-    columns, reads = _trace_map(n)
-    denominator = (n + 1) * (n + 2)
+    columns = _trace_map(n)
     reached = {}
     for r, series in raw.items():
         if series._grades:
-            for k, weight in columns[r]:
-                reached.setdefault(k, []).append((weight, series))
+            for k, c in columns[r]:
+                reached.setdefault(k, []).append((c, series._den, series._grades))
     context = next(iter(raw.values())).context
-    low = min(series.order for series in raw.values())
-    even = all(series.order == low for series in raw.values())
-    components = {}
-    for k, keys in reads.items():
-        order = low if even else min(raw[r].order for r in keys)
-        weighted = reached.get(k)
-        if weighted is None:
-            components[k] = TruncatedSeries.zero(context, order)
-        elif len(weighted) == 1:
-            (weight, series), = weighted
-            c = weight[0][0][0]
-            entry = series.truncate(order)
-            components[k] = entry if c == denominator else entry.scale(Fraction(c, denominator))
-        else:
-            components[k] = TruncatedSeries._valid(context, order, *_products(
-                [(1, denominator, weight, series._den, series._grades)
-                 for weight, series in weighted], order))
-    return components
+    order = min(series.order for series in raw.values())
+    zero = TruncatedSeries.zero(context, order)
+    return {k: TruncatedSeries._valid(context, order,
+                                      *_combination(reached[k], order, (n + 1) * (n + 2)))
+            if k in reached else zero for k in raw}
 
 
 def _jet_table(system: PdeSystem) -> dict:

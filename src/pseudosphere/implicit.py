@@ -49,7 +49,9 @@ absent from J^-1: it forms no product with det^-1, and no update reads
 it.  The update sum_i (J^-1)_ji E_i of unknown j is one call of the
 product loop ``series._products`` on its products with a nonzero entry
 and a nonzero residual, one per equation at most, summed into one
-accumulator and normalized once; with none, the iterate is kept.
+accumulator and normalized once, and the iterate less that update is
+one call of the weighted-sum loop ``series._combination``; with none,
+the iterate is kept.
 
 The order stays sound: the iterate is a polynomial, so its residual is
 exact at any order, and the result claims order n only after the last
@@ -60,7 +62,7 @@ from __future__ import annotations
 
 from .errors import SingularJacobianError
 from .matrices import SeriesMatrix
-from .series import TruncatedSeries, VariableContext, _add, _compose, _product, _products
+from .series import TruncatedSeries, VariableContext, _combination, _compose, _product, _products
 
 
 def _context(equations):
@@ -162,7 +164,7 @@ def _newton(equations, unknowns, jacobian=None, targets=()):
             step = [(1, *entry, r._den, r._grades)
                     for i, entry in inverse[j] if (r := residuals[i])._grades]
             if step:
-                iterate[j] = _add(*storage, *_products(step, top), -1)
+                iterate[j] = _combination([(1, *storage), (-1, *_products(step, top))], top)
         k = top
 
     return {u: TruncatedSeries._valid(out_ctx, n, *storage)

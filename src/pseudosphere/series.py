@@ -27,13 +27,18 @@ one storage, and ``==`` compares it structurally.  Coefficients as
 :class:`GaussianRational` (``terms``, ``coefficient``, ``first_term``,
 ``__str__``) are built on demand.
 
-Kernels.  Products and compositions each have one loop on the storage.
-``_products`` sums a list of signed products in one accumulator over the
-lcm of their denominators and normalizes once; a single product, a
-Laplace sub-minor and any other sum of products are its calls.  It
-scales each left numerator as it reads it, and its closing pass
-(``_closed``) drops the zero sums and divides only where the common
-factor is not 1.
+Kernels.  Products, weighted sums and compositions each have one loop
+on the storage.  ``_products`` sums a list of signed products in one
+accumulator over the lcm of their denominators and normalizes once; a
+single product, a Laplace sub-minor and any other sum of products are
+its calls.  It scales each left numerator as it reads it, and its
+closing pass (``_closed``) drops the zero sums and divides only where
+the common factor is not 1.  ``_combination`` is the same loop without
+the right operand: it sums a list of storages, each with a nonzero
+integer weight, over the lcm of their denominators times one common
+divisor, through a limit, and closes the sum by one ``_closed`` pass; a
+sum or difference of two series, Newton's update, a parsed ``+``/``-``
+chain and a trace-adjusted tensor component are its calls.
 ``_compose`` walks only the source variables that are really
 substituted: a variable that passes through by name, or that is
 assigned a bare target variable, shifts the keys and degrees of the
@@ -45,11 +50,12 @@ term of the true product lies above that order, and nothing is claimed
 beyond it; a sum of products with no product of two nonzero operands
 (``_sum_of_products``) makes no call of the product loop.  A sum or
 difference with an empty operand is the other operand itself (negated
-in ``empty - b``), cut to the lower order when the orders differ.  A
-composition walks no monomial of an empty member, builds its images only
-through the highest order of a nonzero member, and gives an empty member
-the empty series of its output order, the lower of its own order and
-the lowest assigned order, with no normalizing pass.  Callers that hold
+in ``empty - b``), cut to the lower order when the orders differ, and
+makes no call of ``_combination``.  A composition walks no monomial of
+an empty member, builds its images only through the highest order of a
+nonzero member, and gives an empty member the empty series of its
+output order, the lower of its own order and the lowest assigned order,
+with no normalizing pass.  Callers that hold
 lists with many zero members (``implicit``, ``pde``, ``flatness``) leave
 them out of the list altogether.  Series are immutable by convention,
 and so are the per-degree dicts, which operations share between series
@@ -290,47 +296,37 @@ def _negated(grades):
             for degree, terms in grades.items()}
 
 
-def _add(da, a, db, b, sign):
-    """The storage of a + sign * b (sign is 1 or -1) over the lcm d of the
-    two denominators.
+def _combination(items, limit, over=1):
+    """The storage of (1/over) * sum c * grades / den over ``items``, a list
+    of (c, den, grades) with c a nonzero integer and (den, grades) a
+    storage, through degree ``limit``.
 
-    When no key is in both operands, the result holds the numerators of an
-    operand whose denominator is d, up to sign, and their gcd with d is 1
-    already: the gcd pass is skipped."""
-    if da == db:
-        d, ma, mb = da, 1, sign
-    else:
-        d = lcm(da, db)
-        ma, mb = d // da, sign * (d // db)
-    out = dict(a) if ma == 1 else {
-        degree: {k: (x * ma, y * ma) for k, (x, y) in terms.items()}
-        for degree, terms in a.items()}
-    met = False
-    for degree, terms in b.items():
-        acc = out.get(degree)
-        if acc is None:
-            out[degree] = terms if mb == 1 else {
-                k: (x * mb, y * mb) for k, (x, y) in terms.items()}
-            continue
-        if ma == 1:
-            acc = out[degree] = dict(acc)  # a's own dict is shared: copy it
-        for k, (x, y) in terms.items():
-            v = acc.get(k)
-            if v is None:
-                acc[k] = (x * mb, y * mb)
+    This is the one weighted-sum loop.  Every item is summed into one
+    accumulator over d, the lcm of the denominators, each numerator
+    multiplied by c * d / den as it is read; degrees above the limit are
+    never read.  The result is brought to canonical form once, over
+    ``over`` * d, by one ``_closed`` pass."""
+    d = 1
+    for _, den, _ in items:
+        if d % den:
+            d = lcm(d, den)
+    acc = {}
+    for c, den, grades in items:
+        m = c * (d // den)
+        for degree, terms in grades.items():
+            if degree > limit:
                 continue
-            met = True
-            x = v[0] + x * mb
-            y = v[1] + y * mb
-            if x or y:
-                acc[k] = (x, y)
-            else:
-                del acc[k]
-        if not acc:
-            del out[degree]
-    if d == 1 or not met and (d == da or d == db):
-        return d, out
-    return _canonical(d, out)
+            sums = acc.get(degree)
+            if sums is None:
+                sums = acc[degree] = {}
+            for k, (a, b) in terms.items():
+                v = sums.get(k)
+                if v is None:
+                    sums[k] = [a * m, b * m]
+                else:
+                    v[0] += a * m
+                    v[1] += b * m
+    return _closed(over * d, acc)
 
 
 def _compose(series_list, assignment, target_context=None):
@@ -914,8 +910,8 @@ def _sum(a, b, sign):
     """a + sign * b (sign 1 or -1) at the lower of the two orders.
 
     An empty operand leaves the other as it is, cut to the lower order
-    (and negated in ``empty - b``); otherwise the higher operand is cut
-    before the numerators are added.
+    (and negated in ``empty - b``); otherwise it is one ``_combination``
+    call through the lower order.
     """
     _check_same_context(a, b)
     if not b._grades:
@@ -924,9 +920,6 @@ def _sum(a, b, sign):
         if b.order > a.order:
             b = b.truncate(a.order)
         return -b if sign < 0 else b
-    da, ga, db, gb = a._den, a._grades, b._den, b._grades
-    if a.order > b.order:
-        da, ga = _cut(da, ga, b.order)
-    elif b.order > a.order:
-        db, gb = _cut(db, gb, a.order)
-    return TruncatedSeries._valid(a.context, min(a.order, b.order), *_add(da, ga, db, gb, sign))
+    order = min(a.order, b.order)
+    return TruncatedSeries._valid(a.context, order, *_combination(
+        [(1, a._den, a._grades), (sign, b._den, b._grades)], order))

@@ -275,6 +275,7 @@ def test_exit_one_on_witness_with_huge_coefficient(capsys):
      "--map-z", "2=z2", "--map-w", "z1"],
     ["check", "--n", "2", "--order", "0", "--graph", "x1^2", "--checks", "reality"],
     ["check", "--n", "2", "--order", "0", "--theta=-wb", "--checks", "reality"],
+    ["levi", "--n", "2", "--order", "6", "--graph", "x1^2+y1^2+x2^2+y2^2", "--theta=-wb"],
 ], ids=["graph-linear-part", "graph-not-real", "f-index-out-of-range",
         "theta-huge-linear-part", "levi-order-too-low", "derive-pde-order-too-low",
         "integrability-order-too-low", "pde-check-order-too-low",
@@ -283,7 +284,7 @@ def test_exit_one_on_witness_with_huge_coefficient(capsys):
         "map-unknown-variable", "theta-non-unit-divisor", "map-moves-origin",
         "map-singular", "checks-empty", "checks-none-apply-to-system",
         "f-malformed", "map-z-malformed", "f-conflicting-pair", "map-image-not-graphable",
-        "graph-order-zero", "theta-order-zero"])
+        "graph-order-zero", "theta-order-zero", "levi-graph-and-theta"])
 def test_exit_two_on_malformed_input(capsys, argv):
     code, _, err = invoke(argv, capsys)
     assert code == 2
@@ -546,8 +547,9 @@ def test_integrability_command_derived_system(capsys):
 
 
 def test_integrability_verdict_agrees_with_check(capsys):
-    # theta wins over --f in every command, so both read the same input
-    flags = ["--n", "2", "--order", "5", "--theta", HEIS, "--f", "1,1=x2", "--json"]
+    # both commands read the same model; theta with --f is an input error
+    # in every command (test_conflicting_inputs_exit_two_and_name_both)
+    flags = ["--n", "2", "--order", "5", "--theta", HEIS, "--json"]
     code, out, _ = invoke(["integrability"] + flags, capsys)
     integrability = json.loads(out)["integrability"]
     check_code, out, _ = invoke(["check", "--checks", "integrability"] + flags, capsys)
@@ -711,13 +713,43 @@ def test_input_file_end_to_end(tmp_path, capsys):
 
 
 def test_flag_overrides_input_file(tmp_path, capsys):
+    # a flag replaces the file's value of its key, theta included: the two
+    # thetas do not conflict
     path = tmp_path / "job.psp"
-    path.write_text("n = 2\norder = 8\ntheta = " + HEIS + "\n", encoding="utf-8")
+    path.write_text("n = 2\norder = 8\ntheta = " + QUARTIC + "\n", encoding="utf-8")
     code, out, _ = invoke(
-        ["check", "--input", str(path), "--order", "6", "--json"], capsys
+        ["check", "--input", str(path), "--order", "6", "--theta=" + HEIS, "--json"], capsys
     )
     assert code == 0
-    assert json.loads(out)["order_requested"] == 6
+    report = json.loads(out)
+    assert report["order_requested"] == 6
+    assert report["pseudospherical"] == "VanishesToOrder(2)"
+
+
+INPUTS = {"theta": HEIS, "graph": "x1^2 + y1^2 + x2^2 + y2^2", "f[1,1]": "yx1"}
+
+
+def _input_flag(key):
+    return f"--f=1,1={INPUTS[key]}" if key == "f[1,1]" else f"--{key}={INPUTS[key]}"
+
+
+@pytest.mark.parametrize("source", ["flags", "file", "file-and-flag"])
+@pytest.mark.parametrize("first, second", [("theta", "graph"), ("theta", "f[1,1]"),
+                                           ("graph", "f[1,1]")])
+def test_conflicting_inputs_exit_two_and_name_both(tmp_path, capsys, first, second, source):
+    # two of theta, graph and f[..], both as flags, both in the input file
+    # or the first in the file and the second as a flag, are an input
+    # error that names both: neither is dropped
+    flags = {"flags": [first, second], "file": [], "file-and-flag": [second]}[source]
+    lines = ["n = 2", "order = 5"] + [f"{key} = {INPUTS[key]}" for key in (first, second)
+                                      if key not in flags]
+    path = tmp_path / "job.psp"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = invoke(["check", "--input", str(path)] + [_input_flag(k) for k in flags],
+                            capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {first} and {second} are both given; "
+                   "give one of theta, graph and f[k1,k2]\n")
 
 
 def test_json_serialization_round_trip(capsys):

@@ -234,7 +234,7 @@ def trace_adjusted_reference(n, raw):
 def test_trace_adjustment_matches_the_scalar_formula(n, rng):
     # a random symmetric table of constants, some zero, each at its own
     # order: every component is the scalar formula at the lowest order of
-    # the entries it reads, and every contraction vanishes
+    # the table, and every contraction vanishes
     ctx = ps.VariableContext(("u",))
     keys = [k for k in itertools.product(range(1, n + 1), repeat=4)
             if k[0] <= k[1] and k[2] <= k[3]]
@@ -245,8 +245,9 @@ def test_trace_adjustment_matches_the_scalar_formula(n, rng):
         components = flatness_module._assemble_trace_adjusted(n, table)
         want = trace_adjusted_reference(n, raw)
         assert components.keys() == want.keys()
-        for key, (value, read) in want.items():
-            expected = ps.TruncatedSeries.constant(ctx, min(orders[k] for k in read), value)
+        low = min(orders.values())
+        for key, (value, _) in want.items():
+            expected = ps.TruncatedSeries.constant(ctx, low, value)
             assert components[key] == expected, key
             assert components[key].order == expected.order, key
         tensor = ps.FlatnessTensor(n, 0, components)
@@ -340,84 +341,40 @@ def random_raw_table(rng, n, kind, low_zero):
 @example(n=4, kind="sparse", low_zero=True, rng=random.Random(3))
 def test_trace_map_matches_the_chained_adjustment(n, kind, low_zero, rng):
     # every component, in its storage and its order, is the chained
-    # reference's, and every contraction of the result vanishes
+    # reference's cut to the lowest order of the table, zero entries
+    # included, so one low zero entry lowers every component; and every
+    # contraction of the result vanishes
     raw = random_raw_table(rng, n, kind, low_zero)
     got = flatness_module._assemble_trace_adjusted(n, raw)
     want = chained_trace_adjusted(n, raw)
+    low = min(series.order for series in raw.values())
     assert got.keys() == want.keys()
     for key, series in want.items():
-        assert got[key] == series, key
-        assert got[key].order == series.order, key
+        assert got[key] == series.truncate(low), key
+        assert got[key].order == low, key
+    if low_zero:
+        assert {series.order for series in got.values()} == {2}
     tensor = ps.FlatnessTensor(n, 0, got)
     for k2, l2 in itertools.product(range(1, n + 1), repeat=2):
         assert tensor.contract(k2, l2).is_zero(), (k2, l2)
 
 
-def products_path_trace_adjusted(n, raw):
-    """The trace adjustment with every reached component one call of the
-    product loop, the single-weight ones included: each weight a one-term
-    constant storage over L, cut at the lowest order the component reads."""
-    columns, reads = flatness_module._trace_map(n)
-    denominator = (n + 1) * (n + 2)
-    context = next(iter(raw.values())).context
-    products = collections.defaultdict(list)
-    for r, series in raw.items():
-        if not series.is_zero():
-            for k, weight in columns[r]:
-                products[k].append((1, denominator, weight, series._den, series._grades))
-    components = {}
-    for k, keys in reads.items():
-        order = min(raw[r].order for r in keys)
-        components[k] = ps.TruncatedSeries._valid(
-            context, order, *series_module._products(products[k], order))
-    return components
-
-
-@pytest.mark.parametrize("n, kind, seed", [(2, "dense", 0), (3, "sparse", 1),
-                                           (4, "sparse", 0), (5, "sparse", 3)])
-def test_single_weight_components_match_the_products_path(n, kind, seed):
-    # a component that one nonzero raw entry reaches is that entry scaled by
-    # c/L, or the entry itself where c = L, with no product formed; on
-    # tables of uneven orders it is the product loop's, in storage and
-    # order, also where its order is below its entry's
-    raw = random_raw_table(random.Random(seed), n, kind, low_zero=True)
-    got = flatness_module._assemble_trace_adjusted(n, raw)
-    want = products_path_trace_adjusted(n, raw)
-    assert got.keys() == want.keys()
-    for key, series in want.items():
-        assert (got[key]._den, got[key]._grades) == (series._den, series._grades), key
-        assert got[key].order == series.order, key
-    columns, reads = flatness_module._trace_map(n)
-    denominator = (n + 1) * (n + 2)
-    reached = collections.defaultdict(list)
-    for r, series in raw.items():
-        if not series.is_zero():
-            for k, weight in columns[r]:
-                reached[k].append((weight[0][0][0], series))
-    singles = [(k, *entries[0]) for k, entries in reached.items() if len(entries) == 1]
-    # weight L falls only on a component that reads no other entry, so such
-    # a component has its entry's order
-    assert all(reads[k] == (k,) for k, c, _ in singles if c == denominator)
-    assert any(c == denominator for _, c, _ in singles)
-    assert any(c != denominator and got[k].order < entry.order for k, c, entry in singles)
-
-
 @pytest.mark.parametrize("n", range(2, 9))
 def test_trace_map_weights_are_nonzero_on_the_entries_each_component_reads(n):
-    # the raw keys each component reads are those of the displayed formula,
-    # no weight cancels to 0, and the map is built once per n
-    columns, reads = flatness_module._trace_map(n)
+    # the raw keys that reach each component are those its displayed
+    # formula reads, its own among them, so the components have the raw
+    # keys; no weight cancels to 0, and the map is built once per n
+    columns = flatness_module._trace_map(n)
     keys = [k for k in itertools.product(range(1, n + 1), repeat=4)
             if k[0] <= k[1] and k[2] <= k[3]]
     want = trace_adjusted_reference(n, dict.fromkeys(keys, 0))
-    assert {k: set(r) for k, r in reads.items()} == {k: read for k, (_, read) in want.items()}
     scattered = collections.defaultdict(set)
     for r, reached in columns.items():
-        for k, storage in reached:
-            (c, im), = storage[0].values()
-            assert c and not im, (k, r)
+        for k, c in reached:
+            assert isinstance(c, int) and c, (k, r)
             scattered[k].add(r)
-    assert scattered == {k: set(r) for k, r in reads.items()}
+    assert scattered == {k: read for k, (_, read) in want.items()}
+    assert columns.keys() == scattered.keys() == set(keys)
     assert flatness_module._trace_map(n) is flatness_module._trace_map(n)
 
 

@@ -16,7 +16,7 @@ import pseudosphere as ps
 from pseudosphere import TruncatedSeries, VariableContext
 from pseudosphere.errors import InsufficientOrderError, NonUnitError
 from pseudosphere.scalars import ONE, ZERO
-from pseudosphere.series import _MAX_ORDER, _compose, _products
+from pseudosphere.series import _MAX_ORDER, _combination, _compose, _products
 
 UVW = VariableContext(("u", "v", "w"))
 PQ = VariableContext(("p", "q"))
@@ -227,3 +227,34 @@ def test_signed_products_over_unequal_denominators_match_the_reference(products,
         want = want + product if sign > 0 else want - product
     assert_same(TruncatedSeries._valid(UVW, limit, den, grades),
                 RefSeries(UVW, limit, want.terms))
+
+
+U_THIRD_V_FIFTH = TruncatedSeries(UVW, 3, {(1, 0, 0): COPRIME_POOL[0], (0, 1, 0): COPRIME_POOL[1]})
+WEIGHTS = st.sampled_from([1, -1, 2, -3, 5, -7, 12])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(WEIGHTS, pooled_series()), max_size=4),
+       st.integers(0, 4), st.integers(1, 12))
+# u/3 - 2/5*v less itself: the sum cancels to the empty storage
+@example([(1, U_THIRD_V_FIFTH), (-1, U_THIRD_V_FIFTH)], 3, 1)
+# the limit 1 drops the whole degree 2 of both operands
+@example([(1, TruncatedSeries(UVW, 4, {(1, 0, 0): COPRIME_POOL[0],
+                                       (1, 1, 0): COPRIME_POOL[3]})),
+          (-3, TruncatedSeries(UVW, 4, {(0, 2, 0): COPRIME_POOL[2]}))], 1, 1)
+# (1/3) * (6 * (-2/5) * u + 3 * v) = -4/5 * u + v: the divisor 3 divides
+# every numerator over 15, and the closing pass takes it out
+@example([(6, TruncatedSeries(UVW, 2, {(1, 0, 0): COPRIME_POOL[1]})),
+          (3, TruncatedSeries(UVW, 2, {(0, 1, 0): ONE}))], 2, 3)
+def test_weighted_sums_over_unequal_denominators_match_the_reference(items, limit, over):
+    # the weighted-sum loop on storages: (1/over) * the sum of c * series
+    # through ``limit``, which may lie below the operands' degrees, the
+    # operands left as they were
+    before = [(s._den, {d: dict(t) for d, t in s._grades.items()}) for _, s in items]
+    den, grades = _combination([(c, s._den, s._grades) for c, s in items], limit, over)
+    assert [(s._den, s._grades) for _, s in items] == before
+    want = RefSeries(UVW, limit, {})
+    for c, s in items:
+        want = want + RefSeries(UVW, limit, s.terms).scale(ps.gaussian(c))
+    assert_same(TruncatedSeries._valid(UVW, limit, den, grades),
+                want.scale(ONE / ps.gaussian(over)))

@@ -264,10 +264,13 @@ MUTANTS = [
          "tests/test_flatness.py::test_trace_map_matches_the_chained_adjustment"),
         "killed",
     ),
+    # every component has the lowest order of the table, zero entries
+    # included: one low zero entry lowers every component
     Mutant(
         "trace-order-over-nonzero-entries", "flatness.py",
-        "order = low if even else min(raw[r].order for r in keys)",
-        "order = low if even else min((raw[r].order for r in keys if raw[r]._grades), default=low)",
+        "order = min(series.order for series in raw.values())",
+        "order = min((series.order for series in raw.values() if series._grades),\n"
+        "                default=min(series.order for series in raw.values()))",
         ("tests/test_flatness.py::test_trace_map_matches_the_chained_adjustment",),
         "killed",
     ),
@@ -319,9 +322,17 @@ MUTANTS = [
     ),
     Mutant(
         "add-numerators-unscaled", "series.py",
-        "ma, mb = d // da, sign * (d // db)",
-        "ma, mb = 1, sign",
+        "m = c * (d // den)",
+        "m = c",
         ("tests/test_series.py::test_add_into_with_a_factor_matches_the_scalar_loop",),
+        "killed",
+    ),
+    Mutant(
+        "combination-limit-one-long", "series.py",
+        "if degree > limit:",
+        "if degree > limit + 1:",
+        ("tests/test_series_reference.py::"
+         "test_weighted_sums_over_unequal_denominators_match_the_reference",),
         "killed",
     ),
     Mutant(
@@ -452,15 +463,6 @@ MUTANTS = [
         "killed",
     ),
     # -- one-pass parsing, closing and scaling ------------------------
-    # a component that one raw entry reaches has the lowest order of every
-    # entry it reads, not the order of the entry it scales
-    Mutant(
-        "trace-single-weight-at-entry-order", "flatness.py",
-        "entry = series.truncate(order)",
-        "entry = series",
-        ("tests/test_flatness.py::test_single_weight_components_match_the_products_path",),
-        "killed",
-    ),
     Mutant(
         "parse-monomial-kept-above-order", "expressions.py",
         "if degree > self.order or not coefficient:",
