@@ -67,32 +67,43 @@ _MAX_LITERAL_DIGITS = len(str(2 ** _MAX_LITERAL_BITS))
 
 
 _OPERATORS = "+-*/^()"
+# ASCII only: str.isdigit and str.isalnum also accept a superscript or a
+# non-ASCII digit, which int() rejects or reads as an ASCII one
+_DIGITS = frozenset("0123456789")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_NAME = _NAME_START | _DIGITS
 
 
 def _tokenize(text: str):
-    tokens = []  # (kind, value, position)
+    """The (kind, value, position) tokens of ``text``, then ("end", None,
+    len(text)).  A literal is ASCII digits, a name an ASCII letter or
+    underscore followed by ASCII letters, digits and underscores; any
+    other character that is neither an operator nor whitespace raises
+    ParseError at its position."""
+    tokens = []
     pos = 0
     length = len(text)
     while pos < length:
         ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch.isdigit():
-            start = pos
-            while pos < length and text[pos].isdigit():
-                pos += 1
-            tokens.append(("int", text[start:pos], start))  # converted when read
-            continue
-        if ch.isalpha() or ch == "_":
-            start = pos
-            while pos < length and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-            tokens.append(("ident", text[start:pos], start))
-            continue
         if ch in _OPERATORS:
             tokens.append((ch, ch, pos))
             pos += 1
+            continue
+        if ch.isspace():
+            pos += 1
+            continue
+        start = pos
+        if ch in _DIGITS:
+            pos += 1
+            while pos < length and text[pos] in _DIGITS:
+                pos += 1
+            tokens.append(("int", text[start:pos], start))  # converted when read
+            continue
+        if ch in _NAME_START:
+            pos += 1
+            while pos < length and text[pos] in _NAME:
+                pos += 1
+            tokens.append(("ident", text[start:pos], start))
             continue
         raise ParseError(f"unknown character {ch!r}", pos)
     tokens.append(("end", None, length))

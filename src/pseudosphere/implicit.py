@@ -29,14 +29,12 @@ unit exactly when J is invertible at the origin.  Both are polynomials in
 the entries of J(p, u), and composition is a ring homomorphism, so
 det J(u) and the cofactors of J(u) are det J and the cofactors of J
 composed with the iterate.  One table (det J, cofactors) in (p, u) is
-therefore built per solve and composed with the iterate at each step, cut
-to degree M first; no matrix is expanded per step.  A caller that holds
-the table already hands it over: the elimination of the parameters of a
-fundamental solution reads the Levi minors (``pde``).  Otherwise the one
-expansion of the partials dE_i/du_j, through the largest M of the solve,
-n - n//2 - 1, builds it.  A step whose M equals the previous step's
-reuses that J^-1: it was built from the iterate's terms of degree
-<= M <= k, which no later step changes.
+therefore built per solve, by one expansion of the partials dE_i/du_j
+through the largest M of the solve, n - n//2 - 1, and composed with the
+iterate at each step, cut to degree M first; no matrix is expanded per
+step.  A step whose M equals the previous step's reuses that J^-1: it
+was built from the iterate's terms of degree <= M <= k, which no later
+step changes.
 
 Each step is one walk of ``series._compose``: the equations and, when
 J^-1 is renewed, det J and the cofactors that are not zero through
@@ -87,15 +85,14 @@ def solve_formal_system(equations, unknowns):
     return _newton(equations, unknowns)
 
 
-def _newton(equations, unknowns, jacobian=None, targets=()):
+def _newton(equations, unknowns, targets=()):
     """Solve E_i(p, u) = t_i for u as series in (p, t), the parameters
     followed by ``targets``, one fresh name per equation or none at all.
 
-    J^-1 is read from ``jacobian``, the pair (det J, cofactor table of J)
-    of ``SeriesMatrix.cofactors`` for J = dE/du in the equations' context,
-    whose names other than the unknowns are parameters, passed through by
-    name; each must hold the degrees through n - n//2 - 1.  None builds
-    the table from the equations."""
+    J^-1 is read from (det J, the cofactor table of J), one
+    ``SeriesMatrix.cofactors`` expansion of J = dE/du in the equations'
+    context, whose names other than the unknowns are parameters, passed
+    through by name."""
     equations = list(equations)
     unknowns = list(unknowns)
     if len(equations) != len(unknowns):
@@ -116,14 +113,12 @@ def _newton(equations, unknowns, jacobian=None, targets=()):
         if eq.constant_term():
             raise ValueError(f"equation {i} does not vanish at the origin")
 
-    if jacobian is None:
-        # dE_i/du_j through the largest degree of J^-1 needed; at n = 0
-        # there is no linear part, and ``partial`` raises InsufficientOrderError
-        cut = n - n // 2
-        jacobian = SeriesMatrix(
-            [[eq.truncate(cut).partial(u) for u in unknowns] for eq in equations]
-        ).cofactors()
-    det, cofactor = jacobian
+    # dE_i/du_j through the largest degree of J^-1 needed; at n = 0 there
+    # is no linear part, and ``partial`` raises InsufficientOrderError
+    cut = n - n // 2
+    det, cofactor = SeriesMatrix(
+        [[eq.truncate(cut).partial(u) for u in unknowns] for eq in equations]
+    ).cofactors()
     if not det.constant_term():
         raise SingularJacobianError(
             "constant Jacobian in the unknowns is singular at the origin"
@@ -195,4 +190,4 @@ def solve_implicit(system, unknowns, targets):
     for t in targets:
         if t in ctx:
             raise ValueError(f"target name {t!r} already used in the context")
-    return _newton(system, unknowns, targets=targets)
+    return _newton(system, unknowns, targets)

@@ -5,14 +5,15 @@ over (row set, column set) pairs.  One such expansion of a square matrix
 yields its determinant and all of its cofactors at once, and every Cramer
 unit minor is a cofactor, so no replaced matrix is ever expanded on its
 own; the jet transfer needs no other minor (``MinorFamily``), and the
-elimination's Newton solve reads its inverse Jacobian off the same table
-(``pde``).  The matrices here have side n+1 for CR dimension n, small
-enough that the expansion beats fraction-free elimination and needs no
-unit pivots.  A fundamental solution's rank condition at the origin is
-the Levi check, the constant term of the family's determinant.  The same
-expansion decides every other determinant question over Q(i): the
-signature of a Hermitian form is read off its characteristic polynomial,
-the determinant of a matrix of series in one variable.
+derivation of the PDE system reads the inverse of the matrix at 0 off
+the same table's constant terms (``pde``).  The matrices here have side
+n+1 for CR dimension n, small enough that the expansion beats
+fraction-free elimination and needs no unit pivots.  A fundamental
+solution's rank condition at the origin is the Levi check, the
+constant term of the family's determinant.  The same expansion decides
+every other determinant question over Q(i): the signature of a
+Hermitian form is read off its characteristic polynomial, the
+determinant of a matrix of series in one variable.
 
 The memo holds storages, the (denominator, grades) pairs of the series
 kernels, not series: each sub-minor is the signed sum of its

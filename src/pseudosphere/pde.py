@@ -2,14 +2,17 @@
 
 The systems handled here are symmetric families y_{x^k1 x^k2} =
 F_{k1,k2}(x, y, y_x) in n >= 2 independent variables.  A fundamental
-solution Q(x, a, b) determines the system it solves: eliminating the
-parameters (a, b) from {y = Q, y_x = Q_x} gives F.  A hypersurface
-model's theta is its own fundamental solution, with (x, a, b) =
-(z, zb, wb), so both objects share one memoized elimination and one
-memoized minor family, exported under both names.  The jet-transfer
-helper rewrites second derivatives with respect to the y_x variables as
-exact expressions in the (x, a, b) chart via Cramer minors of the
-fundamental determinant.
+solution Q(x, a, b) determines the system it solves: F is the unique
+series with F(x, Q, Q_x) = Q_{x^k1 x^k2}, the transfer of jets to the
+submanifold of solutions.  It is found against the forward jet map (a,
+b) -> (Q, Q_x), which is known in closed form, degree by degree, after
+its linear part is normalized to the identity; no inverse of that map
+is formed (``_eliminate``).  A hypersurface model's theta is its own
+fundamental solution, with (x, a, b) = (z, zb, wb), so both objects
+share one memoized elimination and one memoized minor family, exported
+under both names.  The jet-transfer helper rewrites second derivatives
+with respect to the y_x variables as exact expressions in the (x, a, b)
+chart via Cramer minors of the fundamental determinant.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from functools import cache, cached_property
 
 from .errors import LeviDegenerateError, RankConditionError, UnsupportedDimensionError
 from .hypersurface import _checked_input, _roles, minors, per_model
-from .implicit import _newton
-from .series import TruncatedSeries, VariableContext, _compose, _sum_of_products
+from .scalars import ZERO
+from .series import (TruncatedSeries, VariableContext, _canonical, _compose, _solve_composition,
+                     _sum_of_products)
 
 
 @cache
@@ -143,43 +147,66 @@ class FundamentalSolution:
 def _eliminate(q: TruncatedSeries, x_names, parameters, family) -> PdeSystem:
     """The second-order system solved by the family y = q(x, parameters).
 
-    Solves {q = y, q_{x^k} = y_{x^k}} for the parameters as series in
-    (x, y, y_x): the equations stay in q's own context, and the targets
-    y, yx1..yxn are the fresh variables of the solution's.  It then
-    substitutes the solution into the nonzero pure second derivatives
-    q_{x^k1 x^k2} in one composition, in the solver's context, and
-    renames the result into ``pde_context(n)``.  ``family`` is q's minor
-    family, which holds the q_x (``firsts``) and the q_{x^k1 x^k2}
-    (``seconds``): the Jacobian of (q, q_x) in the parameters is its
-    matrix, so Newton's J^-1 reads its delta and cofactor table, in
-    (x, parameters), composed with each iterate.  In every composition
-    the x pass through by name, so they are key offsets of the images,
-    never multiplied out.  Deriving to order d needs q to order d + 2.
+    F_{k1,k2}(x, y, y_x) is the unique series with F(x, q, q_x) =
+    q_{x^k1 x^k2}, through degree d = q.order - 2, the order of the
+    second derivatives.  It is solved against the forward map Phi = (q,
+    q_x1 .. q_xn) of the parameters a, whose linear part is M0 a + C x,
+    with M0 the family's matrix at 0 and C the x-linear coefficients; no
+    inverse of Phi is formed.  ``family`` is q's minor family, which holds
+    the q_x (``firsts``), the q_{x^k1 x^k2} (``seconds``) and M0^-1, the
+    transposed cofactor table's constant terms over delta(0).  Three steps:
 
-    The system has order d = q.order - 2, the order of the second
-    derivatives, so the parameters are solved to order d only (to 1 when
-    d = 0, since the solver reads the Jacobian off the linear part),
-    though q_x would allow d + 1: the solution has no constant term, so
-    the composition's terms through degree d read only the solution's
-    terms through degree d.  The dropped degree is the costliest step of
-    the Newton lift.  The family holds delta and the cofactors at order
-    d, above the largest degree of J^-1 the solve reads.
+    * Normalize: Phi~ = M0^-1 (Phi - C x) = a + (terms of degree >= 2),
+      cut at d, with the x passing through.
+    * Solve: F~ with F~(x, Phi~) = q_{x^k1 x^k2}, degree by degree
+      (``series._solve_composition``), for every nonzero second
+      derivative under one walk state.
+    * Map back: F = F~ o L^-1, L^-1(x, y, y_x) = (x, M0^-1((y, y_x) -
+      C x)), one linear composition into ``pde_context(n)``.
+
+    Every step reads q and q_x through degree d only, though q_x would
+    allow d + 1.  A zero second derivative is not solved: the system's
+    default zero component has the order d its solution would have had.
     """
     n = len(x_names)
     order = q.order - 2
-    firsts = list(family.firsts)
-    system = [s.truncate(max(order, 1)) for s in [q] + firsts]
-    targets = ["y"] + [f"yx{k}" for k in range(1, n + 1)]
-    solution = _newton(system, parameters, (family.delta, family.cofactor), targets)
-    jet_ctx = solution[parameters[-1]].context  # (x1..xn, y, yx1..yxn)
-    out_ctx = pde_context(n)
-    # a zero second derivative is not composed: the system's default zero
-    # component has the order d its composition would have had
+    rows = [q, *family.firsts]
+    for i, row in enumerate(rows):
+        if row.constant_term():
+            raise ValueError(f"equation {i} does not vanish at the origin")
     seconds = {key: f for key, f in family.seconds.items() if f._grades}
     components = {}
     if seconds:
-        images = _compose(seconds.values(), solution, jet_ctx)
-        components = {key: f.rename_context(out_ctx) for key, f in zip(seconds, images)}
+        ctx, out_ctx = q.context, pde_context(n)
+        delta = family.delta.constant_term()
+        # row j of M0^-1: (i, the cofactor (i, j) at 0 over delta(0)) for
+        # each nonzero entry
+        inverse = [[(i, c / delta) for i in range(n + 1)
+                    if (c := family.cofactor[(i, j)].constant_term())] for j in range(n + 1)]
+        # C by rows: (k, the coefficient of x_k in row i) for each nonzero one
+        x_keys = {1 << ctx._shifts[ctx.index(name)]: k for k, name in enumerate(x_names)}
+        slopes = [[(x_keys[key], row._scalar(pair)) for key, pair in row._grades.get(1, {}).items()
+                   if key in x_keys] for row in rows]
+        highs = [TruncatedSeries._valid(ctx, order, *_canonical(row._den, {
+            degree: terms for degree, terms in row._grades.items() if 2 <= degree <= order}))
+            for row in rows]
+        normalized, back = {}, {}
+        for j, a in enumerate(parameters):
+            value = TruncatedSeries.variable(ctx, order, a)  # Phi~_j
+            linear = {}  # L^-1's a_j: {position in (x, y, y_x): coefficient}
+            for i, c in inverse[j]:
+                if highs[i]._grades:
+                    value = value + highs[i].scale(c)
+                linear[n + i] = c  # row i's jet variable
+                for k, slope in slopes[i]:
+                    linear[k] = linear.get(k, ZERO) - c * slope
+            normalized[a] = value
+            back[a] = TruncatedSeries(out_ctx, order, {
+                tuple(int(p == q) for q in range(2 * n + 1)): c for p, c in linear.items()})
+        for k, name in enumerate(x_names, 1):
+            back[name] = TruncatedSeries.variable(out_ctx, order, f"x{k}")
+        solved = _solve_composition(seconds.values(), normalized)
+        components = dict(zip(seconds, _compose(solved, back, out_ctx)))
     return PdeSystem(n, order, components)
 
 
@@ -188,12 +215,13 @@ def derive_associated_system(obj) -> PdeSystem:
     """The second-order system solved by a model's theta or by Q.
 
     Deriving to order d needs the series to order d + 2.  The elimination
-    inverts the Jacobian of (Q, Q_x) in the parameters, a model's Levi
-    matrix and a fundamental solution's fundamental matrix, so it reads
-    the memoized Levi minors, ``minors(obj)``: a fundamental solution
-    built them at construction, and a model builds them here when nothing
-    has yet; their check is the Levi check, and a degenerate model raises
-    LeviDegenerateError there.
+    normalizes the linear part of (Q, Q_x) in the parameters by the
+    inverse of a model's Levi matrix, or of a fundamental solution's
+    fundamental matrix, at 0, so it reads the memoized Levi minors,
+    ``minors(obj)``: a fundamental solution built them at construction,
+    and a model builds them here when nothing has yet; their check is the
+    Levi check, and a degenerate model raises LeviDegenerateError there.
+    A (Q, Q_x) that does not vanish at the origin raises ValueError.
     """
     return _eliminate(*_roles(obj), minors(obj))
 

@@ -42,7 +42,10 @@ chain and a trace-adjusted tensor component are its calls.
 ``_compose`` walks only the source variables that are really
 substituted: a variable that passes through by name, or that is
 assigned a bare target variable, shifts the keys and degrees of the
-images it meets and is never multiplied out.
+images it meets and is never multiplied out.  ``_solve_composition`` is
+its converse under a near-identity assignment, solved degree by degree
+on the images of the same walk.  Both add each monomial times its image
+into their outputs through one scatter loop, ``_scatter``.
 
 Three rules make a zero series cost no more than a call.  A product with
 an empty operand is the empty series of the lower operand order: every
@@ -361,8 +364,8 @@ def _compose(series_list, assignment, target_context=None):
     where it differs from the one before and multiplies out only the rest.
     Products are cut at the highest order of an output with a nonzero
     series.  An image is scattered into output j once per monomial that
-    uses it: shifted by the monomial's offset and degree shift, and cut at
-    output j's order less that shift.
+    uses it, by ``_scatter``: shifted by the monomial's offset and degree
+    shift, and cut at output j's order less that shift.
 
     Output j is summed as numerators: series j's own denominator is
     factored out, and each image is brought over the running lcm of the
@@ -457,6 +460,7 @@ def _compose(series_list, assignment, target_context=None):
                         uses[part] = [(j, *move, a, b)]
                     else:
                         entry.append((j, *move, a, b))
+    ones = [1] * len(series_list)  # series j's own denominator is factored out
 
     # per output: [lcm of the images' denominators, {degree: {key: [a, b]}}]
     outs = [[1, {}] for _ in series_list]
@@ -480,44 +484,174 @@ def _compose(series_list, assignment, target_context=None):
             image = factor if image is None else _product(*image, *factor, limit)
             stack.append((i, image))
         previous = key
-        di, grades = one if image is None else image
-        for j, offset, shift, ca, cb in uses[key]:
-            out = outs[j]
-            den = out[0]
-            if den % di:
-                grown = lcm(den, di)
-                f = grown // den
-                for sums in out[1].values():
-                    for v in sums.values():
-                        v[0] *= f
-                        v[1] *= f
-                out[0] = den = grown
-            m = den // di
-            ca *= m
-            cb *= m
-            cut = orders[j] - shift
-            acc = out[1]
-            for degree, terms in grades.items():
-                if degree > cut:
-                    continue
-                sums = acc.get(degree + shift)
-                if sums is None:
-                    sums = acc[degree + shift] = {}
-                for k, (a, b) in terms.items():
-                    x = ca * a - cb * b
-                    y = ca * b + cb * a
-                    k += offset
-                    v = sums.get(k)
-                    if v is None:
-                        sums[k] = [x, y]
-                    else:
-                        v[0] += x
-                        v[1] += y
+        _scatter(outs, orders, ones, *(one if image is None else image), uses[key], 0)
     return [
         TruncatedSeries._valid(target_context, order,
                                *(_closed(s._den * den, acc) if acc else (1, {})))
         for s, order, (den, acc) in zip(series_list, orders, outs)
     ]
+
+
+def _scatter(outs, cuts, dens, di, grades, uses, low):
+    """Add each use's monomial times one image into its output.
+
+    This is the one scatter loop, of ``_compose`` and
+    ``_solve_composition``.  The image is the storage (di, grades).  A use
+    (j, offset, shift, ca, cb) adds (ca + cb*i)/dens[j] times the image,
+    its keys raised by ``offset`` and its degrees by ``shift``, into output
+    j, reading the image's degrees from ``low`` through cuts[j] - shift.
+    An output is a sum [den, {degree: {key: [a, b]}}] over den; where
+    dens[j] * di does not divide den, den grows to their lcm, which
+    rescales every sum it holds.
+    """
+    for j, offset, shift, ca, cb in uses:
+        out = outs[j]
+        den = out[0]
+        dj = dens[j] * di
+        if den % dj:
+            grown = lcm(den, dj)
+            f = grown // den
+            for sums in out[1].values():
+                for v in sums.values():
+                    v[0] *= f
+                    v[1] *= f
+            out[0] = den = grown
+        m = den // dj
+        ca *= m
+        cb *= m
+        cut = cuts[j] - shift
+        acc = out[1]
+        for degree, terms in grades.items():
+            if degree > cut or degree < low:
+                continue
+            sums = acc.get(degree + shift)
+            if sums is None:
+                sums = acc[degree + shift] = {}
+            for k, (a, b) in terms.items():
+                x = ca * a - cb * b
+                y = ca * b + cb * a
+                k += offset
+                v = sums.get(k)
+                if v is None:
+                    sums[k] = [x, y]
+                else:
+                    v[0] += x
+                    v[1] += y
+
+
+def _solve_composition(series_list, assignment):
+    """The series G_j with G_j(v := assignment[v]) = series_j, one per
+    member of ``series_list``.
+
+    The series share one context.  The assignment maps some of its
+    variables v to series v + (terms of degree >= 2) of that context, and
+    every other variable passes through, so composing with it changes a
+    monomial only in degrees above its own.  G_j is therefore unique and
+    is found degree by degree: its part of degree k is the part of degree
+    k of R_j = series_j - (the composition of G_j's parts of degree < k).
+    Output j is guaranteed to the smaller of series j's order and the
+    lowest assigned order, the degrees through which that holds.
+
+    R_j is one accumulator over a running lcm (``_scatter``'s outputs),
+    which starts as series_j.  At each degree k, G_j's part of degree k is
+    read off R_j in canonical form, and each of its monomials subtracts
+    the terms of its image above degree k from R_j; R_j's part of degree
+    k is never changed again, so R_j ends as G_j.  A monomial of the top
+    degree, or with no substituted variable, has nothing to subtract.  The
+    walk state is held across degrees, in plain dicts freed on return:
+    the powers of each assigned value, and the image of each substituted
+    part, its prefix image (the part less its last nonzero field) times
+    one power, each formed once (``_part_image``).  A part of degree e
+    first needed at degree k is formed through degree L - k + e, with L
+    the highest output order: that is the most a monomial of degree k
+    reads of it, and later degrees read less.
+    A passed-through variable's exponents are the key offset and degree
+    shift of the monomial, as in ``_compose``.
+    """
+    series_list = list(series_list)
+    context = series_list[0].context
+    shifts = context._shifts
+    values = {}  # position: the storage of its assigned value
+    value_order = None
+    for name, value in assignment.items():
+        i = context.index(name)
+        values[i] = (value._den, value._grades)
+        if value_order is None or value.order < value_order:
+            value_order = value.order
+    mask = 0  # the fields of the substituted variables
+    for i in values:
+        mask |= _MASK << shifts[i]
+    orders = [s.order if value_order is None else min(s.order, value_order)
+              for s in series_list]
+    limit = max((order for s, order in zip(series_list, orders) if s._grades), default=0)
+    outs = [[s._den, {degree: {k: [a, b] for k, (a, b) in terms.items()}
+                      for degree, terms in s._grades.items() if degree <= order}]
+            for s, order in zip(series_list, orders)]
+    powers = {i: [_cut(*value, limit)] for i, value in values.items()}
+    images = {}  # substituted part: the storage of its image
+    degrees = {}  # substituted part: its degree
+    for k in range(limit):
+        dens = []  # the canonical denominator of each G_j's part of degree k
+        uses = {}  # substituted part: the uses of its image at degree k
+        for j, (den, acc) in enumerate(outs):
+            sums = acc.get(k) if k < orders[j] else None
+            if not sums:
+                dens.append(1)
+                continue
+            g = den
+            for a, b in sums.values():
+                g = gcd(g, a, b)
+                if g == 1:
+                    break
+            dens.append(den // g)
+            for key, (a, b) in sums.items():
+                part = key & mask
+                if part and (a or b):
+                    degree = degrees.get(part)
+                    if degree is None:
+                        degree = degrees[part] = sum((part >> shifts[i]) & _MASK for i in values)
+                    use = (j, key ^ part, k - degree, -(a // g), -(b // g))
+                    entry = uses.get(part)
+                    if entry is None:
+                        uses[part] = [use]
+                    else:
+                        entry.append(use)
+        for part, entry in uses.items():
+            image = images.get(part)
+            if image is None:
+                image = _part_image(images, powers, shifts, part, degrees[part], limit - k)
+            _scatter(outs, orders, dens, *image, entry, degrees[part] + 1)
+    return [TruncatedSeries._valid(context, order, *_closed(den, acc))
+            for order, (den, acc) in zip(orders, outs)]
+
+
+def _part_image(images, powers, shifts, part, degree, top):
+    """The storage of the image of the substituted part ``part``, of
+    degree ``degree``, for ``_solve_composition``: the image of its
+    prefix, the part less its last nonzero field, times the power of that
+    field.  Each missing prefix image and power is formed on the way and
+    kept in ``images`` and ``powers`` (position: [value^1, value^2, ...]),
+    each of degree e through degree top + e."""
+    chain = []  # (part, position, exponent) down to the first formed prefix
+    image = None
+    while part:
+        image = images.get(part)
+        if image is not None:
+            break
+        field = ((part & -part).bit_length() - 1) // _FIELD
+        i = len(shifts) - 1 - field
+        e = (part >> shifts[i]) & _MASK
+        chain.append((part, i, e))
+        part ^= e << shifts[i]
+        degree -= e
+    for part, i, e in reversed(chain):
+        cache = powers[i]
+        while len(cache) < e:
+            cache.append(_product(*cache[-1], *cache[0], top + len(cache) + 1))
+        degree += e
+        image = cache[e - 1] if image is None else _product(*image, *cache[e - 1], top + degree)
+        images[part] = image
+    return image
 
 
 class TruncatedSeries:

@@ -161,7 +161,7 @@ def test_run_all_checks_builds_each_levi_object_once(monkeypatch, kind, text):
     import pseudosphere.hypersurface as hypersurface
     import pseudosphere.pde as pde
 
-    calls = {"minors": 0, "implicit": 0, "cofactors": 0}
+    calls = {"minors": 0, "solve": 0, "cofactors": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -171,14 +171,15 @@ def test_run_all_checks_builds_each_levi_object_once(monkeypatch, kind, text):
 
     monkeypatch.setattr(hypersurface, "jacobian_minor_family",
                         counted("minors", hypersurface.jacobian_minor_family))
-    monkeypatch.setattr(pde, "_newton", counted("implicit", pde._newton))
+    monkeypatch.setattr(pde, "_solve_composition",
+                        counted("solve", pde._solve_composition))
     monkeypatch.setattr(SeriesMatrix, "cofactors", counted("cofactors", SeriesMatrix.cofactors))
     job = JobSpec(n=2, order=6, kind=kind, checks=ALL_CHECKS, **{f"{kind}_text": text})
     report = run(job)
     assert report["cross_check"] == "pass"
     assert report["integrability"] == "pass"
     # the Levi minors' one table; a graph's solve for w expands its own 1x1
-    assert calls == {"minors": 1, "implicit": 1, "cofactors": 1 if kind == "theta" else 2}
+    assert calls == {"minors": 1, "solve": 1, "cofactors": 1 if kind == "theta" else 2}
 
 
 # ----------------------------------------------------------------------
@@ -289,6 +290,17 @@ def test_exit_two_on_malformed_input(capsys, argv):
     code, _, err = invoke(argv, capsys)
     assert code == 2
     assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff12"],
+                         ids=["superscript-two", "arabic-indic-three", "fullwidth-two"])
+def test_exit_two_on_a_non_ascii_digit(capsys, digit):
+    theta = HEIS + " + z1^" + digit
+    code, out, err = invoke(["check", "--n", "2", "--order", "6", "--theta", theta], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: unknown character {digit!r} (at position {len(theta) - 1})\n"
     assert "Traceback" not in err
 
 

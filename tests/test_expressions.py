@@ -55,6 +55,19 @@ def test_syntax_errors_carry_position():
         assert str(excinfo.value) == f"{message} (at position {position})"
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff12"],
+                         ids=["superscript-two", "arabic-indic-three", "fullwidth-two"])
+def test_a_non_ascii_digit_is_an_unknown_character(digit):
+    # str.isdigit accepts each of them; int() rejects the superscript and
+    # reads the other two as 3 and 2, so each must stop the tokenizer
+    for text in (f"z1^{digit}", f"{digit}*z1", f"z{digit}", f"1{digit}"):
+        with pytest.raises(ParseError) as excinfo:
+            value(text)
+        position = text.index(digit)
+        assert excinfo.value.position == position, text
+        assert str(excinfo.value) == f"unknown character {digit!r} (at position {position})"
+
+
 def test_pow_requires_integer_literal():
     with pytest.raises(ParseError):
         value("z1^z2")

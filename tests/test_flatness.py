@@ -1113,11 +1113,10 @@ def test_cross_check_pulls_back_only_the_nonzero_jets(monkeypatch):
 
 
 def test_no_zero_operand_reaches_a_kernel_on_a_rigid_n4_model(monkeypatch):
-    # every check of the CI's rigid n = 4 model: the Laplace memo, Newton's
-    # table and update, the elimination's last composition, the transfer
-    # and the pull-back leave their zero series out, so no zero series is
-    # composed, and every call of the product loop has a product of two
-    # nonzero operands
+    # every check of the CI's rigid n = 4 model: the Laplace memo, the
+    # derivation's solve and map back, the transfer and the pull-back
+    # leave their zero series out, so no zero series is composed, and
+    # every call of the product loop has a product of two nonzero operands
     zeros, dead = [], []
     compose, products = series_module._compose, series_module._products
 

@@ -343,16 +343,16 @@ def test_residual_evaluations_grow_with_log_order(order, monkeypatch):
 def test_newton_with_a_sparse_cofactor_table_matches_the_dense_solve(order, monkeypatch):
     # a Jacobian with few nonzero entries: C[2, 0] and C[2, 1] are zero,
     # and C[1, 0] = -3*u2^2 is zero through degree 1 and not beyond, so
-    # each renewal composes only the cofactors that are nonzero at its cut.  Each step is one walk that holds no zero
-    # series, and the solve is the one that expands its table from the
-    # equations, and the degree-by-degree reference
+    # each renewal composes only the cofactors that are nonzero at its cut.
+    # Each step is one walk that holds no zero series, and the solve,
+    # which expands its own table from the equations, is the
+    # degree-by-degree reference
     ctx = VariableContext(("p", "u1", "u2", "u3"))
     unknowns = ["u1", "u2", "u3"]
     texts = ("u1 - p + u2^3", "2*u2 + p*u1^2", "u3 - i*p + u1*u2^2")
     equations = [ps.parse_series(text, ctx, order) for text in texts]
-    # the table at order 8 holds every degree a solve to order <= 8 reads
-    det, cofactor = SeriesMatrix([[ps.parse_series(text, ctx, 9).partial(u) for u in unknowns]
-                                  for text in texts]).cofactors()
+    _, cofactor = SeriesMatrix([[ps.parse_series(text, ctx, 9).partial(u) for u in unknowns]
+                                for text in texts]).cofactors()
     assert cofactor[(2, 0)].is_zero() and cofactor[(2, 1)].is_zero()
     assert cofactor[(1, 0)].is_zero(through_order=1) and not cofactor[(1, 0)].is_zero()
     walks = []
@@ -363,12 +363,11 @@ def test_newton_with_a_sparse_cofactor_table_matches_the_dense_solve(order, monk
         return compose(walks[-1], *args)
 
     monkeypatch.setattr(implicit_module, "_compose", spy)
-    sparse = implicit_module._newton(equations, unknowns, (det, cofactor))
+    solution = implicit_module._newton(equations, unknowns)
     monkeypatch.undo()
     assert len(walks) == order.bit_length()
     assert all(s._grades for walk in walks for s in walk)
-    dense = implicit_module._newton(equations, unknowns)
     expected = reference_solve(equations, unknowns)
     for u in unknowns:
-        assert sparse[u] == dense[u] == expected[u]
-        assert sparse[u].order == dense[u].order == expected[u].order == order
+        assert solution[u] == expected[u]
+        assert solution[u].order == expected[u].order == order

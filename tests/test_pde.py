@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import pseudosphere as ps
 from pseudosphere import PdeSystem, SeriesMatrix, TruncatedSeries, pde as pde_module
@@ -295,8 +295,9 @@ TARGET_GRAPH = "x1^2 + y1^2 + x2^2 + y2^2 + v*x1^2 + x1^2*x2^2"
     lambda: ps.parse_series("-b + x1*a1 + x2*a2 + x1^2*a1 + a2*x2^2*b", FCTX, 2),
 ], ids=["rigid-n2", "rigid-n3", "target-graph-8", "solution-order-2"])
 def test_elimination_solves_to_the_kept_order_only(make, monkeypatch):
-    # solving the parameters one degree short of what q_x allows gives the
-    # full-order system, term for term and order for order
+    # solving against the forward map read through degree d = q.order - 2,
+    # one short of what q_x allows, gives the full-order system, term for
+    # term and order for order
     q = make()
     n = (q.context.arity - 1) // 2
     names = q.context.names
@@ -304,21 +305,73 @@ def test_elimination_solves_to_the_kept_order_only(make, monkeypatch):
     want = full_order_elimination(q, x_names, parameters)
     solved = []
 
-    def spy(equations, unknowns, jacobian=None, targets=()):
-        solved.extend(eq.order for eq in equations)
-        return newton(equations, unknowns, jacobian, targets)
+    def spy(series_list, assignment):
+        series_list = list(series_list)
+        solved.append(([s.order for s in series_list],
+                       {name: value.order for name, value in assignment.items()}))
+        return solve(series_list, assignment)
 
-    newton = pde_module._newton
-    monkeypatch.setattr(pde_module, "_newton", spy)
+    solve = pde_module._solve_composition
+    monkeypatch.setattr(pde_module, "_solve_composition", spy)
     family = jacobian_minor_family(q, x_names, parameters)
     got = pde_module._eliminate(q, x_names, parameters, family)
-    # the solver reads the Jacobian off the linear part, so it never goes below 1
-    assert solved == [max(q.order - 2, 1)] * (n + 1)
-    assert got.order == want.order == q.order - 2
+    d = q.order - 2
+    # one solve, of every nonzero second derivative, against the normalized
+    # forward map of every parameter, all at order d; none when all vanish
+    seconds = [f for f in family.seconds.values() if not f.is_zero()]
+    assert solved == ([([d] * len(seconds), dict.fromkeys(parameters, d))] if seconds else [])
+    assert got.order == want.order == d
     assert got.component_keys() == want.component_keys()
     for key in want.component_keys():
         assert got.component(*key) == want.component(*key), key
         assert got.component(*key).order == want.component(*key).order
+
+
+# a Q of the normal form -b + sum_k x_k a_k plus terms drawn from these, of
+# degree 2 at least, so Q and Q_x vanish at the origin
+SOLUTION_TERMS = st.lists(st.tuples(
+    st.sampled_from(["1", "-1", "2", "1/2", "-1/3", "i", "(1 + i)", "(2 - i)/3"]),
+    st.lists(st.integers(0, 6), min_size=2, max_size=5)), min_size=1, max_size=6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(2, 6), SOLUTION_TERMS)
+# x1*x2 puts x-linear terms in Q_x1 and Q_x2: C is not 0
+@example(2, 5, [("3", [0, 1]), ("1/2", [0, 0, 2]), ("1", [1, 3, 3])])
+# x1*a2 and x2*b make M0 non-diagonal, with a Q(i) entry
+@example(2, 5, [("1/2", [0, 3]), ("i", [1, 4]), ("-1", [0, 0, 2, 4]), ("1", [1, 1, 3, 3])])
+# both at n = 3, at the order the solve is longest
+@example(3, 6, [("2", [0, 2]), ("(1 + i)", [1, 6]), ("-1/3", [0, 1, 4]), ("1", [2, 5, 5])])
+def test_derivation_matches_the_newton_elimination(n, order, terms):
+    # the degree-by-degree solve on the forward map gives the system of the
+    # Newton inverse composed with Q_xx, terms and .order alike
+    ctx = ps.fundamental_context(n)
+    names = ctx.names
+    text = " + ".join(["-b"] + [f"x{k}*a{k}" for k in range(1, n + 1)]
+                      + [f"{c}*" + "*".join(names[e % len(names)] for e in exps)
+                         for c, exps in terms])
+    q = ps.parse_series(text, ctx, order)
+    try:
+        sol = ps.FundamentalSolution(n, q)
+    except RankConditionError:
+        assume(False)
+    got = ps.derive_associated_system(sol)
+    want = full_order_elimination(q, list(names[:n]), list(names[n:]))
+    assert got.order == want.order == order - 2
+    for key in want.component_keys():
+        assert got.component(*key) == want.component(*key), (text, key)
+        assert got.component(*key).order == want.component(*key).order
+
+
+@pytest.mark.parametrize("text, equation", [
+    ("1 - b + x1*a1 + x2*a2 + x1^2*a1", 0),
+    ("-b + x1*a1 + x2*a2 + x1^2*a1 + x1", 1),
+], ids=["q", "q_x1"])
+def test_elimination_rejects_a_map_that_does_not_vanish_at_the_origin(text, equation):
+    # the rank condition holds, but (Q, Q_x)(0) != 0: no system is derived
+    sol = ps.FundamentalSolution(2, ps.parse_series(text, FCTX, 5))
+    with pytest.raises(ValueError, match=f"^equation {equation} does not vanish at the origin$"):
+        ps.derive_associated_system(sol)
 
 
 @pytest.mark.parametrize("make", [
@@ -381,12 +434,12 @@ def test_both_exported_names_share_one_family_and_one_elimination(as_solution, m
 
     def counted_solve(*args):
         solved.append(args)
-        return newton(*args)
+        return solve(*args)
 
     jacobian_minor_family = hypersurface.jacobian_minor_family
-    newton = pde_module._newton
+    solve = pde_module._solve_composition
     monkeypatch.setattr(hypersurface, "jacobian_minor_family", counted_family)
-    monkeypatch.setattr(pde_module, "_newton", counted_solve)
+    monkeypatch.setattr(pde_module, "_solve_composition", counted_solve)
     model = rigid_perturbation_model(random.Random(5), 2, 6)
     obj = ps.FundamentalSolution(2, model.theta.rename_context(FCTX)) if as_solution else model
     family = ps.fundamental_minors(obj)
@@ -398,9 +451,10 @@ def test_both_exported_names_share_one_family_and_one_elimination(as_solution, m
 
 @pytest.mark.parametrize("as_solution", [False, True], ids=["model", "solution"])
 def test_every_reader_of_the_levi_minors_shares_one_cofactor_table(as_solution, monkeypatch):
-    # the elimination's Newton steps read J^-1 off the Levi minors, so one
-    # expansion per object serves the derivation, levi, the tensor and the
-    # cross-check, whichever runs first; derive-pde alone builds the family
+    # the derivation reads M0^-1 off the Levi minors' constant terms, so
+    # one expansion per object serves the derivation, levi, the tensor and
+    # the cross-check, whichever runs first; derive-pde alone builds the
+    # family
     expanded = []
 
     def counted(self):

@@ -756,6 +756,53 @@ def test_compose_gives_each_zero_member_the_zero_of_its_output_order(
         assert _compose(family, assignment, TARGET) == results[1:len(family) + 1]
 
 
+NEAR = VariableContext(("x", "u", "v", "t"))  # x and t pass through
+
+
+@st.composite
+def near_identity(draw, name):
+    """The variable ``name`` of NEAR plus terms of degree 2 and 3, at an
+    order from 1 to 6."""
+    terms = {tuple(int(other == name) for other in NEAR.names): ONE}
+    for _ in range(draw(st.integers(0, 4))):
+        exps = draw(st.tuples(*(st.integers(0, 2) for _ in NEAR.names)))
+        if 2 <= sum(exps) <= 3:
+            terms[exps] = draw(st.sampled_from(COPRIME_POOL + CANCELLING_POOL))
+    return TruncatedSeries(NEAR, draw(st.integers(1, 6)), terms)
+
+
+@st.composite
+def near_series(draw):
+    """A series in NEAR of order 0 to 6, constant term allowed."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        exps = draw(st.tuples(*(st.integers(0, 3) for _ in NEAR.names)))
+        terms[exps] = draw(st.sampled_from(COPRIME_POOL + CANCELLING_POOL))
+    return TruncatedSeries(NEAR, draw(st.integers(0, 6)), terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(near_series(), min_size=1, max_size=3), near_identity("u"), near_identity("v"))
+# a zero member, and one whose solution reaches the top degree through
+# parts of every degree, with the x and t passing through
+@example([TruncatedSeries.zero(NEAR, 3),
+          ps.parse_series("u*v + x*u^2 + t^3 + (1/3)*x*t*v^2", NEAR, 5)],
+         ps.parse_series("u + v^2 + x*u", NEAR, 6),
+         ps.parse_series("v + (i/3)*u*t + (2/5)*v^3", NEAR, 5))
+def test_solve_composition_inverts_the_composition(family, u, v):
+    # G_j composed with u := u + ..., v := v + ... is series j through the
+    # lower of its order and the assigned ones, the order of G_j; that
+    # determines G_j, and it holds nothing above its order
+    assignment = {"u": u, "v": v}
+    solved = series_module._solve_composition(family, assignment)
+    assert len(solved) == len(family)
+    for s, g in zip(family, solved):
+        order = min(s.order, u.order, v.order)
+        assert g.order == order
+        assert_valid(g)
+        assert naive_compose(g, assignment, NEAR) == s.truncate(order)
+
+
 def test_compose_rejects_an_empty_or_mixed_list():
     u = TruncatedSeries.variable(TARGET, 3, "s")
     with pytest.raises(ValueError):

@@ -129,11 +129,47 @@ MUTANTS = [
         "takes the minimum with g.partial(f'x{k}'), also of order g.order - 1",
     ),
     # -- the order cuts that drop unused degrees ----------------------
+    # the forward map is read through degree d = q.order - 2, one short of
+    # what q_x allows; one degree less loses the top degree of the system
     Mutant(
         "eliminate-solves-one-short", "pde.py",
-        "system = [s.truncate(max(order, 1)) for s in [q] + firsts]",
-        "system = [s.truncate(max(order - 1, 1)) for s in [q] + firsts]",
+        "if 2 <= degree <= order}))",
+        "if 2 <= degree <= order - 1}))",
         ("tests/test_pde.py::test_elimination_solves_to_the_kept_order_only",),
+        "killed",
+    ),
+    # -- the degree-by-degree solve on the forward map ----------------
+    Mutant(
+        "solve-degree-loop-one-short", "series.py",
+        "    for k in range(limit):\n",
+        "    for k in range(limit - 1):\n",
+        ("tests/test_series.py::test_solve_composition_inverts_the_composition",
+         "tests/test_pde.py::test_elimination_solves_to_the_kept_order_only"),
+        "killed",
+    ),
+    Mutant(
+        "solve-image-one-short", "series.py",
+        "_product(*image, *cache[e - 1], top + degree)",
+        "_product(*image, *cache[e - 1], top + degree - 1)",
+        ("tests/test_series.py::test_solve_composition_inverts_the_composition",
+         "tests/test_pde.py::test_elimination_solves_to_the_kept_order_only"),
+        "killed",
+    ),
+    Mutant(
+        "solve-power-one-short", "series.py",
+        "_product(*cache[-1], *cache[0], top + len(cache) + 1)",
+        "_product(*cache[-1], *cache[0], top + len(cache))",
+        ("tests/test_series.py::test_solve_composition_inverts_the_composition",
+         "tests/test_pde.py::test_elimination_solves_to_the_kept_order_only"),
+        "killed",
+    ),
+    # a monomial's own term is the lowest of its image, and the solve reads
+    # it off R once; subtracting it too would empty that degree of R
+    Mutant(
+        "solve-scatter-low-one-short", "series.py",
+        "entry, degrees[part] + 1)",
+        "entry, degrees[part])",
+        ("tests/test_series.py::test_solve_composition_inverts_the_composition",),
         "killed",
     ),
     Mutant(
@@ -306,18 +342,21 @@ MUTANTS = [
         ("tests/test_series.py::test_fused_products_match_the_sum_of_single_products",),
         "killed",
     ),
+    # the one scatter loop of the composition and of the solve
     Mutant(
-        "compose-output-cut-one-long", "series.py",
-        "                if degree > cut:\n",
-        "                if degree > cut + 1:\n",
-        ("tests/test_series.py::test_compose_cuts_each_output_at_its_own_order",),
+        "scatter-cut-one-long", "series.py",
+        "if degree > cut or degree < low:",
+        "if degree > cut + 1 or degree < low:",
+        ("tests/test_series.py::test_compose_cuts_each_output_at_its_own_order",
+         "tests/test_series.py::test_solve_composition_inverts_the_composition"),
         "killed",
     ),
     Mutant(
-        "compose-offset-cut-unshifted", "series.py",
-        "cut = orders[j] - shift",
-        "cut = orders[j]",
-        ("tests/test_series.py::test_compose_with_offsets_matches_naive_composition",),
+        "scatter-offset-cut-unshifted", "series.py",
+        "cut = cuts[j] - shift",
+        "cut = cuts[j]",
+        ("tests/test_series.py::test_compose_with_offsets_matches_naive_composition",
+         "tests/test_series.py::test_solve_composition_inverts_the_composition"),
         "killed",
     ),
     Mutant(
